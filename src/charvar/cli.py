@@ -262,8 +262,8 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
     # descent, both argument orders
     if nb and nz:
-        G1 = tf.form_gram(point, basis.b1, basis.z1)
-        G2 = tf.form_gram(point, basis.z1, basis.b1)
+        G1 = tf.form_gram_coords(point, basis.b_coords, basis.z_coords)
+        G2 = tf.form_gram_coords(point, basis.z_coords, basis.b_coords)
         descent = max(np.abs(G1).max(), np.abs(G2).max())
     else:
         descent = 0.0
@@ -279,7 +279,10 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
     angle = _subspace_angle_cos_defect(K, basis.b_coords)
     add("kernel_matches_coboundaries", angle, 1e-7)
     steps = cfg.certify.get("closedness_steps", [1e-3, 5e-4, 2.5e-4])
-    if steps:
+    if steps and nh < 3:
+        # no triple of chart directions: every dOmega coefficient is zero
+        add("closedness_value", 0.0, 1e-4)
+    elif steps:
         vals = tf.closedness_sweep(point, classes, steps=tuple(steps))
         add("closedness_value", vals[0], 1e-4)
         order = tf.observed_order(steps, vals)
@@ -337,9 +340,8 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
         "seed": cfg.seed,
     }
     if fmt == "csv" and out:
-        rec = vol.sample_stream(cfg.problem, n, cfg.seed)
         csv_path = os.path.splitext(out)[0] + ".csv"
-        _write_sample_csv(csv_path, rec)
+        _write_sample_csv(csv_path, result["coarea_records"])
         payload["samples_csv"] = os.path.basename(csv_path)
     emit(payload, out, quiet,
          f"volume: coarea {result['coarea'].value:.4g} "

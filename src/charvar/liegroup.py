@@ -263,7 +263,9 @@ def log_near_identity(spec: GroupSpec, g: np.ndarray,
     Well-conditioned when ``||g - I|| < 1``; defined on the whole
     principal branch.  Raises :class:`OutsideDomainError` when an
     eigenvalue sits within ``branch_tol`` of the cut (e.g. eigenvalue -1
-    for a unitary matrix).
+    for a unitary matrix), and when the unprojected log has ``|tr L| > pi``:
+    then g is a non-trivial central element times exp of the result (e.g.
+    omega*I in SU(3)), which the trace projection would hide.
     """
     g = np.asarray(g, dtype=complex)
     if spec.family == "SU" and spec.rank == 2:
@@ -285,6 +287,8 @@ def log_near_identity(spec: GroupSpec, g: np.ndarray,
         L = Z @ np.diag(np.log(lam)) @ Z.conj().T
     else:
         L = scipy.linalg.logm(g)
+    if abs(np.trace(L)) > np.pi:
+        raise OutsideDomainError("log trace beyond pi: a non-trivial central factor")
     return project_to_algebra(spec, L)
 
 

@@ -8,21 +8,17 @@ ones, and every component is transported by Ad of the inverse partial
 product of the letters to its right-hand side.  With ``eps(i, j) = sign(j - i)``,
 
     form(u, v) = 1/2 sum_{i,j} eps(i,j) <u_i~, v_j~>
-               + 1/2 sum_k <pinv(Ad c_k^-1 - 1) C_k^u,
-                            (Ad c_k - Ad c_k^-1)(Ad c_k^-1 - 1) C_k^v>,
+               + 1/2 sum_k <Y_k^u, (Ad c_k - Ad c_k^-1) Y_k^v>,
 
-where C_k are the left-trivialized boundary components and the inverse in
-the boundary term is Moore-Penrose on the complement of the centralizer
-(the operator kills exactly the centralizer of c_k, so a bare inverse is
-not defined; boundary components must lie in its image).  The 1/2
-prefactor is part of the convention here: the closed-surface form equals
-the boundary form at m = 0 identically.  Writings of the closed-surface
-sum without the 1/2 are twice this one.
-
-The boundary term is evaluated exactly as displayed above; for a class
-whose squared adjoint is not the identity it is not skew on its own (a
-convention ambiguity inherited from the source formula), but it vanishes
-at the classes exercised here and at m = 0 the form is skew identically.
+where Y_k = (1 - Ad c_k)^+ H_k is the minimal conjugator of the
+right-trivialized boundary component H_k: the element orthogonal to the
+centralizer of c_k whose conjugation moves c_k with velocity H_k.
+Boundary components must lie in image(1 - Ad c_k).  The boundary term is
+the conjugacy-class two-form of Alekseev-Malkin-Meinrenken (Lie group
+valued moment maps), skew because Ad c_k is orthogonal for the pairing.
+The 1/2 prefactor is part of the convention here: the closed-surface form
+equals the boundary form at m = 0 identically.  Writings of the
+closed-surface sum without the 1/2 are twice this one.
 """
 
 from __future__ import annotations
@@ -33,24 +29,20 @@ import numpy as np
 
 from . import liegroup as lg
 from . import presentation as pres
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotClassTangentError,
-)
+from .errors import DimensionMismatchError, NoConvergenceError
 from .liegroup import GroupSpec
 from .presentation import TangentVector
 from .variety import (
     CohomologyBasis,
     ConjugacyClassSpec,
     RepresentationPoint,
-    boundary_tangent_basis,
+    apply_step,
+    boundary_slots,
     cohomology_at,
+    embed_moves,
     flat_residual,
     split_rank,
 )
-
-CLASS_TANGENT_TOL = 1e-8
 
 
 def epsilon_sign(i: int, j: int) -> int:
@@ -145,87 +137,58 @@ def first_sum_gram(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     return 0.5 * (below - above)
 
 
-_PINV_FLOOR = 1e-10  # Ad(c^-1) - 1 has operator norm <= 2; below this is kernel
+def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray,
+                     convention: str | None = None) -> np.ndarray:
+    """Matrix of the form over two coordinate stacks at a shared point.
 
-
-def _image_pinv_solve(A: np.ndarray, C: np.ndarray):
-    """Moore-Penrose solve of A x = C with an absolute singular-value floor.
-
-    Directions with singular value below the floor belong to the
-    centralizer kernel and are discarded; returns (solution, residual),
-    where the residual is the part of C outside the numerical image.
-    Accepts a vector or a matrix of stacked right-hand-side columns.
+    U: (n*dim, k), V: (n*dim, l) columns in the slot-major algebra basis
+    -> (k, l).  Boundary components of both stacks must be class-tangent
+    (:class:`NotClassTangentError` otherwise); each enters the boundary
+    term through its minimal conjugator.
     """
-    U, s, Vh = np.linalg.svd(A)
-    keep = s > _PINV_FLOOR
-    Uk = U[:, keep]
-    proj = Uk @ (Uk.conj().T @ C)
-    sol = Vh[keep].conj().T @ ((Uk.conj().T @ C).T / s[keep]).T
-    return sol, C - proj
-
-
-def _boundary_term(spec: GroupSpec, c: np.ndarray, C1: np.ndarray, C2: np.ndarray,
-                   convention: str, tol: float = CLASS_TANGENT_TOL):
-    """One boundary summand, exactly as displayed (pseudo-inverse first slot)."""
+    t = p.tuple
+    spec = t.spec
+    if convention is None:
+        convention = spec.default_pairing
     d = spec.dim
-    T = lg.adjoint_matrix(spec, lg.group_inverse(spec, c))
-    Tinv = lg.adjoint_matrix(spec, c)
-    A = T - np.eye(d)
-    sol, resid = _image_pinv_solve(A, C1)
-    n1 = np.linalg.norm(C1)
-    if n1 > 0 and np.linalg.norm(resid) > tol * max(n1, 1.0):
-        raise NotClassTangentError(
-            "boundary component not in image(Ad(c^-1) - 1)")
-    rhs = (Tinv - T) @ (A @ C2)
+    n = t.n_generators
+    if U.shape[0] != n * d or V.shape[0] != n * d:
+        raise DimensionMismatchError("tangent slot count mismatch")
+    g, m = t.genus, t.boundary_count
+    G = first_sum_gram(spec, t.mats, g, m, U.T, V.T, convention)
     Gp = lg._pairing_gram(spec, convention)
-    val = sol @ Gp @ rhs
-    return val
+    for k, slot in enumerate(boundary_slots(spec, t.mats, g, m)):
+        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+        Yu = slot.conjugator(U[rows])
+        Yv = slot.conjugator(V[rows])
+        ad_inv = lg.adjoint_matrix(spec, lg.group_inverse(spec, t.c(k)))
+        G = G + 0.5 * (Yu.T @ Gp @ (slot.ad - ad_inv) @ Yv)
+    if spec.family == "SU":
+        G = np.real(G)
+    return G
 
 
-def _check_class_tangent(spec, c, C, tol=CLASS_TANGENT_TOL):
-    d = spec.dim
-    A = lg.adjoint_matrix(spec, lg.group_inverse(spec, c)) - np.eye(d)
-    nC = np.linalg.norm(C)
-    if nC == 0:
-        return
-    _, resid = _image_pinv_solve(A, C)
-    if np.linalg.norm(resid) > tol * max(nC, 1.0):
-        raise NotClassTangentError("boundary component not in image(Ad(c^-1) - 1)")
+def form_gram(p: RepresentationPoint, us: list, vs: list,
+              convention: str | None = None) -> np.ndarray:
+    """Matrix of the form over two lists of tangent vectors (shared point)."""
+    n = p.tuple.n_generators * p.spec.dim
 
+    def stack(vecs):
+        return np.stack([v.coords() for v in vecs], axis=1) if vecs else np.zeros((n, 0))
 
-def _tangent_stack(p, vs):
-    arr = np.stack([v.coords() for v in vs], axis=0)
-    return arr
+    return form_gram_coords(p, stack(us), stack(vs), convention)
 
 
 def theta_with_classes(p: RepresentationPoint, u: TangentVector, v: TangentVector,
                        convention: str | None = None):
     """The two-form with boundary classes; reduces to the closed form at m = 0.
 
-    Boundary components of both arguments must be class-tangent (in the
-    image of Ad(c_k^-1) - 1); the boundary term takes the Moore-Penrose
-    inverse there.
+    Boundary components of both arguments must be class-tangent (in
+    image(1 - Ad c_k)).
     """
-    t = p.tuple
-    spec = t.spec
-    if convention is None:
-        convention = spec.default_pairing
-    if u.n_slots != t.n_generators or v.n_slots != t.n_generators:
-        raise DimensionMismatchError("tangent slot count mismatch")
-    g, m = t.genus, t.boundary_count
-    U = u.coords()[None, :]
-    V = v.coords()[None, :]
-    val = first_sum_gram(spec, t.mats, g, m, U, V, convention)[0, 0]
-    d = spec.dim
-    for k in range(m):
-        c = t.c(k)
-        ad_ci = lg.adjoint_matrix(spec, lg.group_inverse(spec, c))
-        Cu = ad_ci @ U[0, (2 * g + k) * d:(2 * g + k + 1) * d]
-        Cv = ad_ci @ V[0, (2 * g + k) * d:(2 * g + k + 1) * d]
-        _check_class_tangent(spec, c, Cv)
-        val = val + 0.5 * _boundary_term(spec, c, Cu, Cv, convention)
-    if spec.family == "SU":
-        return float(np.real(val))
+    val = form_gram(p, [u], [v], convention)[0, 0]
+    if p.spec.family == "SU":
+        return float(val)
     return complex(val)
 
 
@@ -237,54 +200,14 @@ def theta_closed(p: RepresentationPoint, u: TangentVector, v: TangentVector,
     return theta_with_classes(p, u, v, convention)
 
 
-def form_gram(p: RepresentationPoint, us: list, vs: list,
-              convention: str | None = None) -> np.ndarray:
-    """Matrix of the form over two lists of tangent vectors (shared point).
-
-    Boundary components are checked class-tangent; the boundary term is
-    added pairwise.  Much faster than calling the scalar form in a loop:
-    the letter transports are built once.
-    """
-    t = p.tuple
-    spec = t.spec
-    if convention is None:
-        convention = spec.default_pairing
-    g, m = t.genus, t.boundary_count
-    U = _tangent_stack(p, us)
-    V = _tangent_stack(p, vs)
-    G = first_sum_gram(spec, t.mats, g, m, U, V, convention)
-    d = spec.dim
-    for k in range(m):
-        c = t.c(k)
-        T = lg.adjoint_matrix(spec, lg.group_inverse(spec, c))
-        Tinv = lg.adjoint_matrix(spec, c)
-        CU = U[:, (2 * g + k) * d:(2 * g + k + 1) * d] @ T.T
-        CV = V[:, (2 * g + k) * d:(2 * g + k + 1) * d] @ T.T
-        A = T - np.eye(d)
-        for row in CV:
-            _check_class_tangent(spec, c, row)
-        sols, resid = _image_pinv_solve(A, CU.T)
-        bad = np.linalg.norm(resid, axis=0) > CLASS_TANGENT_TOL * np.maximum(
-            np.linalg.norm(CU.T, axis=0), 1.0)
-        if np.any(bad):
-            raise NotClassTangentError(
-                "boundary component not in image(Ad(c^-1) - 1)")
-        Gp = lg._pairing_gram(spec, convention)
-        rhs = (Tinv - T) @ (A @ CV.T)
-        G = G + 0.5 * (sols.T @ Gp @ rhs)
-    if spec.family == "SU":
-        G = np.real(G)
-    return G
-
-
 def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
                        basis: CohomologyBasis | None = None,
                        convention: str | None = None) -> FormMatrix:
     """The form matrix over the orthonormal h1 basis."""
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram(p, basis.h1, basis.h1, convention)
-    labels = [f"h1[{i}]" for i in range(len(basis.h1))]
+    G = form_gram_coords(p, basis.h_coords, basis.h_coords, convention)
+    labels = [f"h1[{i}]" for i in range(G.shape[0])]
     return FormMatrix(labels, G)
 
 
@@ -300,7 +223,7 @@ def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
     """
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram(p, basis.z1, basis.z1, convention)
+    G = form_gram_coords(p, basis.z_coords, basis.z_coords, convention)
     if G.shape[0] == 0:
         return []
     _, s, Vh = np.linalg.svd(G)
@@ -346,54 +269,6 @@ def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
     return ell, lam
 
 
-def _step_blocks(spec, qmats, g, m):
-    """Map from chart unknowns to right-trivialized slot velocities.
-
-    Interior slots are free; boundary slot k is parametrized by the
-    class-tangent basis at its current element, acting by conjugation.
-    Returns (S, sizes): S has shape (n*dim, D_c).
-    """
-    d = spec.dim
-    n = qmats.shape[0]
-    if m == 0:
-        return np.eye(n * d), [d] * n
-    cols = []
-    sizes = []
-    for s in range(2 * g):
-        blk = np.zeros((n * d, d))
-        blk[s * d:(s + 1) * d] = np.eye(d)
-        cols.append(blk)
-        sizes.append(d)
-    for k in range(m):
-        c = qmats[2 * g + k]
-        W = boundary_tangent_basis(spec, c)
-        vel = (np.eye(d) - lg.adjoint_matrix(spec, c)) @ W
-        blk = np.zeros((n * d, W.shape[1]))
-        blk[(2 * g + k) * d:(2 * g + k + 1) * d] = vel
-        cols.append(blk)
-        sizes.append(W.shape[1])
-    return np.concatenate(cols, axis=1), sizes
-
-
-def _apply_chart_step(spec, qmats, g, m, step, sizes):
-    out = qmats.copy()
-    d = spec.dim
-    ofs = 0
-    for s in range(2 * g):
-        X = lg.coords_to_algebra(spec, step[ofs:ofs + d])
-        out[s] = lg.exp(spec, X) @ qmats[s]
-        ofs += d
-    for k in range(m):
-        w = sizes[2 * g + k]
-        c = qmats[2 * g + k]
-        W = boundary_tangent_basis(spec, c)
-        X = lg.coords_to_algebra(spec, W @ step[ofs:ofs + w])
-        U = lg.exp(spec, X)
-        out[2 * g + k] = U @ c @ lg.group_inverse(spec, U)
-        ofs += w
-    return out
-
-
 class _Chart:
     """Implicit chart of the variety around a solved point.
 
@@ -423,37 +298,33 @@ class _Chart:
         spec, g, m = self.spec, self.g, self.m
         R = flat_residual(spec, qmats, g, m, self.classes.target)
         ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
-        S, sizes = _step_blocks(spec, qmats, g, m)
+        slots = boundary_slots(spec, qmats, g, m, self.classes)
+        S = embed_moves(spec.dim, g, [sl.velocities for sl in slots])
         D = pres.relator_differential_matrix(spec, qmats, g, m)
         J = np.vstack([D @ S, self.H.T @ lam @ S, self.B.T @ lam @ S])
-        return R, ell, J, S, sizes
+        return R, ell, J, S, slots
 
     def solve(self, t: np.ndarray):
         qmats = self.p.tuple.mats.copy()
         for it in range(60):
-            R, ell, J, S, sizes = self._system(qmats)
+            R, ell, J, S, slots = self._system(qmats)
             F = np.concatenate([R, self.H.T @ ell - t, self.B.T @ ell])
             if np.linalg.norm(F) < self.tol:
-                return qmats, J, S, sizes
+                return qmats, J, S
             step = np.linalg.solve(J, -F)
-            qmats = _apply_chart_step(self.spec, qmats, self.g, self.m, step, sizes)
+            qmats = apply_step(self.spec, qmats, self.g, slots, step)
         raise NoConvergenceError(60, float(np.linalg.norm(F)),
                                  "chart re-solve did not converge")
 
     def omega_at(self, t: np.ndarray, convention: str | None = None) -> np.ndarray:
         """Chart coefficients of the form at coordinates t."""
-        qmats, J, S, sizes = self.solve(t)
+        qmats, J, S = self.solve(t)
         dh = self.H.shape[1]
         rhs = np.zeros((J.shape[0], dh))
         rhs[self.spec.dim:self.spec.dim + dh] = np.eye(dh)
-        V = np.linalg.solve(J, rhs)
-        full = S @ V  # slot-velocity coordinates of the frame
-        qt = self.p.tuple.replace_mats(qmats)
-        n = qt.n_generators
-        frame = [pres.TangentVector.from_coords(self.spec, n, full[:, i])
-                 for i in range(dh)]
-        qpoint = RepresentationPoint(qt, 0.0)
-        return form_gram(qpoint, frame, frame, convention)
+        frame = S @ np.linalg.solve(J, rhs)  # slot-velocity coordinates
+        qpoint = RepresentationPoint(self.p.tuple.replace_mats(qmats), 0.0)
+        return form_gram_coords(qpoint, frame, frame, convention)
 
 
 def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,

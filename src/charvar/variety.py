@@ -8,6 +8,13 @@ generators move freely (right translation by exp of the step); boundary
 generators move only by conjugation, so the class constraint is exact at
 every iterate rather than penalized.
 
+Step coordinates, shared by the Gauss-Newton solver and the closedness
+chart: a step is one algebra vector per interior slot (its right-
+trivialized velocity) followed by ``w_k`` coordinates ``x`` per boundary
+slot.  With the SVD ``1 - Ad(c_k) = U S V*`` cut at the class rank
+``w_k`` (a :class:`BoundarySlot`), ``x`` conjugates
+``c_k <- exp(V x) c_k exp(-V x)``, whose velocity is ``U S x``.
+
 Rank decisions are made from singular-value gaps, never from fixed
 epsilons: ``split_rank`` finds the largest relative gap and reports its
 quality, and a :class:`RankDeficiencyWarning` is emitted when the gap is
@@ -28,6 +35,7 @@ from . import presentation as pres
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NotClassTangentError,
     OutsideDomainError,
     RankDeficiencyWarning,
 )
@@ -36,6 +44,7 @@ from .presentation import GeneratorTuple, SurfacePresentation, TangentVector
 
 TOL_FLAT = 1e-9
 GAP_TOL = 1e-6
+CLASS_TANGENT_TOL = 1e-8
 
 _ZERO_FLOOR = 1e-11
 
@@ -76,13 +85,14 @@ class ConjugacyClassSpec:
         return len(self.representatives)
 
     def tangent_basis(self, k: int) -> np.ndarray:
-        """Orthonormal basis of image(Ad(c_k^-1) - 1) at the representative.
+        """Orthonormal basis of the class-tangent velocities image(1 - Ad c_k)
+        at the representative.
 
         Shape (dim, w_k); empty second axis for a central class.  The
-        same subspace at a conjugate of the representative comes from
-        :func:`boundary_tangent_basis`.
+        same subspace at a conjugate of the representative is the ``U``
+        of :meth:`BoundarySlot.at` there.
         """
-        return boundary_tangent_basis(self.spec, self.representatives[k])
+        return BoundarySlot.at(self.spec, self.representatives[k]).U
 
     def to_json(self) -> dict:
         return {
@@ -126,25 +136,44 @@ class RepresentationPoint:
 
 @dataclass(frozen=True)
 class CohomologyBasis:
-    """Orthonormal bases of cocycles, coboundaries, and their complement.
+    """Orthonormal coordinate bases of cocycles, coboundaries, and H1.
 
-    ``z1`` spans {H : dPi(H) = 0, boundary components class-tangent},
-    ``b1`` spans the image of the coboundary map, and ``h1`` spans the
-    orthocomplement of b1 inside z1.  Coordinate matrices (columns in the
-    slot-major algebra basis) are kept alongside the tangent-vector lists.
+    Columns of ``z_coords`` span {H : dPi(H) = 0, boundary components
+    class-tangent}, ``b_coords`` the image of the coboundary map, and
+    ``h_coords`` the orthocomplement of b1 inside z1, all in the
+    slot-major algebra basis.  ``normal_rows`` span the row space of the
+    class-constrained relator differential (the normal directions of the
+    variety); ``z1``, ``b1`` and ``h1`` build tangent-vector lists on read.
     """
 
-    z1: list
-    b1: list
-    h1: list
+    spec: GroupSpec
     z_coords: np.ndarray = field(repr=False)
     b_coords: np.ndarray = field(repr=False)
     h_coords: np.ndarray = field(repr=False)
+    normal_rows: np.ndarray = field(repr=False)
     dpi_singular_values: np.ndarray = field(repr=False)
     gap_quality: float = float("inf")
 
+    def _vectors(self, M: np.ndarray) -> list:
+        n = M.shape[0] // self.spec.dim
+        return [TangentVector.from_coords(self.spec, n, M[:, j])
+                for j in range(M.shape[1])]
+
+    @property
+    def z1(self) -> list:
+        return self._vectors(self.z_coords)
+
+    @property
+    def b1(self) -> list:
+        return self._vectors(self.b_coords)
+
+    @property
+    def h1(self) -> list:
+        return self._vectors(self.h_coords)
+
     def dims(self) -> tuple[int, int, int]:
-        return (len(self.z1), len(self.b1), len(self.h1))
+        return (self.z_coords.shape[1], self.b_coords.shape[1],
+                self.h_coords.shape[1])
 
     def to_json(self) -> dict:
         return {
@@ -222,42 +251,119 @@ def project_to_class(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# constrained tangent embedding
+# boundary slots and step coordinates
 # ---------------------------------------------------------------------------
 
-def constrained_embedding(t: GeneratorTuple, classes: ConjugacyClassSpec) -> np.ndarray:
-    """Orthonormal columns spanning the admissible slot directions.
+@dataclass(frozen=True)
+class BoundarySlot:
+    """Admissible moves of one boundary generator c, batched over leading axes.
 
-    Interior slots contribute the full algebra; boundary slot k only the
-    class-tangent subspace image(Ad(c_k^-1) - 1).  Shape (n*dim, D_c).
-    For m = 0 this is the identity.
+    One SVD ``1 - Ad(c) = U S V*``, cut at the class rank ``w``, gives
+    every boundary quantity:
+
+    * ``U`` (..., dim, w): orthonormal basis of the class-tangent
+      velocities image(1 - Ad c);
+    * step coordinates ``x`` (..., w) conjugate c by ``X = V x``, with
+      right-trivialized velocity ``(1 - Ad c) X = U S x``;
+    * the minimal conjugator of a class-tangent velocity ``H`` is
+      ``V S^-1 U* H``.
+
+    The rank depends only on the conjugacy class, so a batch shares it.
     """
-    spec = t.spec
+
+    ad: np.ndarray = field(repr=False)
+    U: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
+
+    @classmethod
+    def at(cls, spec: GroupSpec, c: np.ndarray, rank: int | None = None) -> "BoundarySlot":
+        """Factors at c; the rank is read off the singular-value gap of an
+        unbatched c unless given."""
+        ad = lg.adjoint_matrix(spec, c)
+        U, s, Vh = np.linalg.svd(np.eye(spec.dim) - ad)
+        if rank is None:
+            rank, _, _ = split_rank(s)
+        V = np.swapaxes(Vh[..., :rank, :], -2, -1).conj()
+        return cls(ad, U[..., :rank], s[..., :rank], V)
+
+    @property
+    def velocities(self) -> np.ndarray:
+        """(..., dim, w): the velocity U S of each step coordinate."""
+        return self.U * self.s[..., None, :]
+
+    def conjugator(self, H: np.ndarray) -> np.ndarray:
+        """Minimal conjugators V S^-1 U* H of velocity columns H (dim, k).
+
+        Raises :class:`NotClassTangentError` when a column leaves
+        image(1 - Ad c) by more than ``CLASS_TANGENT_TOL * max(|H|, 1)``.
+        """
+        proj = self.U.conj().T @ H
+        resid = np.linalg.norm(H - self.U @ proj, axis=0)
+        if np.any(resid > CLASS_TANGENT_TOL * np.maximum(np.linalg.norm(H, axis=0), 1.0)):
+            raise NotClassTangentError("boundary component not in image(1 - Ad c)")
+        return self.V @ (proj / self.s[:, None])
+
+    def move(self, spec: GroupSpec, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Conjugate c by exp(V x)."""
+        E = lg.exp(spec, lg.coords_to_algebra(spec, (self.V @ x[..., None])[..., 0]))
+        return E @ c @ lg.group_inverse(spec, E)
+
+
+def boundary_slots(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+                   classes: ConjugacyClassSpec | None = None) -> list:
+    """One :class:`BoundarySlot` per boundary generator of (a batch of) tuples.
+
+    Ranks come from the class representatives when class data is given,
+    otherwise from the singular-value gap at the (unbatched) tuple.
+    """
+    return [BoundarySlot.at(
+        spec, mats[..., 2 * g + k, :, :],
+        None if classes is None else classes.tangent_basis(k).shape[1])
+        for k in range(m)]
+
+
+def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:
+    """Block-diagonal map from step coordinates to stacked slot vectors.
+
+    Identity on the 2g interior slots, then one (..., dim, w_k) block per
+    boundary slot; the identity itself when there is no boundary.
+    """
+    if not blocks:
+        return np.eye(2 * g * d)
+    batch = blocks[0].shape[:-2]
+    widths = [b.shape[-1] for b in blocks]
+    dtype = np.result_type(*blocks)
+    out = np.zeros(batch + ((2 * g + len(blocks)) * d, 2 * g * d + sum(widths)),
+                   dtype=dtype)
+    out[..., : 2 * g * d, : 2 * g * d] = np.eye(2 * g * d)
+    col = 2 * g * d
+    for k, (b, w) in enumerate(zip(blocks, widths)):
+        row = (2 * g + k) * d
+        out[..., row:row + d, col:col + w] = b
+        col += w
+    return out
+
+
+def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
+               step: np.ndarray) -> np.ndarray:
+    """Move (a batch of) tuples by stacked step coordinates.
+
+    Interior slots are right-translated by exp of their velocity; boundary
+    slot k is conjugated by its slot's ``move``.
+    """
     d = spec.dim
-    n = t.n_generators
-    g = t.genus
-    m = t.boundary_count
-    if m == 0:
-        return np.eye(n * d)
-    cols = []
-    for s in range(2 * g):
-        blk = np.zeros((n * d, d))
-        blk[s * d:(s + 1) * d] = np.eye(d)
-        cols.append(blk)
-    for k in range(m):
-        W = boundary_tangent_basis(spec, t.c(k))
-        blk = np.zeros((n * d, W.shape[1]))
-        blk[(2 * g + k) * d:(2 * g + k + 1) * d] = W
-        cols.append(blk)
-    return np.concatenate(cols, axis=1)
-
-
-def boundary_tangent_basis(spec: GroupSpec, c: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of image(Ad(c^-1) - 1) at the point's own c."""
-    A = lg.adjoint_matrix(spec, lg.group_inverse(spec, c)) - np.eye(spec.dim)
-    U, s, _ = np.linalg.svd(A)
-    rank, _, _ = split_rank(s)
-    return U[:, :rank]
+    out = mats.copy()
+    W = step[..., : 2 * g * d].reshape(step.shape[:-1] + (2 * g, d))
+    move = lg.exp(spec, lg.coords_to_algebra(spec, W))
+    out[..., : 2 * g, :, :] = move @ mats[..., : 2 * g, :, :]
+    ofs = 2 * g * d
+    for k, slot in enumerate(slots):
+        w = slot.s.shape[-1]
+        out[..., 2 * g + k, :, :] = slot.move(spec, mats[..., 2 * g + k, :, :],
+                                              step[..., ofs:ofs + w])
+        ofs += w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,44 +411,6 @@ def _batch_residual(spec, mats, g, m, z0i):
     return R.reshape(batch + (spec.dim,)), bad.reshape(batch)
 
 
-def _constrained_jacobian(spec, mats, g, m):
-    """Batched Jacobian of the residual w.r.t. admissible moves.
-
-    Interior slots: right-trivialized velocity = step.  Boundary slot k:
-    a conjugator direction X acts by c -> exp(X) c exp(-X) with velocity
-    (1 - Ad(c)) X, which keeps the class exact; the conjugator is
-    parametrized over the full algebra (the centralizer redundancy is
-    absorbed by the min-norm damped solve).  Returns (..., dim, n*dim).
-    """
-    D = pres.relator_differential_matrix(spec, mats, g, m)
-    d = spec.dim
-    if m == 0:
-        return D
-    blocks = [D[..., :, : 2 * g * d]]
-    for k in range(m):
-        c = mats[..., 2 * g + k, :, :]
-        conj_vel = np.eye(d) - lg.adjoint_matrix(spec, c)
-        blk = D[..., :, (2 * g + k) * d:(2 * g + k + 1) * d] @ conj_vel
-        blocks.append(blk)
-    return np.concatenate(blocks, axis=-1)
-
-
-def _apply_step(spec, mats, g, m, step):
-    """Move a batch of tuples by a stacked step (conjugation on the boundary)."""
-    d = spec.dim
-    n = mats.shape[-3]
-    out = mats.copy()
-    W = step.reshape(step.shape[:-1] + (n, d))
-    move = lg.exp(spec, lg.coords_to_algebra(spec, W[..., : 2 * g, :]))
-    out[..., : 2 * g, :, :] = move @ mats[..., : 2 * g, :, :]
-    for k in range(m):
-        X = lg.coords_to_algebra(spec, W[..., 2 * g + k, :])
-        U = lg.exp(spec, X)
-        c = mats[..., 2 * g + k, :, :]
-        out[..., 2 * g + k, :, :] = U @ c @ lg.group_inverse(spec, U)
-    return out
-
-
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                   classes: ConjugacyClassSpec, *, tol: float = 1e-12,
                   max_iter: int = 200, damping: float = 1.0,
@@ -376,7 +444,10 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             R, bad = _batch_residual(spec, mats, g, m, z0i)
             rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
             active = ~(rnorm <= tol)
-        J = _constrained_jacobian(spec, mats, g, m)
+        J = pres.relator_differential_matrix(spec, mats, g, m)
+        slots = boundary_slots(spec, mats, g, m, classes)
+        if slots:
+            J = J @ embed_moves(spec.dim, g, [sl.velocities for sl in slots])
         lam = damping * np.minimum(1.0, np.where(np.isfinite(rnorm), rnorm, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
@@ -390,7 +461,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         best_rnorm = rnorm
         improved = ~active
         for _ in range(8):
-            trial = _apply_step(spec, mats, g, m, scale[..., None] * full_step)
+            trial = apply_step(spec, mats, g, slots, scale[..., None] * full_step)
             Rt, badt = _batch_residual(spec, trial, g, m, z0i)
             rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
             take = active & ~improved & (rt < best_rnorm)
@@ -484,9 +555,8 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
         raise ValueError(
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
     g, m = t.genus, t.boundary_count
-    d = spec.dim
-    n = t.n_generators
-    E = constrained_embedding(t, classes)
+    slots = boundary_slots(spec, t.mats, g, m, classes)
+    E = embed_moves(spec.dim, g, [sl.U for sl in slots])
     D = pres.relator_differential_matrix(spec, t.mats, g, m)
     Dc = D @ E
     U, s, Vh = np.linalg.svd(Dc)
@@ -508,15 +578,9 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
         warnings.warn(
             f"h1 complement gap {hq:.2e} below 1/gap_tol",
             RankDeficiencyWarning, stacklevel=2)
-    z_full, b_full, h_full = E @ Zc, E @ Bc, E @ Hc
-
-    def mk(M):
-        return [TangentVector.from_coords(spec, n, M[:, j])
-                for j in range(M.shape[1])]
-
     return CohomologyBasis(
-        z1=mk(z_full), b1=mk(b_full), h1=mk(h_full),
-        z_coords=z_full, b_coords=b_full, h_coords=h_full,
+        spec, z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
+        normal_rows=Vh[:rank] @ E.conj().T,
         dpi_singular_values=s, gap_quality=min(quality, bq, hq),
     )
 

@@ -41,7 +41,7 @@ from .variety import (
     RepresentationPoint,
     VarietyProblem,
     cohomology_at,
-    constrained_embedding,
+    commutant_dimension,
     project_batch,
     split_rank,
 )
@@ -136,16 +136,6 @@ def _displacement_coords(spec, final, initial):
     return out.reshape(batch + (n * spec.dim,))
 
 
-def _commutant_null_dim(spec, mats, tol=1e-8):
-    r = spec.rank
-    eye = np.eye(r)
-    rows = [np.kron(eye, mats[s]) - np.kron(mats[s].T, eye)
-            for s in range(mats.shape[0])]
-    svals = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    return int(np.sum(svals <= tol * scale))
-
-
 def _point_density(problem: VarietyProblem, mats: np.ndarray,
                    displacement: np.ndarray):
     """(pf, coarea_jacobian, irreducible, normal_distance) at one landing.
@@ -156,7 +146,7 @@ def _point_density(problem: VarietyProblem, mats: np.ndarray,
     as distance to the variety.
     """
     spec = problem.spec
-    if _commutant_null_dim(spec, mats) != 1:
+    if commutant_dimension(spec, mats) != 1:
         return 0.0, 0.0, False, np.inf
     t = pres.GeneratorTuple(spec, problem.presentation.genus,
                             problem.presentation.boundary_count, mats)
@@ -165,10 +155,7 @@ def _point_density(problem: VarietyProblem, mats: np.ndarray,
     rank, _, _ = split_rank(basis.dpi_singular_values)
     jac = float(np.prod(basis.dpi_singular_values[:rank]))
     pf = liouville_density(p, problem.classes, basis)
-    E = constrained_embedding(t, problem.classes)
-    D = pres.relator_differential_matrix(spec, mats, t.genus, t.boundary_count)
-    _, _, Vh = np.linalg.svd(D @ E)
-    ndist = float(np.linalg.norm(Vh[:rank] @ (E.conj().T @ displacement)))
+    ndist = float(np.linalg.norm(basis.normal_rows @ displacement))
     return pf, jac, True, ndist
 
 
@@ -279,9 +266,13 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
 
 def cross_check(problem: VarietyProblem, n_samples: int, seed: int,
                 **gate_kw) -> dict:
-    """Both estimator variants on independent streams plus agreement stats."""
-    a = estimate_relative_volume(problem, n_samples, seed,
-                                 estimator="coarea", **gate_kw)
+    """Both estimator variants on independent streams plus agreement stats.
+
+    ``coarea_records`` holds the per-sample records of the co-area stream.
+    """
+    records = sample_stream(problem, n_samples, seed)
+    a = estimate_relative_volume(problem, n_samples, seed, estimator="coarea",
+                                 records=records, **gate_kw)
     b = estimate_relative_volume(problem, n_samples, seed + 1,
                                  estimator="tube", **gate_kw)
     sigma = math.hypot(a.stderr, b.stderr)
@@ -292,4 +283,5 @@ def cross_check(problem: VarietyProblem, n_samples: int, seed: int,
         "difference": gap,
         "combined_stderr": sigma,
         "agree_3sigma": bool(gap <= 3.0 * sigma),
+        "coarea_records": records,
     }

@@ -67,3 +67,30 @@ def boundary_points(boundary_problem):
         p = boundary_problem.solve(np.random.default_rng(3000 + seed))
         pts.append(p.with_irreducible(cv.is_irreducible(p)))
     return pts
+
+
+@pytest.fixture(scope="session", params=[0.3, 1.0], ids=lambda t: f"theta{t}")
+def generic_problem(request, su2):
+    """SU(2), genus 2, one boundary loop in the class of diag(e^{it}, e^{-it}).
+
+    Ad(c)^2 is not the identity there, so the boundary term of the form
+    does not vanish.
+    """
+    t = request.param
+    rep = np.diag([np.exp(1j * t), np.exp(-1j * t)])
+    return cv.VarietyProblem(su2, cv.SurfacePresentation(2, 1),
+                             cv.ConjugacyClassSpec(su2, (rep,)))
+
+
+@pytest.fixture(scope="session")
+def generic_points(generic_problem):
+    return [generic_problem.solve(np.random.default_rng(4000 + seed))
+            for seed in range(3)]
+
+
+@pytest.fixture(scope="session")
+def su3_regular_problem(su3):
+    """SU(3), genus 1, one boundary loop at a regular class (distinct eigenvalues)."""
+    rep = np.diag(np.exp(1j * np.array([0.3, 0.5, -0.8])))
+    return cv.VarietyProblem(su3, cv.SurfacePresentation(1, 1),
+                             cv.ConjugacyClassSpec(su3, (rep,)))

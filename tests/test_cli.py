@@ -97,6 +97,48 @@ def test_solve_then_certify_passes(tmp_path):
             "closedness_value", "closedness_order"} <= names
 
 
+def _diag_json(*phases):
+    return [[[float(np.cos(p)), float(np.sin(p))] if j == k else [0.0, 0.0]
+             for k in range(len(phases))] for j, p in enumerate(phases)]
+
+
+def _solve_and_certify(tmp_path, cfg, seed):
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", cfg, "--seed", str(seed),
+                     "--out", str(point), "--quiet"]) == 0
+    report = tmp_path / "report.json"
+    rc = cli.main(["certify", "--config", cfg, "--point", str(point),
+                   "--out", str(report), "--quiet"])
+    return rc, json.loads(report.read_text())
+
+
+def test_certify_generic_boundary_class_passes(tmp_path):
+    """Genus 2 with one boundary at diag(e^{0.3i}, e^{-0.3i}): the boundary
+    term is nonzero and every check, closedness order included, passes."""
+    cfg = write_config(tmp_path, problem={
+        "type": "surface", "genus": 2, "boundary_count": 1,
+        "classes": {"representatives": [_diag_json(0.3, -0.3)]}})
+    rc, data = _solve_and_certify(tmp_path, cfg, 3)
+    assert rc == 0, data
+    validate_report_schema(data)
+    names = {c["check"] for c in data["checks"]}
+    assert {"descent", "form_skew", "kernel_matches_coboundaries",
+            "closedness_value", "closedness_order"} <= names
+
+
+def test_certify_two_dimensional_chart_skips_order(tmp_path):
+    """Genus 1 with one boundary: dim h1 = 2 leaves no dOmega coefficient,
+    so closedness reads 0 and no order is fitted."""
+    cfg = write_config(tmp_path, problem={
+        "type": "surface", "genus": 1, "boundary_count": 1,
+        "classes": {"representatives": [_diag_json(0.3, -0.3)]}})
+    rc, data = _solve_and_certify(tmp_path, cfg, 3)
+    assert rc == 0, data
+    checks = {c["check"]: c for c in data["checks"]}
+    assert checks["closedness_value"]["value"] == 0.0
+    assert "closedness_order" not in checks
+
+
 def test_certify_determinism(tmp_path):
     cfg = write_config(tmp_path)
     point = tmp_path / "point.json"
@@ -148,9 +190,16 @@ def test_volume_run_and_csv(tmp_path):
     assert data["agree_3sigma"] is True
     assert data["coarea"]["value"] > 0 and data["tube"]["value"] > 0
     csv_path = tmp_path / "vol.csv"
-    header = csv_path.read_text().splitlines()[0].split(",")
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
     assert header == ["converged", "irreducible", "initial_residual",
                       "displacement", "density", "jacobian"]
+    # the CSV holds the co-area stream: its gate count is the payload's
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 1500
+    landed = sum(1 for r in rows
+                 if r[0] == "1" and r[1] == "1" and float(r[2]) <= 0.6)
+    assert landed == data["coarea"]["landings"]
 
 
 def test_seifert_scan_two_components(tmp_path):

@@ -102,6 +102,16 @@ def test_log_branch_cut_raises(su2, su3):
         cv.log_near_identity(su3, np.diag([-1.0 + 0j, -1.0, 1.0]))
 
 
+def test_log_rejects_nontrivial_central_factor(su3):
+    """omega*I in SU(3) has a trace-only principal log; projecting the trace
+    out would read it as the identity."""
+    omega = np.exp(2j * np.pi / 3)
+    X = cv.random_algebra(su3, np.random.default_rng(0), scale=0.1)
+    for g in (omega * np.eye(3), omega * cv.exp(su3, X)):
+        with pytest.raises(OutsideDomainError):
+            cv.log_near_identity(su3, g)
+
+
 def test_log_output_in_algebra(su2, su3):
     rng = np.random.default_rng(4)
     for spec in (su2, su3):

@@ -8,7 +8,8 @@ import charvar as cv
 from charvar import liegroup as lg
 from charvar.errors import DimensionMismatchError, NotClassTangentError
 from charvar.presentation import GeneratorTuple
-from charvar.twoform import epsilon_sign, observed_order
+from charvar.twoform import epsilon_sign, first_sum_gram, form_gram_coords, observed_order
+from charvar.variety import boundary_slots, embed_moves
 
 
 def brute_force_theta(tup, Ku, Kv):
@@ -16,8 +17,9 @@ def brute_force_theta(tup, Ku, Kv):
     formula: spell the word in letters, set the inverse-slot components to
     minus Ad of the base letter, transport everything by the inverse
     partial product, and sum with the sign function.  SU pairing -tr(XY);
-    1/2 prefactor.  (First sum only: boundary classes exercised here are
-    ones whose boundary term vanishes.)
+    1/2 prefactor.  Each boundary slot adds 1/2 <Y_u, c Y_v c^-1 - c^-1 Y_v c>
+    with Y = pinv(1 - Ad c) K, Ad c written out on all r x r matrices as
+    the Kronecker product of c^-T and c.
     """
     inv = np.linalg.inv
     g, m = tup.genus, tup.boundary_count
@@ -56,6 +58,17 @@ def brute_force_theta(tup, Ku, Kv):
             ui = inv(f[i]) @ Hu[i] @ f[i]
             vj = inv(f[j]) @ Hv[j] @ f[j]
             total += e * (-np.trace(ui @ vj).real)
+    r = tup.spec.rank
+    for k in range(m):
+        c = tup.c(k)
+        one_minus_ad = np.eye(r * r) - np.kron(inv(c).T, c)  # column-major vec
+
+        def conjugator(K):
+            y = np.linalg.pinv(one_minus_ad, rcond=1e-10) @ K.reshape(-1, order="F")
+            return y.reshape(r, r, order="F")
+
+        Yu, Yv = conjugator(Ku[2 * g + k]), conjugator(Kv[2 * g + k])
+        total += -np.trace(Yu @ (c @ Yv @ inv(c) - inv(c) @ Yv @ c)).real
     return 0.5 * total
 
 
@@ -65,6 +78,14 @@ def as_point(tup):
 
 def random_tuple(spec, g, m, rng):
     return GeneratorTuple(spec, g, m, lg.haar_sample(spec, rng, size=2 * g + m))
+
+
+def admissible_basis(p, classes):
+    """Orthonormal admissible directions at p: interior slots free,
+    boundary slot k spanned by its class-tangent basis U."""
+    t = p.tuple
+    slots = boundary_slots(p.spec, t.mats, t.genus, t.boundary_count, classes)
+    return embed_moves(p.spec.dim, t.genus, [sl.U for sl in slots])
 
 
 def test_epsilon_convention():
@@ -115,9 +136,7 @@ def test_theta_with_classes_matches_brute_force_halfpi(boundary_points):
     brute-force first sum is the whole form."""
     rng = np.random.default_rng(3)
     p = boundary_points[0]
-    from charvar.variety import constrained_embedding
-    E = constrained_embedding(p.tuple, cv.ConjugacyClassSpec(
-        p.spec, (np.diag([1j, -1j]),)))
+    E = admissible_basis(p, cv.ConjugacyClassSpec(p.spec, (np.diag([1j, -1j]),)))
     for _ in range(10):
         u = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
         v = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
@@ -186,9 +205,8 @@ def test_skewness_at_boundary_points(boundary_points, boundary_problem):
     """Skewness of the boundary form at solved g=1, m=1 points (the check
     that validates the pseudo-inverse convention)."""
     rng = np.random.default_rng(8)
-    from charvar.variety import constrained_embedding
     for p in boundary_points[:3]:
-        E = constrained_embedding(p.tuple, boundary_problem.classes)
+        E = admissible_basis(p, boundary_problem.classes)
         for _ in range(10):
             u = cv.TangentVector.from_coords(p.spec, 3,
                                              E @ rng.standard_normal(E.shape[1]))
@@ -196,6 +214,45 @@ def test_skewness_at_boundary_points(boundary_points, boundary_problem):
                                              E @ rng.standard_normal(E.shape[1]))
             s = cv.theta_with_classes(p, u, v) + cv.theta_with_classes(p, v, u)
             assert abs(s) < 1e-10
+
+
+def test_theta_matches_brute_force_generic_class(generic_points, generic_problem):
+    """Away from the trace-zero class the boundary term is nonzero, and the
+    whole form still matches the brute-force oracle."""
+    rng = np.random.default_rng(13)
+    worst, boundary_part = 0.0, 0.0
+    for p in generic_points:
+        E = admissible_basis(p, generic_problem.classes)
+        t = p.tuple
+        for _ in range(10):
+            u = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
+            v = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
+            fast = cv.theta_with_classes(p, u, v)
+            worst = max(worst, abs(fast - brute_force_theta(t, u.comps, v.comps)))
+            first = first_sum_gram(p.spec, t.mats, 2, 1, u.coords()[None], v.coords()[None])
+            boundary_part = max(boundary_part, abs(fast - first[0, 0]))
+    assert worst < 1e-12
+    assert boundary_part > 1e-2
+
+
+def test_skewness_at_generic_class(generic_points, generic_problem):
+    rng = np.random.default_rng(14)
+    for p in generic_points:
+        E = admissible_basis(p, generic_problem.classes)
+        A = E @ rng.standard_normal((E.shape[1], 8))
+        G = form_gram_coords(p, A, A)
+        assert np.abs(G + G.T).max() < 1e-12
+        fm = cv.form_on_cohomology(p, generic_problem.classes)
+        assert fm.skew_defect() < 1e-12
+
+
+def test_descent_at_generic_class(generic_points, generic_problem):
+    for p in generic_points:
+        basis = cv.cohomology_at(p, generic_problem.classes)
+        assert basis.dims() == (11, 3, 8)
+        G1 = form_gram_coords(p, basis.b_coords, basis.z_coords)
+        G2 = form_gram_coords(p, basis.z_coords, basis.b_coords)
+        assert max(np.abs(G1).max(), np.abs(G2).max()) < 1e-9
 
 
 def test_conjugation_invariance(solved_points, closed_problem, su2):
@@ -295,6 +352,16 @@ def test_kernel_equals_coboundaries(solved_points, closed_problem):
         assert angles.max() < 1e-7
 
 
+def test_kernel_equals_coboundaries_generic_class(generic_points, generic_problem):
+    for p in generic_points:
+        basis = cv.cohomology_at(p, generic_problem.classes)
+        kern = cv.kernel_of_form(p, generic_problem.classes, basis)
+        assert len(kern) == 3
+        K = np.stack([v.coords() for v in kern], axis=1)
+        cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
+        assert np.arccos(np.clip(cosines, -1, 1)).max() < 1e-7
+
+
 def test_kernel_at_reducible_point_reported(su2):
     """At a flat commuting (diagonal) tuple the kernel is reported from the
     singular-value gap rather than asserted: the coboundary directions are
@@ -372,6 +439,13 @@ def test_closedness_flat_torus_sanity(su2):
     assert worst < 1e-11
 
 
+def test_closedness_order_generic_class(generic_points, generic_problem):
+    steps = (1e-3, 5e-4, 2.5e-4)
+    vals = cv.closedness_sweep(generic_points[0], generic_problem.classes, steps=steps)
+    assert vals[0] <= 1e-4
+    assert observed_order(steps, vals) >= 1.8
+
+
 def test_observed_order_helper():
     steps = (1e-3, 5e-4, 2.5e-4)
     vals = [4e-8, 1e-8, 2.5e-9]
@@ -395,6 +469,22 @@ def test_su3_structure(su3):
     assert len(cv.kernel_of_form(p, prob.classes, basis)) == 8
     fm = cv.form_on_cohomology(p, prob.classes, basis)
     assert np.linalg.svd(fm.entries, compute_uv=False)[-1] > 1e-3
+
+
+def test_su3_regular_class_form(su3_regular_problem):
+    """SU(3), genus 1, regular boundary class: dims (14, 8, 6), skew,
+    descent, kernel = coboundaries, and second-order closedness."""
+    prob = su3_regular_problem
+    p = prob.solve(np.random.default_rng(5))
+    basis = cv.cohomology_at(p, prob.classes)
+    assert basis.dims() == (14, 8, 6)
+    fm = cv.form_on_cohomology(p, prob.classes, basis)
+    assert fm.skew_defect() < 1e-12
+    assert np.abs(form_gram_coords(p, basis.b_coords, basis.z_coords)).max() < 1e-9
+    assert len(cv.kernel_of_form(p, prob.classes, basis)) == 8
+    steps = (1e-3, 5e-4, 2.5e-4)
+    vals = cv.closedness_sweep(p, prob.classes, steps=steps)
+    assert observed_order(steps, vals) >= 1.8
 
 
 def test_slc_complex_form(slc2):

@@ -88,6 +88,17 @@ def test_projection_su3(su3):
     assert cv.is_irreducible(p)
 
 
+def test_projection_su3_lands_on_target_not_central_multiple(su3):
+    """Starts whose relator drifts to omega*I (omega a cube root of unity)
+    read a zero trace-projected log there; they must be nudged off and
+    solved to the target itself."""
+    prob = cv.VarietyProblem(su3, cv.SurfacePresentation(2),
+                             cv.ConjugacyClassSpec(su3))
+    for seed in (9, 42, 220, 253):
+        p = prob.solve(np.random.default_rng(seed), tol_flat=1e-9)
+        assert np.linalg.norm(cv.evaluate_relator(p.tuple) - np.eye(3)) <= 1e-9
+
+
 def test_projection_slc(slc2):
     prob = cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
                              cv.ConjugacyClassSpec(slc2))
