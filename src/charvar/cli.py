@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -223,15 +222,14 @@ def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
-def _subspace_angle_cos_defect(A: np.ndarray, B: np.ndarray) -> float:
-    """Max principal angle (radians) between equal-dimension column spans."""
-    if A.shape[1] != B.shape[1]:
-        return math.pi / 2
-    if A.shape[1] == 0:
+def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal column
+    spans, ``||B - K (K* B)||_2``; 1 when their dimensions differ."""
+    if K.shape[1] != B.shape[1]:
+        return 1.0
+    if B.shape[1] == 0:
         return 0.0
-    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(s.min()))
+    return float(np.linalg.norm(B - K @ (K.conj().T @ B), 2))
 
 
 def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[dict]:
@@ -276,8 +274,7 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
     kern = tf.kernel_of_form(point, classes, basis)
     K = np.stack([v.coords() for v in kern], axis=1) if kern else \
         np.zeros((basis.z_coords.shape[0], 0))
-    angle = _subspace_angle_cos_defect(K, basis.b_coords)
-    add("kernel_matches_coboundaries", angle, 1e-7)
+    add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
     steps = cfg.certify.get("closedness_steps", [1e-3, 5e-4, 2.5e-4])
     if steps and nh < 3:
         # no triple of chart directions: every dOmega coefficient is zero

@@ -201,7 +201,10 @@ def project_to_group(spec: GroupSpec, M: np.ndarray) -> np.ndarray:
         # det is a phase; divide by its r-th root
         M = M * np.exp(-1j * np.angle(det) / r)[..., None, None]
     else:
-        M = M / (det ** (1.0 / r))[..., None, None]
+        # np.power, not ``**``: an array ``** 0.5`` takes a sqrt fast path
+        # that rounds unlike the scalar power, so a stack and its slices
+        # would disagree
+        M = M / np.power(det, 1.0 / r)[..., None, None]
     return M
 
 
@@ -219,35 +222,24 @@ def _exp_su2(X: np.ndarray) -> np.ndarray:
 
 
 def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
-    """Group exponential, retracted onto the group.
+    """Group exponential of (a batch of) algebra elements, retracted onto the group.
 
-    Scaling-and-squaring Pade core (scipy) with a closed-form SU(2) path;
-    the result is re-projected so invariant drift cannot accumulate over
-    long solver runs.  exp(0) is the identity exactly.
+    Closed form on SU(2); otherwise scipy's batched scaling-and-squaring
+    Pade ``expm``, re-projected so that invariant drift cannot accumulate
+    over long solver runs.  exp(0) is the identity exactly.
     """
     X = np.asarray(X, dtype=complex)
     if not np.all(np.isfinite(X)):
         raise ValueError("exp requires finite entries")
     if spec.family == "SU" and spec.rank == 2:
         return _exp_su2(X)
-    if X.ndim == 2:
-        if not X.any():
-            return np.eye(spec.rank, dtype=complex)
-        return project_to_group(spec, scipy.linalg.expm(X))
-    out = np.empty_like(X)
-    flat = X.reshape(-1, spec.rank, spec.rank)
-    oflat = out.reshape(-1, spec.rank, spec.rank)
-    for i in range(flat.shape[0]):
-        oflat[i] = exp(spec, flat[i])
-    return out
+    return project_to_group(spec, scipy.linalg.expm(X))
 
 
-def _log_su2(g: np.ndarray, branch_tol: float) -> np.ndarray:
-    """Closed-form principal log on SU(2); raises near trace = -2."""
+def _log_su2(g: np.ndarray) -> np.ndarray:
+    """Closed-form principal log on SU(2), off the cut at trace = -2."""
     ct = 0.5 * np.trace(g, axis1=-2, axis2=-1).real
     ct = np.clip(ct, -1.0, 1.0)
-    if np.any(ct < -1.0 + branch_tol):
-        raise OutsideDomainError("eigenvalue at the branch cut (trace near -2)")
     theta = np.arccos(ct)
     A = 0.5 * (g - np.swapaxes(g, -2, -1).conj())  # sin(theta) * (unit su(2) dir)
     st = np.sin(theta)
@@ -256,40 +248,51 @@ def _log_su2(g: np.ndarray, branch_tol: float) -> np.ndarray:
     return fac[..., None, None] * A
 
 
-def log_near_identity(spec: GroupSpec, g: np.ndarray,
-                      branch_tol: float = _BRANCH_TOL) -> np.ndarray:
-    """Principal matrix logarithm, projected onto the algebra.
+def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal matrix logarithm of (a batch of) group elements, with a domain mask.
 
-    Well-conditioned when ``||g - I|| < 1``; defined on the whole
-    principal branch.  Raises :class:`OutsideDomainError` when an
-    eigenvalue sits within ``branch_tol`` of the cut (e.g. eigenvalue -1
-    for a unitary matrix), and when the unprojected log has ``|tr L| > pi``:
-    then g is a non-trivial central element times exp of the result (e.g.
-    omega*I in SU(3)), which the trace projection would hide.
+    Returns ``(L, bad)``: ``L`` (..., r, r) is the log projected onto the
+    algebra and ``bad`` (...) marks the slices outside the domain, where
+    ``L`` is 0 (the log of the identity).  A slice is outside
+    when an eigenvalue sits within a relative 1e-12 of the negative real
+    axis (e.g. eigenvalue -1 of a unitary matrix), or when the
+    unprojected log has ``|tr L| > pi``: then g is a non-trivial central
+    element times exp of the result (e.g. omega*I in SU(3)), which the
+    trace projection would hide.  Well-conditioned when ``||g - I|| < 1``.
     """
     g = np.asarray(g, dtype=complex)
-    if spec.family == "SU" and spec.rank == 2:
-        return _log_su2(g, branch_tol)
-    if g.ndim > 2:
-        out = np.empty_like(g)
-        flat = g.reshape(-1, spec.rank, spec.rank)
-        oflat = out.reshape(-1, spec.rank, spec.rank)
-        for i in range(flat.shape[0]):
-            oflat[i] = log_near_identity(spec, flat[i], branch_tol)
-        return out
+    r = spec.rank
+    eye = np.eye(r, dtype=complex)
+    if spec.family == "SU" and r == 2:
+        # the cut and the central factor -I both sit at trace -2
+        bad = 0.5 * np.trace(g, axis1=-2, axis2=-1).real < -1.0 + _BRANCH_TOL
+        return _log_su2(np.where(bad[..., None, None], eye, g)), bad
     T, Z = scipy.linalg.schur(g, output="complex")
-    lam = np.diag(T)
-    # principal branch excludes the negative real axis
-    on_cut = (lam.real < 0) & (np.abs(lam.imag) < branch_tol * np.abs(lam.real))
-    if np.any(on_cut):
-        raise OutsideDomainError("eigenvalue on the negative real axis")
+    lam = np.diagonal(T, axis1=-2, axis2=-1)
+    bad = np.any((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real)),
+                 axis=-1)
     if spec.is_unitary:
-        L = Z @ np.diag(np.log(lam)) @ Z.conj().T
+        L = Z @ (np.log(lam)[..., None] * eye) @ np.swapaxes(Z, -2, -1).conj()
     else:
-        L = scipy.linalg.logm(g)
-    if abs(np.trace(L)) > np.pi:
-        raise OutsideDomainError("log trace beyond pi: a non-trivial central factor")
-    return project_to_algebra(spec, L)
+        L = scipy.linalg.logm(np.where(bad[..., None, None], eye, g))
+    bad = bad | (np.abs(np.trace(L, axis1=-2, axis2=-1)) > np.pi)
+    L = np.where(bad[..., None, None], 0.0, L)
+    return project_to_algebra(spec, L), bad
+
+
+def log_near_identity(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
+    """Principal logarithm of (a batch of) group elements, projected onto the algebra.
+
+    Raises :class:`OutsideDomainError` when any slice is outside the
+    principal-log domain of :func:`principal_log`, which callers use to
+    get a per-slice mask instead.
+    """
+    L, bad = principal_log(spec, g)
+    if np.any(bad):
+        raise OutsideDomainError(
+            "outside the principal-log domain: an eigenvalue on the branch cut "
+            "or a non-trivial central factor")
+    return L
 
 
 # ---------------------------------------------------------------------------

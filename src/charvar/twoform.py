@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import liegroup as lg
 from . import presentation as pres
@@ -240,9 +241,12 @@ def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
 # ---------------------------------------------------------------------------
 
 def _phi_series(A: np.ndarray, terms: int = 16) -> np.ndarray:
-    """phi(A) = (exp(A) - 1) A^-1 = sum A^k / (k+1)!, safe at singular A."""
-    out = np.eye(A.shape[0], dtype=A.dtype)
-    term = np.eye(A.shape[0], dtype=A.dtype)
+    """phi(A) = (exp(A) - 1) A^-1 = sum A^k / (k+1)!, safe at singular A.
+
+    Batched over leading axes of A.
+    """
+    out = np.eye(A.shape[-1], dtype=A.dtype)
+    term = out
     for k in range(1, terms):
         term = term @ (A / (k + 1.0))
         out = out + term
@@ -254,19 +258,12 @@ def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
 
     Returns (ell, lam): ell is the stacked displacement coordinate vector
     and lam the block-diagonal d(ell)/d(right-trivialized slot velocity).
+    Raises :class:`OutsideDomainError` when a slot leaves the principal-log
+    domain.
     """
-    n = qmats.shape[0]
-    d = spec.dim
-    dtype = float if spec.family == "SU" else complex
-    ell = np.zeros(n * d, dtype=dtype)
-    lam = np.zeros((n * d, n * d), dtype=dtype)
-    for s in range(n):
-        Y = qmats[s] @ lg.group_inverse(spec, pmats[s])
-        K = lg.log_near_identity(spec, Y)
-        ell[s * d:(s + 1) * d] = lg.algebra_coords(spec, K)
-        adK = lg.ad_algebra_matrix(spec, K)
-        lam[s * d:(s + 1) * d, s * d:(s + 1) * d] = np.linalg.inv(_phi_series(adK))
-    return ell, lam
+    K = lg.log_near_identity(spec, qmats @ lg.group_inverse(spec, pmats))
+    lam = np.linalg.inv(_phi_series(lg.ad_algebra_matrix(spec, K)))
+    return lg.algebra_coords(spec, K).reshape(-1), scipy.linalg.block_diag(*lam)
 
 
 class _Chart:

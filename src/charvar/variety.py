@@ -370,45 +370,26 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
 # Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
+def _batch_residual(spec, mats, g, m, z0i):
+    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, with the
+    per-sample mask of relators outside the principal-log domain (their
+    residual reads 0)."""
+    P = pres.relator_product(spec, mats, g, m)
+    L, bad = lg.principal_log(spec, P @ z0i)
+    return lg.algebra_coords(spec, L), bad
+
+
 def flat_residual(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                   target: np.ndarray) -> np.ndarray:
-    """Algebra coordinates of log(Pi . z0^-1); shape (..., dim)."""
-    P = pres.relator_product(spec, mats, g, m)
-    z0i = lg.group_inverse(spec, target)
-    return lg.algebra_coords(spec, lg.log_near_identity(spec, P @ z0i))
+    """Algebra coordinates of log(Pi . z0^-1); shape (..., dim).
 
-
-def _su2_log_trace_guard(spec: GroupSpec, W: np.ndarray) -> np.ndarray | None:
-    """For batched SU(2): mask of samples whose relator sits at the branch cut."""
-    if not (spec.family == "SU" and spec.rank == 2):
-        return None
-    ct = 0.5 * np.trace(W, axis1=-2, axis2=-1).real
-    return ct < -1.0 + 1e-12
-
-
-def _batch_residual(spec, mats, g, m, z0i):
-    """Residual coords with a per-sample branch-cut mask (batch-safe)."""
-    P = pres.relator_product(spec, mats, g, m)
-    W = P @ z0i
-    bad = _su2_log_trace_guard(spec, W)
-    if bad is not None:
-        if np.any(bad):
-            # park failed samples at the identity residual; caller nudges them
-            W = np.where(bad[..., None, None], np.eye(2, dtype=complex), W)
-        R = lg.algebra_coords(spec, lg.log_near_identity(spec, W))
-        return R, (bad if bad is not None else np.zeros(R.shape[:-1], dtype=bool))
-    # generic path: per-sample scalar logs with explicit error capture
-    batch = W.shape[:-2]
-    flatW = W.reshape((-1,) + W.shape[-2:])
-    R = np.zeros((flatW.shape[0], spec.dim),
-                 dtype=float if spec.family == "SU" else complex)
-    bad = np.zeros(flatW.shape[0], dtype=bool)
-    for i in range(flatW.shape[0]):
-        try:
-            R[i] = lg.algebra_coords(spec, lg.log_near_identity(spec, flatW[i]))
-        except OutsideDomainError:
-            bad[i] = True
-    return R.reshape(batch + (spec.dim,)), bad.reshape(batch)
+    Raises :class:`OutsideDomainError` when a relator is outside the
+    principal-log domain.
+    """
+    R, bad = _batch_residual(spec, mats, g, m, lg.group_inverse(spec, target))
+    if np.any(bad):
+        raise OutsideDomainError("relator outside the principal-log domain")
+    return R
 
 
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,

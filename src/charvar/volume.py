@@ -33,13 +33,14 @@ import numpy as np
 
 from . import liegroup as lg
 from . import presentation as pres
-from .errors import InsufficientSamplesError, OddDimensionError, OutsideDomainError
+from .errors import InsufficientSamplesError, OddDimensionError
 from .twoform import form_on_cohomology
 from .variety import (
     CohomologyBasis,
     ConjugacyClassSpec,
     RepresentationPoint,
     VarietyProblem,
+    _batch_residual,
     cohomology_at,
     commutant_dimension,
     project_batch,
@@ -107,33 +108,17 @@ def ball_volume(dim: int, radius: float) -> float:
 def _displacement_coords(spec, final, initial):
     """Right-trivialized log displacement coordinates, stacked per slot.
 
-    Near-antipodal slots (log direction ill-conditioned) are parked at a
-    large sentinel: they are far outside every gate and must not abort
-    the stream.
+    Slots outside the principal-log domain, or with an eigen-angle of
+    the log above 3 (near-antipodal: the log direction is ill-conditioned),
+    are parked at a large sentinel: they are far outside every gate and
+    must not abort the stream.
     """
     rel = final @ lg.group_inverse(spec, initial)
-    batch = rel.shape[:-3]
-    n = rel.shape[-3]
-    if spec.family == "SU" and spec.rank == 2:
-        ct = np.clip(0.5 * np.trace(rel, axis1=-2, axis2=-1).real, -1.0, 1.0)
-        theta = np.arccos(ct)
-        A = 0.5 * (rel - np.swapaxes(rel, -2, -1).conj())
-        st = np.sqrt(np.maximum(1.0 - ct**2, 1e-300))
-        fac = np.where(theta < 1e-6, 1.0 + theta**2 / 6.0, theta / st)
-        out = lg.algebra_coords(spec, fac[..., None, None] * A)
-        far = theta > 3.0
-        out = np.where(far[..., None], 2.0 * np.pi, out)
-        return out.reshape(batch + (n * spec.dim,))
-    out = np.zeros(batch + (n, spec.dim))
-    flat = rel.reshape((-1, spec.rank, spec.rank))
-    oflat = out.reshape((-1, spec.dim))
-    for i in range(flat.shape[0]):
-        try:
-            K = lg.log_near_identity(spec, flat[i])
-            oflat[i] = lg.algebra_coords(spec, K)
-        except OutsideDomainError:
-            oflat[i] = 2.0 * np.pi  # sentinel, beyond any gate
-    return out.reshape(batch + (n * spec.dim,))
+    L, bad = lg.principal_log(spec, rel)
+    # the eigen-angles of the skew-Hermitian L are the eigenvalues of iL
+    far = bad | (np.abs(np.linalg.eigvalsh(1j * L)).max(axis=-1) > 3.0)
+    out = np.where(far[..., None], 2.0 * np.pi, lg.algebra_coords(spec, L))
+    return out.reshape(rel.shape[:-3] + (rel.shape[-3] * spec.dim,))
 
 
 def _point_density(problem: VarietyProblem, mats: np.ndarray,
@@ -191,7 +176,6 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     disp = np.full(n_samples, np.inf)
     dens = np.zeros(n_samples)
     jac = np.zeros(n_samples)
-    from .variety import _batch_residual  # internal reuse
     z0i = lg.group_inverse(spec, problem.classes.target)
     done = 0
     while done < n_samples:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import charvar as cv
+
+# Property tests draw the same examples on every run and are not timed:
+# tier-1 stays deterministic and does not flake on a slow machine.
+settings.register_profile("charvar", derandomize=True, deadline=None, database=None)
+settings.load_profile("charvar")
 
 
 @pytest.fixture(scope="session")

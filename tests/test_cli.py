@@ -95,6 +95,24 @@ def test_solve_then_certify_passes(tmp_path):
     names = {c["check"] for c in data["checks"]}
     assert {"residual", "descent", "form_skew", "kernel_matches_coboundaries",
             "closedness_value", "closedness_order"} <= names
+    kernel = next(c for c in data["checks"]
+                  if c["check"] == "kernel_matches_coboundaries")
+    assert kernel["value"] <= 1e-13
+
+
+def test_subspace_sine_known_angle():
+    """Planes at principal angles 0.3 and 0.1, rotated together: the sine
+    of the largest angle is sin 0.3; a dimension mismatch reads 1."""
+    e = np.eye(4)
+    K = e[:, :2]
+    B = np.stack([np.cos(0.3) * e[0] + np.sin(0.3) * e[2],
+                  np.cos(0.1) * e[1] + np.sin(0.1) * e[3]], axis=1)
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    assert abs(cli._subspace_sine(Q @ K, Q @ B) - np.sin(0.3)) < 1e-14
+    assert abs(cli._subspace_sine(Q @ B, Q @ K) - np.sin(0.3)) < 1e-14
+    c, s = np.cos(1.2), np.sin(1.2)
+    assert cli._subspace_sine(Q @ K, Q @ K @ np.array([[c, -s], [s, c]])) < 1e-15
+    assert cli._subspace_sine(K, B[:, :1]) == 1.0
 
 
 def _diag_json(*phases):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
@@ -195,6 +197,105 @@ def test_adjoint_matrix_consistent(su2, su3):
         via_matrix = cv.coords_to_algebra(
             spec, cv.adjoint_matrix(spec, g) @ cv.algebra_coords(spec, X))
         assert np.abs(via_matrix - cv.adjoint(spec, g, X)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched exp and principal log against per-slice calls
+# ---------------------------------------------------------------------------
+
+SPECS = [cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3),
+         cv.GroupSpec("SLC", 2), cv.GroupSpec("SLC", 3)]
+
+batch_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 6)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+def per_slice(fn, spec, A):
+    """fn applied to each (r, r) slice of A, restacked to A's batch shape."""
+    outs = [fn(spec, a) for a in A.reshape((-1,) + A.shape[-2:])]
+
+    def stack(vals):
+        return np.array(vals).reshape(A.shape[:-2] + np.shape(vals[0]))
+
+    if isinstance(outs[0], tuple):
+        return tuple(stack(o) for o in zip(*outs))
+    return stack(outs)
+
+
+def assert_slices_agree(spec, got, want):
+    """Bit for bit on SU(r); to 1e-15 on SL(r, C), whose scipy logm draws
+    random probe vectors for its norm estimates at r >= 3."""
+    if spec.is_unitary:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+def planted_outside(spec):
+    """Slices outside the principal-log domain: an eigenvalue pair on the
+    cut and, at rank 3, omega*I and omega*exp(X) (logs of trace 2 pi i)."""
+    r = spec.rank
+    pair = [-1.0, -1.0] if spec.is_unitary else [-2.0, -0.5]
+    planted = [np.diag(pair + [1.0] * (r - 2)).astype(complex)]
+    if r == 3:
+        omega = np.exp(2j * np.pi / 3)
+        X = 0.1 * lg.algebra_basis(spec).sum(axis=0)
+        planted += [omega * np.eye(3), omega * cv.exp(spec, X)]
+    return planted
+
+
+@given(spec=st.sampled_from(SPECS), shape=batch_shapes,
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
+def test_batched_exp_matches_per_slice(spec, shape, seed, scale):
+    X = cv.random_algebra(spec, np.random.default_rng(seed), scale=scale, size=shape)
+    assert_slices_agree(spec, cv.exp(spec, X), per_slice(cv.exp, spec, X))
+
+
+@given(spec=st.sampled_from(SPECS), shape=batch_shapes,
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
+def test_batched_log_matches_per_slice_and_raises(spec, shape, seed, scale):
+    rng = np.random.default_rng(seed)
+    g = cv.exp(spec, cv.random_algebra(spec, rng, scale=scale, size=shape))
+    if shape:
+        # plant out-of-domain slices at random positions of larger batches
+        flat = g.reshape((-1,) + g.shape[-2:]).copy()
+        for bad_g in planted_outside(spec):
+            flat[rng.integers(flat.shape[0])] = bad_g
+        g = flat.reshape(g.shape)
+    L, bad = lg.principal_log(spec, g)
+    L1, bad1 = per_slice(lg.principal_log, spec, g)
+    assert_slices_agree(spec, L, L1)
+    assert np.array_equal(bad, bad1)
+    assert not np.any(L[bad])
+
+    def raises(spec, x):
+        try:
+            cv.log_near_identity(spec, x)
+        except OutsideDomainError:
+            return True
+        return False
+
+    assert np.array_equal(bad, per_slice(raises, spec, g))
+
+
+@given(spec=st.sampled_from(SPECS), k=st.integers(2, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 1.0))
+def test_planted_slice_leaves_neighbours_unchanged(spec, k, data, seed, scale):
+    g = cv.exp(spec, cv.random_algebra(spec, np.random.default_rng(seed),
+                                       scale=scale, size=k))
+    L, bad = lg.principal_log(spec, g)
+    j = data.draw(st.integers(0, k - 1))
+    for planted in planted_outside(spec):
+        h = g.copy()
+        h[j] = planted
+        Lh, badh = lg.principal_log(spec, h)
+        keep = np.arange(k) != j
+        assert badh[j] and not np.any(Lh[j])
+        assert np.array_equal(badh[keep], bad[keep])
+        assert_slices_agree(spec, Lh[keep], L[keep])
 
 
 # ---------------------------------------------------------------------------
