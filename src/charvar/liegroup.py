@@ -248,6 +248,17 @@ def _log_su2(g: np.ndarray) -> np.ndarray:
     return fac[..., None, None] * A
 
 
+def _logm(g: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.logm`` with its norm estimator's random probes (numpy's
+    global RandomState, r >= 3) seeded; the caller's state is restored."""
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return scipy.linalg.logm(g)
+    finally:
+        np.random.set_state(state)
+
+
 def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal matrix logarithm of (a batch of) group elements, with a domain mask.
 
@@ -274,7 +285,7 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if spec.is_unitary:
         L = Z @ (np.log(lam)[..., None] * eye) @ np.swapaxes(Z, -2, -1).conj()
     else:
-        L = scipy.linalg.logm(np.where(bad[..., None, None], eye, g))
+        L = _logm(np.where(bad[..., None, None], eye, g))
     bad = bad | (np.abs(np.trace(L, axis1=-2, axis2=-1)) > np.pi)
     L = np.where(bad[..., None, None], 0.0, L)
     return project_to_algebra(spec, L), bad

@@ -138,35 +138,45 @@ def first_sum_gram(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     return 0.5 * (below - above)
 
 
+def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+                    U: np.ndarray, V: np.ndarray, slots: list,
+                    convention: str | None = None) -> np.ndarray:
+    """Form matrices (..., k, l) over coordinate stacks U (..., n*dim, k) and
+    V (..., n*dim, l) at (a batch of) tuples with boundary ``slots``.
+    Boundary components must be class-tangent (:class:`NotClassTangentError`
+    otherwise); each enters the boundary term through its minimal conjugator.
+    """
+    if convention is None:
+        convention = spec.default_pairing
+    d = spec.dim
+    G = first_sum_gram(spec, mats, g, m, np.swapaxes(U, -2, -1),
+                       np.swapaxes(V, -2, -1), convention)
+    Gp = lg._pairing_gram(spec, convention)
+    for k, slot in enumerate(slots):
+        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+        Yu = slot.conjugator(U[..., rows, :])
+        Yv = slot.conjugator(V[..., rows, :])
+        ad_inv = lg.adjoint_matrix(spec, lg.group_inverse(spec, mats[..., 2 * g + k, :, :]))
+        G = G + 0.5 * (np.swapaxes(Yu, -2, -1) @ Gp @ (slot.ad - ad_inv) @ Yv)
+    if spec.family == "SU":
+        G = np.real(G)
+    return G
+
+
 def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray,
                      convention: str | None = None) -> np.ndarray:
     """Matrix of the form over two coordinate stacks at a shared point.
 
     U: (n*dim, k), V: (n*dim, l) columns in the slot-major algebra basis
-    -> (k, l).  Boundary components of both stacks must be class-tangent
-    (:class:`NotClassTangentError` otherwise); each enters the boundary
-    term through its minimal conjugator.
+    -> (k, l); the one-point call of :func:`form_gram_stack`.
     """
     t = p.tuple
-    spec = t.spec
-    if convention is None:
-        convention = spec.default_pairing
-    d = spec.dim
-    n = t.n_generators
-    if U.shape[0] != n * d or V.shape[0] != n * d:
+    n = t.n_generators * t.spec.dim
+    if U.shape[0] != n or V.shape[0] != n:
         raise DimensionMismatchError("tangent slot count mismatch")
     g, m = t.genus, t.boundary_count
-    G = first_sum_gram(spec, t.mats, g, m, U.T, V.T, convention)
-    Gp = lg._pairing_gram(spec, convention)
-    for k, slot in enumerate(boundary_slots(spec, t.mats, g, m)):
-        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
-        Yu = slot.conjugator(U[rows])
-        Yv = slot.conjugator(V[rows])
-        ad_inv = lg.adjoint_matrix(spec, lg.group_inverse(spec, t.c(k)))
-        G = G + 0.5 * (Yu.T @ Gp @ (slot.ad - ad_inv) @ Yv)
-    if spec.family == "SU":
-        G = np.real(G)
-    return G
+    return form_gram_stack(t.spec, t.mats, g, m, U, V,
+                           boundary_slots(t.spec, t.mats, g, m), convention)
 
 
 def form_gram(p: RepresentationPoint, us: list, vs: list,

@@ -144,6 +144,7 @@ class CohomologyBasis:
     slot-major algebra basis.  ``normal_rows`` span the row space of the
     class-constrained relator differential (the normal directions of the
     variety); ``z1``, ``b1`` and ``h1`` build tangent-vector lists on read.
+    The arrays carry batch axes when :func:`cohomology_split` ran on a batch.
     """
 
     spec: GroupSpec
@@ -172,8 +173,8 @@ class CohomologyBasis:
         return self._vectors(self.h_coords)
 
     def dims(self) -> tuple[int, int, int]:
-        return (self.z_coords.shape[1], self.b_coords.shape[1],
-                self.h_coords.shape[1])
+        return (self.z_coords.shape[-1], self.b_coords.shape[-1],
+                self.h_coords.shape[-1])
 
     def to_json(self) -> dict:
         return {
@@ -188,34 +189,30 @@ class CohomologyBasis:
 # ---------------------------------------------------------------------------
 
 def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL,
-               zero_floor: float = _ZERO_FLOOR) -> tuple[int, float, bool]:
+               zero_floor: float = _ZERO_FLOOR):
     """Numerical rank from the largest relative singular-value gap.
 
-    Returns ``(rank, gap_quality, clean)`` where ``gap_quality`` is the
-    ratio of the smallest kept to the largest discarded singular value
-    (inf when nothing is discarded) and ``clean`` is False when the gap is
-    weaker than ``1/gap_tol``.
+    ``svals`` (..., k) is descending along its last axis.  Returns
+    ``(rank, gap_quality, clean)`` where ``gap_quality`` is the ratio of
+    the smallest kept to the largest discarded singular value (inf when
+    nothing is discarded) and ``clean`` is False when the gap is weaker
+    than ``1/gap_tol``: scalars for one vector, arrays over leading axes.
     """
     s = np.asarray(svals, dtype=float)
-    if s.size == 0 or s[0] <= zero_floor:
-        return 0, float("inf"), True
+    s = s if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))  # no values: rank 0
     # sentinel models an empty kernel at machine scale
-    ext = np.append(s, 1e-16 * s[0])
-    ratios = ext[1:] / ext[:-1]
-    idx = int(np.argmin(ratios))
-    rank = idx + 1
-    quality = 1.0 / ratios[idx] if ratios[idx] > 0 else float("inf")
-    clean = quality >= 1.0 / gap_tol
-    return rank, float(quality), clean
-
-
-def _range_basis(M: np.ndarray, gap_tol: float = GAP_TOL):
-    """Orthonormal basis of the numerical column space of M."""
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0)), float("inf"), True
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank, quality, clean = split_rank(s, gap_tol)
-    return U[:, :rank], quality, clean
+    ext = np.concatenate([s, 1e-16 * s[..., :1]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = ext[..., 1:] / ext[..., :-1]
+        idx = np.argmin(ratios, axis=-1)
+        r = ratios.min(axis=-1)  # the ratio at idx, NaN included
+        quality = np.where(r > 0, 1.0 / r, np.inf)
+    zero = s[..., 0] <= zero_floor
+    rank, quality = np.where(zero, 0, idx + 1), np.where(zero, np.inf, quality)
+    clean = zero | (quality >= 1.0 / gap_tol)
+    if s.ndim == 1:
+        return int(rank), float(quality), bool(clean)
+    return rank, quality, clean
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +290,16 @@ class BoundarySlot:
         return self.U * self.s[..., None, :]
 
     def conjugator(self, H: np.ndarray) -> np.ndarray:
-        """Minimal conjugators V S^-1 U* H of velocity columns H (dim, k).
+        """Minimal conjugators V S^-1 U* H of velocity columns H (..., dim, k).
 
         Raises :class:`NotClassTangentError` when a column leaves
         image(1 - Ad c) by more than ``CLASS_TANGENT_TOL * max(|H|, 1)``.
         """
-        proj = self.U.conj().T @ H
-        resid = np.linalg.norm(H - self.U @ proj, axis=0)
-        if np.any(resid > CLASS_TANGENT_TOL * np.maximum(np.linalg.norm(H, axis=0), 1.0)):
+        proj = np.swapaxes(self.U, -2, -1).conj() @ H
+        resid = np.linalg.norm(H - self.U @ proj, axis=-2)
+        if np.any(resid > CLASS_TANGENT_TOL * np.maximum(np.linalg.norm(H, axis=-2), 1.0)):
             raise NotClassTangentError("boundary component not in image(1 - Ad c)")
-        return self.V @ (proj / self.s[:, None])
+        return self.V @ (proj / self.s[..., :, None])
 
     def move(self, spec: GroupSpec, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Conjugate c by exp(V x)."""
@@ -520,6 +517,40 @@ def is_irreducible(point, tol: float = 1e-8) -> bool:
 # cohomology at a point
 # ---------------------------------------------------------------------------
 
+def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+                     classes: ConjugacyClassSpec, gap_tol: float = GAP_TOL,
+                     ranks: tuple[int, int] | None = None):
+    """Cocycles, coboundaries and H1 of (a batch of) tuples from three
+    stacked SVDs: of the class-constrained differential ``D E``, of the
+    constrained coboundaries ``E* C`` and of the cocycles with the
+    coboundaries projected out.  Every slice is cut at ``ranks`` (of ``D E``
+    and ``E* C``), or at an unbatched tuple's own gaps when None.  Returns
+    the :class:`CohomologyBasis` (arrays with the batch axes) and the
+    ``split_rank`` triple of each SVD.
+    """
+    slots = boundary_slots(spec, mats, g, m, classes)
+    E = embed_moves(spec.dim, g, [sl.U for sl in slots])
+    Eh = np.swapaxes(E, -2, -1).conj()
+    D = pres.relator_differential_matrix(spec, mats, g, m)
+    _, s, Vh = np.linalg.svd(D @ E)
+    own_z = split_rank(s, gap_tol)
+    Ub, sb, _ = np.linalg.svd(Eh @ pres.coboundary_matrix(spec, mats),
+                              full_matrices=False)
+    own_b = split_rank(sb, gap_tol)
+    rz, rb = (own_z[0], own_b[0]) if ranks is None else ranks
+    Zc = np.swapaxes(Vh[..., rz:, :], -2, -1).conj()  # (..., D_c, nz), orthonormal
+    Bc = Ub[..., :rb]
+    P = Zc - Bc @ (np.swapaxes(Bc, -2, -1).conj() @ Zc)
+    Uh, sh, _ = np.linalg.svd(P, full_matrices=False)
+    own_h = split_rank(sh, gap_tol)
+    Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
+    return CohomologyBasis(
+        spec, z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
+        normal_rows=Vh[..., :rz, :] @ Eh, dpi_singular_values=s,
+        gap_quality=np.minimum(np.minimum(own_z[1], own_b[1]), own_h[1]),
+    ), (own_z, own_b, own_h)
+
+
 def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
                   gap_tol: float = GAP_TOL, tol_flat: float = TOL_FLAT) -> CohomologyBasis:
     """Split the admissible directions into cocycles, coboundaries, and H1.
@@ -531,39 +562,17 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     weaker than 1/gap_tol (non-smooth or reducible-adjacent point).
     """
     t = p.tuple
-    spec = t.spec
     if p.residual_norm > tol_flat:
         raise ValueError(
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
-    g, m = t.genus, t.boundary_count
-    slots = boundary_slots(spec, t.mats, g, m, classes)
-    E = embed_moves(spec.dim, g, [sl.U for sl in slots])
-    D = pres.relator_differential_matrix(spec, t.mats, g, m)
-    Dc = D @ E
-    U, s, Vh = np.linalg.svd(Dc)
-    rank, quality, clean = split_rank(s, gap_tol)
-    if not clean:
-        warnings.warn(
-            f"kernel/range split gap {quality:.2e} below 1/gap_tol",
-            RankDeficiencyWarning, stacklevel=2)
-    Zc = Vh[rank:].conj().T  # (D_c, nz), orthonormal
-    Cc = E.conj().T @ pres.coboundary_matrix(spec, t.mats)
-    Bc, bq, bclean = _range_basis(Cc, gap_tol)
-    if not bclean:
-        warnings.warn(
-            f"coboundary rank gap {bq:.2e} below 1/gap_tol",
-            RankDeficiencyWarning, stacklevel=2)
-    P = Zc - Bc @ (Bc.conj().T @ Zc)
-    Hc, hq, hclean = _range_basis(P, gap_tol)
-    if not hclean:
-        warnings.warn(
-            f"h1 complement gap {hq:.2e} below 1/gap_tol",
-            RankDeficiencyWarning, stacklevel=2)
-    return CohomologyBasis(
-        spec, z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
-        normal_rows=Vh[:rank] @ E.conj().T,
-        dpi_singular_values=s, gap_quality=min(quality, bq, hq),
-    )
+    basis, own = cohomology_split(t.spec, t.mats, t.genus, t.boundary_count,
+                                  classes, gap_tol)
+    for what, (_, quality, clean) in zip(
+            ("kernel/range split", "coboundary rank", "h1 complement"), own):
+        if not clean:
+            warnings.warn(f"{what} gap {quality:.2e} below 1/gap_tol",
+                          RankDeficiencyWarning, stacklevel=2)
+    return basis
 
 
 def conjugate_point(p: RepresentationPoint, A: np.ndarray,

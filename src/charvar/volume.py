@@ -32,22 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liegroup as lg
-from . import presentation as pres
 from .errors import InsufficientSamplesError, OddDimensionError
-from .twoform import form_on_cohomology
+from .twoform import form_gram_stack, form_on_cohomology
 from .variety import (
     CohomologyBasis,
     ConjugacyClassSpec,
     RepresentationPoint,
     VarietyProblem,
     _batch_residual,
-    cohomology_at,
-    commutant_dimension,
+    boundary_slots,
+    cohomology_split,
     project_batch,
-    split_rank,
 )
 
 MIN_LANDINGS = 30
+LANDING_CHUNK = 1024  # landings per density call: bounds the peak memory
 
 
 @dataclass(frozen=True)
@@ -77,23 +76,17 @@ def liouville_density(p: RepresentationPoint, classes: ConjugacyClassSpec,
     Requires an even h1 dimension; basis-rotation invariant because the
     determinant of a skew matrix is unchanged under orthogonal rotation.
     """
-    if basis is None:
-        basis = cohomology_at(p, classes)
-    fm = form_on_cohomology(p, classes, basis)
-    n = fm.entries.shape[0]
-    if n % 2 != 0:
-        raise OddDimensionError(f"h1 dimension {n} is odd")
-    det = float(np.real(np.linalg.det(fm.entries)))
-    return math.sqrt(max(det, 0.0))
+    return pfaffian_abs(form_on_cohomology(p, classes, basis).entries)
 
 
-def pfaffian_abs(omega: np.ndarray) -> float:
-    """|Pf| of a skew matrix via sqrt(det); OddDimensionError on odd size."""
-    n = omega.shape[0]
+def pfaffian_abs(omega: np.ndarray):
+    """|Pf| of (a stack of) skew matrices via sqrt(det): a float for one
+    matrix; :class:`OddDimensionError` on an odd size."""
+    n = omega.shape[-1]
     if n % 2 != 0:
         raise OddDimensionError(f"skew matrix of odd size {n}")
-    det = float(np.real(np.linalg.det(omega)))
-    return math.sqrt(max(det, 0.0))
+    pf = np.sqrt(np.maximum(np.real(np.linalg.det(omega)), 0.0))
+    return float(pf) if pf.ndim == 0 else pf
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -121,27 +114,34 @@ def _displacement_coords(spec, final, initial):
     return out.reshape(rel.shape[:-3] + (rel.shape[-3] * spec.dim,))
 
 
-def _point_density(problem: VarietyProblem, mats: np.ndarray,
-                   displacement: np.ndarray):
-    """(pf, coarea_jacobian, irreducible, normal_distance) at one landing.
+def landing_densities(problem: VarietyProblem, mats: np.ndarray,
+                      displacement: np.ndarray):
+    """(pf, coarea_jacobian, irreducible, normal_distance) at a stack of landings.
 
-    The tube distance is the component of the log displacement normal to
-    the variety at the foot point (the row space of the constrained
-    relator differential); the solver's tangential wander does not count
-    as distance to the variety.
+    One :func:`cohomology_split`, cut at the ranks of an irreducible point
+    ``rank(D E) = rank(E* C) = dim g``, and one form Gram serve the stack;
+    a slice whose own ranks differ reads ``(0, 0, False, inf)``.  For a
+    unitary representation the coboundary rank is ``dim g`` exactly when
+    the commutant is the scalars: a larger commutant is a *-algebra, so it
+    holds a non-scalar Hermitian ``H``, and ``i(H - tr H / r)`` is a nonzero
+    traceless element centralizing the image, which the coboundary map kills.
+
+    The tube distance is the log displacement's component normal to the
+    variety (the row space of the constrained relator differential).
     """
-    spec = problem.spec
-    if commutant_dimension(spec, mats) != 1:
-        return 0.0, 0.0, False, np.inf
-    t = pres.GeneratorTuple(spec, problem.presentation.genus,
-                            problem.presentation.boundary_count, mats)
-    p = RepresentationPoint(t, 0.0)
-    basis = cohomology_at(p, problem.classes)
-    rank, _, _ = split_rank(basis.dpi_singular_values)
-    jac = float(np.prod(basis.dpi_singular_values[:rank]))
-    pf = liouville_density(p, problem.classes, basis)
-    ndist = float(np.linalg.norm(basis.normal_rows @ displacement))
-    return pf, jac, True, ndist
+    spec, d = problem.spec, problem.spec.dim
+    g, m = problem.presentation.genus, problem.presentation.boundary_count
+    basis, own = cohomology_split(spec, mats, g, m, problem.classes, ranks=(d, d))
+    ok = (own[0][0] == d) & (own[1][0] == d)
+    G = form_gram_stack(spec, mats, g, m, basis.h_coords, basis.h_coords,
+                        boundary_slots(spec, mats, g, m, problem.classes))
+    pf = pfaffian_abs(G)
+    jac = np.prod(basis.dpi_singular_values[..., :d], axis=-1)
+    normal = basis.normal_rows @ displacement[..., None]
+    # a (1, d) @ (d, 1) product rounds like the one-landing vector norm
+    ndist = np.sqrt(np.swapaxes(normal, -2, -1) @ normal)[..., 0, 0]
+    return (np.where(ok, pf, 0.0), np.where(ok, jac, 0.0), ok,
+            np.where(ok, ndist, np.inf))
 
 
 @dataclass
@@ -192,12 +192,11 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
         conv[sl] = ok
         res0[sl] = r0
         ell = _displacement_coords(spec, mats, init)
-        for i in np.nonzero(ok)[0]:
-            pf, jj, isirr, ndist = _point_density(problem, mats[i], ell[i])
-            irr[done + i] = isirr
-            dens[done + i] = pf
-            jac[done + i] = jj
-            disp[done + i] = ndist
+        landed = np.nonzero(ok)[0]
+        for part in np.split(landed, range(LANDING_CHUNK, landed.size, LANDING_CHUNK)):
+            at = done + part
+            dens[at], jac[at], irr[at], disp[at] = landing_densities(
+                problem, mats[part], ell[part])
         done += nb
     return SampleRecords(conv, irr, res0, disp, dens, jac)
 

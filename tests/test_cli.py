@@ -220,6 +220,18 @@ def test_volume_run_and_csv(tmp_path):
     assert landed == data["coarea"]["landings"]
 
 
+def test_volume_determinism_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, volume={"n_samples": 1500}, seed=75)
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "vol.json"
+        assert cli.main(["volume", "--config", cfg, "--out", str(out),
+                         "--format", "csv", "--quiet"]) == 0
+        runs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_seifert_scan_two_components(tmp_path):
     cfg = write_config(
         tmp_path,

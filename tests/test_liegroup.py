@@ -227,7 +227,8 @@ def per_slice(fn, spec, A):
 
 def assert_slices_agree(spec, got, want):
     """Bit for bit on SU(r); to 1e-15 on SL(r, C), whose scipy logm draws
-    random probe vectors for its norm estimates at r >= 3."""
+    random probe vectors for its norm estimates at r >= 3 (from a fixed seed
+    per call, so a slice's probes depend on its place in the batch)."""
     if spec.is_unitary:
         assert np.array_equal(got, want)
     else:
@@ -296,6 +297,25 @@ def test_planted_slice_leaves_neighbours_unchanged(spec, k, data, seed, scale):
         assert badh[j] and not np.any(Lh[j])
         assert np.array_equal(badh[keep], bad[keep])
         assert_slices_agree(spec, Lh[keep], L[keep])
+
+
+def test_sl3_log_independent_of_global_random_state():
+    """scipy's logm estimates norms with random probes from numpy's global
+    RandomState; the log must not depend on that state nor move it."""
+    sl3 = cv.GroupSpec("SLC", 3)
+    rng = np.random.default_rng(2)
+    g = cv.exp(sl3, cv.random_algebra(sl3, rng, scale=1.2, size=16))
+    first = None
+    for k in range(20):
+        np.random.seed(k)
+        before = np.random.get_state()
+        L, bad = lg.principal_log(sl3, g)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        if first is None:
+            first = L
+        assert np.array_equal(L, first)
 
 
 # ---------------------------------------------------------------------------

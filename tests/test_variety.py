@@ -244,6 +244,14 @@ def test_split_rank_unit_cases():
     rank, quality, clean = split_rank(np.array([1.0, 1e-4, 1e-8, 1e-11]))
     assert not clean
     assert quality < 1e6
+    # leading axes: each row as its own call
+    rows = np.array([[3.0, 2.0, 1e-12, 0.0], [3.0, 2.5, 2.0, 1.5],
+                     [1e-13, 1e-14, 0.0, 0.0], [1.0, 1e-4, 1e-8, 1e-11]])
+    got = split_rank(rows.reshape(2, 2, 4))
+    assert [a.shape for a in got] == [(2, 2)] * 3
+    for i, row in enumerate(rows):
+        assert tuple(a.reshape(-1)[i] for a in got) == split_rank(row)
+    assert [a.shape for a in split_rank(np.zeros((3, 0)))] == [(3,)] * 3
 
 
 # ---------------------------------------------------------------------------
