@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import presentation as pres
 from . import seifert as sf
 from . import twoform as tf
 from . import variety as vy
@@ -254,7 +255,7 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
     add("coboundary_rank", abs(nb - cfg.group.dim), 0.5)
     add("rank_gap_quality", 1.0 / max(basis.gap_quality, 1e-300), gap_tol)
     # cocycle condition of the coboundaries
-    D = tf.pres.relator_differential_matrix(
+    D = pres.relator_differential_matrix(
         point.spec, point.tuple.mats, point.tuple.genus, point.tuple.boundary_count)
     cocycle_defect = float(np.abs(D @ basis.b_coords).max()) if nb else 0.0
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)

@@ -11,7 +11,9 @@ the word reads ``alpha_N ... alpha_1`` with the genus block
 ``(a_i, b_i, a_i^-1, b_i^-1)`` occupying letters 4i-3 .. 4i and the
 boundary letters at the end; only letters 1, 2, 5, 6, ... (and the
 boundary) are independent.  This letter order is load-bearing: the
-partial products feeding the two-form depend on it.
+partial products feeding the two-form depend on it.  One per-letter
+transport (:func:`letter_transport`) serves both the relator differential
+and the two-form.
 
 Tangent vectors are stored right-trivialized: the component H_s at slot s
 is the velocity of ``t -> exp(t H_s) . element_s``.  The left-trivialized
@@ -71,36 +73,42 @@ def word_letters(g: int, m: int) -> list[tuple[int, int]]:
     return letters
 
 
-def letter_matrices(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
-    """Embedded letter matrices alpha_1..alpha_N, shape (..., N, r, r)."""
+def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
+    """f_0 = I, f_j = alpha_j ... alpha_1 over the letters alpha_j of
+    :func:`word_letters`; shape (..., N+1, r, r)."""
+    r = spec.rank
     inv = lg.group_inverse(spec, mats)
-    blocks = []
-    for (s, e) in word_letters(g, m):
-        blocks.append(mats[..., s, :, :] if e == 1 else inv[..., s, :, :])
-    return np.stack(blocks, axis=-3)
+    f = [np.broadcast_to(np.eye(r, dtype=complex), mats.shape[:-3] + (r, r))]
+    for s, e in word_letters(g, m):
+        f.append((mats if e == 1 else inv)[..., s, :, :] @ f[-1])
+    return np.stack(f, axis=-3)
 
 
 def relator_product(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
     """Pi evaluated right to left; shape (..., r, r)."""
-    lets = letter_matrices(spec, mats, g, m)
-    out = np.broadcast_to(
-        np.eye(spec.rank, dtype=complex), mats.shape[:-3] + (spec.rank, spec.rank)
-    ).copy()
-    for i in range(lets.shape[-3]):
-        out = lets[..., i, :, :] @ out
-    return out
+    return partial_products(spec, mats, g, m)[..., -1, :, :]
 
 
-def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
-    """f_0 = I, f_i = alpha_i ... alpha_1; shape (..., N+1, r, r)."""
-    lets = letter_matrices(spec, mats, g, m)
-    N = lets.shape[-3]
-    r = spec.rank
-    out = np.empty(mats.shape[:-3] + (N + 1, r, r), dtype=complex)
-    out[..., 0, :, :] = np.eye(r)
-    for i in range(N):
-        out[..., i + 1, :, :] = lets[..., i, :, :] @ out[..., i, :, :]
-    return out
+def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int):
+    """Per-letter operators moving a right-trivialized slot component to the
+    start of the word, where the two-form pairs letter components.
+
+    Letter j at slot s carries
+        alpha_j = s:     T_j =  Ad(f_j^-1)
+        alpha_j = s^-1:  T_j = -Ad(f_{j-1}^-1)
+    (the left-trivialized letter component, Ad(s^-1) H or -H, transported
+    by Ad(f_{j-1}^-1), with f_j^-1 = f_{j-1}^-1 s^-1 for a direct letter).
+    Returns (T, f): T of shape (..., N, dim, dim) and the partial products
+    f of :func:`partial_products`.
+    """
+    letters = word_letters(g, m)
+    f = partial_products(spec, mats, g, m)
+    ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
+    # ad[..., i] is Ad(f_{i+1}^-1); letter i+1 reads i, or i-1 when it is an
+    # inverse letter (never the first one)
+    T = ad[..., [i if e == 1 else i - 1 for i, (_, e) in enumerate(letters)], :, :]
+    T *= np.array([e for _, e in letters])[:, None, None]
+    return T, f
 
 
 def relator_differential_matrix(spec: GroupSpec, mats: np.ndarray,
@@ -108,40 +116,24 @@ def relator_differential_matrix(spec: GroupSpec, mats: np.ndarray,
     """Differential of Pi in right trivialization, as a coordinate matrix.
 
     Shape (..., dim, n_slots*dim): maps stacked right-trivialized slot
-    coordinates to the algebra coordinates of (d/dt Pi) Pi^-1.  Assembled
-    from Ad matrices of the suffix products alpha_N ... alpha_{i+1}.
+    coordinates to the algebra coordinates of (d/dt Pi) Pi^-1.  The suffix
+    alpha_N ... alpha_{j+1} is Pi f_j^-1, so slot s contributes
+    Ad(Pi) sum_{j at s} T_j with T from :func:`letter_transport`.
     """
-    lets = word_letters(g, m)
-    letmats = letter_matrices(spec, mats, g, m)
-    N = len(lets)
-    r = spec.rank
-    d = spec.dim
+    T, f = letter_transport(spec, mats, g, m)
     n = mats.shape[-3]
-    batch = mats.shape[:-3]
-    # suffix S_i = alpha_N ... alpha_{i+1}; S_N = I
-    suffix = np.empty(batch + (N + 1, r, r), dtype=complex)
-    suffix[..., N, :, :] = np.eye(r)
-    for i in range(N - 1, -1, -1):
-        suffix[..., i, :, :] = suffix[..., i + 1, :, :] @ letmats[..., i, :, :]
-    ad_suffix = lg.adjoint_matrix(spec, suffix[..., 1:, :, :])  # (..., N, d, d)
-    dtype = float if spec.family == "SU" else complex
-    D = np.zeros(batch + (d, n * d), dtype=dtype)
-    inv = lg.group_inverse(spec, mats)
-    ad_inv = lg.adjoint_matrix(spec, inv)  # (..., n, d, d)
-    for i, (s, e) in enumerate(lets):
-        blk = ad_suffix[..., i, :, :]
-        if e == -1:
-            blk = -blk @ ad_inv[..., s, :, :]
-        D[..., :, s * d:(s + 1) * d] += blk
-    return D
+    d = spec.dim
+    slots = np.array([s for s, _ in word_letters(g, m)])
+    at_slot = (slots == np.arange(n)[:, None]).astype(float)  # (n, N)
+    sums = np.einsum("sj,...jab->...sab", at_slot, T)
+    blocks = lg.adjoint_matrix(spec, f[..., -1:, :, :]) @ sums  # (..., n, d, d)
+    return np.moveaxis(blocks, -3, -2).reshape(mats.shape[:-3] + (d, n * d))
 
 
 def coboundary_matrix(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     """Coordinate matrix of X -> (X - Ad(rho(s)) X)_s, shape (..., n*dim, dim)."""
-    d = spec.dim
-    n = mats.shape[-3]
-    blocks = np.eye(d) - lg.adjoint_matrix(spec, mats)  # (..., n, d, d)
-    return np.concatenate([blocks[..., s, :, :] for s in range(n)], axis=-2)
+    blocks = np.eye(spec.dim) - lg.adjoint_matrix(spec, mats)  # (..., n, d, d)
+    return blocks.reshape(blocks.shape[:-3] + (-1, spec.dim))
 
 
 @dataclass(frozen=True)

@@ -74,68 +74,44 @@ class FormMatrix:
 # transported-letter evaluation
 # ---------------------------------------------------------------------------
 
-def _letter_ops(spec: GroupSpec, mats: np.ndarray, g: int, m: int):
-    """Coordinate operators taking right-trivialized slot components to
-    transported left-trivialized letter components.
+def _transported(T: np.ndarray, slots: list, coords: np.ndarray) -> np.ndarray:
+    """Letter components of stacked tangent coordinates, moved to the start
+    of the word by the letter operators T of :func:`pres.letter_transport`.
 
-    Letter i at slot s with exponent e contributes
-        e = +1:  Ad(f_{i-1}^-1) Ad(s^-1)
-        e = -1: -Ad(f_{i-1}^-1)
-    (the inverse-letter component is minus the right-trivialized slot
-    component, which cancels one adjoint).  Returns (ops, slots) with
-    ops of shape (..., N, dim, dim).
+    coords: (..., n*dim, k) -> (..., N, dim, k)
     """
-    letters = pres.word_letters(g, m)
-    f = pres.partial_products(spec, mats, g, m)
-    f_inv = lg.group_inverse(spec, f[..., :-1, :, :])
-    ad_f = lg.adjoint_matrix(spec, f_inv)  # (..., N, d, d)
-    ad_inv = lg.adjoint_matrix(spec, lg.group_inverse(spec, mats))  # (..., n, d, d)
-    ops = []
-    slots = []
-    for i, (s, e) in enumerate(letters):
-        if e == 1:
-            ops.append(ad_f[..., i, :, :] @ ad_inv[..., s, :, :])
-        else:
-            ops.append(-ad_f[..., i, :, :])
-        slots.append(s)
-    return np.stack(ops, axis=-3), slots
+    d = T.shape[-1]
+    shape = coords.shape[:-2] + (coords.shape[-2] // d, d, coords.shape[-1])
+    return T @ coords.reshape(shape)[..., slots, :, :]
 
 
-def _transported(spec, ops, slots, coords):
-    """Apply the letter operators to stacked tangent coordinates.
-
-    coords: (..., k, n*dim) -> (..., N, k, dim)
-    """
-    d = spec.dim
-    cols = []
-    for i, s in enumerate(slots):
-        blk = coords[..., :, s * d:(s + 1) * d]
-        cols.append(np.einsum("...ab,...kb->...ka", ops[..., i, :, :], blk))
-    return np.stack(cols, axis=-3)
+def _pair_letters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over letters and coordinates:
+    (..., N, dim, k), (..., N, dim, l) -> (..., k, l)."""
+    def rows(t):
+        return t.reshape(t.shape[:-3] + (t.shape[-3] * t.shape[-2], t.shape[-1]))
+    return np.swapaxes(rows(x), -2, -1) @ rows(y)
 
 
-def first_sum_gram(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                   u_coords: np.ndarray, v_coords: np.ndarray,
+def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
+                   U: np.ndarray, V: np.ndarray,
                    convention: str | None = None) -> np.ndarray:
     """Gram array of the transported double sum over two coordinate stacks.
 
-    u_coords: (..., k, n*dim), v_coords: (..., l, n*dim) -> (..., k, l).
+    T: the letter operators (..., N, dim, dim) of the tuples;
+    U: (..., n*dim, k), V: (..., n*dim, l) -> (..., k, l).
     """
     if convention is None:
         convention = spec.default_pairing
-    ops, slots = _letter_ops(spec, mats, g, m)
-    tu = _transported(spec, ops, slots, u_coords)  # (..., N, k, d)
-    tv = _transported(spec, ops, slots, v_coords)  # (..., N, l, d)
+    slots = [s for s, _ in pres.word_letters(g, m)]
+    tu = _transported(T, slots, U)  # (..., N, d, k)
+    tv = _transported(T, slots, V)  # (..., N, d, l)
     Gp = lg._pairing_gram(spec, convention)
-    if not np.allclose(Gp, np.eye(Gp.shape[0])):
-        tu = np.einsum("...nkd,de->...nke", tu, Gp)
-    cu = np.cumsum(tu, axis=-3)
-    cu = np.concatenate([np.zeros_like(cu[..., :1, :, :]), cu[..., :-1, :, :]], axis=-3)
-    cv = np.cumsum(tv, axis=-3)
-    cv = np.concatenate([np.zeros_like(cv[..., :1, :, :]), cv[..., :-1, :, :]], axis=-3)
-    below = np.einsum("...nkd,...nld->...kl", cu, tv)
-    above = np.einsum("...nkd,...nld->...kl", tu, cv)
-    return 0.5 * (below - above)
+    if not np.allclose(Gp, np.eye(spec.dim)):
+        tu = Gp @ tu
+    # inclusive prefix sums over the letters: the i = j terms cancel
+    return 0.5 * (_pair_letters(np.cumsum(tu, axis=-3), tv)
+                  - _pair_letters(tu, np.cumsum(tv, axis=-3)))
 
 
 def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
@@ -149,8 +125,8 @@ def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     if convention is None:
         convention = spec.default_pairing
     d = spec.dim
-    G = first_sum_gram(spec, mats, g, m, np.swapaxes(U, -2, -1),
-                       np.swapaxes(V, -2, -1), convention)
+    T, _ = pres.letter_transport(spec, mats, g, m)
+    G = first_sum_gram(spec, T, g, m, U, V, convention)
     Gp = lg._pairing_gram(spec, convention)
     for k, slot in enumerate(slots):
         rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
@@ -363,7 +339,8 @@ def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,
 def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec,
                      steps=(1e-3, 5e-4, 2.5e-4),
                      convention: str | None = None) -> list[float]:
-    """check_closedness over a halving schedule, one chart for all steps."""
+    """check_closedness over a halving schedule.  Each step builds its own
+    chart; all steps share one cohomology basis."""
     basis = cohomology_at(p, classes)
     return [check_closedness(p, classes, h, basis, convention) for h in steps]
 

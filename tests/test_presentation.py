@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
+from charvar import presentation as pres
 from charvar.presentation import GeneratorTuple, word_letters
+from charvar.twoform import first_sum_gram
+from test_liegroup import assert_slices_agree, batch_shapes
 
 
 def fold_inverted_word_oracle(t):
@@ -79,21 +84,35 @@ def test_differential_zero_at_identity_closed(su2):
     assert np.abs(D).max() < 1e-14
 
 
-def test_differential_finite_difference_slope(su2):
-    """||analytic - finite difference|| = O(eps), slope >= 0.9 on a log-log fit."""
+def assert_finite_difference_slope(spec, g, m):
+    """||analytic - finite difference|| = O(eps), slope >= 0.9 on a log-log fit.
+
+    The tuple is off the variety (Ad(Pi) != 1), so the transport by Ad(Pi)
+    and every letter of the word enter."""
     rng = np.random.default_rng(3)
-    t = random_tuple(su2, 2, 0, rng)
+    t = random_tuple(spec, g, m, rng)
     H = cv.random_tangent(t, rng)
     analytic = cv.apply_relator_differential(t, H)
-    base = cv.evaluate_relator(t)
+    base_inv = lg.group_inverse(spec, cv.evaluate_relator(t))
+    assert np.abs(cv.adjoint_matrix(spec, base_inv) - np.eye(spec.dim)).max() > 0.1
     errs = []
     eps_list = [1e-3, 1e-4, 1e-5]
     for eps in eps_list:
-        moved = t.replace_mats(cv.exp(su2, eps * H.comps) @ t.mats)
-        fd = cv.log_near_identity(su2, cv.evaluate_relator(moved) @ np.conj(base.T)) / eps
+        moved = t.replace_mats(cv.exp(spec, eps * H.comps) @ t.mats)
+        fd = cv.log_near_identity(spec, cv.evaluate_relator(moved) @ base_inv) / eps
         errs.append(np.abs(fd - analytic).max())
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert slope >= 0.9
+
+
+def test_differential_finite_difference_slope(su2):
+    assert_finite_difference_slope(su2, 2, 0)
+
+
+@pytest.mark.parametrize("family, rank, g, m", [("SU", 3, 1, 1), ("SLC", 2, 2, 0)],
+                         ids=["su3-g1m1", "slc2-g2"])
+def test_differential_finite_difference_slope_beyond_su2(family, rank, g, m):
+    assert_finite_difference_slope(cv.GroupSpec(family, rank), g, m)
 
 
 def test_differential_linearity(su2):
@@ -119,6 +138,33 @@ def test_differential_equivariance(su2):
     lhs = cv.apply_relator_differential(moved, H_moved)
     rhs = Ai @ cv.apply_relator_differential(t, H) @ A
     assert np.abs(lhs - rhs).max() < 1e-10
+
+
+@given(spec=st.sampled_from([cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3),
+                              cv.GroupSpec("SLC", 2)]),
+       g=st.integers(1, 2), m=st.integers(0, 1), shape=batch_shapes,
+       seed=st.integers(0, 2**32 - 1))
+def test_word_calculus_batch_matches_per_slice(spec, g, m, shape, seed):
+    """The relator, its differential and the form's first sum on a stack of
+    tuples equal the calls on each tuple: the letter gather and the
+    per-slot scatter act on the trailing axes only."""
+    rng = np.random.default_rng(seed)
+    n = 2 * g + m
+    mats = lg.haar_sample(spec, rng, size=shape + (n,))
+    U = rng.standard_normal(shape + (n * spec.dim, 3))
+    V = rng.standard_normal(shape + (n * spec.dim, 2))
+
+    def word_calculus(mats, U, V):
+        T, _ = pres.letter_transport(spec, mats, g, m)
+        return (pres.relator_product(spec, mats, g, m),
+                pres.relator_differential_matrix(spec, mats, g, m),
+                first_sum_gram(spec, T, g, m, U, V))
+
+    batched = word_calculus(mats, U, V)
+    slices = [word_calculus(mats[i], U[i], V[i]) for i in np.ndindex(shape)]
+    for k, got in enumerate(batched):
+        want = np.array([sl[k] for sl in slices]).reshape(got.shape)
+        assert_slices_agree(spec, got, want)
 
 
 # ---------------------------------------------------------------------------
