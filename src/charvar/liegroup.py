@@ -321,26 +321,46 @@ def adjoint(spec: GroupSpec, g: np.ndarray, X: np.ndarray) -> np.ndarray:
     return g @ X @ group_inverse(spec, g)
 
 
+@functools.lru_cache(maxsize=None)
+def _adjoint_operator(spec: GroupSpec) -> np.ndarray:
+    """M (r^4, dim^2) with ``Ad_ik = sum Bout_i[a,b] B_k[c,d] P[a,c,d,b]`` for the
+    product tensor ``P = g[a,c] g^-1[d,b]`` and the dual basis ``Bout`` that
+    reads coordinates.  SU coordinates are real, so there M acts on the
+    interleaved real view of P: its rows alternate ``Re M`` and ``-Im M``."""
+    B = algebra_basis(spec)
+    Bout = -np.swapaxes(B, -2, -1) if spec.family == "SU" else B.conj()
+    M = np.einsum("iab,kcd->acdbik", Bout, B).reshape(spec.rank**4, spec.dim**2)
+    if spec.family == "SU":
+        return np.stack([M.real, -M.imag], axis=1).reshape(-1, spec.dim**2)
+    return M
+
+
+def _apply_adjoint_operator(spec: GroupSpec, P: np.ndarray) -> np.ndarray:
+    """Coordinate matrices (..., dim, dim) of product tensors P (..., r, r, r, r):
+    one row-vector product per slice, so a slice reads the same bits in any
+    batch (one 2-D GEMM over the batch would not)."""
+    P = np.asarray(P, dtype=complex).reshape(P.shape[:-4] + (1, spec.rank**4))
+    if spec.family == "SU":
+        P = P.view(np.float64)
+    out = P @ _adjoint_operator(spec)
+    return out.reshape(out.shape[:-2] + (spec.dim, spec.dim))
+
+
 def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Matrix of Ad(g) in the orthonormal algebra basis; shape (..., dim, dim).
 
     Orthogonal for SU(r) (the pairing is Ad-invariant and definite).
     """
-    B = algebra_basis(spec)
     gi = group_inverse(spec, g)
-    AdB = np.einsum("...ab,kbc,...cd->...kad", g, B, gi)
-    if spec.family == "SU":
-        return -np.einsum("...kab,iba->...ik", AdB, B).real
-    return np.einsum("...kab,iba->...ik", AdB, B.conj().transpose(0, 2, 1))
+    return _apply_adjoint_operator(
+        spec, g[..., :, :, None, None] * gi[..., None, None, :, :])
 
 
 def ad_algebra_matrix(spec: GroupSpec, K: np.ndarray) -> np.ndarray:
     """Matrix of ad(K) = [K, .] in the orthonormal basis; shape (..., dim, dim)."""
-    B = algebra_basis(spec)
-    KB = np.einsum("...ab,kbc->...kac", K, B) - np.einsum("kab,...bc->...kac", B, K)
-    if spec.family == "SU":
-        return -np.einsum("...kab,iba->...ik", KB, B).real
-    return np.einsum("...kab,iba->...ik", KB, B.conj().transpose(0, 2, 1))
+    eye = np.eye(spec.rank)
+    return _apply_adjoint_operator(spec, K[..., :, :, None, None] * eye
+                                   - eye[:, :, None, None] * K[..., None, None, :, :])
 
 
 def pairing(spec: GroupSpec, X: np.ndarray, Y: np.ndarray,

@@ -63,10 +63,7 @@ class FormMatrix:
 
     def to_json(self) -> dict:
         ent = self.entries
-        if np.iscomplexobj(ent):
-            omega = [[[float(z.real), float(z.imag)] for z in row] for row in ent]
-        else:
-            omega = [[float(x) for x in row] for row in ent]
+        omega = lg.matrix_to_json(ent) if np.iscomplexobj(ent) else ent.tolist()
         return {"basis": list(self.basis_labels), "omega": omega}
 
 
@@ -327,13 +324,10 @@ def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,
         plus = chart.omega_at(e, convention)
         minus = chart.omega_at(-e, convention)
         grad[i] = (plus - minus) / (2.0 * step)
-    worst = 0.0
-    for i in range(dh):
-        for j in range(i + 1, dh):
-            for k in range(j + 1, dh):
-                val = grad[i][j, k] - grad[j][i, k] + grad[k][i, j]
-                worst = max(worst, abs(val))
-    return worst
+    # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
+    d_omega = grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
+    i, j, k = np.indices(grad.shape)
+    return float(np.abs(d_omega[(i < j) & (j < k)]).max(initial=0.0))
 
 
 def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec,

@@ -396,68 +396,65 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     """Damped Gauss-Newton flattening of a batch of tuples.
 
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
-    batch axes preserved.  Branch-cut hits are retried with small random
-    interior nudges; persistent failures simply stay unconverged.
+    batch axes preserved.  Each iteration runs on the unconverged slices
+    only, so a slice's iterates do not depend on its neighbours.
+    Branch-cut hits are retried with small random interior nudges, drawn
+    for the whole batch shape whenever any slice needs one (the same draws
+    as a loop over every slice); persistent failures stay unconverged.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     mats = np.array(mats, dtype=complex)
     batch = mats.shape[:-3]
+    mats = mats.reshape((-1,) + mats.shape[-3:])
     z0i = lg.group_inverse(spec, classes.target)
     R, bad = _batch_residual(spec, mats, g, m, z0i)
-    rnorm = np.linalg.norm(R, axis=-1)
-    rnorm = np.where(bad, np.inf, rnorm)
-    iters = np.zeros(batch, dtype=int)
+    rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
+    iters = np.zeros(mats.shape[0], dtype=int)
     for it in range(max_iter):
-        active = ~(rnorm <= tol)
-        if not np.any(active):
+        act = np.flatnonzero(~(rnorm <= tol))
+        if not act.size:
             break
-        nudge = bad
-        if np.any(nudge):
-            kick = lg.random_algebra(spec, rng, scale=0.2,
-                                     size=batch + (2 * g,))
-            moved = lg.exp(spec, kick) @ mats[..., : 2 * g, :, :]
-            sel = nudge[..., None, None, None]
-            mats[..., : 2 * g, :, :] = np.where(sel, moved, mats[..., : 2 * g, :, :])
-            R, bad = _batch_residual(spec, mats, g, m, z0i)
-            rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
-            active = ~(rnorm <= tol)
-        J = pres.relator_differential_matrix(spec, mats, g, m)
-        slots = boundary_slots(spec, mats, g, m, classes)
+        if np.any(bad):  # a bad slice reads rnorm = inf, so it is active
+            kick = lg.random_algebra(spec, rng, scale=0.2, size=batch + (2 * g,))
+            nb = np.flatnonzero(bad)
+            kick = kick.reshape((-1,) + kick.shape[-3:])[nb]
+            mats[nb, : 2 * g] = lg.exp(spec, kick) @ mats[nb, : 2 * g]
+            R[nb], bad[nb] = _batch_residual(spec, mats[nb], g, m, z0i)
+            rnorm[nb] = np.where(bad[nb], np.inf, np.linalg.norm(R[nb], axis=-1))
+            act = act[~(rnorm[act] <= tol)]
+        x, r0 = mats[act], rnorm[act]
+        J = pres.relator_differential_matrix(spec, x, g, m)
+        slots = boundary_slots(spec, x, g, m, classes)
         if slots:
             J = J @ embed_moves(spec.dim, g, [sl.velocities for sl in slots])
-        lam = damping * np.minimum(1.0, np.where(np.isfinite(rnorm), rnorm, 1.0))
+        lam = damping * np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
-        y = np.linalg.solve(A, R[..., None])
+        y = np.linalg.solve(A, R[act][..., None])
         full_step = -(np.swapaxes(J, -2, -1).conj() @ y)[..., 0]
         if spec.family == "SU":
             full_step = full_step.real
         # backtracking: halve steps that do not reduce the residual
-        scale = np.where(active, 1.0, 0.0)
-        best_mats, best_R, best_bad = mats, R, bad
-        best_rnorm = rnorm
-        improved = ~active
+        scale = np.ones(act.size)
+        improved = np.zeros(act.size, dtype=bool)
         for _ in range(8):
-            trial = apply_step(spec, mats, g, slots, scale[..., None] * full_step)
+            trial = apply_step(spec, x, g, slots, scale[:, None] * full_step)
             Rt, badt = _batch_residual(spec, trial, g, m, z0i)
             rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
-            take = active & ~improved & (rt < best_rnorm)
-            if np.any(take):
-                sel = take[..., None, None, None]
-                best_mats = np.where(sel, trial, best_mats)
-                best_R = np.where(take[..., None], Rt, best_R)
-                best_bad = np.where(take, badt, best_bad)
-                best_rnorm = np.where(take, rt, best_rnorm)
-                improved = improved | take
+            take = ~improved & (rt < r0)
+            at = act[take]
+            mats[at], R[at] = trial[take], Rt[take]
+            bad[at], rnorm[at] = badt[take], rt[take]
+            improved |= take
             if np.all(improved):
                 break
             scale = np.where(improved, scale, scale * 0.5)
-        mats, R, bad, rnorm = best_mats, best_R, best_bad, best_rnorm
-        iters = np.where(active, it + 1, iters)
+        iters[act] = it + 1
     converged = rnorm <= tol
     rnorm = np.where(np.isfinite(rnorm), rnorm, np.inf)
-    return mats, rnorm, iters, converged
+    return (mats.reshape(batch + mats.shape[1:]), rnorm.reshape(batch),
+            iters.reshape(batch), converged.reshape(batch))
 
 
 def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
@@ -494,14 +491,8 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
 
 def commutant_dimension(spec: GroupSpec, mats: np.ndarray, tol: float = 1e-8) -> int:
     """Dimension of {M : M rho(s) = rho(s) M for all generators}."""
-    r = spec.rank
-    n = mats.shape[0]
-    eye = np.eye(r)
-    rows = []
-    for s in range(n):
-        g = mats[s]
-        rows.append(np.kron(eye, g) - np.kron(g.T, eye))
-    op = np.concatenate(rows, axis=0)
+    eye = np.eye(spec.rank)
+    op = np.concatenate([np.kron(eye, g) - np.kron(g.T, eye) for g in mats])
     svals = np.linalg.svd(op, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
     return int(np.sum(svals <= tol * scale))

@@ -27,7 +27,7 @@ density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class VolumeEstimate:
     landings: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "convention": self.convention,
-            "landings": self.landings,
-        }
+        return asdict(self)
 
 
 def liouville_density(p: RepresentationPoint, classes: ConjugacyClassSpec,

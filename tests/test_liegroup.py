@@ -299,6 +299,54 @@ def test_planted_slice_leaves_neighbours_unchanged(spec, k, data, seed, scale):
         assert_slices_agree(spec, Lh[keep], L[keep])
 
 
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@given(spec=st.sampled_from(SPECS), shape=batch_shapes,
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 1.0))
+def test_adjoint_operator_against_direct_conjugation(spec, shape, seed, scale):
+    """The constant operator against coords(g B_k g^-1), the homomorphism and
+    orthogonality identities, and per-slice calls of the same stack."""
+    rng = np.random.default_rng(seed)
+
+    def group(size):
+        return cv.exp(spec, cv.random_algebra(spec, rng, scale=scale, size=size))
+
+    g, h = group(shape), group(shape)
+    B = lg.algebra_basis(spec)
+    gi = lg.group_inverse(spec, g)[..., None, :, :]
+    direct = np.swapaxes(lg.algebra_coords(spec, g[..., None, :, :] @ B @ gi), -2, -1)
+    Ad_g = cv.adjoint_matrix(spec, g)
+    assert Ad_g.shape == shape + (spec.dim, spec.dim)
+    assert _rel(Ad_g, direct) < 1e-14
+    assert _rel(cv.adjoint_matrix(spec, g @ h), Ad_g @ cv.adjoint_matrix(spec, h)) < 1e-13
+    if spec.is_unitary:
+        assert np.abs(Ad_g @ np.swapaxes(Ad_g, -2, -1) - np.eye(spec.dim)).max() < 1e-13
+    assert_slices_agree(spec, Ad_g, per_slice(cv.adjoint_matrix, spec, g))
+
+
+@given(spec=st.sampled_from(SPECS), shape=batch_shapes,
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 1.0))
+def test_ad_algebra_matrix_is_the_bracket_and_the_derivative_of_ad(spec, shape, seed,
+                                                                   scale):
+    """ad(K) coords(X) = coords([K, X]), and ad(K) is d/dt Ad(exp(tK)) at 0
+    (central difference, error O(t^2))."""
+    rng = np.random.default_rng(seed)
+    K = cv.random_algebra(spec, rng, scale=scale, size=shape)
+    X = cv.random_algebra(spec, rng, size=shape)
+    ad_K = lg.ad_algebra_matrix(spec, K)
+    got = (ad_K @ cv.algebra_coords(spec, X)[..., None])[..., 0]
+    assert _rel(got, cv.algebra_coords(spec, K @ X - X @ K)) < 1e-14
+    t = 1e-4
+    fd = (cv.adjoint_matrix(spec, cv.exp(spec, t * K))
+          - cv.adjoint_matrix(spec, cv.exp(spec, -t * K))) / (2 * t)
+    # Taylor remainder t^2/6 |ad K|^3 e^(t |ad K|), plus rounding over 2t
+    nrm = np.linalg.norm(ad_K.reshape((-1,) + ad_K.shape[-2:]), 2, axis=(-2, -1)).max()
+    assert np.abs(fd - ad_K).max() < 1.01 * t**2 * nrm**3 / 6 + 1e-10
+    assert_slices_agree(spec, ad_K, per_slice(lg.ad_algebra_matrix, spec, K))
+
+
 def test_sl3_log_independent_of_global_random_state():
     """scipy's logm estimates norms with random probes from numpy's global
     RandomState; the log must not depend on that state nor move it."""

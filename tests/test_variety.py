@@ -11,6 +11,7 @@ from charvar.variety import (
     class_distance,
     commutant_dimension,
     flat_residual,
+    project_batch,
     project_to_class,
     split_rank,
 )
@@ -72,12 +73,110 @@ def test_projection_genus1_minus_identity(su2):
 
 def test_projection_idempotent(solved_points, closed_problem, su2):
     """Re-projecting a solved point moves nothing and needs <= 2 iterations."""
-    from charvar.variety import project_batch
     for p in solved_points[:5]:
         out, rnorm, iters, conv = project_batch(
             su2, p.tuple.mats, 2, 0, closed_problem.classes, tol=1e-12)
         assert bool(conv) and int(iters) <= 2
         assert np.abs(out - p.tuple.mats).max() < 1e-12
+
+
+class _NoDraws:
+    """An rng that fails on use: the starts below never touch the branch cut,
+    so they draw no nudges and a slice cannot depend on the batch's draws."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unexpected branch-cut nudge (rng.{name})")
+
+
+def _project(problem, mats, **kw):
+    g, m = problem.presentation.genus, problem.presentation.boundary_count
+    return project_batch(problem.spec, mats, g, m, problem.classes, tol=1e-11,
+                         max_iter=120, **kw)
+
+
+def _starts(problem, rng, shape):
+    flat = np.stack([problem.random_initial(rng).mats for _ in range(int(np.prod(shape)))])
+    return flat.reshape(shape + flat.shape[1:])
+
+
+@pytest.mark.parametrize("case", ["su2_g2", "su2_g1_theta0.3", "su3_g2", "su2_g2_2d"])
+def test_project_batch_stack_matches_per_slice(case, su2, su3):
+    """Every slice iterates on its own: a stack gives each tuple the bits of
+    its own call (points, residuals, iteration counts, flags)."""
+    rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    problem, shape = {
+        "su2_g2": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
+                                     cv.ConjugacyClassSpec(su2)), (6,)),
+        "su2_g1_theta0.3": (cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
+                                              cv.ConjugacyClassSpec(su2, (rep,))), (6,)),
+        "su3_g2": (cv.VarietyProblem(su3, cv.SurfacePresentation(2),
+                                     cv.ConjugacyClassSpec(su3)), (4,)),
+        "su2_g2_2d": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
+                                        cv.ConjugacyClassSpec(su2)), (2, 3)),
+    }[case]
+    init = _starts(problem, np.random.default_rng(21), shape)
+    # one slice starts on the variety, so the stack's slices finish apart
+    first = (0,) * len(shape)
+    init[first] = _project(problem, init[first], rng=_NoDraws())[0]
+    stacked = _project(problem, init, rng=_NoDraws())
+    assert stacked[0].shape == init.shape
+    assert all(a.shape == shape for a in stacked[1:])
+    assert stacked[2][first] == 0 and stacked[2].min() < stacked[2].max()
+    for idx in np.ndindex(shape):
+        one = _project(problem, init[idx], rng=_NoDraws())
+        for got, want in zip(stacked, one):
+            assert np.array_equal(got[idx], want)
+
+
+def _quaternion_start(su2):
+    """Genus-2 tuple with [a1, b1] = -I and a2 = b2 = I: its relator sits on
+    the SU(2) branch cut (trace -2)."""
+    a = np.array([[0, 1j], [1j, 0]])
+    b = np.array([[0, 1], [-1, 0]], dtype=complex)
+    return np.stack([a, b, np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
+
+
+def test_project_batch_nudges_planted_cut_slice_only(closed_problem, su2):
+    planted = _quaternion_start(su2)
+    t = GeneratorTuple(su2, 2, 0, planted)
+    assert np.abs(cv.evaluate_relator(t) + np.eye(2)).max() < 1e-15
+    init = _starts(closed_problem, np.random.default_rng(22), (5,))
+    alone = _project(closed_problem, init, rng=_NoDraws())
+    j = 2
+    mixed = np.insert(init, j, planted, axis=0)
+    rng = np.random.default_rng(0)
+    out = _project(closed_problem, mixed, rng=rng)
+    # nudges are drawn for the whole batch shape, as a loop over every slice would
+    ref, states = np.random.default_rng(0), []
+    for _ in range(3):
+        lg.random_algebra(su2, ref, scale=0.2, size=(6, 4))
+        states.append(ref.bit_generator.state)
+    assert rng.bit_generator.state in states
+    keep = np.arange(6) != j
+    assert bool(out[3][j]) and out[1][j] <= 1e-11
+    assert not np.array_equal(out[0][j, :2], planted[:2])  # nudged off the cut
+    for got, want in zip(out, alone):
+        assert np.array_equal(got[keep], want)
+
+
+def test_project_batch_stuck_slice_leaves_neighbours_iterations(solved_points,
+                                                                 closed_problem, su2):
+    """Near-flat starts finish in a few iterations whether or not a far start
+    that runs out of budget sits beside them."""
+    rng = np.random.default_rng(23)
+    near = np.stack([p.tuple.mats for p in solved_points[:4]])
+    kick = cv.random_algebra(su2, rng, scale=1e-3, size=near.shape[:2])
+    near = cv.exp(su2, kick) @ near
+    far = closed_problem.random_initial(rng).mats
+    kw = dict(max_iter=3, rng=_NoDraws())
+    g = closed_problem.presentation.genus
+    alone = project_batch(su2, near, g, 0, closed_problem.classes, tol=1e-11, **kw)
+    out = project_batch(su2, np.concatenate([near, far[None]]), g, 0,
+                        closed_problem.classes, tol=1e-11, **kw)
+    assert not out[3][-1] and out[2][-1] == 3
+    assert alone[3].all() and alone[2].max() < 3
+    for got, want in zip(out, alone):
+        assert np.array_equal(got[:-1], want)
 
 
 def test_projection_su3(su3):
