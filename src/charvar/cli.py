@@ -28,6 +28,7 @@ from . import volume as vol
 from .errors import (
     CharvarError,
     ConfigError,
+    DimensionMismatchError,
     InsufficientSamplesError,
     NoConvergenceError,
     OutsideDomainError,
@@ -148,11 +149,18 @@ class RunConfig:
             problem = sf.variety_problem(seif, cands[zidx])
         else:
             raise ConfigError(f"unknown problem type {prob['type']!r}")
+        certify = data.get("certify", {})
+        steps = certify.get("closedness_steps", []) if isinstance(certify, dict) else None
+        if not (isinstance(steps, list) and all(
+                type(h) in (int, float) and 0 < h < float("inf") for h in steps)
+                and len(set(steps)) != 1):
+            raise ConfigError("certify.closedness_steps must be empty or hold at "
+                              "least two distinct positive steps (one fixes no order)")
         return cls(group=group, problem=problem, seed=seed, tolerances=tol,
                    initial=data.get("initial", "haar"),
                    solver=data.get("solver", {}),
                    volume=data.get("volume", {}),
-                   certify=data.get("certify", {}),
+                   certify=certify,
                    seifert=seif, zeta_index=zidx)
 
 
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
             return cmd_volume(cfg, args.out, args.format, args.quiet)
         if args.command == "seifert-scan":
             return cmd_seifert_scan(cfg, args.out, args.quiet)
-    except ConfigError as e:
+    except (ConfigError, DimensionMismatchError) as e:
         error_record("config", str(e))
         return EXIT_CONFIG
     except (NoConvergenceError, OutsideDomainError, InsufficientSamplesError) as e:

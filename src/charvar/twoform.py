@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import liegroup as lg
 from . import presentation as pres
@@ -34,6 +33,7 @@ from .errors import DimensionMismatchError, NoConvergenceError
 from .liegroup import GroupSpec
 from .presentation import TangentVector
 from .variety import (
+    BoundarySlot,
     CohomologyBasis,
     ConjugacyClassSpec,
     RepresentationPoint,
@@ -239,24 +239,26 @@ def _phi_series(A: np.ndarray, terms: int = 16) -> np.ndarray:
 def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
     """Per-slot log(q_s p_s^-1) coordinates and their step Jacobians.
 
-    Returns (ell, lam): ell is the stacked displacement coordinate vector
-    and lam the block-diagonal d(ell)/d(right-trivialized slot velocity).
-    Raises :class:`OutsideDomainError` when a slot leaves the principal-log
-    domain.
+    Returns (ell, lam): ell (..., n*dim) is the stacked displacement
+    coordinate vector and lam (..., n, dim, dim) the slot blocks of the
+    block-diagonal d(ell)/d(right-trivialized slot velocity).  Raises
+    :class:`OutsideDomainError` when a slot leaves the principal-log domain.
     """
     K = lg.log_near_identity(spec, qmats @ lg.group_inverse(spec, pmats))
     lam = np.linalg.inv(_phi_series(lg.ad_algebra_matrix(spec, K)))
-    return lg.algebra_coords(spec, K).reshape(-1), scipy.linalg.block_diag(*lam)
+    ell = lg.algebra_coords(spec, K)
+    return ell.reshape(ell.shape[:-2] + (ell.shape[-2] * spec.dim,)), lam
 
 
 class _Chart:
     """Implicit chart of the variety around a solved point.
 
-    Coordinates are the h1 directions; the chart point q(t) solves
-    flatness + (h1-coordinates of the displacement = t) + (b1-slice
-    orthogonality), a square Newton system.  Frame vectors dq/dt_i come
-    from linear solves against the same Jacobian, so the only finite
-    differencing happens at the exterior-derivative level.
+    Coordinates are the h1 directions, in stacks (b, dh) of independent
+    rows; the chart point q(t) solves flatness + (h1-coordinates of the
+    displacement = t) + (b1-slice orthogonality), a square Newton system.
+    Frame vectors dq/dt_i come from linear solves against the same
+    Jacobian, so the only finite differencing happens at the
+    exterior-derivative level.
     """
 
     def __init__(self, p: RepresentationPoint, classes: ConjugacyClassSpec,
@@ -272,7 +274,8 @@ class _Chart:
         self.g = p.tuple.genus
         self.m = p.tuple.boundary_count
         self.H = self.basis.h_coords
-        self.B = self.basis.b_coords
+        # h1 rows, then b1 rows: the chart equations besides flatness
+        self.HB = np.concatenate([self.H, self.basis.b_coords], axis=1).T
 
     def _system(self, qmats):
         spec, g, m = self.spec, self.g, self.m
@@ -280,31 +283,62 @@ class _Chart:
         ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
         slots = boundary_slots(spec, qmats, g, m, self.classes)
         S = embed_moves(spec.dim, g, [sl.velocities for sl in slots])
+        LS = lam @ S.reshape(S.shape[:-2] + lam.shape[-3:-1] + S.shape[-1:])
+        LS = LS.reshape(LS.shape[:-3] + S.shape[-2:])  # d(ell) S, slot by slot
         D = pres.relator_differential_matrix(spec, qmats, g, m)
-        J = np.vstack([D @ S, self.H.T @ lam @ S, self.B.T @ lam @ S])
-        return R, ell, J, S, slots
+        return R, ell, np.concatenate([D @ S, self.HB @ LS], axis=-2), slots
 
     def solve(self, t: np.ndarray):
-        qmats = self.p.tuple.mats.copy()
-        for it in range(60):
-            R, ell, J, S, slots = self._system(qmats)
-            F = np.concatenate([R, self.H.T @ ell - t, self.B.T @ ell])
-            if np.linalg.norm(F) < self.tol:
-                return qmats, J, S
-            step = np.linalg.solve(J, -F)
-            qmats = apply_step(self.spec, qmats, self.g, slots, step)
-        raise NoConvergenceError(60, float(np.linalg.norm(F)),
+        """Chart points (b, n, r, r) at coordinates t (b, dh) and their Newton
+        Jacobians.  Each iteration runs on the rows not converged yet; a row
+        not converged after 60 raises :class:`NoConvergenceError`."""
+        base, d = self.p.tuple.mats, self.spec.dim
+        qmats = np.array(np.broadcast_to(base, t.shape[:1] + base.shape))
+        J = np.empty((len(t),) + (d + len(self.HB),) * 2)
+        act = np.arange(len(t))
+        if not act.size:  # the log of an empty SU(r >= 3) stack fails
+            return qmats, J
+        for _ in range(60):
+            R, ell, Ja, slots = self._system(qmats[act])
+            F = np.concatenate([R, (self.HB @ ell[..., None])[..., 0]], axis=-1)
+            F[:, d:d + t.shape[1]] -= t[act]
+            done = np.linalg.norm(F, axis=-1) < self.tol
+            J[act[done]] = Ja[done]
+            go = ~done
+            act, Ja, F = act[go], Ja[go], F[go]
+            if not act.size:
+                return qmats, J
+            slots = [BoundarySlot(sl.ad[go], sl.U[go], sl.s[go], sl.V[go]) for sl in slots]
+            step = np.linalg.solve(Ja, -F[..., None])[..., 0]
+            qmats[act] = apply_step(self.spec, qmats[act], self.g, slots, step)
+        raise NoConvergenceError(60, float(np.linalg.norm(F, axis=-1).max()),
                                  "chart re-solve did not converge")
 
     def omega_at(self, t: np.ndarray, convention: str | None = None) -> np.ndarray:
-        """Chart coefficients of the form at coordinates t."""
-        qmats, J, S = self.solve(t)
-        dh = self.H.shape[1]
-        rhs = np.zeros((J.shape[0], dh))
-        rhs[self.spec.dim:self.spec.dim + dh] = np.eye(dh)
-        frame = S @ np.linalg.solve(J, rhs)  # slot-velocity coordinates
-        qpoint = RepresentationPoint(self.p.tuple.replace_mats(qmats), 0.0)
-        return form_gram_coords(qpoint, frame, frame, convention)
+        """Chart coefficients (b, dh, dh) of the form at coordinates t (b, dh)."""
+        qmats, J = self.solve(t)
+        d, g, m = self.spec.dim, self.g, self.m
+        slots = boundary_slots(self.spec, qmats, g, m, self.classes)
+        S = embed_moves(d, g, [sl.velocities for sl in slots])
+        # slot-velocity coordinates of the frame dq/dt
+        frame = S @ np.linalg.solve(J, np.eye(J.shape[-1], t.shape[-1], -d))
+        return form_gram_stack(self.spec, qmats, g, m, frame, frame, slots, convention)
+
+
+def _closedness_values(chart: _Chart, steps, convention) -> list[float]:
+    """Max |dOmega| coefficient per step, from one chart solve over the
+    stencil +-h e_i of every step h and h1 direction e_i."""
+    h = np.asarray(steps, dtype=float)
+    dh = chart.H.shape[1]
+    e = h[:, None, None] * np.eye(dh)  # (steps, i, dh): row i is h e_i
+    t = np.stack([e, -e], axis=2)
+    omega = chart.omega_at(t.reshape(-1, dh), convention).reshape(t.shape + (dh,))
+    grad = (omega[:, :, 0] - omega[:, :, 1]) / (2.0 * h)[:, None, None, None]
+    # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
+    d_omega = grad - grad.transpose(0, 2, 1, 3) + grad.transpose(0, 2, 3, 1)
+    i, j, k = np.indices(grad.shape[1:])
+    return [float(v) for v in
+            np.abs(d_omega[:, (i < j) & (j < k)]).max(axis=-1, initial=0.0)]
 
 
 def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,
@@ -315,33 +349,22 @@ def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,
     Central second-order differences of the chart coefficients; the
     result decays as O(step^2) when the form is closed.
     """
-    chart = _Chart(p, classes, basis)
-    dh = chart.H.shape[1]
-    grad = np.empty((dh, dh, dh))
-    for i in range(dh):
-        e = np.zeros(dh)
-        e[i] = step
-        plus = chart.omega_at(e, convention)
-        minus = chart.omega_at(-e, convention)
-        grad[i] = (plus - minus) / (2.0 * step)
-    # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
-    d_omega = grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
-    i, j, k = np.indices(grad.shape)
-    return float(np.abs(d_omega[(i < j) & (j < k)]).max(initial=0.0))
+    return _closedness_values(_Chart(p, classes, basis), (step,), convention)[0]
 
 
 def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec,
                      steps=(1e-3, 5e-4, 2.5e-4),
                      convention: str | None = None) -> list[float]:
-    """check_closedness over a halving schedule.  Each step builds its own
-    chart; all steps share one cohomology basis."""
-    basis = cohomology_at(p, classes)
-    return [check_closedness(p, classes, h, basis, convention) for h in steps]
+    """check_closedness over a halving schedule, all steps in one chart solve."""
+    return _closedness_values(_Chart(p, classes), steps, convention)
 
 
 def observed_order(steps, values) -> float:
-    """Log-log slope of values against steps (least squares)."""
+    """Log-log slope of values against steps (least squares); ValueError
+    with fewer than two distinct steps, which fix no slope."""
     x = np.log(np.asarray(steps, dtype=float))
+    if np.unique(x).size < 2:
+        raise ValueError("an observed order needs at least two distinct steps")
     y = np.log(np.maximum(np.asarray(values, dtype=float), 1e-300))
     A = np.stack([x, np.ones_like(x)], axis=1)
     slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from charvar import cli
 
@@ -155,6 +156,44 @@ def test_certify_two_dimensional_chart_skips_order(tmp_path):
     checks = {c["check"]: c for c in data["checks"]}
     assert checks["closedness_value"]["value"] == 0.0
     assert "closedness_order" not in checks
+
+
+@pytest.mark.parametrize("certify", [
+    {"closedness_steps": [1e-3]}, {"closedness_steps": [1e-3, 1e-3]},
+    {"closedness_steps": [1e-3, 0.0]}, {"closedness_steps": [1e-3, -5e-4]},
+    {"closedness_steps": [1e-3, "5e-4"]}, {"closedness_steps": 1e-3},
+    [1e-3, 5e-4]], ids=["one", "repeated", "zero", "negative", "string",
+                        "scalar", "section-not-object"])
+def test_closedness_steps_need_two_distinct_positive(tmp_path, capsys, certify):
+    """One step (or one repeated) fixes no convergence order, and a step
+    that is not a positive number fixes no difference quotient."""
+    cfg = write_config(tmp_path, certify=certify)
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "closedness_steps" in err["detail"]
+
+
+def test_certify_slc_is_a_structured_config_error(tmp_path):
+    """The closedness chart takes real (SU) coordinates: certify on an
+    SL(2, C) point ends in the JSON error record with the config exit code,
+    not in a traceback."""
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, group={"family": "SLC", "rank": 2}, seed=3)
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar.cli", "certify", "--config", cfg,
+         "--point", str(point), "--out", str(tmp_path / "report.json"), "--quiet"],
+        capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "SU family only" in err["detail"]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_certify_determinism(tmp_path):

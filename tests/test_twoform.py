@@ -6,10 +6,12 @@ import pytest
 
 import charvar as cv
 from charvar import liegroup as lg
+from charvar import twoform
 from charvar.errors import DimensionMismatchError, NotClassTangentError
 from charvar.presentation import GeneratorTuple, letter_transport
 from charvar.twoform import epsilon_sign, first_sum_gram, form_gram_coords, observed_order
 from charvar.variety import boundary_slots, embed_moves
+from test_liegroup import assert_slices_agree
 
 
 def brute_force_theta(tup, Ku, Kv, magnitude=False):
@@ -467,6 +469,82 @@ def test_observed_order_helper():
     steps = (1e-3, 5e-4, 2.5e-4)
     vals = [4e-8, 1e-8, 2.5e-9]
     assert abs(observed_order(steps, vals) - 2.0) < 1e-6
+
+
+def test_observed_order_needs_two_distinct_steps():
+    """One step fixes no slope (a least-squares fit would invent one)."""
+    for steps in ([1e-3], [1e-3, 1e-3]):
+        with pytest.raises(ValueError):
+            observed_order(steps, [1e-7] * len(steps))
+
+
+def _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
+    """(chart, rows): SU(2) g2 at m = 0, SU(2) g1 at theta = 0.3 and SU(3)
+    g1 at a regular class; the rows sit at distances from the base point
+    that take different Newton iteration counts, t = 0 included."""
+    rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    g1 = cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
+                           cv.ConjugacyClassSpec(su2, (rep,)))
+    su3 = su3_regular_problem
+    rng = np.random.default_rng(7)
+    for prob, p in [(closed_problem, solved_points[0]),
+                    (g1, g1.solve(np.random.default_rng(3))),
+                    (su3, su3.solve(np.random.default_rng(5)))]:
+        chart = twoform._Chart(p, prob.classes)
+        dh = chart.H.shape[1]
+        rows = [np.zeros(dh)] + [s * rng.standard_normal(dh)
+                                 for s in (1e-6, 1e-3, 0.05, 0.2)]
+        yield chart, np.stack(rows)
+
+
+def test_chart_stack_matches_one_row_calls(su2, su3_regular_problem, solved_points,
+                                           closed_problem, monkeypatch):
+    """The batched Newton chart reads, row by row, what one-row calls read
+    (bit for bit on SU), though its rows converge at different iterations."""
+    sizes, system = [], twoform._Chart._system
+
+    def counted(self, qmats):  # rows per Newton iteration
+        sizes.append(len(qmats))
+        return system(self, qmats)
+
+    monkeypatch.setattr(twoform._Chart, "_system", counted)
+    for chart, T in _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
+        sizes.clear()
+        stack = chart.omega_at(T)
+        assert sizes[0] == len(T) and len(set(sizes)) > 2  # rows finish apart
+        rows = np.concatenate([chart.omega_at(T[i:i + 1]) for i in range(len(T))])
+        assert stack.shape == (len(T),) + (chart.H.shape[1],) * 2
+        assert_slices_agree(chart.spec, stack, rows)
+        assert chart.omega_at(T[:0]).shape == (0,) + stack.shape[1:]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_chart_at_base_point_is_form_on_cohomology(solved_points, closed_problem, index):
+    """At t = 0 the chart frame is the h1 basis, so the chart coefficients
+    are the form matrix over h1."""
+    p = solved_points[index]
+    chart = twoform._Chart(p, closed_problem.classes)
+    omega = chart.omega_at(np.zeros((1, chart.H.shape[1])))[0]
+    want = cv.form_on_cohomology(p, closed_problem.classes).entries
+    assert np.abs(omega - want).max() < 1e-11
+
+
+def test_closedness_check_detects_non_closed_form(solved_points, closed_problem,
+                                                  monkeypatch):
+    """Scale the form by 1 + Re tr(a_1), which varies over the chart: the
+    result f Omega has dOmega = df ^ Omega != 0, so the closedness value is
+    large and does not decay with the step, and both certify gates fail."""
+    form = twoform.form_gram_stack
+
+    def scaled(spec, mats, g, m, U, V, slots, convention=None):
+        f = 1.0 + np.trace(mats[..., 0, :, :], axis1=-2, axis2=-1).real
+        return f[..., None, None] * form(spec, mats, g, m, U, V, slots, convention)
+
+    monkeypatch.setattr(twoform, "form_gram_stack", scaled)
+    steps = (1e-3, 5e-4, 2.5e-4)
+    vals = cv.closedness_sweep(solved_points[0], closed_problem.classes, steps=steps)
+    assert vals[0] > 1e-2
+    assert observed_order(steps, vals) < 0.5
 
 
 # ---------------------------------------------------------------------------
