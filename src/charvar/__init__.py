@@ -32,8 +32,6 @@ from .liegroup import (
     coords_to_algebra,
     exp,
     haar_sample,
-    is_algebra_element,
-    is_group_element,
     log_near_identity,
     pairing,
     pairing_norm,
@@ -60,7 +58,6 @@ from .seifert import (
 )
 from .twoform import (
     FormMatrix,
-    check_closedness,
     closedness_sweep,
     epsilon_sign,
     form_gram,

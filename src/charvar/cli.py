@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,27 +63,49 @@ REPORT_SCHEMA = {
 }
 
 DEFAULT_TOLERANCES = {
-    "tol_group": 1e-10,
-    "tol_alg": 1e-10,
     "tol_flat": 1e-9,
     "gap_tol": 1e-6,
 }
+CERTIFY_STEPS = (1e-3, 5e-4, 2.5e-4)  # certify's closedness sweep default
+
+
+def _object(val, where: str, keys) -> dict:
+    """``val`` when it is a JSON object whose keys are among ``keys``."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where} must be a JSON object with keys among "
+                          f"{', '.join(keys)}")
+    unknown = sorted(set(val) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where} "
+                          f"(known: {', '.join(keys)})")
+    return val
+
+
+def _positive(section: dict, key: str, default, kind: type, where: str):
+    """``section[key]`` (or ``default``) as a positive finite ``kind``; JSON
+    true/false are not numbers here, and an integer ``kind`` takes no float."""
+    val = section.get(key, default)
+    ok = type(val) is int or (kind is float and type(val) is float)
+    if not (ok and 0 < val < float("inf")):
+        what = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}{key} must be a positive {what}")
+    return kind(val)
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration."""
+    """Run configuration, typed and validated once when it is loaded."""
 
     group: GroupSpec
     problem: vy.VarietyProblem
+    seifert: sf.SeifertData | None  # set by a problem of type 'seifert'
     seed: int
     tolerances: dict
-    initial: str = "haar"
-    solver: dict = field(default_factory=dict)
-    volume: dict = field(default_factory=dict)
-    certify: dict = field(default_factory=dict)
-    seifert: sf.SeifertData | None = None
-    zeta_index: int | None = None
+    initial: str
+    max_iter: int
+    n_samples: int
+    gates: dict  # the volume gates the config sets; the others keep their defaults
+    closedness_steps: tuple | None  # None: the command's default
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -102,66 +124,72 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
+        """Every key typed and checked here; a bad one raises :class:`ConfigError`."""
+        _object(data, "the config root", ("group", "problem", "seed", "initial",
+                                          "tolerances", "solver", "volume", "certify"))
         try:
-            group = GroupSpec.from_json(data["group"])
-        except KeyError:
-            raise ConfigError("missing 'group' section") from None
-        except (ValueError, TypeError) as e:
+            group = GroupSpec.from_json(
+                _object(data.get("group"), "group", ("family", "rank")))
+        except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad group spec: {e}") from e
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(data.get("tolerances", {}))
-        for name, val in tol.items():
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError(f"tolerance {name} must be positive")
-        prob = data.get("problem")
-        if not isinstance(prob, dict) or "type" not in prob:
-            raise ConfigError("missing 'problem' section with a 'type'")
+        problem, seif = _problem(group, data.get("problem"))
         seed = data.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
-        seif = None
-        zidx = None
-        if prob["type"] == "surface":
-            try:
-                pres_ = SurfacePresentation(int(prob["genus"]),
-                                            int(prob.get("boundary_count", 0)))
-            except (KeyError, ValueError) as e:
-                raise ConfigError(f"bad surface problem: {e}") from e
-            cl = prob.get("classes", {})
-            try:
-                classes = vy.ConjugacyClassSpec.from_json(group, cl) if cl else \
-                    vy.ConjugacyClassSpec(group)
-            except (ValueError, KeyError) as e:
-                raise ConfigError(f"bad class data: {e}") from e
-            problem = vy.VarietyProblem(group, pres_, classes)
-        elif prob["type"] == "seifert":
-            try:
-                seif = sf.SeifertData(int(prob["genus"]), int(prob["euler"]),
-                                      group.rank, group.family)
-            except (KeyError, ValueError) as e:
-                raise ConfigError(f"bad seifert problem: {e}") from e
-            zidx = int(prob.get("zeta_index", 0))
-            cands = sf.fiber_holonomy_candidates(seif)
-            if not (0 <= zidx < len(cands)):
-                raise ConfigError(f"zeta_index out of range 0..{len(cands) - 1}")
-            problem = sf.variety_problem(seif, cands[zidx])
-        else:
-            raise ConfigError(f"unknown problem type {prob['type']!r}")
-        certify = data.get("certify", {})
-        steps = certify.get("closedness_steps", []) if isinstance(certify, dict) else None
-        if not (isinstance(steps, list) and all(
+        given = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
+        tol = {name: _positive(given, name, default, float, "tolerances.")
+               for name, default in DEFAULT_TOLERANCES.items()}
+        initial = data.get("initial", "haar")
+        if initial not in ("haar", "identity"):
+            raise ConfigError(f"unknown initial {initial!r} (want 'haar' or 'identity')")
+        solver = _object(data.get("solver", {}), "solver", ("max_iter",))
+        gate_keys = ("residual_gate", "distance_gate")
+        volume = _object(data.get("volume", {}), "volume", ("n_samples",) + gate_keys)
+        steps = _object(data.get("certify", {}), "certify",
+                        ("closedness_steps",)).get("closedness_steps")
+        if steps is not None and not (isinstance(steps, list) and all(
                 type(h) in (int, float) and 0 < h < float("inf") for h in steps)
                 and len(set(steps)) != 1):
             raise ConfigError("certify.closedness_steps must be empty or hold at "
                               "least two distinct positive steps (one fixes no order)")
-        return cls(group=group, problem=problem, seed=seed, tolerances=tol,
-                   initial=data.get("initial", "haar"),
-                   solver=data.get("solver", {}),
-                   volume=data.get("volume", {}),
-                   certify=certify,
-                   seifert=seif, zeta_index=zidx)
+        return cls(
+            group=group, problem=problem, seifert=seif, seed=seed, tolerances=tol,
+            initial=initial,
+            max_iter=_positive(solver, "max_iter", 200, int, "solver."),
+            n_samples=_positive(volume, "n_samples", 2000, int, "volume."),
+            gates={k: _positive(volume, k, None, float, "volume.")
+                   for k in gate_keys if k in volume},
+            closedness_steps=None if steps is None else tuple(steps))
+
+
+def _problem(group: GroupSpec, prob) -> tuple:
+    """The ``problem`` section as (VarietyProblem, SeifertData or None)."""
+    if not isinstance(prob, dict) or "type" not in prob:
+        raise ConfigError("missing 'problem' section with a 'type'")
+    if prob["type"] == "surface":
+        _object(prob, "problem", ("type", "genus", "boundary_count", "classes"))
+        classes = _object(prob.get("classes", {}), "problem.classes",
+                          ("representatives", "target"))
+        try:
+            pres_ = SurfacePresentation(int(prob["genus"]),
+                                        int(prob.get("boundary_count", 0)))
+            return vy.VarietyProblem(
+                group, pres_, vy.ConjugacyClassSpec.from_json(group, classes)), None
+        except (KeyError, ValueError, TypeError, DimensionMismatchError) as e:
+            raise ConfigError(f"bad surface problem: {e}") from e
+    if prob["type"] == "seifert":
+        _object(prob, "problem", ("type", "genus", "euler", "zeta_index"))
+        try:
+            seif = sf.SeifertData(int(prob["genus"]), int(prob["euler"]),
+                                  group.rank, group.family)
+        except (KeyError, ValueError, TypeError) as e:
+            raise ConfigError(f"bad seifert problem: {e}") from e
+        cands = sf.fiber_holonomy_candidates(seif)
+        zidx = prob.get("zeta_index", 0)
+        if type(zidx) is not int or not 0 <= zidx < len(cands):
+            raise ConfigError(f"zeta_index must be an integer in 0..{len(cands) - 1}")
+        return sf.variety_problem(seif, cands[zidx]), seif
+    raise ConfigError(f"unknown problem type {prob['type']!r}")
 
 
 def atomic_write(path: str, text: str):
@@ -196,23 +224,16 @@ def error_record(kind: str, detail: str):
 # solve
 # ---------------------------------------------------------------------------
 
-def _initial_tuple(cfg: RunConfig, rng) -> GeneratorTuple:
-    if cfg.initial == "identity":
-        return GeneratorTuple.identity(cfg.group, cfg.problem.presentation.genus,
-                                       cfg.problem.presentation.boundary_count)
-    if cfg.initial == "haar":
-        return cfg.problem.random_initial(rng)
-    raise ConfigError(f"unknown initial {cfg.initial!r}")
-
-
 def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
-    initial = _initial_tuple(cfg, rng)
+    pres_ = cfg.problem.presentation
+    initial = (GeneratorTuple.identity(cfg.group, pres_.genus, pres_.boundary_count)
+               if cfg.initial == "identity" else cfg.problem.random_initial(rng))
     try:
         point = vy.project_to_variety(
             initial, cfg.problem.classes,
             tol_flat=cfg.tolerances["tol_flat"],
-            max_iter=int(cfg.solver.get("max_iter", 200)),
+            max_iter=cfg.max_iter,
             rng=rng,
         )
     except (NoConvergenceError, OutsideDomainError) as e:
@@ -241,12 +262,13 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(B - K @ (K.conj().T @ B), 2))
 
 
-def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[dict]:
-    """Run the descent / closedness / kernel / nondegeneracy battery."""
+def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyClassSpec,
+                         tolerances: dict, steps) -> list[dict]:
+    """Run the descent / closedness / kernel / nondegeneracy battery; an
+    empty ``steps`` skips closedness."""
     checks = []
-    tol_flat = cfg.tolerances["tol_flat"]
-    gap_tol = cfg.tolerances["gap_tol"]
-    classes = cfg.problem.classes
+    tol_flat = tolerances["tol_flat"]
+    gap_tol = tolerances["gap_tol"]
 
     def add(name, value, tolerance, ok=None):
         ok = bool(value <= tolerance) if ok is None else bool(ok)
@@ -260,7 +282,7 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
         return checks
     basis = vy.cohomology_at(point, classes, gap_tol=gap_tol, tol_flat=tol_flat)
     nz, nb, nh = basis.dims()
-    add("coboundary_rank", abs(nb - cfg.group.dim), 0.5)
+    add("coboundary_rank", abs(nb - point.spec.dim), 0.5)
     add("rank_gap_quality", 1.0 / max(basis.gap_quality, 1e-300), gap_tol)
     # cocycle condition of the coboundaries
     D = pres.relator_differential_matrix(
@@ -284,12 +306,11 @@ def certification_checks(point: vy.RepresentationPoint, cfg: RunConfig) -> list[
     K = np.stack([v.coords() for v in kern], axis=1) if kern else \
         np.zeros((basis.z_coords.shape[0], 0))
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
-    steps = cfg.certify.get("closedness_steps", [1e-3, 5e-4, 2.5e-4])
     if steps and nh < 3:
         # no triple of chart directions: every dOmega coefficient is zero
         add("closedness_value", 0.0, 1e-4)
     elif steps:
-        vals = tf.closedness_sweep(point, classes, steps=tuple(steps))
+        vals = tf.closedness_sweep(point, classes, steps, basis)
         add("closedness_value", vals[0], 1e-4)
         order = tf.observed_order(steps, vals)
         add("closedness_order", -order, -1.8)
@@ -312,7 +333,8 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
     except (KeyError, CharvarError) as e:
         error_record("config", f"bad point payload: {e}")
         return EXIT_CONFIG
-    checks = certification_checks(point, cfg)
+    steps = CERTIFY_STEPS if cfg.closedness_steps is None else cfg.closedness_steps
+    checks = certification_checks(point, cfg.problem.classes, cfg.tolerances, steps)
     passed = all(c["pass"] for c in checks)
     payload = {"checks": checks, "passed": passed, "seed": cfg.seed,
                "residual": point.residual_norm}
@@ -326,14 +348,8 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
 # ---------------------------------------------------------------------------
 
 def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
-    n = int(cfg.volume.get("n_samples", 2000))
-    gates = {}
-    if "residual_gate" in cfg.volume:
-        gates["residual_gate"] = float(cfg.volume["residual_gate"])
-    if "distance_gate" in cfg.volume:
-        gates["distance_gate"] = float(cfg.volume["distance_gate"])
     try:
-        result = vol.cross_check(cfg.problem, n, cfg.seed, **gates)
+        result = vol.cross_check(cfg.problem, cfg.n_samples, cfg.seed, **cfg.gates)
     except InsufficientSamplesError as e:
         error_record("insufficient_samples", str(e))
         return EXIT_NUMERICAL
@@ -378,17 +394,13 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     if cfg.seifert is None:
         error_record("config", "seifert-scan needs a problem of type 'seifert'")
         return EXIT_CONFIG
+    steps = cfg.closedness_steps or ()  # the scan runs no closedness by default
     components = []
     worst = EXIT_OK
     for cand in sf.fiber_holonomy_candidates(cfg.seifert):
         problem = sf.variety_problem(cfg.seifert, cand)
-        sub = RunConfig(group=cfg.group, problem=problem,
-                        seed=cfg.seed + cand.index, tolerances=cfg.tolerances,
-                        certify={"closedness_steps":
-                                 cfg.certify.get("closedness_steps", [])})
-        rng = np.random.default_rng(sub.seed)
-        entry = {"zeta": [cand.zeta.real, cand.zeta.imag],
-                 "target_power": cand.target_power}
+        rng = np.random.default_rng(cfg.seed + cand.index)
+        entry = cand.to_json()
         try:
             point = problem.solve(rng, tol_flat=cfg.tolerances["tol_flat"])
         except (NoConvergenceError, OutsideDomainError) as e:
@@ -400,7 +412,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
         entry["solve"] = {"converged": True,
                           "residual": point.residual_norm,
                           "irreducible": point.irreducible}
-        checks = certification_checks(point, sub)
+        checks = certification_checks(point, problem.classes, cfg.tolerances, steps)
         entry["certify"] = {"checks": checks,
                             "passed": all(c["pass"] for c in checks)}
         if not entry["certify"]["passed"]:
@@ -457,7 +469,7 @@ def main(argv=None) -> int:
             return cmd_volume(cfg, args.out, args.format, args.quiet)
         if args.command == "seifert-scan":
             return cmd_seifert_scan(cfg, args.out, args.quiet)
-    except (ConfigError, DimensionMismatchError) as e:
+    except DimensionMismatchError as e:
         error_record("config", str(e))
         return EXIT_CONFIG
     except (NoConvergenceError, OutsideDomainError, InsufficientSamplesError) as e:

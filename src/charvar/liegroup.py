@@ -173,14 +173,6 @@ def algebra_defect(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     return d
 
 
-def is_group_element(spec: GroupSpec, g: np.ndarray, tol: float = TOL_GROUP) -> bool:
-    return bool(np.all(group_defect(spec, g) <= tol))
-
-
-def is_algebra_element(spec: GroupSpec, X: np.ndarray, tol: float = TOL_ALG) -> bool:
-    return bool(np.all(algebra_defect(spec, X) <= tol))
-
-
 def project_to_algebra(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Nearest algebra element: remove trace, and the Hermitian part for SU."""
     r = spec.rank

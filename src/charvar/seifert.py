@@ -49,8 +49,8 @@ class SeifertData:
         return {"g": self.genus, "n": self.euler_number, "r": self.rank}
 
     @classmethod
-    def from_json(cls, data: dict, family: str = "SU") -> "SeifertData":
-        return cls(int(data["g"]), int(data["n"]), int(data["r"]), family)
+    def from_json(cls, data: dict) -> "SeifertData":
+        return cls(int(data["g"]), int(data["n"]), int(data["r"]))
 
 
 @dataclass(frozen=True)
@@ -111,34 +111,34 @@ def _resolve(d: SeifertData, zeta) -> FiberHolonomy:
     raise ValueError(f"{zeta} is not an order-{d.rank} root of unity")
 
 
-def fiber_target_scalar(d: SeifertData, p: RepresentationPoint,
-                        scalar_tol: float = 1e-6) -> complex | None:
+def fiber_target_scalar(d: SeifertData, p: RepresentationPoint) -> complex | None:
     """The scalar lambda with relator value ~ lambda*I at the point.
 
-    None when the relator value is not scalar to ``scalar_tol`` (the point
-    is off every component).
+    None when the relator value is not scalar to 1e-6 (the point is off
+    every component).
     """
     P = evaluate_relator(p.tuple)
     r = d.rank
     lam = complex(np.trace(P) / r)
-    if np.abs(P - lam * np.eye(r)).max() > scalar_tol:
+    if np.abs(P - lam * np.eye(r)).max() > 1e-6:
         return None
     return lam
 
 
 def rigidity_check(d: SeifertData, zeta: complex | FiberHolonomy,
-                   path: list[RepresentationPoint],
-                   tol: float = lg.TOL_GROUP * 100) -> bool:
+                   path: list[RepresentationPoint]) -> bool:
     """True iff the fiber holonomy target stays at zeta^n along the path.
 
     The finite-order central holonomy cannot deform, so a genuine
     random-walk of re-solves on one component keeps the target constant;
-    a path that mixes components fails the check.
+    a path that mixes components fails the check.  A point passes when its
+    scalar is within ``max(100 TOL_GROUP, 10 residual)`` of zeta^n.
     """
     cand = _resolve(d, zeta)
     expected = complex(np.trace(cand.target) / d.rank)
     for p in path:
         lam = fiber_target_scalar(d, p)
-        if lam is None or abs(lam - expected) > max(tol, 10 * p.residual_norm):
+        if lam is None or abs(lam - expected) > max(100 * lg.TOL_GROUP,
+                                                     10 * p.residual_norm):
             return False
     return True

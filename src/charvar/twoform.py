@@ -16,9 +16,11 @@ centralizer of c_k whose conjugation moves c_k with velocity H_k.
 Boundary components must lie in image(1 - Ad c_k).  The boundary term is
 the conjugacy-class two-form of Alekseev-Malkin-Meinrenken (Lie group
 valued moment maps), skew because Ad c_k is orthogonal for the pairing.
-The 1/2 prefactor is part of the convention here: the closed-surface form
-equals the boundary form at m = 0 identically.  Writings of the
-closed-surface sum without the 1/2 are twice this one.
+The family fixes the pairing ``<., .>``: ``-tr`` on SU(r), ``tr`` on
+SL(r, C) (``GroupSpec.default_pairing``).  The 1/2 prefactor is part of
+the convention here: the closed-surface form equals the boundary form at
+m = 0 identically.  Writings of the closed-surface sum without the 1/2
+are twice this one.
 """
 
 from __future__ import annotations
@@ -91,19 +93,16 @@ def _pair_letters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
-                   U: np.ndarray, V: np.ndarray,
-                   convention: str | None = None) -> np.ndarray:
+                   U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Gram array of the transported double sum over two coordinate stacks.
 
     T: the letter operators (..., N, dim, dim) of the tuples;
     U: (..., n*dim, k), V: (..., n*dim, l) -> (..., k, l).
     """
-    if convention is None:
-        convention = spec.default_pairing
     slots = [s for s, _ in pres.word_letters(g, m)]
     tu = _transported(T, slots, U)  # (..., N, d, k)
     tv = _transported(T, slots, V)  # (..., N, d, l)
-    Gp = lg._pairing_gram(spec, convention)
+    Gp = lg._pairing_gram(spec, spec.default_pairing)
     if not np.allclose(Gp, np.eye(spec.dim)):
         tu = Gp @ tu
     # inclusive prefix sums over the letters: the i = j terms cancel
@@ -112,19 +111,16 @@ def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
 
 
 def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                    U: np.ndarray, V: np.ndarray, slots: list,
-                    convention: str | None = None) -> np.ndarray:
+                    U: np.ndarray, V: np.ndarray, slots: list) -> np.ndarray:
     """Form matrices (..., k, l) over coordinate stacks U (..., n*dim, k) and
     V (..., n*dim, l) at (a batch of) tuples with boundary ``slots``.
     Boundary components must be class-tangent (:class:`NotClassTangentError`
     otherwise); each enters the boundary term through its minimal conjugator.
     """
-    if convention is None:
-        convention = spec.default_pairing
     d = spec.dim
     T, _ = pres.letter_transport(spec, mats, g, m)
-    G = first_sum_gram(spec, T, g, m, U, V, convention)
-    Gp = lg._pairing_gram(spec, convention)
+    G = first_sum_gram(spec, T, g, m, U, V)
+    Gp = lg._pairing_gram(spec, spec.default_pairing)
     for k, slot in enumerate(slots):
         rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
         Yu = slot.conjugator(U[..., rows, :])
@@ -136,8 +132,7 @@ def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     return G
 
 
-def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray,
-                     convention: str | None = None) -> np.ndarray:
+def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Matrix of the form over two coordinate stacks at a shared point.
 
     U: (n*dim, k), V: (n*dim, l) columns in the slot-major algebra basis
@@ -149,55 +144,50 @@ def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray,
         raise DimensionMismatchError("tangent slot count mismatch")
     g, m = t.genus, t.boundary_count
     return form_gram_stack(t.spec, t.mats, g, m, U, V,
-                           boundary_slots(t.spec, t.mats, g, m), convention)
+                           boundary_slots(t.spec, t.mats, g, m))
 
 
-def form_gram(p: RepresentationPoint, us: list, vs: list,
-              convention: str | None = None) -> np.ndarray:
+def form_gram(p: RepresentationPoint, us: list, vs: list) -> np.ndarray:
     """Matrix of the form over two lists of tangent vectors (shared point)."""
     n = p.tuple.n_generators * p.spec.dim
 
     def stack(vecs):
         return np.stack([v.coords() for v in vecs], axis=1) if vecs else np.zeros((n, 0))
 
-    return form_gram_coords(p, stack(us), stack(vs), convention)
+    return form_gram_coords(p, stack(us), stack(vs))
 
 
-def theta_with_classes(p: RepresentationPoint, u: TangentVector, v: TangentVector,
-                       convention: str | None = None):
+def theta_with_classes(p: RepresentationPoint, u: TangentVector, v: TangentVector):
     """The two-form with boundary classes; reduces to the closed form at m = 0.
 
     Boundary components of both arguments must be class-tangent (in
     image(1 - Ad c_k)).
     """
-    val = form_gram(p, [u], [v], convention)[0, 0]
+    val = form_gram(p, [u], [v])[0, 0]
     if p.spec.family == "SU":
         return float(val)
     return complex(val)
 
 
-def theta_closed(p: RepresentationPoint, u: TangentVector, v: TangentVector,
-                 convention: str | None = None):
+def theta_closed(p: RepresentationPoint, u: TangentVector, v: TangentVector):
     """The two-form on a closed surface (m = 0)."""
     if p.tuple.boundary_count != 0:
         raise DimensionMismatchError("theta_closed requires m = 0")
-    return theta_with_classes(p, u, v, convention)
+    return theta_with_classes(p, u, v)
 
 
 def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                       basis: CohomologyBasis | None = None,
-                       convention: str | None = None) -> FormMatrix:
+                       basis: CohomologyBasis | None = None) -> FormMatrix:
     """The form matrix over the orthonormal h1 basis."""
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram_coords(p, basis.h_coords, basis.h_coords, convention)
+    G = form_gram_coords(p, basis.h_coords, basis.h_coords)
     labels = [f"h1[{i}]" for i in range(G.shape[0])]
     return FormMatrix(labels, G)
 
 
 def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                   basis: CohomologyBasis | None = None,
-                   convention: str | None = None) -> list:
+                   basis: CohomologyBasis | None = None) -> list:
     """Null space of the form restricted to the cocycles.
 
     At irreducible compact-group points this coincides with the
@@ -207,7 +197,7 @@ def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
     """
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram_coords(p, basis.z_coords, basis.z_coords, convention)
+    G = form_gram_coords(p, basis.z_coords, basis.z_coords)
     if G.shape[0] == 0:
         return []
     _, s, Vh = np.linalg.svd(G)
@@ -223,14 +213,14 @@ def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
 # closedness in a chart
 # ---------------------------------------------------------------------------
 
-def _phi_series(A: np.ndarray, terms: int = 16) -> np.ndarray:
+def _phi_series(A: np.ndarray) -> np.ndarray:
     """phi(A) = (exp(A) - 1) A^-1 = sum A^k / (k+1)!, safe at singular A.
 
     Batched over leading axes of A.
     """
     out = np.eye(A.shape[-1], dtype=A.dtype)
     term = out
-    for k in range(1, terms):
+    for k in range(1, 16):
         term = term @ (A / (k + 1.0))
         out = out + term
     return out
@@ -250,6 +240,9 @@ def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
     return ell.reshape(ell.shape[:-2] + (ell.shape[-2] * spec.dim,)), lam
 
 
+_CHART_TOL = 1e-13  # Newton stop on the chart system's residual norm
+
+
 class _Chart:
     """Implicit chart of the variety around a solved point.
 
@@ -262,7 +255,7 @@ class _Chart:
     """
 
     def __init__(self, p: RepresentationPoint, classes: ConjugacyClassSpec,
-                 basis: CohomologyBasis | None = None, tol: float = 1e-13):
+                 basis: CohomologyBasis | None = None):
         if p.spec.family != "SU":
             raise DimensionMismatchError(
                 "closedness charts use real coordinates (SU family only)")
@@ -270,7 +263,6 @@ class _Chart:
         self.classes = classes
         self.spec = p.spec
         self.basis = basis if basis is not None else cohomology_at(p, classes)
-        self.tol = tol
         self.g = p.tuple.genus
         self.m = p.tuple.boundary_count
         self.H = self.basis.h_coords
@@ -302,7 +294,7 @@ class _Chart:
             R, ell, Ja, slots = self._system(qmats[act])
             F = np.concatenate([R, (self.HB @ ell[..., None])[..., 0]], axis=-1)
             F[:, d:d + t.shape[1]] -= t[act]
-            done = np.linalg.norm(F, axis=-1) < self.tol
+            done = np.linalg.norm(F, axis=-1) < _CHART_TOL
             J[act[done]] = Ja[done]
             go = ~done
             act, Ja, F = act[go], Ja[go], F[go]
@@ -314,7 +306,7 @@ class _Chart:
         raise NoConvergenceError(60, float(np.linalg.norm(F, axis=-1).max()),
                                  "chart re-solve did not converge")
 
-    def omega_at(self, t: np.ndarray, convention: str | None = None) -> np.ndarray:
+    def omega_at(self, t: np.ndarray) -> np.ndarray:
         """Chart coefficients (b, dh, dh) of the form at coordinates t (b, dh)."""
         qmats, J = self.solve(t)
         d, g, m = self.spec.dim, self.g, self.m
@@ -322,41 +314,29 @@ class _Chart:
         S = embed_moves(d, g, [sl.velocities for sl in slots])
         # slot-velocity coordinates of the frame dq/dt
         frame = S @ np.linalg.solve(J, np.eye(J.shape[-1], t.shape[-1], -d))
-        return form_gram_stack(self.spec, qmats, g, m, frame, frame, slots, convention)
+        return form_gram_stack(self.spec, qmats, g, m, frame, frame, slots)
 
 
-def _closedness_values(chart: _Chart, steps, convention) -> list[float]:
-    """Max |dOmega| coefficient per step, from one chart solve over the
-    stencil +-h e_i of every step h and h1 direction e_i."""
+def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,
+                     basis: CohomologyBasis | None = None) -> list[float]:
+    """Max |dOmega| coefficient of the chart-pulled-back form, per step.
+
+    Central second-order differences of the chart coefficients, from one
+    chart solve over the stencil +-h e_i of every step h and h1 direction
+    e_i; each value decays as O(h^2) when the form is closed.
+    """
+    chart = _Chart(p, classes, basis)
     h = np.asarray(steps, dtype=float)
     dh = chart.H.shape[1]
     e = h[:, None, None] * np.eye(dh)  # (steps, i, dh): row i is h e_i
     t = np.stack([e, -e], axis=2)
-    omega = chart.omega_at(t.reshape(-1, dh), convention).reshape(t.shape + (dh,))
+    omega = chart.omega_at(t.reshape(-1, dh)).reshape(t.shape + (dh,))
     grad = (omega[:, :, 0] - omega[:, :, 1]) / (2.0 * h)[:, None, None, None]
     # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
     d_omega = grad - grad.transpose(0, 2, 1, 3) + grad.transpose(0, 2, 3, 1)
     i, j, k = np.indices(grad.shape[1:])
     return [float(v) for v in
             np.abs(d_omega[:, (i < j) & (j < k)]).max(axis=-1, initial=0.0)]
-
-
-def check_closedness(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                     step: float = 1e-3, basis: CohomologyBasis | None = None,
-                     convention: str | None = None) -> float:
-    """Max |dOmega| coefficient of the chart-pulled-back form.
-
-    Central second-order differences of the chart coefficients; the
-    result decays as O(step^2) when the form is closed.
-    """
-    return _closedness_values(_Chart(p, classes, basis), (step,), convention)[0]
-
-
-def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                     steps=(1e-3, 5e-4, 2.5e-4),
-                     convention: str | None = None) -> list[float]:
-    """check_closedness over a halving schedule, all steps in one chart solve."""
-    return _closedness_values(_Chart(p, classes), steps, convention)
 
 
 def observed_order(steps, values) -> float:

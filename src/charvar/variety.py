@@ -47,6 +47,7 @@ GAP_TOL = 1e-6
 CLASS_TANGENT_TOL = 1e-8
 
 _ZERO_FLOOR = 1e-11
+_COMMUTANT_TOL = 1e-8  # relative to the largest commutator singular value
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,7 @@ class CohomologyBasis:
 # rank splitting
 # ---------------------------------------------------------------------------
 
-def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL,
-               zero_floor: float = _ZERO_FLOOR):
+def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL):
     """Numerical rank from the largest relative singular-value gap.
 
     ``svals`` (..., k) is descending along its last axis.  Returns
@@ -207,7 +207,7 @@ def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL,
         idx = np.argmin(ratios, axis=-1)
         r = ratios.min(axis=-1)  # the ratio at idx, NaN included
         quality = np.where(r > 0, 1.0 / r, np.inf)
-    zero = s[..., 0] <= zero_floor
+    zero = s[..., 0] <= _ZERO_FLOOR
     rank, quality = np.where(zero, 0, idx + 1), np.where(zero, np.inf, quality)
     clean = zero | (quality >= 1.0 / gap_tol)
     if s.ndim == 1:
@@ -391,8 +391,7 @@ def flat_residual(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
 
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                   classes: ConjugacyClassSpec, *, tol: float = 1e-12,
-                  max_iter: int = 200, damping: float = 1.0,
-                  rng: np.random.Generator | None = None):
+                  max_iter: int = 200, rng: np.random.Generator | None = None):
     """Damped Gauss-Newton flattening of a batch of tuples.
 
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
@@ -428,7 +427,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         slots = boundary_slots(spec, x, g, m, classes)
         if slots:
             J = J @ embed_moves(spec.dim, g, [sl.velocities for sl in slots])
-        lam = damping * np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
+        lam = np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
         y = np.linalg.solve(A, R[act][..., None])
@@ -459,7 +458,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
 
 def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
                        *, tol_flat: float = TOL_FLAT, solve_tol: float = 1e-12,
-                       max_iter: int = 200, damping: float = 1.0,
+                       max_iter: int = 200,
                        rng: np.random.Generator | None = None) -> RepresentationPoint:
     """Project a tuple onto the variety (relator = target, classes exact).
 
@@ -478,7 +477,7 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
                                            classes.representatives[k])
     out, rnorm, iters, conv = project_batch(
         spec, mats, g, m, classes, tol=min(solve_tol, tol_flat),
-        max_iter=max_iter, damping=damping, rng=rng)
+        max_iter=max_iter, rng=rng)
     if not bool(conv):
         raise NoConvergenceError(int(iters), float(rnorm))
     t = initial.replace_mats(out)
@@ -489,19 +488,19 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
 # irreducibility
 # ---------------------------------------------------------------------------
 
-def commutant_dimension(spec: GroupSpec, mats: np.ndarray, tol: float = 1e-8) -> int:
+def commutant_dimension(spec: GroupSpec, mats: np.ndarray) -> int:
     """Dimension of {M : M rho(s) = rho(s) M for all generators}."""
     eye = np.eye(spec.rank)
     op = np.concatenate([np.kron(eye, g) - np.kron(g.T, eye) for g in mats])
     svals = np.linalg.svd(op, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
-    return int(np.sum(svals <= tol * scale))
+    return int(np.sum(svals <= _COMMUTANT_TOL * scale))
 
 
-def is_irreducible(point, tol: float = 1e-8) -> bool:
+def is_irreducible(point) -> bool:
     """True iff the joint commutant is the scalars (null dimension 1)."""
     t = point.tuple if isinstance(point, RepresentationPoint) else point
-    return commutant_dimension(t.spec, t.mats, tol) == 1
+    return commutant_dimension(t.spec, t.mats) == 1
 
 
 # ---------------------------------------------------------------------------

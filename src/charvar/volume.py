@@ -47,6 +47,9 @@ from .variety import (
 
 MIN_LANDINGS = 30
 LANDING_CHUNK = 1024  # landings per density call: bounds the peak memory
+SAMPLE_BATCH = 2048  # Haar samples projected per project_batch call
+LANDING_TOL = 1e-11  # Gauss-Newton residual at which a sample has landed
+LANDING_MAX_ITER = 120
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,7 @@ class SampleRecords:
         return self.converged.shape[0]
 
 
-def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
-                  *, tol: float = 1e-11, max_iter: int = 120,
-                  batch: int = 2048) -> SampleRecords:
+def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleRecords:
     """Haar-sample, project, and record density data for every sample."""
     spec = problem.spec
     if spec.family != "SU":
@@ -173,15 +174,15 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     z0i = lg.group_inverse(spec, problem.classes.target)
     done = 0
     while done < n_samples:
-        nb = min(batch, n_samples - done)
+        nb = min(SAMPLE_BATCH, n_samples - done)
         init = np.stack([
             problem.random_initial(rng).mats for _ in range(nb)
         ]) if m > 0 else lg.haar_sample(spec, rng, size=(nb, 2 * g))
         R0, bad0 = _batch_residual(spec, init, g, m, z0i)
         r0 = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
         mats, rnorm, iters, ok = project_batch(
-            spec, init, g, m, problem.classes, tol=tol,
-            max_iter=max_iter, rng=rng)
+            spec, init, g, m, problem.classes, tol=LANDING_TOL,
+            max_iter=LANDING_MAX_ITER, rng=rng)
         sl = slice(done, done + nb)
         conv[sl] = ok
         res0[sl] = r0

@@ -71,9 +71,31 @@ def test_malformed_config_exit_1(tmp_path, capsys):
     assert "line" in err["detail"] and "column" in err["detail"]
 
 
-def test_bad_problem_type_exit_1(tmp_path):
-    cfg = write_config(tmp_path, problem={"type": "orbifold"})
-    assert cli.main(["solve", "--config", cfg]) == 1
+SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
+
+
+@pytest.mark.parametrize("bad", [
+    {"problem": {"type": "orbifold"}},
+    {"problem": {"type": "surface", "genus": 2, "boundary_count": 1}},
+    {"volume": {"n_samples": "many"}},
+    {"solver": {"max_iter": "x"}},
+    {"volume": {"residual_gate": "x"}},
+    {"problem": {**SEIFERT, "zeta_index": "a"}},
+    {"tolerances": [1]},
+    {"solver": [1]},
+    {"tolerances": {"tol_group": 1e-3}},
+], ids=["orbifold", "boundary-without-classes", "n-samples-string",
+        "max-iter-string", "gate-string", "zeta-index-string",
+        "tolerances-not-object", "solver-not-object", "unknown-tolerance"])
+@pytest.mark.parametrize("command", ["solve", "volume"])
+def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
+    """A malformed config is rejected when it is loaded, whichever command
+    reads it: exit 1 and one JSON config record on stderr."""
+    cfg = write_config(tmp_path, **bad)
+    assert cli.main([command, "--config", cfg]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
 
 
 def test_csv_rejected_outside_volume(tmp_path):
@@ -287,6 +309,36 @@ def test_seifert_scan_two_components(tmp_path):
         assert comp["solve"]["converged"]
         assert comp["solve"]["irreducible"]
         assert comp["certify"]["passed"]
+
+
+def test_seifert_scan_runs_no_closedness_by_default(tmp_path):
+    """Without a certify section the scan certifies every component but
+    runs no closedness sweep."""
+    cfg = write_config(tmp_path, problem=SEIFERT)
+    out = tmp_path / "scan.json"
+    assert cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    comps = json.loads(out.read_text())["components"]
+    names = {c["check"] for comp in comps for c in comp["certify"]["checks"]}
+    assert "descent" in names
+    assert not any(n.startswith("closedness") for n in names)
+
+
+def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkeypatch):
+    """The closedness chart reuses the split the battery already made."""
+    from charvar import variety
+
+    calls, split = [], variety.cohomology_split
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(variety, "cohomology_split", counted)
+    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
+                                      cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
+    assert "closedness_order" in {c["check"] for c in checks}
+    assert len(calls) == 1
 
 
 def test_seifert_scan_component_count_stable_across_seeds(tmp_path):

@@ -421,7 +421,7 @@ def test_closedness_halving_ratio(solved_points, closed_problem):
 
 
 def test_closedness_small_at_default_step(solved_points, closed_problem):
-    v = cv.check_closedness(solved_points[1], closed_problem.classes, 1e-3)
+    (v,) = cv.closedness_sweep(solved_points[1], closed_problem.classes, (1e-3,))
     assert v <= 1e-4
 
 
@@ -536,9 +536,9 @@ def test_closedness_check_detects_non_closed_form(solved_points, closed_problem,
     large and does not decay with the step, and both certify gates fail."""
     form = twoform.form_gram_stack
 
-    def scaled(spec, mats, g, m, U, V, slots, convention=None):
+    def scaled(spec, mats, g, m, U, V, slots):
         f = 1.0 + np.trace(mats[..., 0, :, :], axis1=-2, axis2=-1).real
-        return f[..., None, None] * form(spec, mats, g, m, U, V, slots, convention)
+        return f[..., None, None] * form(spec, mats, g, m, U, V, slots)
 
     monkeypatch.setattr(twoform, "form_gram_stack", scaled)
     steps = (1e-3, 5e-4, 2.5e-4)
