@@ -57,15 +57,10 @@ from .seifert import (
     variety_problem,
 )
 from .twoform import (
-    FormMatrix,
     closedness_sweep,
-    epsilon_sign,
-    form_gram,
     form_on_cohomology,
     kernel_of_form,
     observed_order,
-    theta_closed,
-    theta_with_classes,
 )
 from .variety import (
     CohomologyBasis,

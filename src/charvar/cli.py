@@ -41,27 +41,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFY = 3
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["checks", "passed"],
-    "properties": {
-        "passed": {"type": "boolean"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["check", "value", "tolerance", "pass"],
-                "properties": {
-                    "check": {"type": "string"},
-                    "value": {"type": "number"},
-                    "tolerance": {"type": "number"},
-                    "pass": {"type": "boolean"},
-                },
-            },
-        },
-    },
-}
-
 DEFAULT_TOLERANCES = {
     "tol_flat": 1e-9,
     "gap_tol": 1e-6,
@@ -90,6 +69,15 @@ def _positive(section: dict, key: str, default, kind: type, where: str):
         what = "integer" if kind is int else "number"
         raise ConfigError(f"{where}{key} must be a positive {what}")
     return kind(val)
+
+
+def _integer(section: dict, key: str, default, where: str) -> int:
+    """``section[key]`` (or ``default``) when it is a JSON integer: a float is
+    not truncated and true/false are not 0/1."""
+    val = section.get(key, default)
+    if type(val) is not int:
+        raise ConfigError(f"{where}{key} must be an integer")
+    return val
 
 
 @dataclass
@@ -127,15 +115,14 @@ class RunConfig:
         """Every key typed and checked here; a bad one raises :class:`ConfigError`."""
         _object(data, "the config root", ("group", "problem", "seed", "initial",
                                           "tolerances", "solver", "volume", "certify"))
+        group = _object(data.get("group"), "group", ("family", "rank"))
+        _integer(group, "rank", None, "group.")
         try:
-            group = GroupSpec.from_json(
-                _object(data.get("group"), "group", ("family", "rank")))
+            group = GroupSpec.from_json(group)
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad group spec: {e}") from e
         problem, seif = _problem(group, data.get("problem"))
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        seed = _integer(data, "seed", 0, "")
         given = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
         tol = {name: _positive(given, name, default, float, "tolerances.")
                for name, default in DEFAULT_TOLERANCES.items()}
@@ -170,18 +157,20 @@ def _problem(group: GroupSpec, prob) -> tuple:
         _object(prob, "problem", ("type", "genus", "boundary_count", "classes"))
         classes = _object(prob.get("classes", {}), "problem.classes",
                           ("representatives", "target"))
+        genus = _integer(prob, "genus", None, "problem.")
+        m = _integer(prob, "boundary_count", 0, "problem.")
         try:
-            pres_ = SurfacePresentation(int(prob["genus"]),
-                                        int(prob.get("boundary_count", 0)))
+            pres_ = SurfacePresentation(genus, m)
             return vy.VarietyProblem(
                 group, pres_, vy.ConjugacyClassSpec.from_json(group, classes)), None
         except (KeyError, ValueError, TypeError, DimensionMismatchError) as e:
             raise ConfigError(f"bad surface problem: {e}") from e
     if prob["type"] == "seifert":
         _object(prob, "problem", ("type", "genus", "euler", "zeta_index"))
+        genus = _integer(prob, "genus", None, "problem.")
+        euler = _integer(prob, "euler", None, "problem.")
         try:
-            seif = sf.SeifertData(int(prob["genus"]), int(prob["euler"]),
-                                  group.rank, group.family)
+            seif = sf.SeifertData(genus, euler, group.rank, group.family)
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad seifert problem: {e}") from e
         cands = sf.fiber_holonomy_candidates(seif)
@@ -291,20 +280,18 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
     # descent, both argument orders
     if nb and nz:
-        G1 = tf.form_gram_coords(point, basis.b_coords, basis.z_coords)
-        G2 = tf.form_gram_coords(point, basis.z_coords, basis.b_coords)
+        G1 = tf.form_gram_coords(point, classes, basis.b_coords, basis.z_coords)
+        G2 = tf.form_gram_coords(point, classes, basis.z_coords, basis.b_coords)
         descent = max(np.abs(G1).max(), np.abs(G2).max())
     else:
         descent = 0.0
     add("descent", descent, 1e-9)
-    fm = tf.form_on_cohomology(point, classes, basis)
-    add("form_skew", fm.skew_defect(), 1e-10)
-    svals = np.linalg.svd(fm.entries, compute_uv=False)
+    omega = tf.form_on_cohomology(point, classes, basis)
+    add("form_skew", np.abs(omega + omega.T).max(), 1e-10)
+    svals = np.linalg.svd(omega, compute_uv=False)
     smin = float(svals[-1]) if len(svals) else 0.0
     add("nondegenerate_sigma_min", -smin, -1e-8)
-    kern = tf.kernel_of_form(point, classes, basis)
-    K = np.stack([v.coords() for v in kern], axis=1) if kern else \
-        np.zeros((basis.z_coords.shape[0], 0))
+    K = tf.kernel_of_form(point, classes, basis)
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
     if steps and nh < 3:
         # no triple of chart directions: every dOmega coefficient is zero

@@ -25,15 +25,12 @@ are twice this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import liegroup as lg
 from . import presentation as pres
 from .errors import DimensionMismatchError, NoConvergenceError
 from .liegroup import GroupSpec
-from .presentation import TangentVector
 from .variety import (
     BoundarySlot,
     CohomologyBasis,
@@ -46,27 +43,6 @@ from .variety import (
     flat_residual,
     split_rank,
 )
-
-
-def epsilon_sign(i: int, j: int) -> int:
-    """+1 below the diagonal pair order (i < j), -1 above, 0 on it."""
-    return (i < j) - (j < i)
-
-
-@dataclass(frozen=True)
-class FormMatrix:
-    """The form in a chosen basis: entries[i, j] = form(e_i, e_j)."""
-
-    basis_labels: list
-    entries: np.ndarray = field(repr=False)
-
-    def skew_defect(self) -> float:
-        return float(np.abs(self.entries + self.entries.T).max())
-
-    def to_json(self) -> dict:
-        ent = self.entries
-        omega = lg.matrix_to_json(ent) if np.iscomplexobj(ent) else ent.tolist()
-        return {"basis": list(self.basis_labels), "omega": omega}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +108,8 @@ def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     return G
 
 
-def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def form_gram_coords(p: RepresentationPoint, classes: ConjugacyClassSpec,
+                     U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Matrix of the form over two coordinate stacks at a shared point.
 
     U: (n*dim, k), V: (n*dim, l) columns in the slot-major algebra basis
@@ -144,51 +121,21 @@ def form_gram_coords(p: RepresentationPoint, U: np.ndarray, V: np.ndarray) -> np
         raise DimensionMismatchError("tangent slot count mismatch")
     g, m = t.genus, t.boundary_count
     return form_gram_stack(t.spec, t.mats, g, m, U, V,
-                           boundary_slots(t.spec, t.mats, g, m))
-
-
-def form_gram(p: RepresentationPoint, us: list, vs: list) -> np.ndarray:
-    """Matrix of the form over two lists of tangent vectors (shared point)."""
-    n = p.tuple.n_generators * p.spec.dim
-
-    def stack(vecs):
-        return np.stack([v.coords() for v in vecs], axis=1) if vecs else np.zeros((n, 0))
-
-    return form_gram_coords(p, stack(us), stack(vs))
-
-
-def theta_with_classes(p: RepresentationPoint, u: TangentVector, v: TangentVector):
-    """The two-form with boundary classes; reduces to the closed form at m = 0.
-
-    Boundary components of both arguments must be class-tangent (in
-    image(1 - Ad c_k)).
-    """
-    val = form_gram(p, [u], [v])[0, 0]
-    if p.spec.family == "SU":
-        return float(val)
-    return complex(val)
-
-
-def theta_closed(p: RepresentationPoint, u: TangentVector, v: TangentVector):
-    """The two-form on a closed surface (m = 0)."""
-    if p.tuple.boundary_count != 0:
-        raise DimensionMismatchError("theta_closed requires m = 0")
-    return theta_with_classes(p, u, v)
+                           boundary_slots(t.spec, t.mats, g, m, classes))
 
 
 def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                       basis: CohomologyBasis | None = None) -> FormMatrix:
-    """The form matrix over the orthonormal h1 basis."""
+                       basis: CohomologyBasis | None = None) -> np.ndarray:
+    """The form matrix (dh, dh) over the orthonormal h1 basis."""
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram_coords(p, basis.h_coords, basis.h_coords)
-    labels = [f"h1[{i}]" for i in range(G.shape[0])]
-    return FormMatrix(labels, G)
+    return form_gram_coords(p, classes, basis.h_coords, basis.h_coords)
 
 
 def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                   basis: CohomologyBasis | None = None) -> list:
-    """Null space of the form restricted to the cocycles.
+                   basis: CohomologyBasis | None = None) -> np.ndarray:
+    """Orthonormal columns (n*dim, k) spanning the null space of the form
+    restricted to the cocycles.
 
     At irreducible compact-group points this coincides with the
     coboundary directions; the kernel dimension is read off the
@@ -197,16 +144,12 @@ def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
     """
     if basis is None:
         basis = cohomology_at(p, classes)
-    G = form_gram_coords(p, basis.z_coords, basis.z_coords)
+    G = form_gram_coords(p, classes, basis.z_coords, basis.z_coords)
     if G.shape[0] == 0:
-        return []
+        return basis.z_coords
     _, s, Vh = np.linalg.svd(G)
     rank, _, _ = split_rank(s)
-    null = Vh[rank:].conj().T
-    full = basis.z_coords @ null
-    n = p.tuple.n_generators
-    return [TangentVector.from_coords(p.spec, n, full[:, j])
-            for j in range(full.shape[1])]
+    return basis.z_coords @ Vh[rank:].conj().T
 
 
 # ---------------------------------------------------------------------------

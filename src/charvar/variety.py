@@ -40,7 +40,7 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .liegroup import GroupSpec
-from .presentation import GeneratorTuple, SurfacePresentation, TangentVector
+from .presentation import GeneratorTuple, SurfacePresentation
 
 TOL_FLAT = 1e-9
 GAP_TOL = 1e-6
@@ -62,6 +62,8 @@ class ConjugacyClassSpec:
     spec: GroupSpec
     representatives: tuple = ()
     target: np.ndarray | None = None
+    # class rank w_k of each boundary slot, read once at the representative
+    ranks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.spec.rank
@@ -80,6 +82,8 @@ class ConjugacyClassSpec:
         for m in reps:
             if m.shape != (r, r):
                 raise DimensionMismatchError("class representative has wrong shape")
+        object.__setattr__(self, "ranks", tuple(
+            BoundarySlot.at(self.spec, m).s.shape[-1] for m in reps))
 
     @property
     def boundary_count(self) -> int:
@@ -93,7 +97,7 @@ class ConjugacyClassSpec:
         same subspace at a conjugate of the representative is the ``U``
         of :meth:`BoundarySlot.at` there.
         """
-        return BoundarySlot.at(self.spec, self.representatives[k]).U
+        return BoundarySlot.at(self.spec, self.representatives[k], self.ranks[k]).U
 
     def to_json(self) -> dict:
         return {
@@ -144,8 +148,8 @@ class CohomologyBasis:
     ``h_coords`` the orthocomplement of b1 inside z1, all in the
     slot-major algebra basis.  ``normal_rows`` span the row space of the
     class-constrained relator differential (the normal directions of the
-    variety); ``z1``, ``b1`` and ``h1`` build tangent-vector lists on read.
-    The arrays carry batch axes when :func:`cohomology_split` ran on a batch.
+    variety).  The arrays carry batch axes when :func:`cohomology_split`
+    ran on a batch.
     """
 
     spec: GroupSpec
@@ -156,33 +160,9 @@ class CohomologyBasis:
     dpi_singular_values: np.ndarray = field(repr=False)
     gap_quality: float = float("inf")
 
-    def _vectors(self, M: np.ndarray) -> list:
-        n = M.shape[0] // self.spec.dim
-        return [TangentVector.from_coords(self.spec, n, M[:, j])
-                for j in range(M.shape[1])]
-
-    @property
-    def z1(self) -> list:
-        return self._vectors(self.z_coords)
-
-    @property
-    def b1(self) -> list:
-        return self._vectors(self.b_coords)
-
-    @property
-    def h1(self) -> list:
-        return self._vectors(self.h_coords)
-
     def dims(self) -> tuple[int, int, int]:
         return (self.z_coords.shape[-1], self.b_coords.shape[-1],
                 self.h_coords.shape[-1])
-
-    def to_json(self) -> dict:
-        return {
-            "Z1": [v.to_json() for v in self.z1],
-            "B1": [v.to_json() for v in self.b1],
-            "H1": [v.to_json() for v in self.h1],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +288,11 @@ class BoundarySlot:
 
 
 def boundary_slots(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                   classes: ConjugacyClassSpec | None = None) -> list:
-    """One :class:`BoundarySlot` per boundary generator of (a batch of) tuples.
-
-    Ranks come from the class representatives when class data is given,
-    otherwise from the singular-value gap at the (unbatched) tuple.
-    """
-    return [BoundarySlot.at(
-        spec, mats[..., 2 * g + k, :, :],
-        None if classes is None else classes.tangent_basis(k).shape[1])
-        for k in range(m)]
+                   classes: ConjugacyClassSpec) -> list:
+    """One :class:`BoundarySlot` per boundary generator of (a batch of)
+    tuples, each cut at its class rank."""
+    return [BoundarySlot.at(spec, mats[..., 2 * g + k, :, :], classes.ranks[k])
+            for k in range(m)]
 
 
 def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:

@@ -32,7 +32,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lg
-from .errors import InsufficientSamplesError, OddDimensionError
+from .errors import (
+    DimensionMismatchError,
+    InsufficientSamplesError,
+    OddDimensionError,
+)
 from .twoform import form_gram_stack, form_on_cohomology
 from .variety import (
     CohomologyBasis,
@@ -73,7 +77,7 @@ def liouville_density(p: RepresentationPoint, classes: ConjugacyClassSpec,
     Requires an even h1 dimension; basis-rotation invariant because the
     determinant of a skew matrix is unchanged under orthogonal rotation.
     """
-    return pfaffian_abs(form_on_cohomology(p, classes, basis).entries)
+    return pfaffian_abs(form_on_cohomology(p, classes, basis))
 
 
 def pfaffian_abs(omega: np.ndarray):
@@ -161,7 +165,8 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleR
     """Haar-sample, project, and record density data for every sample."""
     spec = problem.spec
     if spec.family != "SU":
-        raise ValueError("volume estimation is defined for the SU family only")
+        raise DimensionMismatchError(
+            "volume estimation is defined for the SU family only")
     g = problem.presentation.genus
     m = problem.presentation.boundary_count
     rng = np.random.default_rng(seed)

@@ -14,8 +14,9 @@ import pytest
 import charvar as cv
 from charvar import cli
 from charvar import liegroup as lg
+from charvar.twoform import form_gram_coords
 
-from test_twoform import brute_force_theta
+from test_twoform import brute_force_theta, closed_theta, theta
 
 
 def report(num, desc, passed):
@@ -57,8 +58,8 @@ def test_criterion_2_descent(criterion_points, closed_problem):
     worst = 0.0
     for p in criterion_points:
         basis = cv.cohomology_at(p, closed_problem.classes)
-        G1 = cv.form_gram(p, basis.b1, basis.z1)
-        G2 = cv.form_gram(p, basis.z1, basis.b1)
+        G1 = form_gram_coords(p, closed_problem.classes, basis.b_coords, basis.z_coords)
+        G2 = form_gram_coords(p, closed_problem.classes, basis.z_coords, basis.b_coords)
         worst = max(worst, np.abs(G1).max(), np.abs(G2).max())
     report(2, f"descent max |form(b, z)| = {worst:.2e} <= 1e-9",
            worst <= 1e-9)
@@ -90,13 +91,12 @@ def test_criterion_4_nondegeneracy(criterion_points, closed_problem,
     def component_ok(points, classes):
         for p in points:
             basis = cv.cohomology_at(p, classes)
-            fm = cv.form_on_cohomology(p, classes, basis)
-            if np.linalg.svd(fm.entries, compute_uv=False)[-1] <= 0:
+            omega = cv.form_on_cohomology(p, classes, basis)
+            if np.linalg.svd(omega, compute_uv=False)[-1] <= 0:
                 return False
-            kern = cv.kernel_of_form(p, classes, basis)
-            if len(kern) != len(basis.b1):
+            K = cv.kernel_of_form(p, classes, basis)
+            if K.shape[1] != basis.b_coords.shape[1]:
                 return False
-            K = np.stack([v.coords() for v in kern], axis=1)
             cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
             if np.arccos(np.clip(cosines, -1, 1)).max() > 1e-7:
                 return False
@@ -125,7 +125,7 @@ def test_criterion_5_rigidity():
     report(5, "rigidity: 10/10 walks (5 per component), 20 steps each", ok)
 
 
-def test_criterion_6_formula_fidelity(criterion_points, su2):
+def test_criterion_6_formula_fidelity(criterion_points, closed_problem, su2):
     """Boundary form at m=0 equals the closed form to 1e-13 on 1000 random
     triples; the sign convention and letter order match a brute-force
     double-sum oracle on genus-1 tuples."""
@@ -135,8 +135,8 @@ def test_criterion_6_formula_fidelity(criterion_points, su2):
         p = criterion_points[i % len(criterion_points)]
         u = cv.random_tangent(p.tuple, rng)
         v = cv.random_tangent(p.tuple, rng)
-        worst_eq = max(worst_eq, abs(cv.theta_closed(p, u, v)
-                                     - cv.theta_with_classes(p, u, v)))
+        worst_eq = max(worst_eq, abs(closed_theta(p, u, v)
+                                     - theta(p, closed_problem.classes, u, v)))
     worst_oracle = 0.0
     for _ in range(50):
         t = cv.GeneratorTuple(su2, 1, 0, lg.haar_sample(su2, rng, size=2))
@@ -144,7 +144,7 @@ def test_criterion_6_formula_fidelity(criterion_points, su2):
         u = cv.random_tangent(t, rng)
         v = cv.random_tangent(t, rng)
         worst_oracle = max(worst_oracle,
-                           abs(cv.theta_closed(p, u, v)
+                           abs(theta(p, cv.ConjugacyClassSpec(su2), u, v)
                                - brute_force_theta(t, u.comps, v.comps)))
     ok = worst_eq < 1e-13 and worst_oracle < 1e-13
     report(6, f"formula fidelity: m=0 equality {worst_eq:.1e}, "

@@ -84,9 +84,17 @@ SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
     {"tolerances": [1]},
     {"solver": [1]},
     {"tolerances": {"tol_group": 1e-3}},
+    {"group": {"family": "SU", "rank": 2.9}},
+    {"problem": {"type": "surface", "genus": 2.7}},
+    {"problem": {"type": "surface", "genus": 2, "boundary_count": 0.5}},
+    {"problem": {**SEIFERT, "euler": 1.5}},
+    {"seed": True},
+    {"seed": 11.0},
 ], ids=["orbifold", "boundary-without-classes", "n-samples-string",
         "max-iter-string", "gate-string", "zeta-index-string",
-        "tolerances-not-object", "solver-not-object", "unknown-tolerance"])
+        "tolerances-not-object", "solver-not-object", "unknown-tolerance",
+        "rank-float", "genus-float", "boundary-count-float", "euler-float",
+        "seed-bool", "seed-float"])
 @pytest.mark.parametrize("command", ["solve", "volume"])
 def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
     """A malformed config is rejected when it is loaded, whichever command
@@ -216,6 +224,26 @@ def test_certify_slc_is_a_structured_config_error(tmp_path):
     assert err["error"] == "config"
     assert "SU family only" in err["detail"]
     assert not (tmp_path / "report.json").exists()
+
+
+def test_volume_slc_is_a_structured_config_error(tmp_path):
+    """Volume estimation is defined on the SU family only: on an SL(2, C)
+    config it ends in the JSON error record with the config exit code."""
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, group={"family": "SLC", "rank": 2},
+                       volume={"n_samples": 100})
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar.cli", "volume", "--config", cfg,
+         "--out", str(tmp_path / "volume.json"), "--quiet"],
+        capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "SU family only" in err["detail"]
+    assert not (tmp_path / "volume.json").exists()
 
 
 def test_certify_determinism(tmp_path):

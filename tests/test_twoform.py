@@ -7,11 +7,29 @@ import pytest
 import charvar as cv
 from charvar import liegroup as lg
 from charvar import twoform
-from charvar.errors import DimensionMismatchError, NotClassTangentError
+from charvar.errors import NotClassTangentError
 from charvar.presentation import GeneratorTuple, letter_transport
-from charvar.twoform import epsilon_sign, first_sum_gram, form_gram_coords, observed_order
+from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
 from charvar.variety import boundary_slots, embed_moves
 from test_liegroup import assert_slices_agree
+
+
+def epsilon_sign(i, j):
+    """+1 below the diagonal pair order (i < j), -1 above, 0 on it."""
+    return (i < j) - (j < i)
+
+
+def theta(p, classes, u, v):
+    """The form on one pair of tangent vectors."""
+    return form_gram_coords(p, classes, u.coords()[:, None], v.coords()[:, None])[0, 0]
+
+
+def closed_theta(p, u, v):
+    """The closed-surface double sum alone, with no boundary term."""
+    t = p.tuple
+    T, _ = letter_transport(p.spec, t.mats, t.genus, 0)
+    return first_sum_gram(p.spec, T, t.genus, 0, u.coords()[:, None],
+                          v.coords()[:, None])[0, 0]
 
 
 def brute_force_theta(tup, Ku, Kv, magnitude=False):
@@ -104,13 +122,13 @@ def test_epsilon_convention():
     assert epsilon_sign(3, 3) == 0
 
 
-def test_theta_zero_cases(solved_points, su2):
+def test_theta_zero_cases(solved_points, closed_problem, su2):
     rng = np.random.default_rng(0)
-    p = solved_points[0]
+    p, classes = solved_points[0], closed_problem.classes
     u = cv.random_tangent(p.tuple, rng)
     zero = cv.TangentVector.zero(su2, p.tuple.n_generators)
-    assert cv.theta_closed(p, u, u) == pytest.approx(0.0, abs=1e-12)
-    assert cv.theta_closed(p, u, zero) == 0.0
+    assert theta(p, classes, u, u) == pytest.approx(0.0, abs=1e-12)
+    assert theta(p, classes, u, zero) == 0.0
 
 
 def test_theta_genus1_identity_single_slot(su2):
@@ -125,7 +143,7 @@ def test_theta_genus1_identity_single_slot(su2):
         u = cv.TangentVector(su2, comps_u)
         v = cv.TangentVector(su2, comps_v)
         p = as_point(t)
-        assert abs(cv.theta_closed(p, u, v)) < 1e-14
+        assert abs(theta(p, cv.ConjugacyClassSpec(su2), u, v)) < 1e-14
         assert abs(brute_force_theta(t, comps_u, comps_v)) < 1e-14
 
 
@@ -139,7 +157,7 @@ def test_theta_matches_brute_force(family, rank, g):
         t = random_tuple(spec, g, 0, rng)
         u = cv.random_tangent(t, rng)
         v = cv.random_tangent(t, rng)
-        fast = cv.theta_closed(as_point(t), u, v)
+        fast = theta(as_point(t), cv.ConjugacyClassSpec(spec), u, v)
         slow = brute_force_theta(t, u.comps, v.comps)
         # SL(2,C) partial products are far from unitary: the transported
         # components grow large and cancel, so the bound follows their size
@@ -153,34 +171,28 @@ def test_theta_with_classes_matches_brute_force_halfpi(boundary_points):
     brute-force first sum is the whole form."""
     rng = np.random.default_rng(3)
     p = boundary_points[0]
-    E = admissible_basis(p, cv.ConjugacyClassSpec(p.spec, (np.diag([1j, -1j]),)))
+    classes = cv.ConjugacyClassSpec(p.spec, (np.diag([1j, -1j]),))
+    E = admissible_basis(p, classes)
     for _ in range(10):
         u = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
         v = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
-        fast = cv.theta_with_classes(p, u, v)
+        fast = theta(p, classes, u, v)
         slow = brute_force_theta(p.tuple, u.comps, v.comps)
         assert abs(fast - slow) < 1e-13
 
 
-def test_with_classes_equals_closed_at_m0(solved_points):
-    """1000 random triples: the two entry points agree to 1e-13."""
+def test_with_classes_equals_closed_at_m0(solved_points, closed_problem):
+    """1000 random triples: at m = 0 the form with classes and the
+    closed-surface double sum agree to 1e-13."""
     rng = np.random.default_rng(4)
     worst = 0.0
     for i in range(1000):
         p = solved_points[i % len(solved_points)]
         u = cv.random_tangent(p.tuple, rng)
         v = cv.random_tangent(p.tuple, rng)
-        worst = max(worst, abs(cv.theta_closed(p, u, v)
-                               - cv.theta_with_classes(p, u, v)))
+        worst = max(worst, abs(closed_theta(p, u, v)
+                               - theta(p, closed_problem.classes, u, v)))
     assert worst < 1e-13
-
-
-def test_theta_closed_rejects_boundary(boundary_points):
-    p = boundary_points[0]
-    rng = np.random.default_rng(5)
-    u = cv.random_tangent(p.tuple, rng)
-    with pytest.raises(DimensionMismatchError):
-        cv.theta_closed(p, u, u)
 
 
 def test_central_class_forces_zero_boundary_component(su2):
@@ -197,24 +209,24 @@ def test_central_class_forces_zero_boundary_component(su2):
     p = cv.RepresentationPoint(t, 0.0)
     comps = np.zeros((3, 2, 2), dtype=complex)
     u = cv.TangentVector(su2, comps.copy())
-    assert cv.theta_with_classes(p, u, u) == pytest.approx(0.0)
+    assert theta(p, classes, u, u) == pytest.approx(0.0)
     comps[2] = cv.random_algebra(su2, rng)
     bad = cv.TangentVector(su2, comps)
     with pytest.raises(NotClassTangentError):
-        cv.theta_with_classes(p, u, bad)
+        theta(p, classes, u, bad)
     assert classes.tangent_basis(0).shape[1] == 0
 
 
-def test_skewness_and_bilinearity_random(solved_points):
+def test_skewness_and_bilinearity_random(solved_points, closed_problem):
     rng = np.random.default_rng(7)
-    p = solved_points[1]
+    p, classes = solved_points[1], closed_problem.classes
     for _ in range(25):
         u = cv.random_tangent(p.tuple, rng)
         v = cv.random_tangent(p.tuple, rng)
         w = cv.random_tangent(p.tuple, rng)
-        assert abs(cv.theta_closed(p, u, v) + cv.theta_closed(p, v, u)) < 1e-12
-        lin = cv.theta_closed(p, u + 2.0 * w, v) \
-            - cv.theta_closed(p, u, v) - 2.0 * cv.theta_closed(p, w, v)
+        assert abs(theta(p, classes, u, v) + theta(p, classes, v, u)) < 1e-12
+        lin = theta(p, classes, u + 2.0 * w, v) \
+            - theta(p, classes, u, v) - 2.0 * theta(p, classes, w, v)
         assert abs(lin) < 1e-12
 
 
@@ -229,7 +241,8 @@ def test_skewness_at_boundary_points(boundary_points, boundary_problem):
                                              E @ rng.standard_normal(E.shape[1]))
             v = cv.TangentVector.from_coords(p.spec, 3,
                                              E @ rng.standard_normal(E.shape[1]))
-            s = cv.theta_with_classes(p, u, v) + cv.theta_with_classes(p, v, u)
+            s = theta(p, boundary_problem.classes, u, v) \
+                + theta(p, boundary_problem.classes, v, u)
             assert abs(s) < 1e-10
 
 
@@ -244,7 +257,7 @@ def test_theta_matches_brute_force_generic_class(generic_points, generic_problem
         for _ in range(10):
             u = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
             v = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
-            fast = cv.theta_with_classes(p, u, v)
+            fast = theta(p, generic_problem.classes, u, v)
             worst = max(worst, abs(fast - brute_force_theta(t, u.comps, v.comps)))
             T, _ = letter_transport(p.spec, t.mats, 2, 1)
             first = first_sum_gram(p.spec, T, 2, 1, u.coords()[:, None],
@@ -259,18 +272,18 @@ def test_skewness_at_generic_class(generic_points, generic_problem):
     for p in generic_points:
         E = admissible_basis(p, generic_problem.classes)
         A = E @ rng.standard_normal((E.shape[1], 8))
-        G = form_gram_coords(p, A, A)
+        G = form_gram_coords(p, generic_problem.classes, A, A)
         assert np.abs(G + G.T).max() < 1e-12
-        fm = cv.form_on_cohomology(p, generic_problem.classes)
-        assert fm.skew_defect() < 1e-12
+        omega = cv.form_on_cohomology(p, generic_problem.classes)
+        assert np.abs(omega + omega.T).max() < 1e-12
 
 
 def test_descent_at_generic_class(generic_points, generic_problem):
     for p in generic_points:
         basis = cv.cohomology_at(p, generic_problem.classes)
         assert basis.dims() == (11, 3, 8)
-        G1 = form_gram_coords(p, basis.b_coords, basis.z_coords)
-        G2 = form_gram_coords(p, basis.z_coords, basis.b_coords)
+        G1 = form_gram_coords(p, generic_problem.classes, basis.b_coords, basis.z_coords)
+        G2 = form_gram_coords(p, generic_problem.classes, basis.z_coords, basis.b_coords)
         assert max(np.abs(G1).max(), np.abs(G2).max()) < 1e-9
 
 
@@ -287,8 +300,8 @@ def test_conjugation_invariance(solved_points, closed_problem, su2):
         q = cv.conjugate_point(p, A, closed_problem.classes)
         Au = cv.TangentVector(su2, Ai @ u.comps @ A)
         Av = cv.TangentVector(su2, Ai @ v.comps @ A)
-        assert abs(cv.theta_closed(q, Au, Av)
-                   - cv.theta_closed(p, u, v)) < 1e-10
+        assert abs(theta(q, closed_problem.classes, Au, Av)
+                   - theta(p, closed_problem.classes, u, v)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +311,8 @@ def test_conjugation_invariance(solved_points, closed_problem, su2):
 def test_descent_both_orders(solved_points, closed_problem):
     for p in solved_points[:10]:
         basis = cv.cohomology_at(p, closed_problem.classes)
-        G1 = cv.form_gram(p, basis.b1, basis.z1)
-        G2 = cv.form_gram(p, basis.z1, basis.b1)
+        G1 = form_gram_coords(p, closed_problem.classes, basis.b_coords, basis.z_coords)
+        G2 = form_gram_coords(p, closed_problem.classes, basis.z_coords, basis.b_coords)
         assert np.abs(G1).max() < 1e-9
         assert np.abs(G2).max() < 1e-9
 
@@ -307,7 +320,7 @@ def test_descent_both_orders(solved_points, closed_problem):
 def test_descent_at_boundary_points(boundary_points, boundary_problem):
     for p in boundary_points[:3]:
         basis = cv.cohomology_at(p, boundary_problem.classes)
-        G = cv.form_gram(p, basis.b1, basis.z1)
+        G = form_gram_coords(p, boundary_problem.classes, basis.b_coords, basis.z_coords)
         assert np.abs(G).max() < 1e-9
 
 
@@ -316,20 +329,19 @@ def test_form_well_defined_modulo_coboundaries(solved_points, closed_problem):
     rng = np.random.default_rng(10)
     p = solved_points[3]
     basis = cv.cohomology_at(p, closed_problem.classes)
-    fm = cv.form_on_cohomology(p, closed_problem.classes, basis)
-    shifted = [h + 0.5 * float(rng.standard_normal()) * b
-               for h, b in zip(basis.h1, basis.b1 * 2)]
-    G = cv.form_gram(p, shifted, shifted)
-    assert np.abs(G - fm.entries).max() < 1e-8
+    omega = cv.form_on_cohomology(p, closed_problem.classes, basis)
+    shifted = basis.h_coords + 0.5 * rng.standard_normal(6) * np.tile(basis.b_coords, 2)
+    G = form_gram_coords(p, closed_problem.classes, shifted, shifted)
+    assert np.abs(G - omega).max() < 1e-8
 
 
 def test_form_matrix_structure(solved_points, closed_problem):
     p = solved_points[4]
-    fm = cv.form_on_cohomology(p, closed_problem.classes)
-    assert fm.entries.shape == (6, 6)
-    assert fm.skew_defect() < 1e-10
-    svals = np.linalg.svd(fm.entries, compute_uv=False)
-    assert abs(np.linalg.det(fm.entries)) > 1e-8
+    omega = cv.form_on_cohomology(p, closed_problem.classes)
+    assert omega.shape == (6, 6)
+    assert np.abs(omega + omega.T).max() < 1e-10
+    svals = np.linalg.svd(omega, compute_uv=False)
+    assert abs(np.linalg.det(omega)) > 1e-8
     # regression baseline: in this metric the form matrix is orthogonal
     assert abs(svals[-1] - 1.0) < 1e-6
 
@@ -337,23 +349,16 @@ def test_form_matrix_structure(solved_points, closed_problem):
 def test_sigma_min_stable_under_reorthonormalization(solved_points, closed_problem):
     rng = np.random.default_rng(11)
     p = solved_points[5]
-    basis = cv.cohomology_at(p, closed_problem.classes)
-    s0 = np.linalg.svd(cv.form_gram(p, basis.h1, basis.h1),
+    classes = closed_problem.classes
+    basis = cv.cohomology_at(p, classes)
+    s0 = np.linalg.svd(form_gram_coords(p, classes, basis.h_coords, basis.h_coords),
                        compute_uv=False)[-1]
     # rotate the h1 basis by a random orthogonal matrix
     Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    rotated_coords = basis.h_coords @ Q
-    rotated = [cv.TangentVector.from_coords(p.spec, 4, rotated_coords[:, j])
-               for j in range(6)]
-    s1 = np.linalg.svd(cv.form_gram(p, rotated, rotated), compute_uv=False)[-1]
+    rotated = basis.h_coords @ Q
+    s1 = np.linalg.svd(form_gram_coords(p, classes, rotated, rotated),
+                       compute_uv=False)[-1]
     assert abs(s1 - s0) <= 0.1 * s0
-
-
-def test_form_matrix_json(solved_points, closed_problem):
-    fm = cv.form_on_cohomology(solved_points[0], closed_problem.classes)
-    data = fm.to_json()
-    assert data["basis"] == [f"h1[{i}]" for i in range(6)]
-    assert np.abs(np.array(data["omega"]) - fm.entries).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +368,8 @@ def test_form_matrix_json(solved_points, closed_problem):
 def test_kernel_equals_coboundaries(solved_points, closed_problem):
     for p in solved_points[:10]:
         basis = cv.cohomology_at(p, closed_problem.classes)
-        kern = cv.kernel_of_form(p, closed_problem.classes, basis)
-        assert len(kern) == 3
-        K = np.stack([v.coords() for v in kern], axis=1)
+        K = cv.kernel_of_form(p, closed_problem.classes, basis)
+        assert K.shape[1] == 3
         cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
         angles = np.arccos(np.clip(cosines, -1, 1))
         assert angles.max() < 1e-7
@@ -374,9 +378,8 @@ def test_kernel_equals_coboundaries(solved_points, closed_problem):
 def test_kernel_equals_coboundaries_generic_class(generic_points, generic_problem):
     for p in generic_points:
         basis = cv.cohomology_at(p, generic_problem.classes)
-        kern = cv.kernel_of_form(p, generic_problem.classes, basis)
-        assert len(kern) == 3
-        K = np.stack([v.coords() for v in kern], axis=1)
+        K = cv.kernel_of_form(p, generic_problem.classes, basis)
+        assert K.shape[1] == 3
         cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
         assert np.arccos(np.clip(cosines, -1, 1)).max() < 1e-7
 
@@ -393,12 +396,12 @@ def test_kernel_at_reducible_point_reported(su2):
     classes = cv.ConjugacyClassSpec(su2)
     basis = cv.cohomology_at(p, classes)
     assert basis.dims() == (10, 2, 8)
-    kern = cv.kernel_of_form(p, classes, basis)
-    assert len(kern) >= len(basis.b1)
+    K = cv.kernel_of_form(p, classes, basis)
+    assert K.shape[1] >= basis.b_coords.shape[1]
     # containment of the coboundaries in the kernel (descent at a flat point)
-    G = cv.form_gram(p, basis.b1, basis.z1)
+    G = form_gram_coords(p, classes, basis.b_coords, basis.z_coords)
     assert np.abs(G).max() < 1e-9
-    assert len(kern) == len(basis.b1)  # observed equality, recorded
+    assert K.shape[1] == basis.b_coords.shape[1]  # observed equality, recorded
 
 
 def test_zero_tangent_in_kernel(solved_points, closed_problem, su2):
@@ -406,7 +409,7 @@ def test_zero_tangent_in_kernel(solved_points, closed_problem, su2):
     zero = cv.TangentVector.zero(su2, 4)
     rng = np.random.default_rng(12)
     u = cv.random_tangent(p.tuple, rng)
-    assert cv.theta_closed(p, zero, u) == 0.0
+    assert theta(p, closed_problem.classes, zero, u) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,8 @@ def test_closedness_flat_torus_sanity(su2):
             comps = np.zeros((4, 2, 2), dtype=complex)
             comps[s] = X
             frame.append(cv.TangentVector(su2, comps))
-        return cv.form_gram(p, frame, frame)
+        F = np.stack([v.coords() for v in frame], axis=1)
+        return form_gram_coords(p, cv.ConjugacyClassSpec(su2), F, F)
 
     h = 1e-3
     worst = 0.0
@@ -525,7 +529,7 @@ def test_chart_at_base_point_is_form_on_cohomology(solved_points, closed_problem
     p = solved_points[index]
     chart = twoform._Chart(p, closed_problem.classes)
     omega = chart.omega_at(np.zeros((1, chart.H.shape[1])))[0]
-    want = cv.form_on_cohomology(p, closed_problem.classes).entries
+    want = cv.form_on_cohomology(p, closed_problem.classes)
     assert np.abs(omega - want).max() < 1e-11
 
 
@@ -560,10 +564,11 @@ def test_su3_structure(su3):
     assert p.irreducible
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (24, 8, 16)  # h1 = (2g - 2) dim G
-    assert np.abs(cv.form_gram(p, basis.b1, basis.z1)).max() < 1e-9
-    assert len(cv.kernel_of_form(p, prob.classes, basis)) == 8
-    fm = cv.form_on_cohomology(p, prob.classes, basis)
-    assert np.linalg.svd(fm.entries, compute_uv=False)[-1] > 1e-3
+    assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
+                                   basis.z_coords)).max() < 1e-9
+    assert cv.kernel_of_form(p, prob.classes, basis).shape[1] == 8
+    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    assert np.linalg.svd(omega, compute_uv=False)[-1] > 1e-3
 
 
 def test_su3_regular_class_form(su3_regular_problem):
@@ -573,10 +578,11 @@ def test_su3_regular_class_form(su3_regular_problem):
     p = prob.solve(np.random.default_rng(5))
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (14, 8, 6)
-    fm = cv.form_on_cohomology(p, prob.classes, basis)
-    assert fm.skew_defect() < 1e-12
-    assert np.abs(form_gram_coords(p, basis.b_coords, basis.z_coords)).max() < 1e-9
-    assert len(cv.kernel_of_form(p, prob.classes, basis)) == 8
+    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    assert np.abs(omega + omega.T).max() < 1e-12
+    assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
+                                   basis.z_coords)).max() < 1e-9
+    assert cv.kernel_of_form(p, prob.classes, basis).shape[1] == 8
     steps = (1e-3, 5e-4, 2.5e-4)
     vals = cv.closedness_sweep(p, prob.classes, steps=steps)
     assert observed_order(steps, vals) >= 1.8
@@ -590,13 +596,14 @@ def test_slc_complex_form(slc2):
     assert cv.is_irreducible(p)
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (9, 3, 6)  # complex dimensions
-    fm = cv.form_on_cohomology(p, prob.classes, basis)
-    assert np.iscomplexobj(fm.entries)
-    assert fm.skew_defect() < 1e-10
-    assert np.abs(cv.form_gram(p, basis.b1, basis.z1)).max() < 1e-9
+    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    assert np.iscomplexobj(omega)
+    assert np.abs(omega + omega.T).max() < 1e-10
+    assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
+                                   basis.z_coords)).max() < 1e-9
     rng = np.random.default_rng(4)
     u = cv.random_tangent(p.tuple, rng)
     v = cv.random_tangent(p.tuple, rng)
-    val = cv.theta_closed(p, u, v)
+    val = theta(p, prob.classes, u, v)
     assert isinstance(val, complex)
-    assert abs(val + cv.theta_closed(p, v, u)) < 1e-12
+    assert abs(val + theta(p, prob.classes, v, u)) < 1e-12

@@ -415,15 +415,6 @@ def test_point_json_roundtrip(solved_points, su2):
     assert back.irreducible == p.irreducible
 
 
-def test_cohomology_basis_json(solved_points, closed_problem):
-    basis = cv.cohomology_at(solved_points[0], closed_problem.classes)
-    data = basis.to_json()
-    assert set(data) == {"Z1", "B1", "H1"}
-    assert len(data["Z1"]) == 9 and len(data["B1"]) == 3 and len(data["H1"]) == 6
-    first = np.array(data["H1"][0]["components"], dtype=float)
-    assert first.shape == (4, 2, 2, 2)
-
-
 def test_residual_matches_stored(solved_points, su2):
     p = solved_points[0]
     R = flat_residual(su2, p.tuple.mats, 2, 0, np.eye(2))

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charvar as cv
-from charvar.errors import InsufficientSamplesError, OddDimensionError
+from charvar.errors import (
+    DimensionMismatchError,
+    InsufficientSamplesError,
+    OddDimensionError,
+)
+from charvar.twoform import form_gram_coords
 from charvar.variety import commutant_dimension, project_batch, split_rank
 from charvar.volume import (
     SampleRecords,
@@ -59,9 +64,7 @@ def test_density_positive_and_rotation_invariant(solved_points, closed_problem):
     for _ in range(50):
         Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         rot = basis.h_coords @ Q
-        vecs = [cv.TangentVector.from_coords(p.spec, 4, rot[:, j])
-                for j in range(6)]
-        G = cv.form_gram(p, vecs, vecs)
+        G = form_gram_coords(p, closed_problem.classes, rot, rot)
         assert abs(math.sqrt(max(np.linalg.det(G), 0.0)) - base) < 1e-9
 
 
@@ -93,7 +96,7 @@ def test_sample_stream_records(closed_problem):
 def test_estimators_require_su(slc2):
     prob = cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
                              cv.ConjugacyClassSpec(slc2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         cv.estimate_relative_volume(prob, 100, 0)
 
 
