@@ -40,13 +40,8 @@ from .liegroup import (
 from .presentation import (
     GeneratorTuple,
     SurfacePresentation,
-    TangentVector,
-    apply_relator_differential,
-    coboundary,
     conjugate_tuple,
     evaluate_relator,
-    random_tangent,
-    relator_differential,
 )
 from .seifert import (
     FiberHolonomy,

@@ -42,8 +42,8 @@ EXIT_NUMERICAL = 2
 EXIT_CERTIFY = 3
 
 DEFAULT_TOLERANCES = {
-    "tol_flat": 1e-9,
-    "gap_tol": 1e-6,
+    "tol_flat": vy.TOL_FLAT,
+    "gap_tol": vy.GAP_TOL,
 }
 CERTIFY_STEPS = (1e-3, 5e-4, 2.5e-4)  # certify's closedness sweep default
 
@@ -278,19 +278,20 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
         point.spec, point.tuple.mats, point.tuple.genus, point.tuple.boundary_count)
     cocycle_defect = float(np.abs(D @ basis.b_coords).max()) if nb else 0.0
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
-    # descent, both argument orders
-    if nb and nz:
-        G1 = tf.form_gram_coords(point, classes, basis.b_coords, basis.z_coords)
-        G2 = tf.form_gram_coords(point, classes, basis.z_coords, basis.b_coords)
-        descent = max(np.abs(G1).max(), np.abs(G2).max())
-    else:
-        descent = 0.0
+    # descent (both argument orders) and the form on h1 from one Gram over
+    # the columns [z | b | h]; an empty block reads 0
+    zbh = np.concatenate([basis.z_coords, basis.b_coords, basis.h_coords], axis=1)
+    G = tf.form_gram_coords(point, classes, zbh, zbh)
+    descent = max(np.abs(G[nz:nz + nb, :nz]).max(initial=0.0),
+                  np.abs(G[:nz, nz:nz + nb]).max(initial=0.0))
     add("descent", descent, 1e-9)
-    omega = tf.form_on_cohomology(point, classes, basis)
-    add("form_skew", np.abs(omega + omega.T).max(), 1e-10)
-    svals = np.linalg.svd(omega, compute_uv=False)
-    smin = float(svals[-1]) if len(svals) else 0.0
-    add("nondegenerate_sigma_min", -smin, -1e-8)
+    omega = G[nz + nb:, nz + nb:]
+    add("form_skew", np.abs(omega + omega.T).max(initial=0.0), 1e-10)
+    if nh:
+        smin = np.linalg.svd(omega, compute_uv=False)[-1]
+        add("nondegenerate_sigma_min", -smin, -1e-8)
+    else:  # a form on the zero space is nondegenerate
+        add("nondegenerate_sigma_min", 0.0, -1e-8, ok=True)
     K = tf.kernel_of_form(point, classes, basis)
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
     if steps and nh < 3:

@@ -15,13 +15,14 @@ partial products feeding the two-form depend on it.  One per-letter
 transport (:func:`letter_transport`) serves both the relator differential
 and the two-form.
 
-Tangent vectors are stored right-trivialized: the component H_s at slot s
-is the velocity of ``t -> exp(t H_s) . element_s``.  The left-trivialized
+Tangent directions are coordinate stacks ``(..., n_slots*dim, k)`` in the
+slot-major orthonormal algebra basis, right-trivialized: the component
+H_s at slot s is the velocity of ``t -> exp(t H_s) . element_s``.  The left-trivialized
 convention used by the two-form differs by Ad of the base point;
 conversion happens at the form-evaluation boundary.
 
 Low-level helpers take raw stacked arrays ``(..., n_slots, r, r)`` and
-broadcast over leading batch axes; the dataclasses wrap single tuples.
+broadcast over leading batch axes; :class:`GeneratorTuple` wraps one tuple.
 """
 
 from __future__ import annotations
@@ -209,49 +210,6 @@ class GeneratorTuple:
         return cls.from_parts(spec, a, b, c)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Right-trivialized tangent components, one algebra element per slot."""
-
-    spec: GroupSpec
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=complex)
-        if comps.ndim != 3 or comps.shape[1:] != (self.spec.rank, self.spec.rank):
-            raise DimensionMismatchError("comps must have shape (n_slots, r, r)")
-        object.__setattr__(self, "comps", comps)
-
-    @property
-    def n_slots(self) -> int:
-        return self.comps.shape[0]
-
-    def coords(self) -> np.ndarray:
-        """Stacked algebra coordinates, shape (n_slots * dim,)."""
-        return lg.algebra_coords(self.spec, self.comps).reshape(-1)
-
-    @classmethod
-    def from_coords(cls, spec: GroupSpec, n_slots: int, v: np.ndarray) -> "TangentVector":
-        v = np.asarray(v).reshape(n_slots, spec.dim)
-        return cls(spec, lg.coords_to_algebra(spec, v))
-
-    @classmethod
-    def zero(cls, spec: GroupSpec, n_slots: int) -> "TangentVector":
-        return cls(spec, np.zeros((n_slots, spec.rank, spec.rank), dtype=complex))
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(lg.pairing_norm(self.spec, self.comps) ** 2)))
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.spec, self.comps + other.comps)
-
-    def __rmul__(self, scalar) -> "TangentVector":
-        return TangentVector(self.spec, scalar * self.comps)
-
-    def to_json(self) -> dict:
-        return {"components": [lg.matrix_to_json(X) for X in self.comps]}
-
-
 # ---------------------------------------------------------------------------
 # spec-facing operations
 # ---------------------------------------------------------------------------
@@ -261,35 +219,8 @@ def evaluate_relator(t: GeneratorTuple) -> np.ndarray:
     return relator_product(t.spec, t.mats, t.genus, t.boundary_count)
 
 
-def relator_differential(t: GeneratorTuple) -> np.ndarray:
-    """Right-trivialized differential of the relator as a (dim, n*dim) matrix.
-
-    Columns are ordered slot-major in the orthonormal algebra basis;
-    apply to ``TangentVector.coords()`` to get the algebra coordinates of
-    the derivative of the word.
-    """
-    return relator_differential_matrix(t.spec, t.mats, t.genus, t.boundary_count)
-
-
-def apply_relator_differential(t: GeneratorTuple, v: TangentVector) -> np.ndarray:
-    """dPi(v) as an algebra element."""
-    D = relator_differential(t)
-    return lg.coords_to_algebra(t.spec, D @ v.coords())
-
-
-def coboundary(t: GeneratorTuple, X: np.ndarray) -> TangentVector:
-    """Infinitesimal conjugation direction: slot s carries X - Ad(rho(s)) X."""
-    comps = X[None, :, :] - lg.adjoint(t.spec, t.mats, X[None, :, :])
-    return TangentVector(t.spec, comps)
-
-
 def conjugate_tuple(t: GeneratorTuple, A: np.ndarray) -> GeneratorTuple:
     """Slotwise s -> A^-1 s A."""
     Ai = lg.group_inverse(t.spec, A)
     return t.replace_mats(Ai @ t.mats @ A)
 
-
-def random_tangent(t: GeneratorTuple, rng: np.random.Generator,
-                   scale: float = 1.0) -> TangentVector:
-    comps = lg.random_algebra(t.spec, rng, scale=scale, size=t.n_generators)
-    return TangentVector(t.spec, comps)

@@ -89,16 +89,6 @@ class ConjugacyClassSpec:
     def boundary_count(self) -> int:
         return len(self.representatives)
 
-    def tangent_basis(self, k: int) -> np.ndarray:
-        """Orthonormal basis of the class-tangent velocities image(1 - Ad c_k)
-        at the representative.
-
-        Shape (dim, w_k); empty second axis for a central class.  The
-        same subspace at a conjugate of the representative is the ``U``
-        of :meth:`BoundarySlot.at` there.
-        """
-        return BoundarySlot.at(self.spec, self.representatives[k], self.ranks[k]).U
-
     def to_json(self) -> dict:
         return {
             "representatives": [lg.matrix_to_json(m) for m in self.representatives],
@@ -152,7 +142,6 @@ class CohomologyBasis:
     ran on a batch.
     """
 
-    spec: GroupSpec
     z_coords: np.ndarray = field(repr=False)
     b_coords: np.ndarray = field(repr=False)
     h_coords: np.ndarray = field(repr=False)
@@ -510,7 +499,7 @@ def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     own_h = split_rank(sh, gap_tol)
     Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
     return CohomologyBasis(
-        spec, z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
+        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
         normal_rows=Vh[..., :rz, :] @ Eh, dpi_singular_values=s,
         gap_quality=np.minimum(np.minimum(own_z[1], own_b[1]), own_h[1]),
     ), (own_z, own_b, own_h)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from charvar import cli
+from charvar.liegroup import GroupSpec
+from charvar.presentation import GeneratorTuple, evaluate_relator
+from charvar.variety import ConjugacyClassSpec, RepresentationPoint, cohomology_at
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -367,6 +370,73 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
                                       cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
     assert "closedness_order" in {c["check"] for c in checks}
     assert len(calls) == 1
+
+
+def test_certify_evaluates_the_form_twice(solved_points, closed_problem, monkeypatch):
+    """Descent and the form on h1 come from one Gram over the columns
+    [z | b | h]; the kernel of the form on the cocycles is the other one."""
+    from charvar import twoform
+
+    calls, form = [], twoform.form_gram_stack
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(twoform, "form_gram_stack", counted)
+    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
+                                      cli.DEFAULT_TOLERANCES, ())
+    assert all(c["pass"] for c in checks), checks
+    assert len(calls) == 2
+
+
+def _isolated_point():
+    """SU(2) genus 1 with one boundary at the central class -I: with
+    a = diag(i, -i) and b = [[0, 1], [-1, 0]], b^-1 a^-1 b a = -I, so the
+    relator is exactly I.  The pair has a trivial commutant and
+    dim H1 = 0: an isolated irreducible point."""
+    su2 = GroupSpec("SU", 2)
+    c = -np.eye(2, dtype=complex)
+    t = GeneratorTuple.from_parts(su2, [np.diag([1j, -1j])],
+                                  [np.array([[0, 1], [-1, 0]], dtype=complex)], [c])
+    assert np.array_equal(evaluate_relator(t), np.eye(2))
+    return RepresentationPoint(t, 0.0, True), ConjugacyClassSpec(su2, (c,))
+
+
+def test_certify_isolated_irreducible_point():
+    """At dim H1 = 0 the form lives on the zero space: it reads skew 0 and is
+    nondegenerate, and closedness reads 0 as below three h1 directions."""
+    point, classes = _isolated_point()
+    assert cohomology_at(point, classes).dims() == (3, 3, 0)
+    checks = cli.certification_checks(point, classes, cli.DEFAULT_TOLERANCES,
+                                      cli.CERTIFY_STEPS)
+    assert all(c["pass"] for c in checks), checks
+    values = {c["check"]: c["value"] for c in checks}
+    assert values["form_skew"] == 0.0
+    assert values["nondegenerate_sigma_min"] == 0.0
+    assert values["closedness_value"] == 0.0
+
+
+def test_certify_isolated_irreducible_point_cli(tmp_path):
+    """The same point through the CLI: exit 0 and every check passes."""
+    import subprocess
+    import sys
+
+    point, classes = _isolated_point()
+    cfg = write_config(tmp_path, problem={
+        "type": "surface", "genus": 1, "boundary_count": 1,
+        "classes": classes.to_json()})
+    point_path = tmp_path / "point.json"
+    point_path.write_text(json.dumps({"point": point.to_json()}))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar.cli", "certify", "--config", cfg,
+         "--point", str(point_path), "--out", str(report), "--quiet"],
+        capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    data = json.loads(report.read_text())
+    validate_report_schema(data)
+    assert data["passed"] and all(c["pass"] for c in data["checks"])
 
 
 def test_seifert_scan_component_count_stable_across_seeds(tmp_path):

@@ -12,6 +12,7 @@ from charvar.presentation import GeneratorTuple, letter_transport
 from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
 from charvar.variety import boundary_slots, embed_moves
 from test_liegroup import assert_slices_agree
+from test_presentation import coords
 
 
 def epsilon_sign(i, j):
@@ -19,17 +20,26 @@ def epsilon_sign(i, j):
     return (i < j) - (j < i)
 
 
+def comps(spec, u):
+    """Right-trivialized slot components of a coordinate vector."""
+    return lg.coords_to_algebra(spec, u.reshape(-1, spec.dim))
+
+
+def random_coords(t, rng):
+    """Coordinates of a Gaussian tangent direction, one algebra draw per slot."""
+    return coords(t.spec, lg.random_algebra(t.spec, rng, size=t.n_generators))
+
+
 def theta(p, classes, u, v):
-    """The form on one pair of tangent vectors."""
-    return form_gram_coords(p, classes, u.coords()[:, None], v.coords()[:, None])[0, 0]
+    """The form on one pair of coordinate vectors."""
+    return form_gram_coords(p, classes, u[:, None], v[:, None])[0, 0]
 
 
 def closed_theta(p, u, v):
     """The closed-surface double sum alone, with no boundary term."""
     t = p.tuple
     T, _ = letter_transport(p.spec, t.mats, t.genus, 0)
-    return first_sum_gram(p.spec, T, t.genus, 0, u.coords()[:, None],
-                          v.coords()[:, None])[0, 0]
+    return first_sum_gram(p.spec, T, t.genus, 0, u[:, None], v[:, None])[0, 0]
 
 
 def brute_force_theta(tup, Ku, Kv, magnitude=False):
@@ -125,8 +135,8 @@ def test_epsilon_convention():
 def test_theta_zero_cases(solved_points, closed_problem, su2):
     rng = np.random.default_rng(0)
     p, classes = solved_points[0], closed_problem.classes
-    u = cv.random_tangent(p.tuple, rng)
-    zero = cv.TangentVector.zero(su2, p.tuple.n_generators)
+    u = random_coords(p.tuple, rng)
+    zero = np.zeros_like(u)
     assert theta(p, classes, u, u) == pytest.approx(0.0, abs=1e-12)
     assert theta(p, classes, u, zero) == 0.0
 
@@ -140,8 +150,7 @@ def test_theta_genus1_identity_single_slot(su2):
         comps_v = np.zeros((2, 2, 2), dtype=complex)
         comps_u[0] = cv.random_algebra(su2, rng)
         comps_v[0] = cv.random_algebra(su2, rng)
-        u = cv.TangentVector(su2, comps_u)
-        v = cv.TangentVector(su2, comps_v)
+        u, v = coords(su2, comps_u), coords(su2, comps_v)
         p = as_point(t)
         assert abs(theta(p, cv.ConjugacyClassSpec(su2), u, v)) < 1e-14
         assert abs(brute_force_theta(t, comps_u, comps_v)) < 1e-14
@@ -155,14 +164,15 @@ def test_theta_matches_brute_force(family, rank, g):
     rng = np.random.default_rng(2)
     for _ in range(20):
         t = random_tuple(spec, g, 0, rng)
-        u = cv.random_tangent(t, rng)
-        v = cv.random_tangent(t, rng)
-        fast = theta(as_point(t), cv.ConjugacyClassSpec(spec), u, v)
-        slow = brute_force_theta(t, u.comps, v.comps)
+        u = lg.random_algebra(spec, rng, size=t.n_generators)
+        v = lg.random_algebra(spec, rng, size=t.n_generators)
+        fast = theta(as_point(t), cv.ConjugacyClassSpec(spec),
+                     coords(spec, u), coords(spec, v))
+        slow = brute_force_theta(t, u, v)
         # SL(2,C) partial products are far from unitary: the transported
         # components grow large and cancel, so the bound follows their size
         tol = 1e-13 if spec.is_unitary else \
-            1e-14 * brute_force_theta(t, u.comps, v.comps, magnitude=True)
+            1e-14 * brute_force_theta(t, u, v, magnitude=True)
         assert abs(fast - slow) < tol
 
 
@@ -174,10 +184,10 @@ def test_theta_with_classes_matches_brute_force_halfpi(boundary_points):
     classes = cv.ConjugacyClassSpec(p.spec, (np.diag([1j, -1j]),))
     E = admissible_basis(p, classes)
     for _ in range(10):
-        u = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
-        v = cv.TangentVector.from_coords(p.spec, 3, E @ rng.standard_normal(E.shape[1]))
+        u = E @ rng.standard_normal(E.shape[1])
+        v = E @ rng.standard_normal(E.shape[1])
         fast = theta(p, classes, u, v)
-        slow = brute_force_theta(p.tuple, u.comps, v.comps)
+        slow = brute_force_theta(p.tuple, comps(p.spec, u), comps(p.spec, v))
         assert abs(fast - slow) < 1e-13
 
 
@@ -188,8 +198,8 @@ def test_with_classes_equals_closed_at_m0(solved_points, closed_problem):
     worst = 0.0
     for i in range(1000):
         p = solved_points[i % len(solved_points)]
-        u = cv.random_tangent(p.tuple, rng)
-        v = cv.random_tangent(p.tuple, rng)
+        u = random_coords(p.tuple, rng)
+        v = random_coords(p.tuple, rng)
         worst = max(worst, abs(closed_theta(p, u, v)
                                - theta(p, closed_problem.classes, u, v)))
     assert worst < 1e-13
@@ -207,23 +217,23 @@ def test_central_class_forces_zero_boundary_component(su2):
     # make the relator exact: c = (b^-1 a^-1 b a)^-1 * z0 with c central demands
     # a tuple on the variety; only the class-tangency logic is under test here
     p = cv.RepresentationPoint(t, 0.0)
-    comps = np.zeros((3, 2, 2), dtype=complex)
-    u = cv.TangentVector(su2, comps.copy())
+    slot_comps = np.zeros((3, 2, 2), dtype=complex)
+    u = coords(su2, slot_comps)
     assert theta(p, classes, u, u) == pytest.approx(0.0)
-    comps[2] = cv.random_algebra(su2, rng)
-    bad = cv.TangentVector(su2, comps)
+    slot_comps[2] = cv.random_algebra(su2, rng)
+    bad = coords(su2, slot_comps)
     with pytest.raises(NotClassTangentError):
         theta(p, classes, u, bad)
-    assert classes.tangent_basis(0).shape[1] == 0
+    assert classes.ranks[0] == 0
 
 
 def test_skewness_and_bilinearity_random(solved_points, closed_problem):
     rng = np.random.default_rng(7)
     p, classes = solved_points[1], closed_problem.classes
     for _ in range(25):
-        u = cv.random_tangent(p.tuple, rng)
-        v = cv.random_tangent(p.tuple, rng)
-        w = cv.random_tangent(p.tuple, rng)
+        u = random_coords(p.tuple, rng)
+        v = random_coords(p.tuple, rng)
+        w = random_coords(p.tuple, rng)
         assert abs(theta(p, classes, u, v) + theta(p, classes, v, u)) < 1e-12
         lin = theta(p, classes, u + 2.0 * w, v) \
             - theta(p, classes, u, v) - 2.0 * theta(p, classes, w, v)
@@ -237,10 +247,8 @@ def test_skewness_at_boundary_points(boundary_points, boundary_problem):
     for p in boundary_points[:3]:
         E = admissible_basis(p, boundary_problem.classes)
         for _ in range(10):
-            u = cv.TangentVector.from_coords(p.spec, 3,
-                                             E @ rng.standard_normal(E.shape[1]))
-            v = cv.TangentVector.from_coords(p.spec, 3,
-                                             E @ rng.standard_normal(E.shape[1]))
+            u = E @ rng.standard_normal(E.shape[1])
+            v = E @ rng.standard_normal(E.shape[1])
             s = theta(p, boundary_problem.classes, u, v) \
                 + theta(p, boundary_problem.classes, v, u)
             assert abs(s) < 1e-10
@@ -255,13 +263,13 @@ def test_theta_matches_brute_force_generic_class(generic_points, generic_problem
         E = admissible_basis(p, generic_problem.classes)
         t = p.tuple
         for _ in range(10):
-            u = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
-            v = cv.TangentVector.from_coords(p.spec, 5, E @ rng.standard_normal(E.shape[1]))
+            u = E @ rng.standard_normal(E.shape[1])
+            v = E @ rng.standard_normal(E.shape[1])
             fast = theta(p, generic_problem.classes, u, v)
-            worst = max(worst, abs(fast - brute_force_theta(t, u.comps, v.comps)))
+            worst = max(worst, abs(fast - brute_force_theta(
+                t, comps(p.spec, u), comps(p.spec, v))))
             T, _ = letter_transport(p.spec, t.mats, 2, 1)
-            first = first_sum_gram(p.spec, T, 2, 1, u.coords()[:, None],
-                                   v.coords()[:, None])
+            first = first_sum_gram(p.spec, T, 2, 1, u[:, None], v[:, None])
             boundary_part = max(boundary_part, abs(fast - first[0, 0]))
     assert worst < 1e-12
     assert boundary_part > 1e-2
@@ -295,13 +303,13 @@ def test_conjugation_invariance(solved_points, closed_problem, su2):
     for _ in range(5):
         A = cv.haar_sample(su2, rng)
         Ai = np.conj(A.T)
-        u = cv.random_tangent(p.tuple, rng)
-        v = cv.random_tangent(p.tuple, rng)
+        u = lg.random_algebra(su2, rng, size=p.tuple.n_generators)
+        v = lg.random_algebra(su2, rng, size=p.tuple.n_generators)
         q = cv.conjugate_point(p, A, closed_problem.classes)
-        Au = cv.TangentVector(su2, Ai @ u.comps @ A)
-        Av = cv.TangentVector(su2, Ai @ v.comps @ A)
+        Au, Av = coords(su2, Ai @ u @ A), coords(su2, Ai @ v @ A)
         assert abs(theta(q, closed_problem.classes, Au, Av)
-                   - theta(p, closed_problem.classes, u, v)) < 1e-10
+                   - theta(p, closed_problem.classes, coords(su2, u),
+                           coords(su2, v))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +414,9 @@ def test_kernel_at_reducible_point_reported(su2):
 
 def test_zero_tangent_in_kernel(solved_points, closed_problem, su2):
     p = solved_points[0]
-    zero = cv.TangentVector.zero(su2, 4)
+    zero = np.zeros(4 * su2.dim)
     rng = np.random.default_rng(12)
-    u = cv.random_tangent(p.tuple, rng)
+    u = random_coords(p.tuple, rng)
     assert theta(p, closed_problem.classes, zero, u) == 0.0
 
 
@@ -441,10 +449,10 @@ def test_closedness_flat_torus_sanity(su2):
         p = cv.RepresentationPoint(t, 0.0)
         frame = []
         for s in range(4):
-            comps = np.zeros((4, 2, 2), dtype=complex)
-            comps[s] = X
-            frame.append(cv.TangentVector(su2, comps))
-        F = np.stack([v.coords() for v in frame], axis=1)
+            slot_comps = np.zeros((4, 2, 2), dtype=complex)
+            slot_comps[s] = X
+            frame.append(coords(su2, slot_comps))
+        F = np.stack(frame, axis=1)
         return form_gram_coords(p, cv.ConjugacyClassSpec(su2), F, F)
 
     h = 1e-3
@@ -602,8 +610,8 @@ def test_slc_complex_form(slc2):
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
     rng = np.random.default_rng(4)
-    u = cv.random_tangent(p.tuple, rng)
-    v = cv.random_tangent(p.tuple, rng)
+    u = random_coords(p.tuple, rng)
+    v = random_coords(p.tuple, rng)
     val = theta(p, prob.classes, u, v)
     assert isinstance(val, complex)
     assert abs(val + theta(p, prob.classes, v, u)) < 1e-12

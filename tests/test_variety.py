@@ -15,6 +15,7 @@ from charvar.variety import (
     project_to_class,
     split_rank,
 )
+from test_presentation import differential
 
 
 def rank_oracle(M, rtol=1e-8):
@@ -261,7 +262,7 @@ def test_cohomology_dims_g2(solved_points, closed_problem, su2):
     for p in solved_points[:10]:
         basis = cv.cohomology_at(p, closed_problem.classes)
         assert basis.dims() == (9, 3, 6)
-        D = cv.relator_differential(p.tuple)
+        D = differential(p.tuple)
         r = rank_oracle(D)
         assert r == su2.dim  # surjectivity certificate
         assert 2 * 2 * su2.dim - r == 9
@@ -293,7 +294,7 @@ def test_gap_quality_large_at_smooth_points(solved_points, closed_problem):
 def test_coboundaries_inside_cocycles(solved_points, closed_problem):
     for p in solved_points[:5]:
         basis = cv.cohomology_at(p, closed_problem.classes)
-        D = cv.relator_differential(p.tuple)
+        D = differential(p.tuple)
         assert np.abs(D @ basis.b_coords).max() < 1e-9
         # containment: projecting b1 onto span(z1) changes nothing
         Z = basis.z_coords
