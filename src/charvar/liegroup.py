@@ -1,10 +1,15 @@
 """Numerics for SU(r) and SL(r, C): exp/log, adjoint action, invariant
-pairing, and Haar sampling.
+pairing, Haar sampling, and the stacked small-matrix product.
 
 Group elements and algebra elements are plain complex ndarrays of shape
 ``(..., r, r)``; leading axes are batch axes and broadcast through every
 operation here.  ``GroupSpec`` carries the family and the rank and is the
 only typed wrapper at this level.
+
+SU(2) has closed forms for exp (``_exp_su2``), the principal log
+(``_log_su2``) and the adjoint matrix (``_adjoint_su2``, the SO(3)
+rotation of the unit quaternion read off g); every other group goes
+through scipy (exp, log) or the cached adjoint operator.
 
 Conventions
 -----------
@@ -216,9 +221,10 @@ def _exp_su2(X: np.ndarray) -> np.ndarray:
 def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Group exponential of (a batch of) algebra elements, retracted onto the group.
 
-    Closed form on SU(2); otherwise scipy's batched scaling-and-squaring
-    Pade ``expm``, re-projected so that invariant drift cannot accumulate
-    over long solver runs.  exp(0) is the identity exactly.
+    Closed form on SU(2); otherwise scipy's scaling-and-squaring Pade
+    ``expm``, which takes a stack but loops over its matrices in Python,
+    re-projected so that invariant drift cannot accumulate over long
+    solver runs.  exp(0) is the identity exactly.
     """
     X = np.asarray(X, dtype=complex)
     if not np.all(np.isfinite(X)):
@@ -299,8 +305,22 @@ def log_near_identity(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adjoint action and pairing
+# stacked product, adjoint action and pairing
 # ---------------------------------------------------------------------------
+
+def mat_product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``A @ B`` for broadcast stacks of small square matrices (..., r, r).
+
+    ``out = sum_k A[..., :, k] B[..., k, :]`` as broadcast multiply-adds in
+    the fixed order k = 0, 1, ...: elementwise ufuncs instead of one BLAS
+    call per slice, and a slice reads the same bits in any batch.  ``out``
+    must not share memory with ``A`` or ``B``.
+    """
+    out = np.multiply(A[..., :, :1], B[..., :1, :], out=out)
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k:k + 1] * B[..., k:k + 1, :]
+    return out
+
 
 def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     if spec.is_unitary:
@@ -338,11 +358,47 @@ def _apply_adjoint_operator(spec: GroupSpec, P: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (spec.dim, spec.dim))
 
 
+def _adjoint_su2(g: np.ndarray) -> np.ndarray:
+    """Closed-form Ad(g) on SU(2): the SO(3) rotation of the quaternion of g.
+
+    ``g = [[alpha, beta], [-conj beta, conj alpha]]`` with alpha = w + ix,
+    beta = y + iz is the unit quaternion w + xI + yJ + zK for I = diag(i, -i),
+    J = [[0, 1], [-1, 0]], K = IJ.  The su(2) basis of :func:`algebra_basis`
+    is (J, K, I)/sqrt(2), in which
+
+        Ad(g) = [[Re(a^2 + b^2), Im(b^2 - a^2),  2 Im(a b)],
+                 [Im(a^2 + b^2), Re(a^2 - b^2), -2 Re(a b)],
+                 [2 Im(a b*),    2 Re(a b*),     |a|^2 - |b|^2]]
+
+    (a = alpha, b = beta, * the complex conjugate).  Only the first row of
+    g is read.
+    """
+    c = g[..., 0, :]  # (alpha, beta)
+    cj = c.conj()
+    sq, nrm = c * c, c * cj
+    ab, abj = c[..., 0] * c[..., 1], c[..., 0] * cj[..., 1]
+    a2, b2 = sq[..., 0], sq[..., 1]
+    out = np.empty(c.shape[:-1] + (3, 3))
+    np.add(a2.real, b2.real, out=out[..., 0, 0])
+    np.subtract(b2.imag, a2.imag, out=out[..., 0, 1])
+    np.multiply(ab.imag, 2.0, out=out[..., 0, 2])
+    np.add(a2.imag, b2.imag, out=out[..., 1, 0])
+    np.subtract(a2.real, b2.real, out=out[..., 1, 1])
+    np.multiply(ab.real, -2.0, out=out[..., 1, 2])
+    np.multiply(abj.imag, 2.0, out=out[..., 2, 0])
+    np.multiply(abj.real, 2.0, out=out[..., 2, 1])
+    np.subtract(nrm[..., 0].real, nrm[..., 1].real, out=out[..., 2, 2])
+    return out
+
+
 def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Matrix of Ad(g) in the orthonormal algebra basis; shape (..., dim, dim).
 
     Orthogonal for SU(r) (the pairing is Ad-invariant and definite).
+    Closed form on SU(2); otherwise the cached adjoint operator.
     """
+    if spec.family == "SU" and spec.rank == 2:
+        return _adjoint_su2(g)
     gi = group_inverse(spec, g)
     return _apply_adjoint_operator(
         spec, g[..., :, :, None, None] * gi[..., None, None, :, :])

@@ -77,12 +77,15 @@ def word_letters(g: int, m: int) -> list[tuple[int, int]]:
 def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
     """f_0 = I, f_j = alpha_j ... alpha_1 over the letters alpha_j of
     :func:`word_letters`; shape (..., N+1, r, r)."""
+    letters = word_letters(g, m)
     r = spec.rank
     inv = lg.group_inverse(spec, mats)
-    f = [np.broadcast_to(np.eye(r, dtype=complex), mats.shape[:-3] + (r, r))]
-    for s, e in word_letters(g, m):
-        f.append((mats if e == 1 else inv)[..., s, :, :] @ f[-1])
-    return np.stack(f, axis=-3)
+    f = np.empty(mats.shape[:-3] + (len(letters) + 1, r, r), dtype=complex)
+    f[..., 0, :, :] = np.eye(r)
+    for j, (s, e) in enumerate(letters):
+        lg.mat_product((mats if e == 1 else inv)[..., s, :, :], f[..., j, :, :],
+                       out=f[..., j + 1, :, :])
+    return f
 
 
 def relator_product(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:

@@ -314,10 +314,10 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
     slot k is conjugated by its slot's ``move``.
     """
     d = spec.dim
-    out = mats.copy()
+    out = np.empty_like(mats)
     W = step[..., : 2 * g * d].reshape(step.shape[:-1] + (2 * g, d))
     move = lg.exp(spec, lg.coords_to_algebra(spec, W))
-    out[..., : 2 * g, :, :] = move @ mats[..., : 2 * g, :, :]
+    lg.mat_product(move, mats[..., : 2 * g, :, :], out=out[..., : 2 * g, :, :])
     ofs = 2 * g * d
     for k, slot in enumerate(slots):
         w = slot.s.shape[-1]
@@ -336,7 +336,7 @@ def _batch_residual(spec, mats, g, m, z0i):
     per-sample mask of relators outside the principal-log domain (their
     residual reads 0)."""
     P = pres.relator_product(spec, mats, g, m)
-    L, bad = lg.principal_log(spec, P @ z0i)
+    L, bad = lg.principal_log(spec, lg.mat_product(P, z0i))
     return lg.algebra_coords(spec, L), bad
 
 

@@ -107,7 +107,7 @@ def _displacement_coords(spec, final, initial):
     are parked at a large sentinel: they are far outside every gate and
     must not abort the stream.
     """
-    rel = final @ lg.group_inverse(spec, initial)
+    rel = lg.mat_product(final, lg.group_inverse(spec, initial))
     L, bad = lg.principal_log(spec, rel)
     # the eigen-angles of the skew-Hermitian L are the eigenvalues of iL
     far = bad | (np.abs(np.linalg.eigvalsh(1j * L)).max(axis=-1) > 3.0)

@@ -367,6 +367,72 @@ def test_sl3_log_independent_of_global_random_state():
 
 
 # ---------------------------------------------------------------------------
+# stacked product kernel and the closed-form SU(2) adjoint
+# ---------------------------------------------------------------------------
+
+kernel_shapes = st.sampled_from([(), (5,), (2, 3)])
+
+
+@given(spec=st.sampled_from(SPECS), shape=kernel_shapes,
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 2.0))
+def test_mat_product_matches_matmul_and_its_slices(spec, shape, seed, scale):
+    rng = np.random.default_rng(seed)
+
+    def group(size):
+        return cv.exp(spec, cv.random_algebra(spec, rng, scale=scale, size=size))
+
+    A, B, C = group(shape), group(shape), group(None)
+    AB = lg.mat_product(A, B)
+    assert AB.shape == shape + (spec.rank, spec.rank)
+    assert _rel(AB, A @ B) < 1e-14
+    assert _rel(lg.mat_product(A, C), A @ C) < 1e-14  # one factor broadcast
+    out = np.empty_like(AB)
+    assert lg.mat_product(A, B, out=out) is out and np.array_equal(out, AB)
+    if shape:
+        Af, Bf = A.reshape((-1,) + A.shape[-2:]), B.reshape((-1,) + B.shape[-2:])
+        one = np.array([lg.mat_product(a, b) for a, b in zip(Af, Bf)])
+        assert np.array_equal(AB, one.reshape(AB.shape))
+        assert np.array_equal(lg.mat_product(A, C),
+                              per_slice(lambda _, a: lg.mat_product(a, C), spec, A))
+
+
+@given(shape=batch_shapes, seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 3.0))
+def test_su2_adjoint_closed_form(shape, seed, scale):
+    """The quaternion rotation against the generic operator on the product
+    tensor, SO(3) membership, the homomorphism, and per-slice calls."""
+    su2 = cv.GroupSpec("SU", 2)
+    rng = np.random.default_rng(seed)
+
+    def group(size):
+        return cv.exp(su2, cv.random_algebra(su2, rng, scale=scale, size=size))
+
+    g, h = group(shape), group(shape)
+    Ad_g, Ad_h = cv.adjoint_matrix(su2, g), cv.adjoint_matrix(su2, h)
+    gi = lg.group_inverse(su2, g)
+    reference = lg._apply_adjoint_operator(
+        su2, g[..., :, :, None, None] * gi[..., None, None, :, :])
+    assert Ad_g.shape == shape + (3, 3)
+    assert np.abs(Ad_g - reference).max() < 1e-14
+    assert np.abs(Ad_g @ np.swapaxes(Ad_g, -2, -1) - np.eye(3)).max() < 1e-14
+    assert np.abs(np.linalg.det(Ad_g) - 1.0).max() < 1e-14
+    assert np.abs(cv.adjoint_matrix(su2, g @ h) - Ad_g @ Ad_h).max() < 1e-14
+    assert np.array_equal(Ad_g, per_slice(cv.adjoint_matrix, su2, g))
+
+
+def test_su2_adjoint_of_quaternion_units(su2):
+    """Known answers: I = diag(i, -i) turns the (J, K) plane by pi and fixes I;
+    exp(t I / 2) turns it by t (basis order (J, K, I)/sqrt(2))."""
+    t = 0.7
+    rot = np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0],
+                    [0.0, 0.0, 1.0]])
+    g = np.diag(np.exp([0.5j * t, -0.5j * t]))
+    assert np.abs(cv.adjoint_matrix(su2, g) - rot).max() < 1e-15
+    assert np.array_equal(cv.adjoint_matrix(su2, np.diag([1j, -1j])),
+                          np.diag([-1.0, -1.0, 1.0]))
+    assert np.array_equal(cv.adjoint_matrix(su2, -np.eye(2, dtype=complex)), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
 # Haar statistics
 # ---------------------------------------------------------------------------
 
