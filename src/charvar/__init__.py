@@ -22,8 +22,6 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .liegroup import (
-    NEGATIVE_TRACE_FORM,
-    TRACE_FORM,
     GroupSpec,
     adjoint,
     adjoint_matrix,
@@ -34,20 +32,17 @@ from .liegroup import (
     haar_sample,
     log_near_identity,
     pairing,
-    pairing_norm,
     random_algebra,
 )
 from .presentation import (
     GeneratorTuple,
     SurfacePresentation,
-    conjugate_tuple,
     evaluate_relator,
 )
 from .seifert import (
     FiberHolonomy,
     SeifertData,
     fiber_holonomy_candidates,
-    rigidity_check,
     to_surface_problem,
     variety_problem,
 )
@@ -63,16 +58,13 @@ from .variety import (
     RepresentationPoint,
     VarietyProblem,
     cohomology_at,
-    conjugate_point,
     is_irreducible,
-    perturb_point,
     project_to_variety,
 )
 from .volume import (
     VolumeEstimate,
     cross_check,
     estimate_relative_volume,
-    liouville_density,
 )
 
 __version__ = "0.1.0"

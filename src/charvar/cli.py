@@ -3,7 +3,8 @@
 Configuration is JSON only (one parser, one schema), every command emits
 machine-readable JSON, and files are written atomically (temp + rename).
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(no convergence, insufficient samples), 3 certification failure.
+(no convergence, insufficient samples), 3 certification failure, 4 an
+internal error (any other exception inside a command).
 
 Determinism contract: identical config + seed produce byte-identical
 output files; nothing time- or path-dependent goes into the payloads.
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFY = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_TOLERANCES = {
     "tol_flat": vy.TOL_FLAT,
@@ -278,8 +280,8 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
         point.spec, point.tuple.mats, point.tuple.genus, point.tuple.boundary_count)
     cocycle_defect = float(np.abs(D @ basis.b_coords).max()) if nb else 0.0
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
-    # descent (both argument orders) and the form on h1 from one Gram over
-    # the columns [z | b | h]; an empty block reads 0
+    # descent (both argument orders), the form on h1 and its kernel on the
+    # cocycles from one Gram over the columns [z | b | h]; an empty block reads 0
     zbh = np.concatenate([basis.z_coords, basis.b_coords, basis.h_coords], axis=1)
     G = tf.form_gram_coords(point, classes, zbh, zbh)
     descent = max(np.abs(G[nz:nz + nb, :nz]).max(initial=0.0),
@@ -292,7 +294,7 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
         add("nondegenerate_sigma_min", -smin, -1e-8)
     else:  # a form on the zero space is nondegenerate
         add("nondegenerate_sigma_min", 0.0, -1e-8, ok=True)
-    K = tf.kernel_of_form(point, classes, basis)
+    K = tf.kernel_of_form(G[:nz, :nz], basis.z_coords)
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
     if steps and nh < 3:
         # no triple of chart directions: every dOmega coefficient is zero
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
     except (NoConvergenceError, OutsideDomainError, InsufficientSamplesError) as e:
         error_record("numerical", str(e))
         return EXIT_NUMERICAL
+    except Exception as e:  # a defect of the program, not of its input
+        error_record("internal", f"{type(e).__name__}: {e}")
+        return EXIT_INTERNAL
     raise AssertionError("unreachable")
 
 

@@ -16,9 +16,9 @@ Conventions
 * su(r) = traceless skew-Hermitian matrices, a real vector space of
   dimension r^2 - 1; sl(r, C) = traceless matrices, complex dimension
   r^2 - 1.
-* The invariant pairing is ``trace(XY)`` (``TraceForm``) or ``-trace(XY)``
-  (``NegativeTraceForm``).  The negative form is positive definite on
-  su(r) and is the default there; no extra normalization factor is used.
+* The family fixes the invariant pairing: ``-trace(XY)`` on su(r), where it
+  is positive definite, and ``trace(XY)`` on sl(r, C); no extra
+  normalization factor is used.
 * Matrix coordinates use an orthonormal algebra basis: orthonormal for
   ``-trace(XY)`` on su(r), orthonormal for the Hermitian form
   ``trace(X Y*)`` on sl(r, C).
@@ -36,9 +36,6 @@ from .errors import DimensionMismatchError, OutsideDomainError
 
 TOL_GROUP = 1e-10
 TOL_ALG = 1e-10
-
-TRACE_FORM = "trace"
-NEGATIVE_TRACE_FORM = "neg_trace"
 
 _BRANCH_TOL = 1e-12
 
@@ -64,10 +61,6 @@ class GroupSpec:
     @property
     def is_unitary(self) -> bool:
         return self.family == "SU"
-
-    @property
-    def default_pairing(self) -> str:
-        return NEGATIVE_TRACE_FORM if self.family == "SU" else TRACE_FORM
 
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
@@ -121,18 +114,6 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
     if basis.shape[0] != spec.dim:
         raise AssertionError("basis size mismatch")
     return basis
-
-
-@functools.lru_cache(maxsize=None)
-def _pairing_gram(spec: GroupSpec, convention: str) -> np.ndarray:
-    """Matrix <B_i, B_j> of the bilinear pairing on the algebra basis."""
-    B = algebra_basis(spec)
-    G = np.einsum("iab,jba->ij", B, B)
-    if convention == NEGATIVE_TRACE_FORM:
-        G = -G
-    if spec.family == "SU":
-        G = G.real
-    return G
 
 
 def algebra_coords(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
@@ -411,35 +392,23 @@ def ad_algebra_matrix(spec: GroupSpec, K: np.ndarray) -> np.ndarray:
                                    - eye[:, :, None, None] * K[..., None, None, :, :])
 
 
-def pairing(spec: GroupSpec, X: np.ndarray, Y: np.ndarray,
-            convention: str | None = None):
-    """Invariant bilinear pairing of algebra elements.
-
-    ``TraceForm`` is trace(XY); ``NegativeTraceForm`` is -trace(XY) and is
-    positive definite on su(r).  Returns real values for SU, complex for
-    SLC.  Default convention: NegativeTraceForm for SU, TraceForm for SLC.
-    """
-    if convention is None:
-        convention = spec.default_pairing
+def pairing(spec: GroupSpec, X: np.ndarray, Y: np.ndarray):
+    """Invariant bilinear pairing of algebra elements, fixed by the family:
+    -trace(XY) on su(r), positive definite and real there, and trace(XY)
+    on sl(r, C), complex."""
     val = np.einsum("...ab,...ba->...", X, Y)
-    if convention == NEGATIVE_TRACE_FORM:
-        val = -val
-    elif convention != TRACE_FORM:
-        raise ValueError(f"unknown pairing convention {convention!r}")
     if spec.family == "SU":
-        val = val.real
+        val = -val.real
     if val.ndim == 0:
         return val.item()
     return val
 
 
-def pairing_norm(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
-    """Norm induced by the definite pairing (Frobenius for SU; Hermitian for SLC)."""
-    if spec.family == "SU":
-        v = pairing(spec, X, X, NEGATIVE_TRACE_FORM)
-        return np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
-    v = np.einsum("...ab,...ab->...", X, X.conj()).real
-    return np.sqrt(np.maximum(v, 0.0))
+@functools.lru_cache(maxsize=None)
+def pairing_gram(spec: GroupSpec) -> np.ndarray:
+    """Matrix <B_i, B_j> (dim, dim) of :func:`pairing` on the algebra basis."""
+    B = algebra_basis(spec)
+    return pairing(spec, B[:, None], B[None])
 
 
 # ---------------------------------------------------------------------------

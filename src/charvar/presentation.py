@@ -220,10 +220,3 @@ class GeneratorTuple:
 def evaluate_relator(t: GeneratorTuple) -> np.ndarray:
     """The relator word at the tuple, rightmost factor first."""
     return relator_product(t.spec, t.mats, t.genus, t.boundary_count)
-
-
-def conjugate_tuple(t: GeneratorTuple, A: np.ndarray) -> GeneratorTuple:
-    """Slotwise s -> A^-1 s A."""
-    Ai = lg.group_inverse(t.spec, A)
-    return t.replace_mats(Ai @ t.mats @ A)
-

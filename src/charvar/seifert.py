@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import liegroup as lg
 from .liegroup import GroupSpec
-from .presentation import SurfacePresentation, evaluate_relator
-from .variety import ConjugacyClassSpec, RepresentationPoint, VarietyProblem
+from .presentation import SurfacePresentation
+from .variety import ConjugacyClassSpec, VarietyProblem
 
 
 @dataclass(frozen=True)
@@ -109,36 +108,3 @@ def _resolve(d: SeifertData, zeta) -> FiberHolonomy:
         if abs(cand.zeta - zeta) < 1e-8:
             return cand
     raise ValueError(f"{zeta} is not an order-{d.rank} root of unity")
-
-
-def fiber_target_scalar(d: SeifertData, p: RepresentationPoint) -> complex | None:
-    """The scalar lambda with relator value ~ lambda*I at the point.
-
-    None when the relator value is not scalar to 1e-6 (the point is off
-    every component).
-    """
-    P = evaluate_relator(p.tuple)
-    r = d.rank
-    lam = complex(np.trace(P) / r)
-    if np.abs(P - lam * np.eye(r)).max() > 1e-6:
-        return None
-    return lam
-
-
-def rigidity_check(d: SeifertData, zeta: complex | FiberHolonomy,
-                   path: list[RepresentationPoint]) -> bool:
-    """True iff the fiber holonomy target stays at zeta^n along the path.
-
-    The finite-order central holonomy cannot deform, so a genuine
-    random-walk of re-solves on one component keeps the target constant;
-    a path that mixes components fails the check.  A point passes when its
-    scalar is within ``max(100 TOL_GROUP, 10 residual)`` of zeta^n.
-    """
-    cand = _resolve(d, zeta)
-    expected = complex(np.trace(cand.target) / d.rank)
-    for p in path:
-        lam = fiber_target_scalar(d, p)
-        if lam is None or abs(lam - expected) > max(100 * lg.TOL_GROUP,
-                                                     10 * p.residual_norm):
-            return False
-    return True

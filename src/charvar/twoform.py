@@ -16,8 +16,8 @@ centralizer of c_k whose conjugation moves c_k with velocity H_k.
 Boundary components must lie in image(1 - Ad c_k).  The boundary term is
 the conjugacy-class two-form of Alekseev-Malkin-Meinrenken (Lie group
 valued moment maps), skew because Ad c_k is orthogonal for the pairing.
-The family fixes the pairing ``<., .>``: ``-tr`` on SU(r), ``tr`` on
-SL(r, C) (``GroupSpec.default_pairing``).  The 1/2 prefactor is part of
+The family fixes the pairing ``<., .>`` (:func:`liegroup.pairing_gram`):
+``-tr`` on SU(r), ``tr`` on SL(r, C).  The 1/2 prefactor is part of
 the convention here: the closed-surface form equals the boundary form at
 m = 0 identically.  Writings of the closed-surface sum without the 1/2
 are twice this one.
@@ -78,7 +78,7 @@ def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
     slots = [s for s, _ in pres.word_letters(g, m)]
     tu = _transported(T, slots, U)  # (..., N, d, k)
     tv = _transported(T, slots, V)  # (..., N, d, l)
-    Gp = lg._pairing_gram(spec, spec.default_pairing)
+    Gp = lg.pairing_gram(spec)
     if not np.allclose(Gp, np.eye(spec.dim)):
         tu = Gp @ tu
     # inclusive prefix sums over the letters: the i = j terms cancel
@@ -96,7 +96,7 @@ def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     d = spec.dim
     T, _ = pres.letter_transport(spec, mats, g, m)
     G = first_sum_gram(spec, T, g, m, U, V)
-    Gp = lg._pairing_gram(spec, spec.default_pairing)
+    Gp = lg.pairing_gram(spec)
     for k, slot in enumerate(slots):
         rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
         Yu = slot.conjugator(U[..., rows, :])
@@ -132,24 +132,21 @@ def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
     return form_gram_coords(p, classes, basis.h_coords, basis.h_coords)
 
 
-def kernel_of_form(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                   basis: CohomologyBasis | None = None) -> np.ndarray:
+def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
     """Orthonormal columns (n*dim, k) spanning the null space of the form
-    restricted to the cocycles.
+    restricted to the cocycles, from its Gram (nz, nz) over the orthonormal
+    cocycle columns ``z_coords`` (n*dim, nz).
 
     At irreducible compact-group points this coincides with the
     coboundary directions; the kernel dimension is read off the
     singular-value gap, so a larger kernel at a degenerate point is
     reported rather than hidden.
     """
-    if basis is None:
-        basis = cohomology_at(p, classes)
-    G = form_gram_coords(p, classes, basis.z_coords, basis.z_coords)
-    if G.shape[0] == 0:
-        return basis.z_coords
-    _, s, Vh = np.linalg.svd(G)
+    if gram.shape[0] == 0:
+        return z_coords
+    _, s, Vh = np.linalg.svd(gram)
     rank, _, _ = split_rank(s)
-    return basis.z_coords @ Vh[rank:].conj().T
+    return z_coords @ Vh[rank:].conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -529,21 +529,6 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     return basis
 
 
-def conjugate_point(p: RepresentationPoint, A: np.ndarray,
-                    classes: ConjugacyClassSpec | None = None) -> RepresentationPoint:
-    """Slotwise s -> A^-1 s A; the residual is conjugation-invariant.
-
-    When class data is supplied the residual is recomputed at the moved
-    tuple (it agrees with the stored one to rounding); otherwise the
-    stored value is carried over.
-    """
-    t = pres.conjugate_tuple(p.tuple, A)
-    if classes is None:
-        return RepresentationPoint(t, p.residual_norm, p.irreducible)
-    R = flat_residual(p.spec, t.mats, t.genus, t.boundary_count, classes.target)
-    return RepresentationPoint(t, float(np.linalg.norm(R)), p.irreducible)
-
-
 # ---------------------------------------------------------------------------
 # problem bundle
 # ---------------------------------------------------------------------------
@@ -575,15 +560,3 @@ class VarietyProblem:
     def solve(self, rng: np.random.Generator, **kw) -> RepresentationPoint:
         return project_to_variety(self.random_initial(rng), self.classes,
                                   rng=rng, **kw)
-
-
-def perturb_point(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                  rng: np.random.Generator, scale: float = 0.1,
-                  **solve_kw) -> RepresentationPoint:
-    """Kick the interior generators and re-project (one random-walk step)."""
-    t = p.tuple
-    g = t.genus
-    mats = t.mats.copy()
-    kick = lg.exp(t.spec, lg.random_algebra(t.spec, rng, scale=scale, size=2 * g))
-    mats[: 2 * g] = kick @ mats[: 2 * g]
-    return project_to_variety(t.replace_mats(mats), classes, rng=rng, **solve_kw)

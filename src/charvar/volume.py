@@ -20,7 +20,7 @@ leading biases differ (residual-metric vs distance-metric tube), which is
 exactly what makes the cross-check informative.  Absolute normalization
 is not reproducible without conventions the underlying construction does
 not fix, so values are relative to the stated baseline: Haar probability
-on the ambient tuple space and the NegativeTraceForm metric scale (the
+on the ambient tuple space and the -trace(XY) metric scale (the
 density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
 """
 
@@ -37,11 +37,8 @@ from .errors import (
     InsufficientSamplesError,
     OddDimensionError,
 )
-from .twoform import form_gram_stack, form_on_cohomology
+from .twoform import form_gram_stack
 from .variety import (
-    CohomologyBasis,
-    ConjugacyClassSpec,
-    RepresentationPoint,
     VarietyProblem,
     _batch_residual,
     boundary_slots,
@@ -68,16 +65,6 @@ class VolumeEstimate:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def liouville_density(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                      basis: CohomologyBasis | None = None) -> float:
-    """sqrt(det Omega) over an orthonormal h1 basis, sign fixed positive.
-
-    Requires an even h1 dimension; basis-rotation invariant because the
-    determinant of a skew matrix is unchanged under orthogonal rotation.
-    """
-    return pfaffian_abs(form_on_cohomology(p, classes, basis))
 
 
 def pfaffian_abs(omega: np.ndarray):
@@ -235,8 +222,9 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
     """Relative Liouville volume of one component by gated Haar sampling.
 
     SU family only.  The returned value is relative to the Haar-probability
-    baseline in the NegativeTraceForm metric convention; see the module
-    docstring for the two estimator variants.
+    baseline in the -trace(XY) metric, which the convention note names
+    "NegativeTraceForm"; see the module docstring for the two estimator
+    variants.
     """
     if records is None:
         records = sample_stream(problem, n_samples, seed)

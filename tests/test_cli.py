@@ -290,6 +290,19 @@ def test_volume_insufficient_samples_exit_2(tmp_path, capsys):
     assert err["error"] == "insufficient_samples"
 
 
+def test_unmapped_exception_exit_4(tmp_path, capsys, monkeypatch):
+    """An exception no handler names is an internal error, not a config one."""
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", crash)
+    rc = cli.main(["solve", "--config", write_config(tmp_path)])
+    assert rc == cli.EXIT_INTERNAL == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "internal", "detail": "RuntimeError: boom"}
+
+
 def test_volume_run_and_csv(tmp_path):
     cfg = write_config(tmp_path, volume={"n_samples": 1500}, seed=75)
     out = tmp_path / "vol.json"
@@ -372,9 +385,9 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
     assert len(calls) == 1
 
 
-def test_certify_evaluates_the_form_twice(solved_points, closed_problem, monkeypatch):
-    """Descent and the form on h1 come from one Gram over the columns
-    [z | b | h]; the kernel of the form on the cocycles is the other one."""
+def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypatch):
+    """Descent, the form on h1 and its kernel on the cocycles all come from
+    one Gram over the columns [z | b | h]."""
     from charvar import twoform
 
     calls, form = [], twoform.form_gram_stack
@@ -387,7 +400,7 @@ def test_certify_evaluates_the_form_twice(solved_points, closed_problem, monkeyp
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
                                       cli.DEFAULT_TOLERANCES, ())
     assert all(c["pass"] for c in checks), checks
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _isolated_point():

@@ -35,6 +35,11 @@ def random_tuple(spec, g, m, rng):
     return GeneratorTuple(spec, g, m, lg.haar_sample(spec, rng, size=2 * g + m))
 
 
+def conjugate_tuple(t, A):
+    """Slotwise s -> A^-1 s A."""
+    return t.replace_mats(lg.group_inverse(t.spec, A) @ t.mats @ A)
+
+
 def differential(t):
     """Coordinate matrix of the relator differential at the tuple."""
     return pres.relator_differential_matrix(t.spec, t.mats, t.genus, t.boundary_count)
@@ -89,7 +94,7 @@ def test_relator_conjugation_equivariance(su2):
     rng = np.random.default_rng(2)
     t = random_tuple(su2, 2, 0, rng)
     A = cv.haar_sample(su2, rng)
-    lhs = cv.evaluate_relator(cv.conjugate_tuple(t, A))
+    lhs = cv.evaluate_relator(conjugate_tuple(t, A))
     rhs = np.conj(A.T) @ cv.evaluate_relator(t) @ A
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -153,7 +158,7 @@ def test_differential_equivariance(su2):
     A = cv.haar_sample(su2, rng)
     Ai = np.conj(A.T)
     H = lg.random_algebra(su2, rng, size=t.n_generators)
-    moved = cv.conjugate_tuple(t, A)
+    moved = conjugate_tuple(t, A)
     lhs = apply_differential(moved, Ai @ H @ A)
     rhs = Ai @ apply_differential(t, H) @ A
     assert np.abs(lhs - rhs).max() < 1e-10

@@ -13,6 +13,7 @@ from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
 from charvar.variety import boundary_slots, embed_moves
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
+from test_variety import conjugate_point
 
 
 def epsilon_sign(i, j):
@@ -33,6 +34,12 @@ def random_coords(t, rng):
 def theta(p, classes, u, v):
     """The form on one pair of coordinate vectors."""
     return form_gram_coords(p, classes, u[:, None], v[:, None])[0, 0]
+
+
+def form_kernel(p, classes, basis):
+    """kernel_of_form on the Gram of the form over the cocycle columns."""
+    z = basis.z_coords
+    return cv.kernel_of_form(form_gram_coords(p, classes, z, z), z)
 
 
 def closed_theta(p, u, v):
@@ -305,7 +312,7 @@ def test_conjugation_invariance(solved_points, closed_problem, su2):
         Ai = np.conj(A.T)
         u = lg.random_algebra(su2, rng, size=p.tuple.n_generators)
         v = lg.random_algebra(su2, rng, size=p.tuple.n_generators)
-        q = cv.conjugate_point(p, A, closed_problem.classes)
+        q = conjugate_point(p, A, closed_problem.classes)
         Au, Av = coords(su2, Ai @ u @ A), coords(su2, Ai @ v @ A)
         assert abs(theta(q, closed_problem.classes, Au, Av)
                    - theta(p, closed_problem.classes, coords(su2, u),
@@ -376,7 +383,7 @@ def test_sigma_min_stable_under_reorthonormalization(solved_points, closed_probl
 def test_kernel_equals_coboundaries(solved_points, closed_problem):
     for p in solved_points[:10]:
         basis = cv.cohomology_at(p, closed_problem.classes)
-        K = cv.kernel_of_form(p, closed_problem.classes, basis)
+        K = form_kernel(p, closed_problem.classes, basis)
         assert K.shape[1] == 3
         cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
         angles = np.arccos(np.clip(cosines, -1, 1))
@@ -386,7 +393,7 @@ def test_kernel_equals_coboundaries(solved_points, closed_problem):
 def test_kernel_equals_coboundaries_generic_class(generic_points, generic_problem):
     for p in generic_points:
         basis = cv.cohomology_at(p, generic_problem.classes)
-        K = cv.kernel_of_form(p, generic_problem.classes, basis)
+        K = form_kernel(p, generic_problem.classes, basis)
         assert K.shape[1] == 3
         cosines = np.linalg.svd(K.T @ basis.b_coords, compute_uv=False)
         assert np.arccos(np.clip(cosines, -1, 1)).max() < 1e-7
@@ -404,7 +411,7 @@ def test_kernel_at_reducible_point_reported(su2):
     classes = cv.ConjugacyClassSpec(su2)
     basis = cv.cohomology_at(p, classes)
     assert basis.dims() == (10, 2, 8)
-    K = cv.kernel_of_form(p, classes, basis)
+    K = form_kernel(p, classes, basis)
     assert K.shape[1] >= basis.b_coords.shape[1]
     # containment of the coboundaries in the kernel (descent at a flat point)
     G = form_gram_coords(p, classes, basis.b_coords, basis.z_coords)
@@ -574,7 +581,7 @@ def test_su3_structure(su3):
     assert basis.dims() == (24, 8, 16)  # h1 = (2g - 2) dim G
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
-    assert cv.kernel_of_form(p, prob.classes, basis).shape[1] == 8
+    assert form_kernel(p, prob.classes, basis).shape[1] == 8
     omega = cv.form_on_cohomology(p, prob.classes, basis)
     assert np.linalg.svd(omega, compute_uv=False)[-1] > 1e-3
 
@@ -590,7 +597,7 @@ def test_su3_regular_class_form(su3_regular_problem):
     assert np.abs(omega + omega.T).max() < 1e-12
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
-    assert cv.kernel_of_form(p, prob.classes, basis).shape[1] == 8
+    assert form_kernel(p, prob.classes, basis).shape[1] == 8
     steps = (1e-3, 5e-4, 2.5e-4)
     vals = cv.closedness_sweep(p, prob.classes, steps=steps)
     assert observed_order(steps, vals) >= 1.8

@@ -24,6 +24,13 @@ from charvar.volume import (
     sample_stream,
 )
 
+from test_variety import conjugate_point
+
+
+def liouville_density(p, classes, basis=None):
+    """The per-point Liouville density: |Pf| of the form over the h1 basis."""
+    return pfaffian_abs(cv.form_on_cohomology(p, classes, basis))
+
 
 def test_pfaffian_single_block():
     for w in (0.7, -2.3):
@@ -59,7 +66,7 @@ def test_density_positive_and_rotation_invariant(solved_points, closed_problem):
     rng = np.random.default_rng(0)
     p = solved_points[0]
     basis = cv.cohomology_at(p, closed_problem.classes)
-    base = cv.liouville_density(p, closed_problem.classes, basis)
+    base = liouville_density(p, closed_problem.classes, basis)
     assert base > 0
     for _ in range(50):
         Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
@@ -71,15 +78,14 @@ def test_density_positive_and_rotation_invariant(solved_points, closed_problem):
 def test_density_conjugation_invariant(solved_points, closed_problem, su2):
     rng = np.random.default_rng(1)
     p = solved_points[1]
-    base = cv.liouville_density(p, closed_problem.classes)
+    base = liouville_density(p, closed_problem.classes)
     for _ in range(3):
-        q = cv.conjugate_point(p, cv.haar_sample(su2, rng),
-                               closed_problem.classes)
-        assert abs(cv.liouville_density(q, closed_problem.classes) - base) < 1e-9
+        q = conjugate_point(p, cv.haar_sample(su2, rng), closed_problem.classes)
+        assert abs(liouville_density(q, closed_problem.classes) - base) < 1e-9
 
 
 def test_density_at_boundary_point(boundary_points, boundary_problem):
-    val = cv.liouville_density(boundary_points[0], boundary_problem.classes)
+    val = liouville_density(boundary_points[0], boundary_problem.classes)
     assert val > 0
 
 
@@ -191,7 +197,7 @@ def _one_point(problem, mats, ell):
         cv.GeneratorTuple(spec, pr.genus, pr.boundary_count, mats), 0.0)
     basis = cv.cohomology_at(p, problem.classes)
     rank, _, _ = split_rank(basis.dpi_singular_values)
-    return (cv.liouville_density(p, problem.classes, basis),
+    return (liouville_density(p, problem.classes, basis),
             np.prod(basis.dpi_singular_values[:rank]),
             commutant_dimension(spec, mats) == 1,
             np.linalg.norm(basis.normal_rows @ ell))
