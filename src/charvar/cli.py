@@ -13,6 +13,7 @@ output files; nothing time- or path-dependent goes into the payloads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -418,7 +419,10 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: ``main`` may
+    run many times in one process, and parsing leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
         prog="charvar",
         description="Character-variety solver, two-form certifier, and "

@@ -9,7 +9,9 @@ only typed wrapper at this level.
 SU(2) has closed forms for exp (``_exp_su2``), the principal log
 (``_log_su2``) and the adjoint matrix (``_adjoint_su2``, the SO(3)
 rotation of the unit quaternion read off g); every other group goes
-through scipy (exp, log) or the cached adjoint operator.
+through scipy (exp, log, Schur form) or the cached adjoint operator.
+``scipy.linalg`` is imported on first use, inside those three paths, so
+an SU(2) run without a boundary class never loads it.
 
 Conventions
 -----------
@@ -30,7 +32,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, OutsideDomainError
 
@@ -203,15 +204,17 @@ def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Group exponential of (a batch of) algebra elements, retracted onto the group.
 
     Closed form on SU(2); otherwise scipy's scaling-and-squaring Pade
-    ``expm``, which takes a stack but loops over its matrices in Python,
-    re-projected so that invariant drift cannot accumulate over long
-    solver runs.  exp(0) is the identity exactly.
+    ``expm`` (``scipy.linalg`` is loaded on the first such call), which
+    takes a stack but loops over its matrices in Python, re-projected so
+    that invariant drift cannot accumulate over long solver runs.  exp(0)
+    is the identity exactly.
     """
     X = np.asarray(X, dtype=complex)
     if not np.all(np.isfinite(X)):
         raise ValueError("exp requires finite entries")
     if spec.family == "SU" and spec.rank == 2:
         return _exp_su2(X)
+    import scipy.linalg
     return project_to_group(spec, scipy.linalg.expm(X))
 
 
@@ -230,12 +233,21 @@ def _log_su2(g: np.ndarray) -> np.ndarray:
 def _logm(g: np.ndarray) -> np.ndarray:
     """``scipy.linalg.logm`` with its norm estimator's random probes (numpy's
     global RandomState, r >= 3) seeded; the caller's state is restored."""
+    import scipy.linalg
     state = np.random.get_state()
     np.random.seed(0)
     try:
         return scipy.linalg.logm(g)
     finally:
         np.random.set_state(state)
+
+
+def schur(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``g = Z T Z*`` of (a batch of) matrices, as ``(T, Z)``:
+    ``scipy.linalg.schur(g, output="complex")``, which loops over a stack
+    in Python."""
+    import scipy.linalg
+    return scipy.linalg.schur(g, output="complex")
 
 
 def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +269,7 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
         # the cut and the central factor -I both sit at trace -2
         bad = 0.5 * np.trace(g, axis1=-2, axis2=-1).real < -1.0 + _BRANCH_TOL
         return _log_su2(np.where(bad[..., None, None], eye, g)), bad
-    T, Z = scipy.linalg.schur(g, output="complex")
+    T, Z = schur(g)
     lam = np.diagonal(T, axis1=-2, axis2=-1)
     bad = np.any((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real)),
                  axis=-1)

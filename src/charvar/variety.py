@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import liegroup as lg
 from . import presentation as pres
@@ -207,7 +206,7 @@ def project_to_class(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> np.ndar
     phase, so it is exact when M is already in the class and a nearby
     retraction otherwise.
     """
-    T, Z = scipy.linalg.schur(M, output="complex")
+    T, Z = lg.schur(M)
     lam = np.diag(T)
     order = np.argsort(np.angle(lam), kind="stable")
     target = _sorted_eigenvalues(spec, rep)

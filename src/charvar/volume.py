@@ -222,15 +222,15 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
     """Relative Liouville volume of one component by gated Haar sampling.
 
     SU family only.  The returned value is relative to the Haar-probability
-    baseline in the -trace(XY) metric, which the convention note names
-    "NegativeTraceForm"; see the module docstring for the two estimator
-    variants.
+    baseline in the metric of the -trace(XY) pairing that
+    :func:`liegroup.pairing` fixes on su(r), which the convention note
+    names; see the module docstring for the two estimator variants.
     """
     if records is None:
         records = sample_stream(problem, n_samples, seed)
     codim = problem.spec.dim  # rank of the relator differential at irreducible points
     note = ("relative symplectic volume; Haar-probability ambient baseline; "
-            "NegativeTraceForm metric")
+            "-trace(XY) pairing metric")
     return _estimate_from_records(records, codim, estimator,
                                   residual_gate, distance_gate, note)
 

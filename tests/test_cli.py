@@ -54,6 +54,27 @@ def test_solve_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    """One parser serves every ``main`` call of a process: a call that
+    argparse rejects leaves it unchanged, so the next ``solve`` writes the
+    bytes a fresh process writes."""
+    import subprocess
+    import sys
+
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--out", str(tmp_path / "never.json")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    after, alone = tmp_path / "after.json", tmp_path / "alone.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(after), "--quiet"]) == 0
+    subprocess.run([sys.executable, "-m", "charvar.cli", "solve", "--config", cfg,
+                    "--out", str(alone), "--quiet"], check=True)
+    assert not (tmp_path / "never.json").exists()
+    assert after.read_bytes() == alone.read_bytes()
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -312,6 +333,9 @@ def test_volume_run_and_csv(tmp_path):
     data = json.loads(out.read_text())
     assert data["agree_3sigma"] is True
     assert data["coarea"]["value"] > 0 and data["tube"]["value"] > 0
+    assert data["coarea"]["convention"] == (
+        "relative symplectic volume; Haar-probability ambient baseline; "
+        "-trace(XY) pairing metric; coarea(residual_gate=0.6)")
     csv_path = tmp_path / "vol.csv"
     lines = csv_path.read_text().splitlines()
     header = lines[0].split(",")
