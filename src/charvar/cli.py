@@ -321,7 +321,7 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
         return EXIT_CONFIG
     try:
         point = vy.RepresentationPoint.from_json(cfg.group, data["point"])
-    except (KeyError, CharvarError) as e:
+    except (KeyError, TypeError, ValueError, CharvarError) as e:
         error_record("config", f"bad point payload: {e}")
         return EXIT_CONFIG
     steps = CERTIFY_STEPS if cfg.closedness_steps is None else cfg.closedness_steps

@@ -9,8 +9,9 @@ into a closed-surface relator equation with target zeta^n * I.  The sign
 convention fixes the relation as h^{+n}; h -> h^{-1} gives the isomorphic
 presentation with the opposite sign.
 
-Only the regular / quasi-regular case (no orbifold cone points) is
-modeled; cone points would add non-central boundary classes, which the
+Only the regular case is modeled: a circle bundle over a closed surface,
+with no orbifold cone points.  The quasi-regular case (Seifert fibrations
+with cone points) would add non-central boundary classes, which the
 boundary-class machinery elsewhere in the package already supports.
 """
 
@@ -43,13 +44,6 @@ class SeifertData:
     @property
     def group_spec(self) -> GroupSpec:
         return GroupSpec(self.family, self.rank)
-
-    def to_json(self) -> dict:
-        return {"g": self.genus, "n": self.euler_number, "r": self.rank}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SeifertData":
-        return cls(int(data["g"]), int(data["n"]), int(data["r"]))
 
 
 @dataclass(frozen=True)

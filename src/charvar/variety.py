@@ -46,7 +46,6 @@ GAP_TOL = 1e-6
 CLASS_TANGENT_TOL = 1e-8
 
 _ZERO_FLOOR = 1e-11
-_COMMUTANT_TOL = 1e-8  # relative to the largest commutator singular value
 
 
 @dataclass(frozen=True)
@@ -451,19 +450,17 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
 # irreducibility
 # ---------------------------------------------------------------------------
 
-def commutant_dimension(spec: GroupSpec, mats: np.ndarray) -> int:
-    """Dimension of {M : M rho(s) = rho(s) M for all generators}."""
-    eye = np.eye(spec.rank)
-    op = np.concatenate([np.kron(eye, g) - np.kron(g.T, eye) for g in mats])
-    svals = np.linalg.svd(op, compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    return int(np.sum(svals <= _COMMUTANT_TOL * scale))
-
-
 def is_irreducible(point) -> bool:
-    """True iff the joint commutant is the scalars (null dimension 1)."""
+    """True iff the coboundary map ``X -> (X - Ad(rho(s)) X)_s`` has rank
+    ``dim g``, read off its singular-value gap by :func:`split_rank`.
+
+    The map's kernel is the traceless part of the joint commutant, so full
+    rank means the commutant is the scalars, on SU(r) and SL(r, C) alike;
+    the volume sampler's mask applies the same rule.
+    """
     t = point.tuple if isinstance(point, RepresentationPoint) else point
-    return commutant_dimension(t.spec, t.mats) == 1
+    s = np.linalg.svd(pres.coboundary_matrix(t.spec, t.mats), compute_uv=False)
+    return split_rank(s)[0] == t.spec.dim
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +542,22 @@ class VarietyProblem:
             raise DimensionMismatchError(
                 "presentation and class data disagree on boundary count")
 
+    def initial_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` starting tuples, shape (size, 2g + m, r, r): Haar interior
+        generators for the whole batch, then Haar conjugates of the class
+        representatives.  At m = 0 this is ``haar_sample(size=(size, 2g))``."""
+        spec, r = self.spec, self.spec.rank
+        g, m = self.presentation.genus, self.presentation.boundary_count
+        interior = lg.haar_sample(spec, rng, size=(size, 2 * g))
+        U = lg.haar_sample(spec, rng, size=(size, m))
+        reps = np.array(self.classes.representatives).reshape(m, r, r)
+        return np.concatenate([interior, U @ reps @ lg.group_inverse(spec, U)], axis=-3)
+
     def random_initial(self, rng: np.random.Generator) -> GeneratorTuple:
-        """Haar interior generators; boundary entries at their class representatives."""
-        g = self.presentation.genus
-        m = self.presentation.boundary_count
-        mats = list(lg.haar_sample(self.spec, rng, size=2 * g))
-        for k in range(m):
-            U = lg.haar_sample(self.spec, rng)
-            rep = self.classes.representatives[k]
-            mats.append(U @ rep @ lg.group_inverse(self.spec, U))
-        return GeneratorTuple(self.spec, g, m, np.array(mats))
+        """One starting tuple: the single draw of :meth:`initial_batch`."""
+        pr = self.presentation
+        return GeneratorTuple(self.spec, pr.genus, pr.boundary_count,
+                              self.initial_batch(rng, 1)[0])
 
     def solve(self, rng: np.random.Generator, **kw) -> RepresentationPoint:
         return project_to_variety(self.random_initial(rng), self.classes,

@@ -167,9 +167,7 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleR
     done = 0
     while done < n_samples:
         nb = min(SAMPLE_BATCH, n_samples - done)
-        init = np.stack([
-            problem.random_initial(rng).mats for _ in range(nb)
-        ]) if m > 0 else lg.haar_sample(spec, rng, size=(nb, 2 * g))
+        init = problem.initial_batch(rng, nb)
         R0, bad0 = _batch_residual(spec, init, g, m, z0i)
         r0 = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
         mats, rnorm, iters, ok = project_batch(

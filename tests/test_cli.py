@@ -476,6 +476,43 @@ def test_certify_isolated_irreducible_point_cli(tmp_path):
     assert data["passed"] and all(c["pass"] for c in data["checks"])
 
 
+def _malformed_point(kind):
+    """A point file that parses as JSON but not as a point."""
+    if kind == "list":
+        return [1, 2]
+    data = _isolated_point()[0].to_json()
+    if kind == "a_number":
+        data["a"] = 5
+    else:
+        data["residual"] = {"residual_string": "x", "residual_null": None}[kind]
+    return {"point": data}
+
+
+@pytest.mark.parametrize("kind", ["list", "a_number", "residual_string",
+                                  "residual_null"])
+def test_certify_malformed_point_is_a_config_error(tmp_path, kind):
+    """A point file of the wrong shape or type is bad input: the JSON config
+    record and exit 1, not an internal error."""
+    import subprocess
+    import sys
+
+    _, classes = _isolated_point()
+    cfg = write_config(tmp_path, problem={
+        "type": "surface", "genus": 1, "boundary_count": 1,
+        "classes": classes.to_json()})
+    point_path = tmp_path / "point.json"
+    point_path.write_text(json.dumps(_malformed_point(kind)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar.cli", "certify", "--config", cfg,
+         "--point", str(point_path), "--out", str(tmp_path / "report.json"),
+         "--quiet"], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["detail"].startswith("bad point payload")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_seifert_scan_component_count_stable_across_seeds(tmp_path):
     cfg = write_config(
         tmp_path,

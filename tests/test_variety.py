@@ -1,7 +1,11 @@
 """Projection, irreducibility, cohomology splitting, conjugation."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
@@ -9,7 +13,6 @@ from charvar.errors import NoConvergenceError, RankDeficiencyWarning
 from charvar.presentation import GeneratorTuple
 from charvar.variety import (
     class_distance,
-    commutant_dimension,
     flat_residual,
     project_batch,
     project_to_class,
@@ -24,6 +27,17 @@ def rank_oracle(M, rtol=1e-8):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+def commutant_dimension(spec, mats):
+    """Dimension of the joint commutant {M : M g = g M for all g in mats},
+    cut at a fixed relative 1e-8 of the stacked commutator map (the retired
+    library routine, kept as an independent oracle)."""
+    eye = np.eye(spec.rank)
+    op = np.concatenate([np.kron(eye, g) - np.kron(g.T, eye) for g in mats])
+    svals = np.linalg.svd(op, compute_uv=False)
+    scale = svals[0] if svals[0] > 0 else 1.0
+    return int(np.sum(svals <= 1e-8 * scale))
 
 
 def conjugate_point(p, A, classes):
@@ -248,6 +262,67 @@ def test_block_diagonal_reducible():
     assert not cv.is_irreducible(t)
 
 
+def _class_rep(r):
+    """A regular diagonal class, in SU(r) and in SL(r, C)."""
+    return np.diag(np.exp(1j * np.array([0.3, -0.3] if r == 2 else [0.3, 0.5, -0.8])))
+
+
+@functools.cache
+def _solved_mats(family, r, g, m, seed):
+    spec = cv.GroupSpec(family, r)
+    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m),
+                                cv.ConjugacyClassSpec(spec, (_class_rep(r),) * m))
+    return problem.solve(np.random.default_rng(seed)).tuple.mats
+
+
+def _planted_reducible(spec, n, rng):
+    """n block-diagonal generators with blocks of sizes 1 and r - 1: the
+    coordinate line e_1 and its complement are invariant."""
+    r = spec.rank
+    phi = rng.uniform(-np.pi, np.pi, size=n)
+    mats = np.zeros((n, r, r), dtype=complex)
+    mats[:, 0, 0] = np.exp(-1j * (r - 1) * phi)
+    if r == 2:
+        mats[:, 1, 1] = np.exp(1j * phi)
+    else:
+        block = cv.haar_sample(cv.GroupSpec(spec.family, r - 1), rng, size=n)
+        mats[:, 1:, 1:] = np.exp(1j * phi)[:, None, None] * block
+    return mats
+
+
+@settings(max_examples=40)
+@given(family=st.sampled_from(["SU", "SLC"]), r=st.integers(2, 3),
+       g=st.integers(1, 3), m=st.integers(0, 1),
+       eps=st.sampled_from([None, 1e-2, 1e-6, 3e-8, 3e-9, 1e-10]),
+       seed=st.integers(0, 3))
+def test_is_irreducible_agrees_with_commutant_oracle(family, r, g, m, eps, seed):
+    """The coboundary-rank test and the commutant oracle agree on solved
+    points (eps None) and on planted reducible tuples moved by exp(eps X).
+
+    Both read the perturbed tuples irreducible at eps >= 1e-6 and reducible
+    at 1e-10; they flip together between 3e-8 and 3e-9.  eps = 1e-8 itself
+    is left out: it sits on the oracle's fixed relative cut, where the gap
+    rule's cut ``1e-8 sqrt(s_max s_prev)`` reads some rank-3 tuples the
+    other way.  Triangular SL(r, C) tuples, which both tests read as
+    irreducible, are the Burnside item of the ROADMAP (item 1)."""
+    spec = cv.GroupSpec(family, r)
+    n = 2 * g + m
+    if eps is None:
+        assume(g + m >= 2)  # a closed torus has no irreducible points
+        mats = _solved_mats(family, r, g, m, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        mats = _planted_reducible(spec, n, rng)
+        X = cv.random_algebra(spec, rng, size=n)
+        mats = cv.exp(spec, eps * X) @ mats
+    got = cv.is_irreducible(GeneratorTuple(spec, g, m, mats))
+    assert got == (commutant_dimension(spec, mats) == 1)
+    if eps is None or eps >= 1e-6:
+        assert got
+    elif eps <= 1e-10:
+        assert not got
+
+
 def test_solved_points_irreducible(solved_points):
     assert all(p.irreducible for p in solved_points)
 
@@ -400,6 +475,52 @@ def test_boundary_entries_stay_in_class(boundary_points, boundary_problem, su2):
     rep = boundary_problem.classes.representatives[0]
     for p in boundary_points:
         assert class_distance(su2, p.tuple.c(0), rep) < 1e-10
+
+
+def _slotwise_initial(problem, rng):
+    """One start drawn slot by slot: 2g Haar interiors, then one Haar
+    conjugator per boundary slot (the per-sample draw that the batched
+    ``initial_batch`` replaced)."""
+    spec, g = problem.spec, problem.presentation.genus
+    mats = list(cv.haar_sample(spec, rng, size=2 * g))
+    for rep in problem.classes.representatives:
+        U = cv.haar_sample(spec, rng)
+        mats.append(U @ rep @ lg.group_inverse(spec, U))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2)])
+def test_initial_batch_draw(family, r):
+    """Interiors are ``haar_sample(size=(k, 2g))`` bit for bit (the whole
+    draw at m = 0), boundary entries lie on their classes, and one m = 1
+    draw is the slot-by-slot draw."""
+    spec = cv.GroupSpec(family, r)
+    reps = (_class_rep(r), _class_rep(r).conj())
+    for g, m in ((2, 0), (1, 1), (2, 2)):
+        problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m),
+                                    cv.ConjugacyClassSpec(spec, reps[:m]))
+        got = problem.initial_batch(np.random.default_rng(5), 4)
+        assert got.shape == (4, 2 * g + m, r, r)
+        want = cv.haar_sample(spec, np.random.default_rng(5), size=(4, 2 * g))
+        assert got[:, : 2 * g].tobytes() == want.tobytes()
+        for i in range(4):
+            for k in range(m):
+                assert class_distance(spec, got[i, 2 * g + k], reps[k]) <= 1e-12
+    for g in (1, 2):
+        problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, 1),
+                                    cv.ConjugacyClassSpec(spec, reps[:1]))
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            t = problem.random_initial(rng)
+            want = _slotwise_initial(problem, ref_rng)
+            assert isinstance(t, GeneratorTuple)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if (family, r) == ("SU", 3):
+                # haar_sample's phase fix rounds a lone 3x3 and a stacked one
+                # differently, so the conjugator agrees to rounding only
+                assert np.abs(t.mats - want).max() <= 1e-14
+            else:
+                assert t.mats.tobytes() == want.tobytes()
 
 
 def test_class_spec_validation(su2):

@@ -15,7 +15,7 @@ from charvar.errors import (
     OddDimensionError,
 )
 from charvar.twoform import form_gram_coords
-from charvar.variety import commutant_dimension, project_batch, split_rank
+from charvar.variety import project_batch, split_rank
 from charvar.volume import (
     SampleRecords,
     ball_volume,
@@ -24,7 +24,7 @@ from charvar.volume import (
     sample_stream,
 )
 
-from test_variety import conjugate_point
+from test_variety import commutant_dimension, conjugate_point
 
 
 def liouville_density(p, classes, basis=None):
@@ -236,7 +236,8 @@ def test_batched_density_matches_one_point_path(landing_sets, name, data, seed):
 def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
     """Known answers: diagonal SU(2) tuples and S(U(1) x U(2)) block-diagonal
     SU(3) tuples are reducible, Haar tuples irreducible; the sampler's
-    coboundary-rank test and the commutant dimension agree on all of them."""
+    coboundary-rank mask, the commutant oracle and ``is_irreducible`` agree
+    on all of them."""
     rng = np.random.default_rng(13)
     for problem in (closed_problem, _problem(su3, 2)):
         spec, r = problem.spec, problem.spec.rank
@@ -256,3 +257,5 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
         irr = landing_densities(problem, mats, np.zeros((8, 4 * spec.dim)))[2]
         assert irr.tolist() == [False] * 4 + [True] * 4
         assert irr.tolist() == [commutant_dimension(spec, x) == 1 for x in mats]
+        assert irr.tolist() == [cv.is_irreducible(cv.GeneratorTuple(spec, 2, 0, x))
+                                for x in mats]
