@@ -8,10 +8,10 @@ only typed wrapper at this level.
 
 SU(2) has closed forms for exp (``_exp_su2``), the principal log
 (``_log_su2``) and the adjoint matrix (``_adjoint_su2``, the SO(3)
-rotation of the unit quaternion read off g); every other group goes
-through scipy (exp, log, Schur form) or the cached adjoint operator.
-``scipy.linalg`` is imported on first use, inside those three paths, so
-an SU(2) run without a boundary class never loads it.
+rotation of the unit quaternion read off g); SU(r >= 3) exp and log use
+numpy's batched ``eigh`` (of iX, and in :func:`eigenframe`), and other
+adjoint matrices the cached adjoint operator.  Only SL(r, C) exp and log
+use scipy, imported on first use, so SU runs never load ``scipy.linalg``.
 
 Conventions
 -----------
@@ -203,17 +203,20 @@ def _exp_su2(X: np.ndarray) -> np.ndarray:
 def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Group exponential of (a batch of) algebra elements, retracted onto the group.
 
-    Closed form on SU(2); otherwise scipy's scaling-and-squaring Pade
-    ``expm`` (``scipy.linalg`` is loaded on the first such call), which
-    takes a stack but loops over its matrices in Python, re-projected so
-    that invariant drift cannot accumulate over long solver runs.  exp(0)
-    is the identity exactly.
+    Closed form on SU(2); ``V diag(e^{-iw}) V*`` from the batched ``eigh``
+    of ``iX = V diag(w) V*`` on SU(r >= 3); on SL(r, C) scipy's Pade
+    ``expm`` (``scipy.linalg`` is loaded on the first such call; it loops
+    over a stack in Python), re-projected so that invariant drift cannot
+    accumulate over long solver runs.  exp(0) is the identity exactly.
     """
     X = np.asarray(X, dtype=complex)
     if not np.all(np.isfinite(X)):
         raise ValueError("exp requires finite entries")
     if spec.family == "SU" and spec.rank == 2:
         return _exp_su2(X)
+    if spec.is_unitary:
+        w, V = np.linalg.eigh(1j * X)
+        return (V * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(V, -2, -1).conj()
     import scipy.linalg
     return project_to_group(spec, scipy.linalg.expm(X))
 
@@ -242,12 +245,30 @@ def _logm(g: np.ndarray) -> np.ndarray:
         np.random.set_state(state)
 
 
-def schur(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form ``g = Z T Z*`` of (a batch of) matrices, as ``(T, Z)``:
-    ``scipy.linalg.schur(g, output="complex")``, which loops over a stack
-    in Python."""
-    import scipy.linalg
-    return scipy.linalg.schur(g, output="complex")
+@functools.lru_cache(maxsize=None)
+def _cayley_poles(r: int) -> np.ndarray:
+    return np.exp(1j * np.pi * (2 * np.arange(2 * r) + 1) / (2 * r))
+
+
+def eigenframe(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lam, V, W)`` with ``g = V diag(lam) W`` and ``W = V^-1`` for (a batch
+    of) group elements: ``np.linalg.eig`` on SL(r, C).  On SU(r), V is
+    orthonormal (W = V*), from ``np.linalg.eigh`` of the Cayley transform
+    ``i (p - g)^-1 (p + g)``, whose eigenvalue at ``p e^{ia}`` is ``-cot(a/2)``,
+    and ``lam = diag(V* g V)``.  Per slice the pole p is the one of the 2r
+    points ``exp(i pi (2j + 1) / 2r)`` farthest from ``np.linalg.eigvals(g)``,
+    at chord >= 2 sin(pi / 4r); cot is monotone on the circle, so close
+    eigenvalues mix only within their cluster.  A slice reads the same bits
+    in any batch."""
+    if not spec.is_unitary:
+        lam, V = np.linalg.eig(g)
+        return lam, V, np.linalg.inv(V)
+    poles = _cayley_poles(spec.rank)
+    gap = np.abs(np.linalg.eigvals(g)[..., :, None] - poles).min(axis=-2)
+    p = poles[gap.argmax(axis=-1)][..., None, None] * np.eye(spec.rank)
+    _, V = np.linalg.eigh(1j * np.linalg.solve(p - g, p + g))
+    W = np.swapaxes(V, -2, -1).conj()
+    return np.diagonal(W @ g @ V, axis1=-2, axis2=-1), V, W
 
 
 def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,6 +282,8 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     unprojected log has ``|tr L| > pi``: then g is a non-trivial central
     element times exp of the result (e.g. omega*I in SU(3)), which the
     trace projection would hide.  Well-conditioned when ``||g - I|| < 1``.
+    Closed form on SU(2), ``V diag(i arg lam) V*`` from :func:`eigenframe` on
+    SU(r >= 3), scipy's ``logm`` on SL(r, C).
     """
     g = np.asarray(g, dtype=complex)
     r = spec.rank
@@ -269,14 +292,14 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
         # the cut and the central factor -I both sit at trace -2
         bad = 0.5 * np.trace(g, axis1=-2, axis2=-1).real < -1.0 + _BRANCH_TOL
         return _log_su2(np.where(bad[..., None, None], eye, g)), bad
-    T, Z = schur(g)
-    lam = np.diagonal(T, axis1=-2, axis2=-1)
+    if spec.is_unitary:
+        lam, V, W = eigenframe(spec, g)
+    else:
+        lam = np.linalg.eigvals(g)
     bad = np.any((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real)),
                  axis=-1)
-    if spec.is_unitary:
-        L = Z @ (np.log(lam)[..., None] * eye) @ np.swapaxes(Z, -2, -1).conj()
-    else:
-        L = _logm(np.where(bad[..., None, None], eye, g))
+    L = ((V * (1j * np.angle(lam))[..., None, :]) @ W if spec.is_unitary
+         else _logm(np.where(bad[..., None, None], eye, g)))
     bad = bad | (np.abs(np.trace(L, axis1=-2, axis2=-1)) > np.pi)
     L = np.where(bad[..., None, None], 0.0, L)
     return project_to_algebra(spec, L), bad

@@ -199,19 +199,15 @@ def class_distance(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> float:
 
 
 def project_to_class(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """Replace the spectrum of M by the class representative's, keeping frames.
-
-    Intended for SU(r) (normal matrices); pairs eigenvalues sorted by
-    phase, so it is exact when M is already in the class and a nearby
-    retraction otherwise.
-    """
-    T, Z = lg.schur(M)
-    lam = np.diag(T)
+    """Replace the spectrum of M by the class representative's in the
+    eigenframe of M (:func:`liegroup.eigenframe`), pairing eigenvalues sorted
+    by phase: exact when M is already in the class, a nearby retraction
+    otherwise."""
+    lam, V, W = lg.eigenframe(spec, M)
     order = np.argsort(np.angle(lam), kind="stable")
-    target = _sorted_eigenvalues(spec, rep)
     new = np.empty_like(lam)
-    new[order] = target
-    return Z @ np.diag(new) @ Z.conj().T
+    new[order] = _sorted_eigenvalues(spec, rep)
+    return (V * new) @ W
 
 
 # ---------------------------------------------------------------------------

@@ -33,27 +33,43 @@ def test_public_names_snapshot():
 
 
 STARTUP_SCRIPT = r"""
-import json, os, sys
+import json, math, os, sys
 import numpy as np
 from charvar import cli
 from charvar import liegroup as lg
 from charvar.variety import class_distance, project_to_class
 
 work = sys.argv[1]
-cfg = os.path.join(work, "config.json")
-with open(cfg, "w") as fh:
-    json.dump({"group": {"family": "SU", "rank": 2},
-               "problem": {"type": "surface", "genus": 2}, "seed": 11,
-               "volume": {"n_samples": 1500}}, fh)
-point = os.path.join(work, "point.json")
+
+
+def config(name, family, rank, **problem):
+    path = os.path.join(work, name + ".json")
+    with open(path, "w") as fh:
+        json.dump({"group": {"family": family, "rank": rank}, "problem": problem,
+                   "seed": 11, "volume": {"n_samples": 1500}}, fh)
+    return path
+
+
+def run(command, cfg, *argv):
+    out = os.path.join(work, f"{command}.{os.path.basename(cfg)}")
+    return cli.main([command, "--config", cfg, "--out", out, "--quiet", *argv])
+
+
+c, s = math.cos(0.3), math.sin(0.3)
+closed = config("closed", "SU", 2, type="surface", genus=2)
+boundary = config("boundary", "SU", 2, type="surface", genus=1, boundary_count=1,
+                  classes={"representatives": [[[[c, s], [0, 0]], [[0, 0], [c, -s]]]]})
 codes = [
-    cli.main(["solve", "--config", cfg, "--out", point, "--quiet"]),
-    cli.main(["certify", "--config", cfg, "--point", point,
-              "--out", os.path.join(work, "report.json"), "--quiet"]),
-    cli.main(["volume", "--config", cfg,
-              "--out", os.path.join(work, "volume.json"), "--quiet"]),
+    run("solve", closed),
+    run("certify", closed, "--point", os.path.join(work, "solve.closed.json")),
+    run("volume", closed),
+    run("solve", boundary),
+    run("seifert-scan", config("seifert", "SU", 3, type="seifert", genus=2, euler=1)),
 ]
 print(json.dumps({"codes": codes, "loaded": "scipy.linalg" in sys.modules}),
+      flush=True)
+code = run("solve", config("slc", "SLC", 2, type="surface", genus=2))
+print(json.dumps({"codes": [code], "loaded": "scipy.linalg" in sys.modules}),
       flush=True)
 
 import scipy.linalg
@@ -68,29 +84,30 @@ h = lg.haar_sample(su2, rng)
 M = lg.exp(su2, lg.random_algebra(su2, rng, scale=1e-3)) @ h @ rep @ h.conj().T
 snapped = project_to_class(su2, M, rep)
 print(json.dumps({
-    "exp": bool(np.array_equal(g, lg.project_to_group(su3, scipy.linalg.expm(X)))),
-    "log": bool(not bad.any() and np.abs(L - X).max() < 1e-12),
-    "schur": bool(all(np.array_equal(a, b) for a, b in
-                      zip(lg.schur(M), scipy.linalg.schur(M, output="complex")))),
+    "exp": float(np.abs(g - lg.project_to_group(su3, scipy.linalg.expm(X))).max()),
+    "log": float(np.abs(L - lg.project_to_algebra(
+        su3, np.array([scipy.linalg.logm(x) for x in g]))).max()),
+    "bad": bool(bad.any()),
     "class": [class_distance(su2, snapped, rep), float(np.abs(snapped - M).max())],
-    "loaded": "scipy.linalg" in sys.modules,
 }))
 """
 
 
 def test_su2_cli_runs_never_load_scipy(tmp_path):
-    """SU(2) ``solve``, ``certify`` and ``volume`` without a boundary class
-    use closed forms only, so a fresh interpreter never pays the
-    ``scipy.linalg`` import for them.  The paths that do need scipy (SU(3)
-    exp and log, the Schur form behind ``project_to_class``) load it on
-    first use and compute what scipy computes directly."""
+    """Every SU op of the benchmark's ``certify`` list -- closed SU(2)
+    ``solve``, ``certify`` and ``volume``, an SU(2) boundary-class ``solve``
+    and an SU(3) ``seifert-scan`` -- runs on numpy alone, so a fresh
+    interpreter never pays the ``scipy.linalg`` import for them; an SL(2, C)
+    ``solve`` loads it on first use.  scipy then serves as the oracle of the
+    SU(3) exp and log."""
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
                           capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     assert lines, proc.stderr
-    assert json.loads(lines[0]) == {"codes": [0, 0, 0], "loaded": False}
+    assert json.loads(lines[0]) == {"codes": [0, 0, 0, 0, 0], "loaded": False}
+    assert json.loads(lines[1]) == {"codes": [0], "loaded": True}
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(lines[1])
-    assert out["exp"] and out["log"] and out["schur"]
+    out = json.loads(lines[2])
+    assert out["exp"] < 1e-13 and out["log"] < 1e-13
+    assert not out["bad"]
     assert out["class"][0] < 1e-12 and out["class"][1] < 1e-2
-    assert out["loaded"] is True

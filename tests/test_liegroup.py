@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charvar as cv
@@ -305,6 +306,86 @@ def test_planted_slice_leaves_neighbours_unchanged(spec, k, data, seed, scale):
         assert badh[j] and not np.any(Lh[j])
         assert np.array_equal(badh[keep], bad[keep])
         assert_slices_agree(spec, Lh[keep], L[keep])
+
+
+# ---------------------------------------------------------------------------
+# the SU(r >= 3) eigensolve against scipy's expm and Schur form
+# ---------------------------------------------------------------------------
+
+SU_HIGH = [cv.GroupSpec("SU", 3), cv.GroupSpec("SU", 4)]
+
+
+def with_phases(rng, r, phases):
+    """A Haar-frame unitary with eigenvalues exp(i * phases)."""
+    V = cv.haar_sample(cv.GroupSpec("SU", r), rng)
+    return (V * np.exp(1j * np.asarray(phases))) @ V.conj().T
+
+
+def schur_log(g):
+    """Principal log and domain mask of one unitary g from the complex Schur
+    form (oracle): the cut at relative 1e-12, and |tr L| > pi."""
+    T, Z = scipy.linalg.schur(g, output="complex")
+    lam = np.diag(T)
+    L = Z @ np.diag(np.log(lam)) @ Z.conj().T
+    bad = np.any((lam.real < 0) & (np.abs(lam.imag) < 1e-12 * np.abs(lam.real)))
+    return L, bool(bad or abs(np.trace(L)) > np.pi)
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(SU_HIGH), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.05, 3.0), eps=st.sampled_from([1e-14, 1e-8]))
+def test_su_exp_matches_projected_expm(spec, seed, scale, eps):
+    """Random, tiny, zero and repeated-eigenvalue algebra elements: within
+    1e-13 max(1, ||X||) of scipy's ``expm`` retracted onto the group, and a
+    slice reads the same bits in any batch."""
+    rng, r = np.random.default_rng(seed), spec.rank
+    X = cv.random_algebra(spec, rng, scale=scale, size=3)
+    a, b = rng.uniform(-3, 3, size=2)
+    pair = [a, a, -2 * a] if r == 3 else [a, a, b, -2 * a - b]
+    V = cv.haar_sample(spec, rng)
+    repeated = (V * (1j * np.array(pair))) @ V.conj().T
+    X = np.concatenate([X, eps * X[:1], repeated[None], np.zeros((1, r, r))])
+    g = cv.exp(spec, X)
+    want = lg.project_to_group(spec, np.array([scipy.linalg.expm(x) for x in X]))
+    nrm = np.linalg.norm(X, axis=(-2, -1))
+    assert np.all(np.abs(g - want).max(axis=(-2, -1)) <= 1e-13 * np.maximum(1.0, nrm))
+    assert np.array_equal(g[-1], np.eye(r))
+    assert_slices_agree(spec, g, per_slice(cv.exp, spec, X))
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(SU_HIGH), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([1e-14, 1e-8]), delta=st.sampled_from([0.0, 1e-15, 1e-9]))
+def test_su_log_matches_schur_oracle(spec, seed, eps, delta):
+    """Haar elements, clustered spectra ``zeta I exp(eps X)`` at the r-th
+    roots of unity zeta, a repeated eigenvalue pair, an eigenvalue next to a
+    candidate pole ``exp(i pi / 2r)``, and the planted out-of-domain slices:
+    the mask is the Schur-oracle mask, the log is within 1e-13 of the
+    oracle's and exponentiates back to g, and a slice reads the same bits in
+    any batch."""
+    rng, r = np.random.default_rng(seed), spec.rank
+    X = cv.random_algebra(spec, rng, scale=1.0)
+    # zeta = -1 (r = 4) is left out: its cluster straddles the cut, where
+    # the log jumps by 2 pi i across the eigenframe
+    zetas = np.exp(2j * np.pi * np.array([k for k in range(r) if 2 * k != r]) / r)
+    a, b = rng.uniform(-0.9, 0.9, size=2)
+    rest = rng.uniform(-1.0, 1.0, size=r - 2)
+    near_pole = [np.pi / (2 * r) + delta, *rest, -np.pi / (2 * r) - delta - rest.sum()]
+    g = np.array([cv.haar_sample(spec, rng), *(z * cv.exp(spec, eps * X) for z in zetas),
+                  with_phases(rng, r, [a, a, -2 * a] if r == 3 else [a, a, b, -2 * a - b]),
+                  with_phases(rng, r, near_pole), *planted_outside(spec)])
+    L, bad = lg.principal_log(spec, g)
+    want = [schur_log(x) for x in g]
+    assert np.array_equal(bad, [w[1] for w in want])
+    assert bad[2:len(zetas) + 1].all() and not bad[1]  # zeta != 1: central factor
+    assert np.abs(L[1] - eps * X).max() < 1e-15
+    for Lk, (Wk, badk), gk in zip(L, want, g):
+        if not badk:
+            assert np.abs(Lk - lg.project_to_algebra(spec, Wk)).max() < 1e-13
+            assert np.abs(cv.exp(spec, Lk) - gk).max() < 1e-13
+    Ls, bads = per_slice(lg.principal_log, spec, g)
+    assert np.array_equal(bad, bads)
+    assert_slices_agree(spec, L, Ls)
 
 
 def _rel(got, want):

@@ -7,7 +7,7 @@ import pytest
 import charvar as cv
 from charvar import liegroup as lg
 from charvar import twoform
-from charvar.errors import NotClassTangentError
+from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
 from charvar.presentation import GeneratorTuple, letter_transport
 from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
 from charvar.variety import boundary_slots, embed_moves
@@ -500,19 +500,20 @@ def test_observed_order_needs_two_distinct_steps():
 def _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
     """(chart, rows): SU(2) g2 at m = 0, SU(2) g1 at theta = 0.3 and SU(3)
     g1 at a regular class; the rows sit at distances from the base point
-    that take different Newton iteration counts, t = 0 included."""
+    that take different Newton iteration counts, t = 0 included, and inside
+    the chart's Newton radius (smaller on SU(3), see
+    :func:`test_chart_row_past_the_newton_radius`)."""
     rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
     g1 = cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
                            cv.ConjugacyClassSpec(su2, (rep,)))
     su3 = su3_regular_problem
     rng = np.random.default_rng(7)
-    for prob, p in [(closed_problem, solved_points[0]),
-                    (g1, g1.solve(np.random.default_rng(3))),
-                    (su3, su3.solve(np.random.default_rng(5)))]:
+    for prob, p, scales in [(closed_problem, solved_points[0], (1e-6, 1e-3, 0.05, 0.2)),
+                            (g1, g1.solve(np.random.default_rng(3)), (1e-6, 1e-3, 0.05, 0.2)),
+                            (su3, su3.solve(np.random.default_rng(5)), (1e-6, 1e-3, 0.02, 0.05))]:
         chart = twoform._Chart(p, prob.classes)
         dh = chart.H.shape[1]
-        rows = [np.zeros(dh)] + [s * rng.standard_normal(dh)
-                                 for s in (1e-6, 1e-3, 0.05, 0.2)]
+        rows = [np.zeros(dh)] + [s * rng.standard_normal(dh) for s in scales]
         yield chart, np.stack(rows)
 
 
@@ -535,6 +536,32 @@ def test_chart_stack_matches_one_row_calls(su2, su3_regular_problem, solved_poin
         assert stack.shape == (len(T),) + (chart.H.shape[1],) * 2
         assert_slices_agree(chart.spec, stack, rows)
         assert chart.omega_at(T[:0]).shape == (0,) + stack.shape[1:]
+
+
+def _omega_or_error(chart, T):
+    try:
+        return chart.omega_at(T)
+    except (OutsideDomainError, NoConvergenceError) as err:
+        return type(err)
+
+
+def test_chart_row_past_the_newton_radius(su3_regular_problem):
+    """At |t| ~ 0.2 per coordinate the SU(3) chart is outside its Newton
+    radius in most directions: a row there converges or raises
+    ``OutsideDomainError``/``NoConvergenceError``, and does the same in a
+    stack with a converging row as on its own."""
+    prob = su3_regular_problem
+    chart = twoform._Chart(prob.solve(np.random.default_rng(5)), prob.classes)
+    rng = np.random.default_rng(11)
+    near = 0.02 * rng.standard_normal((1, chart.H.shape[1]))
+    for _ in range(3):
+        far = 0.2 * rng.standard_normal(near.shape)
+        stack = _omega_or_error(chart, np.concatenate([near, far]))
+        alone = _omega_or_error(chart, far)
+        if isinstance(alone, type):
+            assert stack is alone
+        else:
+            assert_slices_agree(chart.spec, stack[1:], alone)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])

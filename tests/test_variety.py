@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -469,6 +470,33 @@ def test_class_distance_and_projection(su2):
     snapped = project_to_class(su2, off, rep)
     assert class_distance(su2, snapped, rep) < 1e-12
     assert np.abs(snapped - off).max() < 0.2
+
+
+def _schur_frame_projection(M, rep):
+    """The class projection in the complex Schur frame ``M = Z T Z*`` (oracle;
+    exact for normal M only)."""
+    T, Z = scipy.linalg.schur(M, output="complex")
+    target = np.diag(rep)[np.argsort(np.angle(np.diag(rep)), kind="stable")]
+    new = np.empty(len(target), dtype=complex)
+    new[np.argsort(np.angle(np.diag(T)), kind="stable")] = target
+    return Z @ np.diag(new) @ Z.conj().T
+
+
+@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2), ("SLC", 3)])
+def test_project_to_class_keeps_in_class_matrices(family, r):
+    """A matrix already in the class comes back within 1e-12, on SL(r, C)
+    too, where the Schur frame would drop the triangle; on SU(r) a matrix
+    off the class lands where the Schur-frame oracle puts it."""
+    spec, rep = cv.GroupSpec(family, r), _class_rep(r)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        h = cv.haar_sample(spec, rng)
+        M = h @ rep @ lg.group_inverse(spec, h)
+        assert np.abs(project_to_class(spec, M, rep) - M).max() < 1e-12
+        if spec.is_unitary:
+            off = cv.exp(spec, cv.random_algebra(spec, rng, scale=0.05)) @ M
+            assert np.abs(project_to_class(spec, off, rep)
+                          - _schur_frame_projection(off, rep)).max() < 1e-14
 
 
 def test_boundary_entries_stay_in_class(boundary_points, boundary_problem, su2):
