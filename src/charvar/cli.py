@@ -364,15 +364,19 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
 
 
 def _write_sample_csv(path: str, rec: vol.SampleRecords):
+    """One row per sample; ``irreducible``, ``density`` and ``jacobian`` are
+    blank on the rows the stream did not evaluate."""
     buf = []
     header = ["converged", "irreducible", "initial_residual",
               "displacement", "density", "jacobian"]
     buf.append(",".join(header))
     for i in range(rec.n):
+        ev = rec.evaluated[i]
         buf.append(",".join([
-            str(int(rec.converged[i])), str(int(rec.irreducible[i])),
+            str(int(rec.converged[i])), str(int(rec.irreducible[i])) if ev else "",
             repr(float(rec.initial_residual[i])), repr(float(rec.displacement[i])),
-            repr(float(rec.density[i])), repr(float(rec.jacobian[i])),
+            repr(float(rec.density[i])) if ev else "",
+            repr(float(rec.jacobian[i])) if ev else "",
         ]))
     atomic_write(path, "\n".join(buf) + "\n")
 

@@ -36,7 +36,6 @@ import numpy as np
 from .errors import DimensionMismatchError, OutsideDomainError
 
 TOL_GROUP = 1e-10
-TOL_ALG = 1e-10
 
 _BRANCH_TOL = 1e-12
 
@@ -133,31 +132,6 @@ def coords_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`algebra_coords`; shape (..., r, r)."""
     B = algebra_basis(spec)
     return np.einsum("...k,kab->...ab", v, B)
-
-
-# ---------------------------------------------------------------------------
-# invariant checks
-# ---------------------------------------------------------------------------
-
-def group_defect(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Max violation of the group invariants (det = 1, unitarity for SU)."""
-    r = spec.rank
-    d = np.abs(np.linalg.det(g) - 1.0)
-    if spec.is_unitary:
-        gram = np.einsum("...ij,...kj->...ik", g, g.conj())
-        d = np.maximum(
-            d,
-            np.abs(gram - np.eye(r)).max(axis=(-2, -1)),
-        )
-    return d
-
-
-def algebra_defect(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
-    """Max violation of the algebra invariants (traceless, skew-Hermitian for SU)."""
-    d = np.abs(np.trace(X, axis1=-2, axis2=-1))
-    if spec.is_unitary:
-        d = np.maximum(d, np.abs(X + np.swapaxes(X, -2, -1).conj()).max(axis=(-2, -1)))
-    return d
 
 
 def project_to_algebra(spec: GroupSpec, X: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ is not reproducible without conventions the underlying construction does
 not fix, so values are relative to the stated baseline: Haar probability
 on the ambient tuple space and the -trace(XY) metric scale (the
 density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
+
+A stream screens each converged landing by its normal distance from one QR
+and evaluates the density only where a gate can accept (the distance gate
+widened by ``SCREEN_MARGIN`` for the QR-versus-SVD rounding); acceptance
+reads the density's own values, as if every landing were evaluated.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lg
+from . import presentation as pres
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
@@ -43,6 +49,7 @@ from .variety import (
     _batch_residual,
     boundary_slots,
     cohomology_split,
+    embed_moves,
     project_batch,
 )
 
@@ -51,6 +58,9 @@ LANDING_CHUNK = 1024  # landings per density call: bounds the peak memory
 SAMPLE_BATCH = 2048  # Haar samples projected per project_batch call
 LANDING_TOL = 1e-11  # Gauss-Newton residual at which a sample has landed
 LANDING_MAX_ITER = 120
+SCREEN_MARGIN = 1.0 + 1e-6  # distance-gate widening that covers QR-vs-SVD rounding
+CONVENTION = ("relative symplectic volume; Haar-probability ambient baseline; "
+              "-trace(XY) pairing metric")
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,12 @@ def landing_densities(problem: VarietyProblem, mats: np.ndarray,
     traceless element centralizing the image, which the coboundary map kills.
 
     The tube distance is the log displacement's component normal to the
-    variety (the row space of the constrained relator differential).
+    variety (the row space of the constrained relator differential); the
+    stream's screen, :func:`_screened_distance`, takes the same quantity
+    from a QR.  An empty stack gives four empty arrays.
     """
+    if not len(mats):
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0)
     spec, d = problem.spec, problem.spec.dim
     g, m = problem.presentation.genus, problem.presentation.boundary_count
     basis, own = cohomology_split(spec, mats, g, m, problem.classes, ranks=(d, d))
@@ -132,11 +146,30 @@ def landing_densities(problem: VarietyProblem, mats: np.ndarray,
             np.where(ok, ndist, np.inf))
 
 
+def _screened_distance(problem: VarietyProblem, mats: np.ndarray,
+                       displacement: np.ndarray) -> np.ndarray:
+    """Normal distances ``|Q* E* ell|`` at a stack of landings, ``Q`` the QR
+    factor of ``(D E)*``: the span of ``normal_rows`` where ``D E`` has full
+    rank.  Unlike a Gram solve, a QR does not raise on a reducible slice."""
+    spec, g = problem.spec, problem.presentation.genus
+    m = problem.presentation.boundary_count
+    E = embed_moves(spec.dim, g, [sl.U for sl in
+                                  boundary_slots(spec, mats, g, m, problem.classes)])
+    DE = pres.relator_differential_matrix(spec, mats, g, m) @ E
+    Q = np.linalg.qr(np.swapaxes(DE, -2, -1).conj())[0]
+    # ell is real, so |Q* E* ell| = |ell^T E Q|
+    return np.linalg.norm((displacement[..., None, :] @ E @ Q)[..., 0, :], axis=-1)
+
+
 @dataclass
 class SampleRecords:
-    """Per-sample diagnostics of one Monte Carlo stream."""
+    """Per-sample diagnostics of one Monte Carlo stream.  ``irreducible``,
+    ``density`` and ``jacobian`` hold only where ``evaluated`` (False, 0, 0
+    elsewhere); ``displacement`` is the screened distance on the other
+    converged samples."""
 
     converged: np.ndarray
+    evaluated: np.ndarray
     irreducible: np.ndarray
     initial_residual: np.ndarray
     displacement: np.ndarray
@@ -148,8 +181,10 @@ class SampleRecords:
         return self.converged.shape[0]
 
 
-def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleRecords:
-    """Haar-sample, project, and record density data for every sample."""
+def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
+                  residual_gate: float, distance_gate: float) -> SampleRecords:
+    """Haar-sample and project; screen every converged landing and evaluate
+    :func:`landing_densities` at those that either gate can accept."""
     spec = problem.spec
     if spec.family != "SU":
         raise DimensionMismatchError(
@@ -158,6 +193,7 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleR
     m = problem.presentation.boundary_count
     rng = np.random.default_rng(seed)
     conv = np.zeros(n_samples, dtype=bool)
+    evald = np.zeros(n_samples, dtype=bool)
     irr = np.zeros(n_samples, dtype=bool)
     res0 = np.full(n_samples, np.inf)
     disp = np.full(n_samples, np.inf)
@@ -178,17 +214,23 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int) -> SampleR
         res0[sl] = r0
         ell = _displacement_coords(spec, mats, init)
         landed = np.nonzero(ok)[0]
-        for part in np.split(landed, range(LANDING_CHUNK, landed.size, LANDING_CHUNK)):
+        screen = _screened_distance(problem, mats[landed], ell[landed])
+        disp[done + landed] = screen
+        keep = landed[(r0[landed] <= residual_gate)
+                      | (screen <= distance_gate * SCREEN_MARGIN)]
+        evald[done + keep] = True
+        for part in np.split(keep, range(LANDING_CHUNK, keep.size, LANDING_CHUNK)):
             at = done + part
             dens[at], jac[at], irr[at], disp[at] = landing_densities(
                 problem, mats[part], ell[part])
         done += nb
-    return SampleRecords(conv, irr, res0, disp, dens, jac)
+    return SampleRecords(conv, evald, irr, res0, disp, dens, jac)
 
 
-def _estimate_from_records(rec: SampleRecords, codim: int, estimator: str,
-                           residual_gate: float, distance_gate: float,
-                           convention_note: str) -> VolumeEstimate:
+def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,
+                           estimator: str, residual_gate: float,
+                           distance_gate: float) -> VolumeEstimate:
+    codim = problem.spec.dim  # rank of the relator differential at irreducible points
     good = rec.converged & rec.irreducible
     if estimator == "coarea":
         accept = good & (rec.initial_residual <= residual_gate)
@@ -208,15 +250,13 @@ def _estimate_from_records(rec: SampleRecords, codim: int, estimator: str,
     n = rec.n
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(n))
-    return VolumeEstimate(value, stderr, n,
-                          f"{convention_note}; {gate_note}", landings)
+    return VolumeEstimate(value, stderr, n, f"{CONVENTION}; {gate_note}", landings)
 
 
 def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
                              *, estimator: str = "coarea",
                              residual_gate: float = 0.6,
-                             distance_gate: float = 0.45,
-                             records: SampleRecords | None = None) -> VolumeEstimate:
+                             distance_gate: float = 0.45) -> VolumeEstimate:
     """Relative Liouville volume of one component by gated Haar sampling.
 
     SU family only.  The returned value is relative to the Haar-probability
@@ -224,26 +264,22 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
     :func:`liegroup.pairing` fixes on su(r), which the convention note
     names; see the module docstring for the two estimator variants.
     """
-    if records is None:
-        records = sample_stream(problem, n_samples, seed)
-    codim = problem.spec.dim  # rank of the relator differential at irreducible points
-    note = ("relative symplectic volume; Haar-probability ambient baseline; "
-            "-trace(XY) pairing metric")
-    return _estimate_from_records(records, codim, estimator,
-                                  residual_gate, distance_gate, note)
+    gates = (residual_gate, distance_gate)
+    return _estimate_from_records(
+        problem, sample_stream(problem, n_samples, seed, *gates), estimator, *gates)
 
 
-def cross_check(problem: VarietyProblem, n_samples: int, seed: int,
-                **gate_kw) -> dict:
+def cross_check(problem: VarietyProblem, n_samples: int, seed: int, *,
+                residual_gate: float = 0.6, distance_gate: float = 0.45) -> dict:
     """Both estimator variants on independent streams plus agreement stats.
 
     ``coarea_records`` holds the per-sample records of the co-area stream.
     """
-    records = sample_stream(problem, n_samples, seed)
-    a = estimate_relative_volume(problem, n_samples, seed, estimator="coarea",
-                                 records=records, **gate_kw)
-    b = estimate_relative_volume(problem, n_samples, seed + 1,
-                                 estimator="tube", **gate_kw)
+    gates = (residual_gate, distance_gate)
+    records = sample_stream(problem, n_samples, seed, *gates)
+    a = _estimate_from_records(problem, records, "coarea", *gates)
+    b = _estimate_from_records(
+        problem, sample_stream(problem, n_samples, seed + 1, *gates), "tube", *gates)
     sigma = math.hypot(a.stderr, b.stderr)
     gap = abs(a.value - b.value)
     return {

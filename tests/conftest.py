@@ -9,6 +9,26 @@ import charvar as cv
 settings.register_profile("charvar", derandomize=True, deadline=None, database=None)
 settings.load_profile("charvar")
 
+TOL_ALG = 1e-10
+
+
+def group_defect(spec, g):
+    """Oracle: max violation of the group invariants (det = 1, unitarity for SU)."""
+    d = np.abs(np.linalg.det(g) - 1.0)
+    if spec.is_unitary:
+        gram = np.einsum("...ij,...kj->...ik", g, g.conj())
+        d = np.maximum(d, np.abs(gram - np.eye(spec.rank)).max(axis=(-2, -1)))
+    return d
+
+
+def algebra_defect(spec, X):
+    """Oracle: max violation of the algebra invariants (traceless,
+    skew-Hermitian for SU)."""
+    d = np.abs(np.trace(X, axis1=-2, axis2=-1))
+    if spec.is_unitary:
+        d = np.maximum(d, np.abs(X + np.swapaxes(X, -2, -1).conj()).max(axis=(-2, -1)))
+    return d
+
 
 @pytest.fixture(scope="session")
 def su2():

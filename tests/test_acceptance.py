@@ -16,6 +16,7 @@ from charvar import cli
 from charvar import liegroup as lg
 from charvar.twoform import form_gram_coords
 
+from conftest import group_defect
 from test_presentation import coords
 from test_seifert import on_holonomy_target, perturb_point
 from test_twoform import (brute_force_theta, closed_theta, form_kernel, random_coords,
@@ -181,7 +182,7 @@ def test_criterion_7_lie_core_oracles(su2, su3):
     sq = np.abs(g) ** 2
     sigma_emp = sq.std(axis=0, ddof=1) / math.sqrt(n)
     second_ok = np.all(np.abs(sq.mean(axis=0) - 0.5) < 5 * sigma_emp)
-    det_ok = lg.group_defect(su2, g[:1000]).max() < lg.TOL_GROUP
+    det_ok = group_defect(su2, g[:1000]).max() < lg.TOL_GROUP
     ok = worst_rt < 1e-10 and worst_ad < 1e-12 and mean_ok and second_ok and det_ok
     report(7, f"lie core: roundtrip {worst_rt:.1e}, Ad-invariance "
               f"{worst_ad:.1e}, Haar within 5 sigma", ok)

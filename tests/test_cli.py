@@ -347,6 +347,12 @@ def test_volume_run_and_csv(tmp_path):
     landed = sum(1 for r in rows
                  if r[0] == "1" and r[1] == "1" and float(r[2]) <= 0.6)
     assert landed == data["coarea"]["landings"]
+    # every converged row a gate can accept is evaluated and filled; the
+    # irreducible, density and jacobian fields of the other rows are blank
+    for r in rows:
+        evaluated = r[0] == "1" and (float(r[2]) <= 0.6 or float(r[3]) <= 0.45)
+        assert all(r) if evaluated else r[1] == r[4] == r[5] == ""
+    assert any(r[1] == "" for r in rows)
 
 
 def test_volume_determinism_byte_identical(tmp_path):

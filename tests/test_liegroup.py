@@ -10,6 +10,8 @@ import charvar as cv
 from charvar import liegroup as lg
 from charvar.errors import OutsideDomainError
 
+from conftest import TOL_ALG, algebra_defect, group_defect
+
 
 def series_exp(X, terms=40):
     """Truncated power-series exponential (oracle)."""
@@ -73,7 +75,7 @@ def test_exp_lands_on_group(su2, su3, slc2):
     for spec in (su2, su3, slc2):
         X = cv.random_algebra(spec, rng, scale=1.0, size=50)
         g = cv.exp(spec, X)
-        assert lg.group_defect(spec, g).max() < lg.TOL_GROUP
+        assert group_defect(spec, g).max() < lg.TOL_GROUP
 
 
 def test_log_identity_is_zero(su2, su3):
@@ -121,7 +123,7 @@ def test_log_output_in_algebra(su2, su3):
         for _ in range(20):
             g = cv.exp(spec, cv.random_algebra(spec, rng, scale=0.4))
             L = cv.log_near_identity(spec, g)
-            assert lg.algebra_defect(spec, L).max() < lg.TOL_ALG
+            assert algebra_defect(spec, L).max() < TOL_ALG
 
 
 def test_adjoint_identity_and_inverse(su2):
@@ -530,7 +532,7 @@ def test_haar_group_invariants(r):
     spec = cv.GroupSpec("SU", r)
     rng = np.random.default_rng(12)
     g = cv.haar_sample(spec, rng, size=500)
-    assert lg.group_defect(spec, g).max() < lg.TOL_GROUP
+    assert group_defect(spec, g).max() < lg.TOL_GROUP
 
 
 @pytest.mark.parametrize("r", [2, 3])

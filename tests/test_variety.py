@@ -19,6 +19,7 @@ from charvar.variety import (
     project_to_class,
     split_rank,
 )
+from conftest import group_defect
 from test_presentation import conjugate_tuple, differential
 
 
@@ -76,7 +77,7 @@ def test_commutator_equals_minus_identity_oracle(su2):
     a = np.array([[0, 1j], [1j, 0]])
     b = np.array([[0, 1], [-1, 0]], dtype=complex)
     for M in (a, b):
-        assert lg.group_defect(su2, M) < 1e-15
+        assert group_defect(su2, M) < 1e-15
     inv = lambda M: np.conj(M.T)
     word = inv(b) @ inv(a) @ b @ a
     assert np.abs(word + np.eye(2)).max() < 1e-15

@@ -14,10 +14,14 @@ from charvar.errors import (
     InsufficientSamplesError,
     OddDimensionError,
 )
+from charvar import liegroup as lg
+from charvar import presentation as pres
+from charvar import volume as vol
 from charvar.twoform import form_gram_coords
-from charvar.variety import project_batch, split_rank
+from charvar.variety import _batch_residual, project_batch, split_rank
 from charvar.volume import (
     SampleRecords,
+    _estimate_from_records,
     ball_volume,
     landing_densities,
     pfaffian_abs,
@@ -89,14 +93,25 @@ def test_density_at_boundary_point(boundary_points, boundary_problem):
     assert val > 0
 
 
+GATES = (0.6, 0.45)  # the default residual and distance gates
+
+
 def test_sample_stream_records(closed_problem):
-    rec = sample_stream(closed_problem, 200, seed=5)
+    """Every landing that a gate can accept is evaluated, and only those;
+    every converged sample carries a finite normal distance."""
+    rec = sample_stream(closed_problem, 200, 5, *GATES)
     assert rec.n == 200
     assert rec.converged.mean() > 0.95
+    gated = rec.converged & ((rec.initial_residual <= GATES[0])
+                             | (rec.displacement <= GATES[1]))
+    assert np.array_equal(rec.evaluated, gated)
+    assert not np.any(rec.irreducible & ~rec.evaluated)
     landed = rec.converged & rec.irreducible
+    assert landed.sum() >= 0.9 * gated.sum() > 0
     assert np.all(rec.density[landed] > 0)
     assert np.all(rec.jacobian[landed] > 0)
-    assert np.all(np.isfinite(rec.displacement[landed]))
+    assert np.all(rec.density[~rec.evaluated] == 0)
+    assert np.all(np.isfinite(rec.displacement[rec.converged]))
 
 
 def test_estimators_require_su(slc2):
@@ -145,8 +160,8 @@ def test_estimate_metadata(closed_problem):
 
 
 def test_sample_stream_deterministic(closed_problem):
-    a = sample_stream(closed_problem, 200, seed=9)
-    b = sample_stream(closed_problem, 200, seed=9)
+    a = sample_stream(closed_problem, 200, 9, *GATES)
+    b = sample_stream(closed_problem, 200, 9, *GATES)
     for f in dataclasses.fields(SampleRecords):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
@@ -259,3 +274,96 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
         assert irr.tolist() == [commutant_dimension(spec, x) == 1 for x in mats]
         assert irr.tolist() == [cv.is_irreducible(cv.GeneratorTuple(spec, 2, 0, x))
                                 for x in mats]
+
+
+def test_landing_densities_on_an_empty_stack(closed_problem):
+    pf, jac, irr, dist = landing_densities(
+        closed_problem, np.zeros((0, 4, 2, 2), dtype=complex), np.zeros((0, 12)))
+    for a, dtype in zip((pf, jac, irr, dist), (float, float, bool, float)):
+        assert a.shape == (0,) and a.dtype == dtype
+
+
+def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
+    """Gates no landing passes: no density is evaluated, and the estimate
+    ends in InsufficientSamplesError."""
+    rec = sample_stream(closed_problem, 100, 3, 1e-9, 1e-9)
+    assert rec.converged.any() and not rec.evaluated.any()
+    with pytest.raises(InsufficientSamplesError):
+        cv.cross_check(closed_problem, 100, 3, residual_gate=1e-9, distance_gate=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the screened stream against the stream that evaluates every landing
+# ---------------------------------------------------------------------------
+
+def _unscreened_stream(problem, n_samples, seed):
+    """The reference loop: ``landing_densities`` at every converged landing."""
+    spec, pr = problem.spec, problem.presentation
+    g, m = pr.genus, pr.boundary_count
+    rng = np.random.default_rng(seed)
+    rec = SampleRecords(np.zeros(n_samples, dtype=bool), np.zeros(n_samples, dtype=bool),
+                        np.zeros(n_samples, dtype=bool), np.full(n_samples, np.inf),
+                        np.full(n_samples, np.inf), np.zeros(n_samples),
+                        np.zeros(n_samples))
+    z0i = lg.group_inverse(spec, problem.classes.target)
+    for done in range(0, n_samples, vol.SAMPLE_BATCH):
+        nb = min(vol.SAMPLE_BATCH, n_samples - done)
+        init = problem.initial_batch(rng, nb)
+        R0, bad0 = _batch_residual(spec, init, g, m, z0i)
+        mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
+                                       tol=vol.LANDING_TOL,
+                                       max_iter=vol.LANDING_MAX_ITER, rng=rng)
+        rec.converged[done:done + nb] = ok
+        rec.initial_residual[done:done + nb] = np.where(
+            bad0, np.inf, np.linalg.norm(R0, axis=-1))
+        ell = vol._displacement_coords(spec, mats, init)
+        at = done + np.flatnonzero(ok)
+        (rec.density[at], rec.jacobian[at], rec.irreducible[at],
+         rec.displacement[at]) = landing_densities(problem, mats[ok], ell[ok])
+    rec.evaluated[:] = rec.converged
+    return rec
+
+
+def _assert_screen_exact(problem, n_samples, seed, gates):
+    """Both estimators read the same bits from the screened stream as from
+    the reference, and the screened stream evaluates every accepted landing."""
+    ref = _unscreened_stream(problem, n_samples, seed)
+    rec = sample_stream(problem, n_samples, seed, *gates)
+    for est in ("coarea", "tube"):
+        want = _estimate_from_records(problem, ref, est, *gates)
+        assert want.landings >= 30
+        assert _estimate_from_records(problem, rec, est, *gates) == want, est
+    ev = rec.evaluated
+    for f in ("irreducible", "displacement", "density", "jacobian"):
+        assert np.array_equal(getattr(rec, f)[ev], getattr(ref, f)[ev]), f
+
+
+SU2, SU3 = cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3)
+THETA = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+SCREEN_CASES = {
+    "su2_g2_plus": (_problem(SU2, 2), 1500, 11, GATES),
+    "su2_g2_minus": (_problem(SU2, 2, target=-np.eye(2)), 3000, 11, GATES),
+    "su2_g1_theta": (_problem(SU2, 1, (THETA,)), 1500, 11, GATES),
+    # wide gates land 30 or more of 500 SU(3) samples in each
+    "su3_g2": (_problem(SU3, 2), 500, 11, (2.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_screened_stream_matches_unscreened(name):
+    _assert_screen_exact(*SCREEN_CASES[name])
+
+
+def test_screen_without_class_constraint_fails(monkeypatch):
+    """Planted: a screen that drops the class embedding ``E`` loses a tube
+    landing at the theta = 0.3 class, and the equivalence check sees it."""
+    def unconstrained(problem, mats, displacement):
+        pr = problem.presentation
+        D = pres.relator_differential_matrix(problem.spec, mats, pr.genus,
+                                             pr.boundary_count)
+        Q = np.linalg.qr(np.swapaxes(D, -2, -1))[0]
+        return np.linalg.norm((displacement[..., None, :] @ Q)[..., 0, :], axis=-1)
+
+    monkeypatch.setattr(vol, "_screened_distance", unconstrained)
+    with pytest.raises(AssertionError, match="tube"):
+        _assert_screen_exact(*SCREEN_CASES["su2_g1_theta"])
