@@ -352,7 +352,7 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
         "agree_3sigma": result["agree_3sigma"],
         "seed": cfg.seed,
     }
-    if fmt == "csv" and out:
+    if fmt == "csv":
         csv_path = os.path.splitext(out)[0] + ".csv"
         _write_sample_csv(csv_path, result["coarea_records"])
         payload["samples_csv"] = os.path.basename(csv_path)
@@ -365,7 +365,7 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
 
 def _write_sample_csv(path: str, rec: vol.SampleRecords):
     """One row per sample; ``irreducible``, ``density`` and ``jacobian`` are
-    blank on the rows the stream did not evaluate."""
+    blank on the rows the stream did not evaluate (outside the co-area gate)."""
     buf = []
     header = ["converged", "irreducible", "initial_residual",
               "displacement", "density", "jacobian"]
@@ -455,8 +455,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.format == "csv" and args.command != "volume":
-        error_record("config", "csv format is only supported by 'volume'")
+    if args.format == "csv" and (args.command != "volume" or args.out is None):
+        error_record("config", "csv format is only supported by 'volume' with --out "
+                               "(the CSV is written beside the JSON)")
         return EXIT_CONFIG
     try:
         if args.command == "solve":

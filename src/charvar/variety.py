@@ -134,16 +134,14 @@ class CohomologyBasis:
     Columns of ``z_coords`` span {H : dPi(H) = 0, boundary components
     class-tangent}, ``b_coords`` the image of the coboundary map, and
     ``h_coords`` the orthocomplement of b1 inside z1, all in the
-    slot-major algebra basis.  ``normal_rows`` span the row space of the
-    class-constrained relator differential (the normal directions of the
-    variety).  The arrays carry batch axes when :func:`cohomology_split`
-    ran on a batch.
+    slot-major algebra basis.  ``dpi_singular_values`` are those of the
+    class-constrained relator differential.  The arrays carry batch axes
+    when :func:`cohomology_split` ran on a batch.
     """
 
     z_coords: np.ndarray = field(repr=False)
     b_coords: np.ndarray = field(repr=False)
     h_coords: np.ndarray = field(repr=False)
-    normal_rows: np.ndarray = field(repr=False)
     dpi_singular_values: np.ndarray = field(repr=False)
     gap_quality: float = float("inf")
 
@@ -476,12 +474,11 @@ def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     """
     slots = boundary_slots(spec, mats, g, m, classes)
     E = embed_moves(spec.dim, g, [sl.U for sl in slots])
-    Eh = np.swapaxes(E, -2, -1).conj()
     D = pres.relator_differential_matrix(spec, mats, g, m)
     _, s, Vh = np.linalg.svd(D @ E)
     own_z = split_rank(s, gap_tol)
-    Ub, sb, _ = np.linalg.svd(Eh @ pres.coboundary_matrix(spec, mats),
-                              full_matrices=False)
+    Ub, sb, _ = np.linalg.svd(np.swapaxes(E, -2, -1).conj()
+                              @ pres.coboundary_matrix(spec, mats), full_matrices=False)
     own_b = split_rank(sb, gap_tol)
     rz, rb = (own_z[0], own_b[0]) if ranks is None else ranks
     Zc = np.swapaxes(Vh[..., rz:, :], -2, -1).conj()  # (..., D_c, nz), orthonormal
@@ -491,8 +488,7 @@ def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     own_h = split_rank(sh, gap_tol)
     Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
     return CohomologyBasis(
-        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc,
-        normal_rows=Vh[..., :rz, :] @ Eh, dpi_singular_values=s,
+        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc, dpi_singular_values=s,
         gap_quality=np.minimum(np.minimum(own_z[1], own_b[1]), own_h[1]),
     ), (own_z, own_b, own_h)
 

@@ -23,10 +23,9 @@ not fix, so values are relative to the stated baseline: Haar probability
 on the ambient tuple space and the -trace(XY) metric scale (the
 density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
 
-A stream screens each converged landing by its normal distance from one QR
-and evaluates the density only where a gate can accept (the distance gate
-widened by ``SCREEN_MARGIN`` for the QR-versus-SVD rounding); acceptance
-reads the density's own values, as if every landing were evaluated.
+Each estimator runs on its own stream with its own gate.  A stream screens
+every converged landing by its normal distance, from one QR, and evaluates
+the density only where its gate accepts.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ LANDING_CHUNK = 1024  # landings per density call: bounds the peak memory
 SAMPLE_BATCH = 2048  # Haar samples projected per project_batch call
 LANDING_TOL = 1e-11  # Gauss-Newton residual at which a sample has landed
 LANDING_MAX_ITER = 120
-SCREEN_MARGIN = 1.0 + 1e-6  # distance-gate widening that covers QR-vs-SVD rounding
 CONVENTION = ("relative symplectic volume; Haar-probability ambient baseline; "
               "-trace(XY) pairing metric")
 
@@ -112,25 +110,20 @@ def _displacement_coords(spec, final, initial):
     return out.reshape(rel.shape[:-3] + (rel.shape[-3] * spec.dim,))
 
 
-def landing_densities(problem: VarietyProblem, mats: np.ndarray,
-                      displacement: np.ndarray):
-    """(pf, coarea_jacobian, irreducible, normal_distance) at a stack of landings.
+def landing_densities(problem: VarietyProblem, mats: np.ndarray):
+    """(pf, coarea_jacobian, irreducible) at a stack of landings.
 
     One :func:`cohomology_split`, cut at the ranks of an irreducible point
     ``rank(D E) = rank(E* C) = dim g``, and one form Gram serve the stack;
-    a slice whose own ranks differ reads ``(0, 0, False, inf)``.  For a
+    a slice whose own ranks differ reads ``(0, 0, False)``.  For a
     unitary representation the coboundary rank is ``dim g`` exactly when
     the commutant is the scalars: a larger commutant is a *-algebra, so it
     holds a non-scalar Hermitian ``H``, and ``i(H - tr H / r)`` is a nonzero
     traceless element centralizing the image, which the coboundary map kills.
-
-    The tube distance is the log displacement's component normal to the
-    variety (the row space of the constrained relator differential); the
-    stream's screen, :func:`_screened_distance`, takes the same quantity
-    from a QR.  An empty stack gives four empty arrays.
+    An empty stack gives three empty arrays.
     """
     if not len(mats):
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0)
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
     spec, d = problem.spec, problem.spec.dim
     g, m = problem.presentation.genus, problem.presentation.boundary_count
     basis, own = cohomology_split(spec, mats, g, m, problem.classes, ranks=(d, d))
@@ -139,18 +132,15 @@ def landing_densities(problem: VarietyProblem, mats: np.ndarray,
                         boundary_slots(spec, mats, g, m, problem.classes))
     pf = pfaffian_abs(G)
     jac = np.prod(basis.dpi_singular_values[..., :d], axis=-1)
-    normal = basis.normal_rows @ displacement[..., None]
-    # a (1, d) @ (d, 1) product rounds like the one-landing vector norm
-    ndist = np.sqrt(np.swapaxes(normal, -2, -1) @ normal)[..., 0, 0]
-    return (np.where(ok, pf, 0.0), np.where(ok, jac, 0.0), ok,
-            np.where(ok, ndist, np.inf))
+    return np.where(ok, pf, 0.0), np.where(ok, jac, 0.0), ok
 
 
 def _screened_distance(problem: VarietyProblem, mats: np.ndarray,
                        displacement: np.ndarray) -> np.ndarray:
-    """Normal distances ``|Q* E* ell|`` at a stack of landings, ``Q`` the QR
-    factor of ``(D E)*``: the span of ``normal_rows`` where ``D E`` has full
-    rank.  Unlike a Gram solve, a QR does not raise on a reducible slice."""
+    """The tube distance at a stack of landings: the log displacement's
+    component ``|Q* E* ell|`` normal to the variety, ``Q`` the QR factor of
+    ``(D E)*`` (the row space of the class-constrained relator differential
+    where ``D E`` has full rank).  A QR does not raise on a reducible slice."""
     spec, g = problem.spec, problem.presentation.genus
     m = problem.presentation.boundary_count
     E = embed_moves(spec.dim, g, [sl.U for sl in
@@ -164,9 +154,9 @@ def _screened_distance(problem: VarietyProblem, mats: np.ndarray,
 @dataclass
 class SampleRecords:
     """Per-sample diagnostics of one Monte Carlo stream.  ``irreducible``,
-    ``density`` and ``jacobian`` hold only where ``evaluated`` (False, 0, 0
-    elsewhere); ``displacement`` is the screened distance on the other
-    converged samples."""
+    ``density`` and ``jacobian`` hold only where ``evaluated``, the converged
+    samples inside the stream's gate (False, 0, 0 elsewhere);
+    ``displacement`` is the screened distance on every converged sample."""
 
     converged: np.ndarray
     evaluated: np.ndarray
@@ -181,10 +171,15 @@ class SampleRecords:
         return self.converged.shape[0]
 
 
+# each estimator's gate, by its config key
+GATE_NAMES = {"coarea": "residual_gate", "tube": "distance_gate"}
+
+
 def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
-                  residual_gate: float, distance_gate: float) -> SampleRecords:
+                  estimator: str, gate: float) -> SampleRecords:
     """Haar-sample and project; screen every converged landing and evaluate
-    :func:`landing_densities` at those that either gate can accept."""
+    :func:`landing_densities` where the estimator's gate accepts: initial
+    residual within ``gate`` for ``coarea``, screened distance for ``tube``."""
     spec = problem.spec
     if spec.family != "SU":
         raise DimensionMismatchError(
@@ -199,58 +194,48 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     disp = np.full(n_samples, np.inf)
     dens = np.zeros(n_samples)
     jac = np.zeros(n_samples)
+    gated = res0 if estimator == "coarea" else disp  # filled batch by batch
     z0i = lg.group_inverse(spec, problem.classes.target)
     done = 0
     while done < n_samples:
         nb = min(SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
         R0, bad0 = _batch_residual(spec, init, g, m, z0i)
-        r0 = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
         mats, rnorm, iters, ok = project_batch(
             spec, init, g, m, problem.classes, tol=LANDING_TOL,
             max_iter=LANDING_MAX_ITER, rng=rng)
         sl = slice(done, done + nb)
         conv[sl] = ok
-        res0[sl] = r0
+        res0[sl] = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
         ell = _displacement_coords(spec, mats, init)
-        landed = np.nonzero(ok)[0]
-        screen = _screened_distance(problem, mats[landed], ell[landed])
-        disp[done + landed] = screen
-        keep = landed[(r0[landed] <= residual_gate)
-                      | (screen <= distance_gate * SCREEN_MARGIN)]
+        landed = np.flatnonzero(ok)
+        disp[done + landed] = _screened_distance(problem, mats[landed], ell[landed])
+        keep = np.flatnonzero(ok & (gated[sl] <= gate))
         evald[done + keep] = True
         for part in np.split(keep, range(LANDING_CHUNK, keep.size, LANDING_CHUNK)):
-            at = done + part
-            dens[at], jac[at], irr[at], disp[at] = landing_densities(
-                problem, mats[part], ell[part])
+            dens[done + part], jac[done + part], irr[done + part] = landing_densities(
+                problem, mats[part])
         done += nb
     return SampleRecords(conv, evald, irr, res0, disp, dens, jac)
 
 
 def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,
-                           estimator: str, residual_gate: float,
-                           distance_gate: float) -> VolumeEstimate:
+                           estimator: str, gate: float) -> VolumeEstimate:
+    """The estimate of a stream gated at ``gate``: it accepts the evaluated
+    irreducible landings, weighted by ``pf * J`` (co-area) or ``pf`` (tube)."""
     codim = problem.spec.dim  # rank of the relator differential at irreducible points
-    good = rec.converged & rec.irreducible
-    if estimator == "coarea":
-        accept = good & (rec.initial_residual <= residual_gate)
-        weights = np.where(accept, rec.density * rec.jacobian, 0.0)
-        weights = weights / ball_volume(codim, residual_gate)
-        gate_note = f"coarea(residual_gate={residual_gate})"
-    elif estimator == "tube":
-        accept = good & (rec.displacement <= distance_gate)
-        weights = np.where(accept, rec.density, 0.0)
-        weights = weights / ball_volume(codim, distance_gate)
-        gate_note = f"tube(distance_gate={distance_gate})"
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+    accept = rec.evaluated & rec.irreducible
+    pf_weight = rec.density * rec.jacobian if estimator == "coarea" else rec.density
+    weights = np.where(accept, pf_weight, 0.0) / ball_volume(codim, gate)
     landings = int(np.sum(accept))
     if landings < MIN_LANDINGS:
         raise InsufficientSamplesError(landings, MIN_LANDINGS)
     n = rec.n
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(n))
-    return VolumeEstimate(value, stderr, n, f"{CONVENTION}; {gate_note}", landings)
+    return VolumeEstimate(value, stderr, n,
+                          f"{CONVENTION}; {estimator}({GATE_NAMES[estimator]}={gate})",
+                          landings)
 
 
 def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
@@ -264,9 +249,11 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
     :func:`liegroup.pairing` fixes on su(r), which the convention note
     names; see the module docstring for the two estimator variants.
     """
-    gates = (residual_gate, distance_gate)
+    if estimator not in GATE_NAMES:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    gate = residual_gate if estimator == "coarea" else distance_gate
     return _estimate_from_records(
-        problem, sample_stream(problem, n_samples, seed, *gates), estimator, *gates)
+        problem, sample_stream(problem, n_samples, seed, estimator, gate), estimator, gate)
 
 
 def cross_check(problem: VarietyProblem, n_samples: int, seed: int, *,
@@ -275,11 +262,11 @@ def cross_check(problem: VarietyProblem, n_samples: int, seed: int, *,
 
     ``coarea_records`` holds the per-sample records of the co-area stream.
     """
-    gates = (residual_gate, distance_gate)
-    records = sample_stream(problem, n_samples, seed, *gates)
-    a = _estimate_from_records(problem, records, "coarea", *gates)
+    records = sample_stream(problem, n_samples, seed, "coarea", residual_gate)
+    a = _estimate_from_records(problem, records, "coarea", residual_gate)
     b = _estimate_from_records(
-        problem, sample_stream(problem, n_samples, seed + 1, *gates), "tube", *gates)
+        problem, sample_stream(problem, n_samples, seed + 1, "tube", distance_gate),
+        "tube", distance_gate)
     sigma = math.hypot(a.stderr, b.stderr)
     gap = abs(a.value - b.value)
     return {

@@ -135,6 +135,23 @@ def test_csv_rejected_outside_volume(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--format", "csv"]) == 1
 
 
+def test_volume_csv_without_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """The CSV is written beside ``--out``: without it, exit 1 and one config
+    record, before any stream runs."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a volume stream ran")
+
+    monkeypatch.setattr(cli.vol, "cross_check", no_run)
+    cfg = write_config(tmp_path)
+    assert cli.main(["volume", "--config", cfg, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_solve_then_certify_passes(tmp_path):
     cfg = write_config(tmp_path)
     point = tmp_path / "point.json"
@@ -347,11 +364,13 @@ def test_volume_run_and_csv(tmp_path):
     landed = sum(1 for r in rows
                  if r[0] == "1" and r[1] == "1" and float(r[2]) <= 0.6)
     assert landed == data["coarea"]["landings"]
-    # every converged row a gate can accept is evaluated and filled; the
-    # irreducible, density and jacobian fields of the other rows are blank
+    # every converged row inside the co-area gate is evaluated and filled;
+    # the irreducible, density and jacobian fields of the other rows are
+    # blank, and every converged row carries a finite screened distance
     for r in rows:
-        evaluated = r[0] == "1" and (float(r[2]) <= 0.6 or float(r[3]) <= 0.45)
+        evaluated = r[0] == "1" and float(r[2]) <= 0.6
         assert all(r) if evaluated else r[1] == r[4] == r[5] == ""
+        assert np.isfinite(float(r[3])) == (r[0] == "1")
     assert any(r[1] == "" for r in rows)
 
 

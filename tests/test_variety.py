@@ -119,7 +119,7 @@ def _project(problem, mats, **kw):
 
 
 def _starts(problem, rng, shape):
-    flat = np.stack([problem.random_initial(rng).mats for _ in range(int(np.prod(shape)))])
+    flat = problem.initial_batch(rng, int(np.prod(shape)))
     return flat.reshape(shape + flat.shape[1:])
 
 

@@ -18,7 +18,13 @@ from charvar import liegroup as lg
 from charvar import presentation as pres
 from charvar import volume as vol
 from charvar.twoform import form_gram_coords
-from charvar.variety import _batch_residual, project_batch, split_rank
+from charvar.variety import (
+    _batch_residual,
+    boundary_slots,
+    embed_moves,
+    project_batch,
+    split_rank,
+)
 from charvar.volume import (
     SampleRecords,
     _estimate_from_records,
@@ -93,25 +99,31 @@ def test_density_at_boundary_point(boundary_points, boundary_problem):
     assert val > 0
 
 
-GATES = (0.6, 0.45)  # the default residual and distance gates
+GATES = {"coarea": 0.6, "tube": 0.45}  # each estimator's default gate
+
+
+def _gated(rec, estimator, gate):
+    """The converged samples inside one estimator's gate."""
+    measure = rec.initial_residual if estimator == "coarea" else rec.displacement
+    return rec.converged & (measure <= gate)
 
 
 def test_sample_stream_records(closed_problem):
-    """Every landing that a gate can accept is evaluated, and only those;
-    every converged sample carries a finite normal distance."""
-    rec = sample_stream(closed_problem, 200, 5, *GATES)
-    assert rec.n == 200
-    assert rec.converged.mean() > 0.95
-    gated = rec.converged & ((rec.initial_residual <= GATES[0])
-                             | (rec.displacement <= GATES[1]))
-    assert np.array_equal(rec.evaluated, gated)
-    assert not np.any(rec.irreducible & ~rec.evaluated)
-    landed = rec.converged & rec.irreducible
-    assert landed.sum() >= 0.9 * gated.sum() > 0
-    assert np.all(rec.density[landed] > 0)
-    assert np.all(rec.jacobian[landed] > 0)
-    assert np.all(rec.density[~rec.evaluated] == 0)
-    assert np.all(np.isfinite(rec.displacement[rec.converged]))
+    """Each stream evaluates the converged landings inside its own gate, and
+    only those; every converged sample carries a finite screened distance."""
+    for estimator, gate in GATES.items():
+        rec = sample_stream(closed_problem, 200, 5, estimator, gate)
+        assert rec.n == 200
+        assert rec.converged.mean() > 0.95
+        gated = _gated(rec, estimator, gate)
+        assert np.array_equal(rec.evaluated, gated)
+        assert not np.any(rec.irreducible & ~rec.evaluated)
+        landed = rec.converged & rec.irreducible
+        assert landed.sum() >= 0.9 * gated.sum() > 0
+        assert np.all(rec.density[landed] > 0)
+        assert np.all(rec.jacobian[landed] > 0)
+        assert np.all(rec.density[~rec.evaluated] == 0)
+        assert np.all(np.isfinite(rec.displacement[rec.converged]))
 
 
 def test_estimators_require_su(slc2):
@@ -119,6 +131,15 @@ def test_estimators_require_su(slc2):
                              cv.ConjugacyClassSpec(slc2))
     with pytest.raises(DimensionMismatchError):
         cv.estimate_relative_volume(prob, 100, 0)
+
+
+def test_unknown_estimator_is_rejected_before_sampling(closed_problem, monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream ran before the estimator name was checked")
+
+    monkeypatch.setattr(vol, "sample_stream", no_stream)
+    with pytest.raises(ValueError, match="unknown estimator 'nope'"):
+        cv.estimate_relative_volume(closed_problem, 100, 0, estimator="nope")
 
 
 def test_insufficient_samples(closed_problem):
@@ -160,10 +181,11 @@ def test_estimate_metadata(closed_problem):
 
 
 def test_sample_stream_deterministic(closed_problem):
-    a = sample_stream(closed_problem, 200, 9, *GATES)
-    b = sample_stream(closed_problem, 200, 9, *GATES)
-    for f in dataclasses.fields(SampleRecords):
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    for estimator, gate in GATES.items():
+        a = sample_stream(closed_problem, 200, 9, estimator, gate)
+        b = sample_stream(closed_problem, 200, 9, estimator, gate)
+        for f in dataclasses.fields(SampleRecords):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +210,7 @@ def landing_sets(su2, su3):
     out = {}
     for k, (name, prob) in enumerate(problems.items()):
         rng = np.random.default_rng(500 + k)
-        init = np.stack([prob.random_initial(rng).mats for _ in range(6)])
+        init = prob.initial_batch(rng, 6)
         mats, _, _, ok = project_batch(prob.spec, init, prob.presentation.genus,
                                        prob.presentation.boundary_count,
                                        prob.classes, tol=1e-11, rng=rng)
@@ -205,8 +227,19 @@ def _diagonal_tuple(problem, rng):
     return np.array(mats + list(problem.classes.representatives))
 
 
+def _normal_distance(problem, mats, ell):
+    """The per-point tube distance: ``ell`` on the rows ``Vh[:rank]`` of the
+    SVD of the class-constrained relator differential ``D E``."""
+    spec, g, m = problem.spec, problem.presentation.genus, problem.presentation.boundary_count
+    E = embed_moves(spec.dim, g, [sl.U for sl in
+                                  boundary_slots(spec, mats, g, m, problem.classes)])
+    _, s, Vh = np.linalg.svd(pres.relator_differential_matrix(spec, mats, g, m) @ E)
+    return np.linalg.norm(Vh[:split_rank(s)[0]] @ E.conj().T @ ell)
+
+
 def _one_point(problem, mats, ell):
-    """The per-point reference: cohomology_at, liouville_density, normal_rows."""
+    """The per-point reference: cohomology_at, liouville_density, the SVD
+    normal distance."""
     spec, pr = problem.spec, problem.presentation
     p = cv.RepresentationPoint(
         cv.GeneratorTuple(spec, pr.genus, pr.boundary_count, mats), 0.0)
@@ -215,34 +248,44 @@ def _one_point(problem, mats, ell):
     return (liouville_density(p, problem.classes, basis),
             np.prod(basis.dpi_singular_values[:rank]),
             commutant_dimension(spec, mats) == 1,
-            np.linalg.norm(basis.normal_rows @ ell))
+            _normal_distance(problem, mats, ell))
+
+
+def _batched(problem, mats, ell):
+    """(pf, jacobian, irreducible, screened distance) of the stream's path."""
+    return landing_densities(problem, mats) + (vol._screened_distance(problem, mats, ell),)
+
+
+def _assert_matches_one_point(problem, stack, ell):
+    got = _batched(problem, stack, ell)
+    assert got[2].all()
+    for i in range(len(stack)):
+        want = _one_point(problem, stack[i], ell[i])
+        assert want[2]
+        for a, b in zip((got[0][i], got[1][i], got[3][i]), (want[0], want[1], want[3])):
+            assert abs(a - b) <= 1e-12 * abs(b)
+    return got
 
 
 @settings(max_examples=40)
 @given(name=st.sampled_from(["su2_plus", "su2_minus", "su2_g1_theta", "su3"]),
        data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_batched_density_matches_one_point_path(landing_sets, name, data, seed):
-    """Batched (pf, jacobian, irreducible, normal_distance) equal the
-    per-point evaluation to 1e-12; a planted reducible slice is masked and
-    leaves its neighbours' values unchanged."""
+    """Batched (pf, jacobian, irreducible) and the screened distance equal
+    the per-point evaluation to 1e-12; a planted reducible slice is masked
+    and leaves its neighbours' values unchanged."""
     problem, mats = landing_sets[name]
     order = data.draw(st.permutations(range(len(mats))))
     k = data.draw(st.integers(1, len(mats)))
     stack = mats[list(order[:k])]
     rng = np.random.default_rng(seed)
     ell = 0.3 * rng.standard_normal((k, stack.shape[1] * problem.spec.dim))
-    got = landing_densities(problem, stack, ell)
-    assert got[2].all()
-    for i in range(k):
-        want = _one_point(problem, stack[i], ell[i])
-        assert want[2]
-        for a, b in zip((got[0][i], got[1][i], got[3][i]), (want[0], want[1], want[3])):
-            assert abs(a - b) <= 1e-12 * abs(b)
+    got = _assert_matches_one_point(problem, stack, ell)
 
     j = data.draw(st.integers(0, k))
     planted = np.insert(stack, j, _diagonal_tuple(problem, rng), axis=0)
-    hit = landing_densities(problem, planted, np.insert(ell, j, 0.1, axis=0))
-    assert (hit[0][j], hit[1][j], hit[2][j], hit[3][j]) == (0.0, 0.0, False, np.inf)
+    hit = _batched(problem, planted, np.insert(ell, j, 0.1, axis=0))
+    assert (hit[0][j], hit[1][j], hit[2][j]) == (0.0, 0.0, False)
     keep = np.arange(k + 1) != j
     for a, b in zip(hit, got):
         assert np.array_equal(a[keep], b)
@@ -269,7 +312,7 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
             reducible.append(mats)
         mats = np.concatenate([np.array(reducible),
                                cv.haar_sample(spec, rng, size=(4, 4))])
-        irr = landing_densities(problem, mats, np.zeros((8, 4 * spec.dim)))[2]
+        irr = landing_densities(problem, mats)[2]
         assert irr.tolist() == [False] * 4 + [True] * 4
         assert irr.tolist() == [commutant_dimension(spec, x) == 1 for x in mats]
         assert irr.tolist() == [cv.is_irreducible(cv.GeneratorTuple(spec, 2, 0, x))
@@ -277,17 +320,18 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
 
 
 def test_landing_densities_on_an_empty_stack(closed_problem):
-    pf, jac, irr, dist = landing_densities(
-        closed_problem, np.zeros((0, 4, 2, 2), dtype=complex), np.zeros((0, 12)))
-    for a, dtype in zip((pf, jac, irr, dist), (float, float, bool, float)):
+    out = landing_densities(closed_problem, np.zeros((0, 4, 2, 2), dtype=complex))
+    assert len(out) == 3
+    for a, dtype in zip(out, (float, float, bool)):
         assert a.shape == (0,) and a.dtype == dtype
 
 
 def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
     """Gates no landing passes: no density is evaluated, and the estimate
     ends in InsufficientSamplesError."""
-    rec = sample_stream(closed_problem, 100, 3, 1e-9, 1e-9)
-    assert rec.converged.any() and not rec.evaluated.any()
+    for estimator in GATES:
+        rec = sample_stream(closed_problem, 100, 3, estimator, 1e-9)
+        assert rec.converged.any() and not rec.evaluated.any()
     with pytest.raises(InsufficientSamplesError):
         cv.cross_check(closed_problem, 100, 3, residual_gate=1e-9, distance_gate=1e-9)
 
@@ -297,7 +341,8 @@ def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
 # ---------------------------------------------------------------------------
 
 def _unscreened_stream(problem, n_samples, seed):
-    """The reference loop: ``landing_densities`` at every converged landing."""
+    """The reference loop: ``landing_densities`` and the screened distance
+    at every converged landing."""
     spec, pr = problem.spec, problem.presentation
     g, m = pr.genus, pr.boundary_count
     rng = np.random.default_rng(seed)
@@ -318,24 +363,29 @@ def _unscreened_stream(problem, n_samples, seed):
             bad0, np.inf, np.linalg.norm(R0, axis=-1))
         ell = vol._displacement_coords(spec, mats, init)
         at = done + np.flatnonzero(ok)
-        (rec.density[at], rec.jacobian[at], rec.irreducible[at],
-         rec.displacement[at]) = landing_densities(problem, mats[ok], ell[ok])
+        rec.density[at], rec.jacobian[at], rec.irreducible[at] = landing_densities(
+            problem, mats[ok])
+        rec.displacement[at] = vol._screened_distance(problem, mats[ok], ell[ok])
     rec.evaluated[:] = rec.converged
     return rec
 
 
 def _assert_screen_exact(problem, n_samples, seed, gates):
-    """Both estimators read the same bits from the screened stream as from
-    the reference, and the screened stream evaluates every accepted landing."""
+    """Each estimator reads the same bits from its gated stream as from the
+    reference cut at the same gate, and the stream evaluates exactly the
+    landings inside its gate."""
     ref = _unscreened_stream(problem, n_samples, seed)
-    rec = sample_stream(problem, n_samples, seed, *gates)
-    for est in ("coarea", "tube"):
-        want = _estimate_from_records(problem, ref, est, *gates)
+    for est, gate in gates.items():
+        cut = dataclasses.replace(ref, evaluated=_gated(ref, est, gate))
+        want = _estimate_from_records(problem, cut, est, gate)
         assert want.landings >= 30
-        assert _estimate_from_records(problem, rec, est, *gates) == want, est
-    ev = rec.evaluated
-    for f in ("irreducible", "displacement", "density", "jacobian"):
-        assert np.array_equal(getattr(rec, f)[ev], getattr(ref, f)[ev]), f
+        rec = sample_stream(problem, n_samples, seed, est, gate)
+        assert _estimate_from_records(problem, rec, est, gate) == want, est
+        assert np.array_equal(rec.evaluated, cut.evaluated), est
+        assert np.array_equal(rec.displacement, ref.displacement), est
+        ev = rec.evaluated
+        for f in ("irreducible", "density", "jacobian"):
+            assert np.array_equal(getattr(rec, f)[ev], getattr(ref, f)[ev]), f
 
 
 SU2, SU3 = cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3)
@@ -345,7 +395,7 @@ SCREEN_CASES = {
     "su2_g2_minus": (_problem(SU2, 2, target=-np.eye(2)), 3000, 11, GATES),
     "su2_g1_theta": (_problem(SU2, 1, (THETA,)), 1500, 11, GATES),
     # wide gates land 30 or more of 500 SU(3) samples in each
-    "su3_g2": (_problem(SU3, 2), 500, 11, (2.1, 0.8)),
+    "su3_g2": (_problem(SU3, 2), 500, 11, {"coarea": 2.1, "tube": 0.8}),
 }
 
 
@@ -354,9 +404,9 @@ def test_screened_stream_matches_unscreened(name):
     _assert_screen_exact(*SCREEN_CASES[name])
 
 
-def test_screen_without_class_constraint_fails(monkeypatch):
-    """Planted: a screen that drops the class embedding ``E`` loses a tube
-    landing at the theta = 0.3 class, and the equivalence check sees it."""
+def test_screen_without_class_constraint_fails(landing_sets, monkeypatch):
+    """Planted: a screen that drops the class embedding ``E`` misreads the
+    tube distance at the theta = 0.3 class, and the per-point oracle sees it."""
     def unconstrained(problem, mats, displacement):
         pr = problem.presentation
         D = pres.relator_differential_matrix(problem.spec, mats, pr.genus,
@@ -364,6 +414,10 @@ def test_screen_without_class_constraint_fails(monkeypatch):
         Q = np.linalg.qr(np.swapaxes(D, -2, -1))[0]
         return np.linalg.norm((displacement[..., None, :] @ Q)[..., 0, :], axis=-1)
 
+    problem, mats = landing_sets["su2_g1_theta"]
+    ell = 0.3 * np.random.default_rng(0).standard_normal(
+        (len(mats), mats.shape[1] * problem.spec.dim))
+    _assert_matches_one_point(problem, mats, ell)
     monkeypatch.setattr(vol, "_screened_distance", unconstrained)
-    with pytest.raises(AssertionError, match="tube"):
-        _assert_screen_exact(*SCREEN_CASES["su2_g1_theta"])
+    with pytest.raises(AssertionError):
+        _assert_matches_one_point(problem, mats, ell)
