@@ -353,7 +353,7 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
         "seed": cfg.seed,
     }
     if fmt == "csv":
-        csv_path = os.path.splitext(out)[0] + ".csv"
+        csv_path = _csv_path(out)
         _write_sample_csv(csv_path, result["coarea_records"])
         payload["samples_csv"] = os.path.basename(csv_path)
     emit(payload, out, quiet,
@@ -363,18 +363,27 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _csv_path(out: str) -> str:
+    """The samples CSV written beside the ``--out`` JSON."""
+    return os.path.splitext(out)[0] + ".csv"
+
+
 def _write_sample_csv(path: str, rec: vol.SampleRecords):
-    """One row per sample; ``irreducible``, ``density`` and ``jacobian`` are
-    blank on the rows the stream did not evaluate (outside the co-area gate)."""
+    """One row per co-area sample.  ``converged`` and ``displacement`` are
+    blank on the rows the stream did not project (outside the co-area gate);
+    ``irreducible``, ``density`` and ``jacobian`` on the rows it did not
+    evaluate (unconverged, or not projected)."""
     buf = []
     header = ["converged", "irreducible", "initial_residual",
               "displacement", "density", "jacobian"]
     buf.append(",".join(header))
     for i in range(rec.n):
-        ev = rec.evaluated[i]
+        pj, ev = rec.projected[i], rec.evaluated[i]
         buf.append(",".join([
-            str(int(rec.converged[i])), str(int(rec.irreducible[i])) if ev else "",
-            repr(float(rec.initial_residual[i])), repr(float(rec.displacement[i])),
+            str(int(rec.converged[i])) if pj else "",
+            str(int(rec.irreducible[i])) if ev else "",
+            repr(float(rec.initial_residual[i])),
+            repr(float(rec.displacement[i])) if pj else "",
             repr(float(rec.density[i])) if ev else "",
             repr(float(rec.jacobian[i])) if ev else "",
         ]))
@@ -458,6 +467,10 @@ def main(argv=None) -> int:
     if args.format == "csv" and (args.command != "volume" or args.out is None):
         error_record("config", "csv format is only supported by 'volume' with --out "
                                "(the CSV is written beside the JSON)")
+        return EXIT_CONFIG
+    if args.format == "csv" and _csv_path(args.out) == args.out:
+        error_record("config", f"--out {args.out!r} is also the CSV path "
+                               "(<out stem>.csv): the JSON would overwrite the CSV")
         return EXIT_CONFIG
     try:
         if args.command == "solve":

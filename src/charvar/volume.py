@@ -23,9 +23,11 @@ not fix, so values are relative to the stated baseline: Haar probability
 on the ambient tuple space and the -trace(XY) metric scale (the
 density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
 
-Each estimator runs on its own stream with its own gate.  A stream screens
-every converged landing by its normal distance, from one QR, and evaluates
-the density only where its gate accepts.
+Each estimator runs on its own stream with its own gate.  The tube stream
+projects every sample; the co-area stream projects only the samples whose
+initial residual is inside its gate, the only ones it can accept.  A stream
+screens every converged landing by its normal distance, from one QR, and
+evaluates the density only where its gate accepts.
 """
 
 from __future__ import annotations
@@ -153,11 +155,14 @@ def _screened_distance(problem: VarietyProblem, mats: np.ndarray,
 
 @dataclass
 class SampleRecords:
-    """Per-sample diagnostics of one Monte Carlo stream.  ``irreducible``,
-    ``density`` and ``jacobian`` hold only where ``evaluated``, the converged
-    samples inside the stream's gate (False, 0, 0 elsewhere);
-    ``displacement`` is the screened distance on every converged sample."""
+    """Per-sample diagnostics of one Monte Carlo stream.  ``projected`` marks
+    the samples the stream projected: all of them for ``tube``, only those
+    inside the gate for ``coarea``.  ``converged`` and ``displacement``, the
+    screened distance, hold only where projected (False and inf elsewhere);
+    ``irreducible``, ``density`` and ``jacobian`` only where ``evaluated``,
+    the converged samples inside the stream's gate (False, 0, 0 elsewhere)."""
 
+    projected: np.ndarray
     converged: np.ndarray
     evaluated: np.ndarray
     irreducible: np.ndarray
@@ -179,7 +184,12 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
                   estimator: str, gate: float) -> SampleRecords:
     """Haar-sample and project; screen every converged landing and evaluate
     :func:`landing_densities` where the estimator's gate accepts: initial
-    residual within ``gate`` for ``coarea``, screened distance for ``tube``."""
+    residual within ``gate`` for ``coarea``, screened distance for ``tube``.
+
+    The co-area gate is known before projection, so that stream projects
+    only the samples inside it; a sample lands on the same bits in any
+    batch.  Branch-cut nudges come from a child generator, so the Haar
+    draws never depend on which samples a stream projects."""
     spec = problem.spec
     if spec.family != "SU":
         raise DimensionMismatchError(
@@ -187,6 +197,8 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     g = problem.presentation.genus
     m = problem.presentation.boundary_count
     rng = np.random.default_rng(seed)
+    nudges = rng.spawn(1)[0]  # spawning leaves rng's state as it is
+    proj = np.zeros(n_samples, dtype=bool)
     conv = np.zeros(n_samples, dtype=bool)
     evald = np.zeros(n_samples, dtype=bool)
     irr = np.zeros(n_samples, dtype=bool)
@@ -201,22 +213,24 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
         nb = min(SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
         R0, bad0 = _batch_residual(spec, init, g, m, z0i)
-        mats, rnorm, iters, ok = project_batch(
-            spec, init, g, m, problem.classes, tol=LANDING_TOL,
-            max_iter=LANDING_MAX_ITER, rng=rng)
-        sl = slice(done, done + nb)
-        conv[sl] = ok
-        res0[sl] = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
-        ell = _displacement_coords(spec, mats, init)
-        landed = np.flatnonzero(ok)
-        disp[done + landed] = _screened_distance(problem, mats[landed], ell[landed])
-        keep = np.flatnonzero(ok & (gated[sl] <= gate))
-        evald[done + keep] = True
+        res0[done:done + nb] = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
+        sel = (np.flatnonzero(res0[done:done + nb] <= gate) if estimator == "coarea"
+               else np.arange(nb))
+        init, rows = init[sel], done + sel
+        mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
+                                       tol=LANDING_TOL, max_iter=LANDING_MAX_ITER,
+                                       rng=nudges)
+        proj[rows], conv[rows] = True, ok
+        mats, init, rows = mats[ok], init[ok], rows[ok]
+        disp[rows] = _screened_distance(problem, mats,
+                                        _displacement_coords(spec, mats, init))
+        keep = np.flatnonzero(gated[rows] <= gate)
+        evald[rows[keep]] = True
         for part in np.split(keep, range(LANDING_CHUNK, keep.size, LANDING_CHUNK)):
-            dens[done + part], jac[done + part], irr[done + part] = landing_densities(
-                problem, mats[part])
+            at = rows[part]
+            dens[at], jac[at], irr[at] = landing_densities(problem, mats[part])
         done += nb
-    return SampleRecords(conv, evald, irr, res0, disp, dens, jac)
+    return SampleRecords(proj, conv, evald, irr, res0, disp, dens, jac)
 
 
 def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,

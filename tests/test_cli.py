@@ -152,6 +152,26 @@ def test_volume_csv_without_out_is_a_config_error(tmp_path, capsys, monkeypatch)
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_volume_csv_named_like_its_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """``--out v.csv --format csv`` names the CSV and the JSON alike, and the
+    JSON would overwrite the CSV: exit 1 and one config record, before any
+    stream runs."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a volume stream ran")
+
+    monkeypatch.setattr(cli.vol, "cross_check", no_run)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "v.csv"
+    assert cli.main(["volume", "--config", cfg, "--out", str(out),
+                     "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
 def test_solve_then_certify_passes(tmp_path):
     cfg = write_config(tmp_path)
     point = tmp_path / "point.json"
@@ -364,14 +384,19 @@ def test_volume_run_and_csv(tmp_path):
     landed = sum(1 for r in rows
                  if r[0] == "1" and r[1] == "1" and float(r[2]) <= 0.6)
     assert landed == data["coarea"]["landings"]
-    # every converged row inside the co-area gate is evaluated and filled;
-    # the irreducible, density and jacobian fields of the other rows are
-    # blank, and every converged row carries a finite screened distance
+    # the stream projects exactly the rows inside the co-area gate: the
+    # converged and displacement fields of the others are blank; every
+    # converged row is evaluated and filled, the irreducible, density and
+    # jacobian fields of the other rows are blank, and every converged row
+    # carries a finite screened distance
     for r in rows:
-        evaluated = r[0] == "1" and float(r[2]) <= 0.6
+        projected = float(r[2]) <= 0.6
+        assert (r[0] != "" and r[3] != "") if projected else r[0] == r[3] == ""
+        evaluated = r[0] == "1"
         assert all(r) if evaluated else r[1] == r[4] == r[5] == ""
-        assert np.isfinite(float(r[3])) == (r[0] == "1")
-    assert any(r[1] == "" for r in rows)
+        if projected:
+            assert np.isfinite(float(r[3])) == evaluated
+    assert any(r[0] == "" for r in rows) and any(r[0] == "1" for r in rows)
 
 
 def test_volume_determinism_byte_identical(tmp_path):

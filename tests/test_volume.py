@@ -109,12 +109,21 @@ def _gated(rec, estimator, gate):
 
 
 def test_sample_stream_records(closed_problem):
-    """Each stream evaluates the converged landings inside its own gate, and
-    only those; every converged sample carries a finite screened distance."""
+    """The co-area stream projects exactly the samples inside its gate, the
+    tube stream all of them; each stream evaluates the converged landings
+    inside its own gate, and only those; every converged sample carries a
+    finite screened distance."""
     for estimator, gate in GATES.items():
         rec = sample_stream(closed_problem, 200, 5, estimator, gate)
         assert rec.n == 200
-        assert rec.converged.mean() > 0.95
+        if estimator == "coarea":
+            assert np.array_equal(rec.projected, rec.initial_residual <= gate)
+        else:
+            assert rec.projected.all()
+        assert rec.projected.sum() > 0
+        assert rec.converged[rec.projected].mean() > 0.95
+        assert not np.any(rec.converged & ~rec.projected)
+        assert np.all(np.isinf(rec.displacement[~rec.projected]))
         gated = _gated(rec, estimator, gate)
         assert np.array_equal(rec.evaluated, gated)
         assert not np.any(rec.irreducible & ~rec.evaluated)
@@ -327,11 +336,14 @@ def test_landing_densities_on_an_empty_stack(closed_problem):
 
 
 def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
-    """Gates no landing passes: no density is evaluated, and the estimate
-    ends in InsufficientSamplesError."""
-    for estimator in GATES:
-        rec = sample_stream(closed_problem, 100, 3, estimator, 1e-9)
-        assert rec.converged.any() and not rec.evaluated.any()
+    """Gates no landing passes: the co-area stream projects nothing, no
+    density is evaluated, and the estimate ends in InsufficientSamplesError."""
+    rec = sample_stream(closed_problem, 100, 3, "coarea", 1e-9)
+    assert not rec.projected.any() and not rec.converged.any()
+    assert not rec.evaluated.any()
+    rec = sample_stream(closed_problem, 100, 3, "tube", 1e-9)
+    assert rec.projected.all() and rec.converged.any()
+    assert not rec.evaluated.any()
     with pytest.raises(InsufficientSamplesError):
         cv.cross_check(closed_problem, 100, 3, residual_gate=1e-9, distance_gate=1e-9)
 
@@ -341,15 +353,17 @@ def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
 # ---------------------------------------------------------------------------
 
 def _unscreened_stream(problem, n_samples, seed):
-    """The reference loop: ``landing_densities`` and the screened distance
-    at every converged landing."""
+    """The reference loop: it projects every sample, and evaluates
+    ``landing_densities`` and the screened distance at every converged
+    landing."""
     spec, pr = problem.spec, problem.presentation
     g, m = pr.genus, pr.boundary_count
     rng = np.random.default_rng(seed)
-    rec = SampleRecords(np.zeros(n_samples, dtype=bool), np.zeros(n_samples, dtype=bool),
-                        np.zeros(n_samples, dtype=bool), np.full(n_samples, np.inf),
-                        np.full(n_samples, np.inf), np.zeros(n_samples),
-                        np.zeros(n_samples))
+    nudges = rng.spawn(1)[0]
+    rec = SampleRecords(np.ones(n_samples, dtype=bool), np.zeros(n_samples, dtype=bool),
+                        np.zeros(n_samples, dtype=bool), np.zeros(n_samples, dtype=bool),
+                        np.full(n_samples, np.inf), np.full(n_samples, np.inf),
+                        np.zeros(n_samples), np.zeros(n_samples))
     z0i = lg.group_inverse(spec, problem.classes.target)
     for done in range(0, n_samples, vol.SAMPLE_BATCH):
         nb = min(vol.SAMPLE_BATCH, n_samples - done)
@@ -357,7 +371,7 @@ def _unscreened_stream(problem, n_samples, seed):
         R0, bad0 = _batch_residual(spec, init, g, m, z0i)
         mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
                                        tol=vol.LANDING_TOL,
-                                       max_iter=vol.LANDING_MAX_ITER, rng=rng)
+                                       max_iter=vol.LANDING_MAX_ITER, rng=nudges)
         rec.converged[done:done + nb] = ok
         rec.initial_residual[done:done + nb] = np.where(
             bad0, np.inf, np.linalg.norm(R0, axis=-1))
@@ -373,7 +387,8 @@ def _unscreened_stream(problem, n_samples, seed):
 def _assert_screen_exact(problem, n_samples, seed, gates):
     """Each estimator reads the same bits from its gated stream as from the
     reference cut at the same gate, and the stream evaluates exactly the
-    landings inside its gate."""
+    landings inside its gate; a sample the stream projects lands where the
+    reference, which projects every sample, lands it."""
     ref = _unscreened_stream(problem, n_samples, seed)
     for est, gate in gates.items():
         cut = dataclasses.replace(ref, evaluated=_gated(ref, est, gate))
@@ -382,7 +397,11 @@ def _assert_screen_exact(problem, n_samples, seed, gates):
         rec = sample_stream(problem, n_samples, seed, est, gate)
         assert _estimate_from_records(problem, rec, est, gate) == want, est
         assert np.array_equal(rec.evaluated, cut.evaluated), est
-        assert np.array_equal(rec.displacement, ref.displacement), est
+        assert np.array_equal(rec.initial_residual, ref.initial_residual), est
+        pj = rec.projected
+        assert pj.all() if est == "tube" else pj.sum() < n_samples, est
+        for f in ("converged", "displacement"):
+            assert np.array_equal(getattr(rec, f)[pj], getattr(ref, f)[pj]), (est, f)
         ev = rec.evaluated
         for f in ("irreducible", "density", "jacobian"):
             assert np.array_equal(getattr(rec, f)[ev], getattr(ref, f)[ev]), f
@@ -402,6 +421,41 @@ SCREEN_CASES = {
 @pytest.mark.parametrize("name", SCREEN_CASES)
 def test_screened_stream_matches_unscreened(name):
     _assert_screen_exact(*SCREEN_CASES[name])
+
+
+def test_coarea_stream_projects_only_its_gated_samples(closed_problem, monkeypatch):
+    """Counted at ``project_batch``: the co-area stream sends exactly the
+    samples with ``initial_residual <= gate``, the tube stream all of them."""
+    sent = []
+
+    def counting(spec, mats, *args, **kwargs):
+        sent.append(len(mats))
+        return project_batch(spec, mats, *args, **kwargs)
+
+    monkeypatch.setattr(vol, "project_batch", counting)
+    monkeypatch.setattr(vol, "SAMPLE_BATCH", 150)
+    for est, gate in GATES.items():
+        sent.clear()
+        rec = sample_stream(closed_problem, 400, 21, est, gate)
+        assert len(sent) == 3, est  # one call per batch
+        assert sum(sent) == rec.projected.sum(), est
+        if est == "coarea":
+            assert 0 < sum(sent) == np.sum(rec.initial_residual <= gate) < 400
+        else:
+            assert sum(sent) == 400
+
+
+def test_nudges_leave_the_haar_draws_alone(su3, monkeypatch):
+    """Branch-cut nudges come from a child generator: the co-area and tube
+    streams of one seed draw the same Haar tuples in every batch, although
+    SU(3) projections draw nudges and the two streams project different
+    samples."""
+    monkeypatch.setattr(vol, "SAMPLE_BATCH", 100)
+    problem = _problem(su3, 2)
+    a = sample_stream(problem, 200, 4, "coarea", 2.1)
+    b = sample_stream(problem, 200, 4, "tube", 0.8)
+    assert a.projected.sum() < b.projected.sum() == 200
+    assert np.array_equal(a.initial_residual, b.initial_residual)
 
 
 def test_screen_without_class_constraint_fails(landing_sets, monkeypatch):
