@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import presentation as pres
 from . import seifert as sf
 from . import twoform as tf
 from . import variety as vy
@@ -276,10 +275,8 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
     nz, nb, nh = basis.dims()
     add("coboundary_rank", abs(nb - point.spec.dim), 0.5)
     add("rank_gap_quality", 1.0 / max(basis.gap_quality, 1e-300), gap_tol)
-    # cocycle condition of the coboundaries
-    D = pres.relator_differential_matrix(
-        point.spec, point.tuple.mats, point.tuple.genus, point.tuple.boundary_count)
-    cocycle_defect = float(np.abs(D @ basis.b_coords).max()) if nb else 0.0
+    # cocycle condition of the coboundaries, under the split's own differential
+    cocycle_defect = float(np.abs(basis.dpi @ basis.b_coords).max()) if nb else 0.0
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
     # descent (both argument orders), the form on h1 and its kernel on the
     # cocycles from one Gram over the columns [z | b | h]; an empty block reads 0
@@ -395,33 +392,49 @@ def _write_sample_csv(path: str, rec: vol.SampleRecords):
 # ---------------------------------------------------------------------------
 
 def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
+    """Solve and certify one component per fiber holonomy zeta.
+
+    Component k starts from the draw of ``default_rng(seed + k)``; every
+    start is flattened onto its own target ``zeta^n I`` by one batched
+    Gauss-Newton solve.  Its branch-cut nudges (if any) continue component
+    0's generator, as ``solve``'s continue its own, so they are drawn for
+    the whole batch from one generator.  Certification runs per component.
+    """
     if cfg.seifert is None:
         error_record("config", "seifert-scan needs a problem of type 'seifert'")
         return EXIT_CONFIG
     steps = cfg.closedness_steps or ()  # the scan runs no closedness by default
+    cands = sf.fiber_holonomy_candidates(cfg.seifert)
+    # closed-surface problems: they differ only in their relator target
+    problems = [sf.variety_problem(cfg.seifert, cand) for cand in cands]
+    rngs = [np.random.default_rng(cfg.seed + cand.index) for cand in cands]
+    starts = [p.random_initial(rng) for p, rng in zip(problems, rngs)]
+    mats, rnorm, iters, conv = vy.project_batch(
+        cfg.group, np.stack([t.mats for t in starts]), cfg.seifert.genus, 0,
+        problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
+        tol=min(1e-12, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
+        target=np.stack([cand.target for cand in cands]))
     components = []
     worst = EXIT_OK
-    for cand in sf.fiber_holonomy_candidates(cfg.seifert):
-        problem = sf.variety_problem(cfg.seifert, cand)
-        rng = np.random.default_rng(cfg.seed + cand.index)
+    for k, (cand, problem, start) in enumerate(zip(cands, problems, starts)):
         entry = cand.to_json()
-        try:
-            point = problem.solve(rng, tol_flat=cfg.tolerances["tol_flat"])
-        except (NoConvergenceError, OutsideDomainError) as e:
-            entry["solve"] = {"converged": False, "detail": str(e)}
-            components.append(entry)
+        components.append(entry)
+        if not conv[k]:
+            detail = str(NoConvergenceError(int(iters[k]), float(rnorm[k])))
+            entry["solve"] = {"converged": False, "detail": detail}
             worst = max(worst, EXIT_NUMERICAL)
             continue
-        point = point.with_irreducible(vy.is_irreducible(point))
-        entry["solve"] = {"converged": True,
-                          "residual": point.residual_norm,
-                          "irreducible": point.irreducible}
+        point = vy.RepresentationPoint(start.replace_mats(mats[k]), float(rnorm[k]))
         checks = certification_checks(point, problem.classes, cfg.tolerances, steps)
+        # a converged point passes the residual check, so the battery's
+        # irreducibility check ran
+        irreducible = next(c["pass"] for c in checks if c["check"] == "irreducible")
+        entry["solve"] = {"converged": True, "residual": point.residual_norm,
+                          "irreducible": irreducible}
         entry["certify"] = {"checks": checks,
                             "passed": all(c["pass"] for c in checks)}
         if not entry["certify"]["passed"]:
             worst = max(worst, EXIT_CERTIFY)
-        components.append(entry)
     payload = {"components": components, "seed": cfg.seed,
                "count": len(components)}
     emit(payload, out, quiet, f"seifert-scan: {len(components)} components")

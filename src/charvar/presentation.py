@@ -93,7 +93,8 @@ def relator_product(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nda
     return partial_products(spec, mats, g, m)[..., -1, :, :]
 
 
-def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int):
+def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+                     f: np.ndarray | None = None):
     """Per-letter operators moving a right-trivialized slot component to the
     start of the word, where the two-form pairs letter components.
 
@@ -103,10 +104,11 @@ def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int):
     (the left-trivialized letter component, Ad(s^-1) H or -H, transported
     by Ad(f_{j-1}^-1), with f_j^-1 = f_{j-1}^-1 s^-1 for a direct letter).
     Returns (T, f): T of shape (..., N, dim, dim) and the partial products
-    f of :func:`partial_products`.
+    f of :func:`partial_products`, built here unless the caller holds them.
     """
     letters = word_letters(g, m)
-    f = partial_products(spec, mats, g, m)
+    if f is None:
+        f = partial_products(spec, mats, g, m)
     ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
     # ad[..., i] is Ad(f_{i+1}^-1); letter i+1 reads i, or i-1 when it is an
     # inverse letter (never the first one)
@@ -115,16 +117,18 @@ def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int):
     return T, f
 
 
-def relator_differential_matrix(spec: GroupSpec, mats: np.ndarray,
-                                g: int, m: int) -> np.ndarray:
+def relator_differential_matrix(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+                                f: np.ndarray | None = None) -> np.ndarray:
     """Differential of Pi in right trivialization, as a coordinate matrix.
 
     Shape (..., dim, n_slots*dim): maps stacked right-trivialized slot
     coordinates to the algebra coordinates of (d/dt Pi) Pi^-1.  The suffix
     alpha_N ... alpha_{j+1} is Pi f_j^-1, so slot s contributes
-    Ad(Pi) sum_{j at s} T_j with T from :func:`letter_transport`.
+    Ad(Pi) sum_{j at s} T_j with T from :func:`letter_transport`.  A
+    caller that already holds the :func:`partial_products` ``f`` at mats (a
+    residual evaluation made them) passes them; the result is the same bits.
     """
-    T, f = letter_transport(spec, mats, g, m)
+    T, f = letter_transport(spec, mats, g, m, f)
     n = mats.shape[-3]
     d = spec.dim
     slots = np.array([s for s, _ in word_letters(g, m)])

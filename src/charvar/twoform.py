@@ -211,13 +211,14 @@ class _Chart:
 
     def _system(self, qmats):
         spec, g, m = self.spec, self.g, self.m
-        R = flat_residual(spec, qmats, g, m, self.classes.target)
+        f = pres.partial_products(spec, qmats, g, m)  # one relator pass
+        R = flat_residual(spec, qmats, g, m, self.classes.target, f)
         ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
         slots = boundary_slots(spec, qmats, g, m, self.classes)
         S = embed_moves(spec.dim, g, [sl.velocities for sl in slots])
         LS = lam @ S.reshape(S.shape[:-2] + lam.shape[-3:-1] + S.shape[-1:])
         LS = LS.reshape(LS.shape[:-3] + S.shape[-2:])  # d(ell) S, slot by slot
-        D = pres.relator_differential_matrix(spec, qmats, g, m)
+        D = pres.relator_differential_matrix(spec, qmats, g, m, f)
         return R, ell, np.concatenate([D @ S, self.HB @ LS], axis=-2), slots
 
     def solve(self, t: np.ndarray):

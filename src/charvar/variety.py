@@ -134,14 +134,17 @@ class CohomologyBasis:
     Columns of ``z_coords`` span {H : dPi(H) = 0, boundary components
     class-tangent}, ``b_coords`` the image of the coboundary map, and
     ``h_coords`` the orthocomplement of b1 inside z1, all in the
-    slot-major algebra basis.  ``dpi_singular_values`` are those of the
-    class-constrained relator differential.  The arrays carry batch axes
-    when :func:`cohomology_split` ran on a batch.
+    slot-major algebra basis.  ``dpi`` is the relator differential
+    (:func:`presentation.relator_differential_matrix`) the split was read
+    from, and ``dpi_singular_values`` are those of its class-constrained
+    restriction.  The arrays carry batch axes when :func:`cohomology_split`
+    ran on a batch.
     """
 
     z_coords: np.ndarray = field(repr=False)
     b_coords: np.ndarray = field(repr=False)
     h_coords: np.ndarray = field(repr=False)
+    dpi: np.ndarray = field(repr=False)
     dpi_singular_values: np.ndarray = field(repr=False)
     gap_quality: float = float("inf")
 
@@ -323,23 +326,26 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
 # Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
-def _batch_residual(spec, mats, g, m, z0i):
-    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, with the
-    per-sample mask of relators outside the principal-log domain (their
-    residual reads 0)."""
-    P = pres.relator_product(spec, mats, g, m)
-    L, bad = lg.principal_log(spec, lg.mat_product(P, z0i))
-    return lg.algebra_coords(spec, L), bad
+def _batch_residual(spec, mats, g, m, z0i, f=None):
+    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, the per-sample
+    mask of relators outside the principal-log domain (their residual reads
+    0) and the :func:`presentation.partial_products` ``f`` it read Pi from
+    (built here unless given).  ``z0i`` broadcasts over the batch."""
+    if f is None:
+        f = pres.partial_products(spec, mats, g, m)
+    L, bad = lg.principal_log(spec, lg.mat_product(f[..., -1, :, :], z0i))
+    return lg.algebra_coords(spec, L), bad, f
 
 
 def flat_residual(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                  target: np.ndarray) -> np.ndarray:
-    """Algebra coordinates of log(Pi . z0^-1); shape (..., dim).
+                  target: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    """Algebra coordinates of log(Pi . z0^-1); shape (..., dim).  ``f``, the
+    partial products at mats when the caller holds them, saves rebuilding them.
 
     Raises :class:`OutsideDomainError` when a relator is outside the
     principal-log domain.
     """
-    R, bad = _batch_residual(spec, mats, g, m, lg.group_inverse(spec, target))
+    R, bad, _ = _batch_residual(spec, mats, g, m, lg.group_inverse(spec, target), f)
     if np.any(bad):
         raise OutsideDomainError("relator outside the principal-log domain")
     return R
@@ -347,27 +353,38 @@ def flat_residual(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
 
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                   classes: ConjugacyClassSpec, *, tol: float = 1e-12,
-                  max_iter: int = 200, rng: np.random.Generator | None = None):
+                  max_iter: int = 200, rng: np.random.Generator | None = None,
+                  target: np.ndarray | None = None):
     """Damped Gauss-Newton flattening of a batch of tuples.
 
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
-    batch axes preserved.  Each iteration runs on the unconverged slices
-    only, so a slice's iterates do not depend on its neighbours.
-    Branch-cut hits are retried with small random interior nudges, drawn
-    for the whole batch shape whenever any slice needs one (the same draws
-    as a loop over every slice); persistent failures stay unconverged.
+    batch axes preserved.  Each slice flattens onto its own relator target:
+    ``target`` (..., r, r) broadcasts over the batch and defaults to
+    ``classes.target``.  Each iteration runs on the unconverged slices only,
+    so a slice's iterates do not depend on its neighbours or their targets.
+    Each iterate evaluates the relator word once: the partial products of
+    the residual are held, for the unconverged slices only, and the next
+    Jacobian is built from them.  Branch-cut hits are retried with small
+    random interior nudges from ``rng``, drawn for the whole batch shape
+    whenever any slice needs one (the same draws as a loop over every
+    slice), so a nudged slice's draws depend on the batch it sits in;
+    persistent failures stay unconverged.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     mats = np.array(mats, dtype=complex)
     batch = mats.shape[:-3]
     mats = mats.reshape((-1,) + mats.shape[-3:])
-    z0i = lg.group_inverse(spec, classes.target)
-    R, bad = _batch_residual(spec, mats, g, m, z0i)
+    z0 = classes.target if target is None else target
+    r = spec.rank
+    z0i = np.broadcast_to(lg.group_inverse(spec, z0), batch + (r, r)).reshape(-1, r, r)
+    R, bad, f = _batch_residual(spec, mats, g, m, z0i)
     rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
     iters = np.zeros(mats.shape[0], dtype=int)
+    act = np.arange(mats.shape[0])  # the slices f holds, in order
     for it in range(max_iter):
-        act = np.flatnonzero(~(rnorm <= tol))
+        live = ~(rnorm[act] <= tol)
+        act, f = act[live], f[live]
         if not act.size:
             break
         if np.any(bad):  # a bad slice reads rnorm = inf, so it is active
@@ -375,11 +392,13 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             nb = np.flatnonzero(bad)
             kick = kick.reshape((-1,) + kick.shape[-3:])[nb]
             mats[nb, : 2 * g] = lg.exp(spec, kick) @ mats[nb, : 2 * g]
-            R[nb], bad[nb] = _batch_residual(spec, mats[nb], g, m, z0i)
+            at = np.searchsorted(act, nb)
+            R[nb], bad[nb], f[at] = _batch_residual(spec, mats[nb], g, m, z0i[nb])
             rnorm[nb] = np.where(bad[nb], np.inf, np.linalg.norm(R[nb], axis=-1))
-            act = act[~(rnorm[act] <= tol)]
+            live = ~(rnorm[act] <= tol)
+            act, f = act[live], f[live]
         x, r0 = mats[act], rnorm[act]
-        J = pres.relator_differential_matrix(spec, x, g, m)
+        J = pres.relator_differential_matrix(spec, x, g, m, f)
         slots = boundary_slots(spec, x, g, m, classes)
         if slots:
             J = J @ embed_moves(spec.dim, g, [sl.velocities for sl in slots])
@@ -395,12 +414,13 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         improved = np.zeros(act.size, dtype=bool)
         for _ in range(8):
             trial = apply_step(spec, x, g, slots, scale[:, None] * full_step)
-            Rt, badt = _batch_residual(spec, trial, g, m, z0i)
+            Rt, badt, ft = _batch_residual(spec, trial, g, m, z0i[act])
             rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
             take = ~improved & (rt < r0)
             at = act[take]
-            mats[at], R[at] = trial[take], Rt[take]
+            mats[at], R[at], f[take] = trial[take], Rt[take], ft[take]
             bad[at], rnorm[at] = badt[take], rt[take]
+            del trial, ft  # freed before the next halving: bounds the peak memory
             improved |= take
             if np.all(improved):
                 break
@@ -488,7 +508,8 @@ def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     own_h = split_rank(sh, gap_tol)
     Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
     return CohomologyBasis(
-        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc, dpi_singular_values=s,
+        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc, dpi=D,
+        dpi_singular_values=s,
         gap_quality=np.minimum(np.minimum(own_z[1], own_b[1]), own_h[1]),
     ), (own_z, own_b, own_h)
 

@@ -212,7 +212,7 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     while done < n_samples:
         nb = min(SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        R0, bad0 = _batch_residual(spec, init, g, m, z0i)
+        R0, bad0, _ = _batch_residual(spec, init, g, m, z0i)
         res0[done:done + nb] = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
         sel = (np.flatnonzero(res0[done:done + nb] <= gate) if estimator == "coarea"
                else np.arange(nb))

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from charvar import cli
+from charvar import liegroup as lg
+from charvar import seifert as sf
+from charvar import variety as vy
+from charvar.errors import NoConvergenceError
 from charvar.liegroup import GroupSpec
 from charvar.presentation import GeneratorTuple, evaluate_relator
 from charvar.variety import ConjugacyClassSpec, RepresentationPoint, cohomology_at
@@ -440,6 +444,105 @@ def test_seifert_scan_runs_no_closedness_by_default(tmp_path):
     names = {c["check"] for comp in comps for c in comp["certify"]["checks"]}
     assert "descent" in names
     assert not any(n.startswith("closedness") for n in names)
+
+
+def test_seifert_scan_determinism_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": 3}, problem=SEIFERT)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (out1, out2):
+        assert cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def _no_nudges(*args, **kwargs):
+    raise AssertionError("unexpected branch-cut nudge")
+
+
+def test_seifert_scan_honours_max_iter(tmp_path, monkeypatch):
+    """At ``solver.max_iter = 1`` no component converges: each reports the
+    NoConvergenceError a one-iteration ``solve`` of it raises, and the scan
+    exits 2."""
+    monkeypatch.setattr(lg, "random_algebra", _no_nudges)
+    cfg = write_config(tmp_path, problem=SEIFERT, solver={"max_iter": 1})
+    out = tmp_path / "scan.json"
+    assert cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == cli.EXIT_NUMERICAL
+    comps = json.loads(out.read_text())["components"]
+    data = sf.SeifertData(2, 1, 2)
+    assert len(comps) == 2
+    for cand, comp in zip(sf.fiber_holonomy_candidates(data), comps):
+        with pytest.raises(NoConvergenceError) as err:
+            sf.variety_problem(data, cand).solve(
+                np.random.default_rng(11 + cand.index), max_iter=1)
+        assert comp["solve"] == {"converged": False, "detail": str(err.value)}
+        assert "certify" not in comp
+
+
+def _per_component_scan(cfg: cli.RunConfig) -> dict:
+    """The scan payload solved one component at a time: ``problem.solve``
+    from ``default_rng(seed + k)``, then ``is_irreducible``, then the
+    battery."""
+    comps = []
+    for cand in sf.fiber_holonomy_candidates(cfg.seifert):
+        problem = sf.variety_problem(cfg.seifert, cand)
+        point = problem.solve(np.random.default_rng(cfg.seed + cand.index),
+                              tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
+        point = point.with_irreducible(vy.is_irreducible(point))
+        checks = cli.certification_checks(point, problem.classes, cfg.tolerances,
+                                          cfg.closedness_steps or ())
+        comps.append({**cand.to_json(),
+                      "solve": {"converged": True, "residual": point.residual_norm,
+                                "irreducible": point.irreducible},
+                      "certify": {"checks": checks,
+                                  "passed": all(c["pass"] for c in checks)}})
+    return {"components": comps, "seed": cfg.seed, "count": len(comps)}
+
+
+@pytest.mark.parametrize("rank, seeds", [(2, (11, 12)), (3, (0,))])
+def test_seifert_scan_matches_per_component_solves(tmp_path, monkeypatch, rank, seeds):
+    """On seeds that draw no branch-cut nudge, the batched scan writes the
+    bytes of the per-component path."""
+    monkeypatch.setattr(lg, "random_algebra", _no_nudges)
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": rank}, problem=SEIFERT)
+    for seed in seeds:
+        out = tmp_path / f"scan{seed}.json"
+        assert cli.main(["seifert-scan", "--config", cfg, "--seed", str(seed),
+                         "--out", str(out), "--quiet"]) == 0
+        run = cli.RunConfig.from_file(cfg)
+        run.seed = seed
+        want = json.dumps(_per_component_scan(run), indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == want
+
+
+def test_battery_builds_one_differential_and_one_irreducibility(
+        solved_points, closed_problem, tmp_path, monkeypatch):
+    """The cocycle check reads the split's differential, and the scan's
+    irreducibility flag is the battery's."""
+    from collections import Counter
+
+    from charvar import presentation
+
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(presentation, "relator_differential_matrix")
+    counted(vy, "is_irreducible")
+    cli.certification_checks(solved_points[0], closed_problem.classes,
+                             cli.DEFAULT_TOLERANCES, ())
+    assert calls == {"relator_differential_matrix": 1, "is_irreducible": 1}
+    calls.clear()
+    cfg = write_config(tmp_path, problem=SEIFERT)
+    assert cli.main(["seifert-scan", "--config", cfg, "--out",
+                     str(tmp_path / "scan.json"), "--quiet"]) == 0
+    assert calls["is_irreducible"] == 2
 
 
 def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkeypatch):

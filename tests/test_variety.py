@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
+from charvar import presentation as pres
 from charvar.errors import NoConvergenceError, RankDeficiencyWarning
 from charvar.presentation import GeneratorTuple
 from charvar.variety import (
+    _batch_residual,
+    apply_step,
+    boundary_slots,
     class_distance,
     flat_residual,
     project_batch,
@@ -203,6 +207,74 @@ def test_project_batch_stuck_slice_leaves_neighbours_iterations(solved_points,
         assert np.array_equal(got[:-1], want)
 
 
+def test_project_batch_per_slice_targets_match_solving_alone(su3):
+    """A stack of starts aimed at the SU(3) Seifert targets I, omega I and
+    omega^2 I, each slice with its own: every slice, converged or out of
+    budget, reads the bits of its own solve against a class spec that
+    carries its target."""
+    d = cv.SeifertData(2, 1, 3)
+    problems = [cv.variety_problem(d, c) for c in cv.fiber_holonomy_candidates(d)]
+    rng = np.random.default_rng(24)
+    starts, problem_of = [], []
+    for prob in problems:
+        near = _project(prob, prob.initial_batch(rng, 1), rng=_NoDraws())[0]
+        kick = cv.random_algebra(su3, rng, scale=1e-3, size=near.shape[:2])
+        starts += [cv.exp(su3, kick) @ near, prob.initial_batch(rng, 1)]
+        problem_of += [prob, prob]
+    init = np.concatenate(starts)
+    kw = dict(tol=1e-11, max_iter=4, rng=_NoDraws())
+    out = project_batch(su3, init, 2, 0, problems[0].classes,
+                        target=np.stack([p.classes.target for p in problem_of]), **kw)
+    assert out[3].any() and not out[3].all()
+    for i, prob in enumerate(problem_of):
+        alone = project_batch(su3, init[i], 2, 0, prob.classes, **kw)
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[i], want)
+
+
+def test_project_batch_held_products_match_a_fresh_pass(closed_problem, su2, monkeypatch):
+    """The solve, which builds each Jacobian from the partial products it
+    holds (from the start, an accepted trial or a nudge), lands on the bits
+    of a solve that rebuilds them at every Jacobian."""
+    rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    bounded = cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
+                                cv.ConjugacyClassSpec(su2, (rep,)))
+    cut = np.insert(_starts(closed_problem, np.random.default_rng(26), (4,)), 1,
+                    _quaternion_start(su2), axis=0)
+    runs = [(closed_problem, cut),
+            (bounded, _starts(bounded, np.random.default_rng(27), (4,)))]
+    want = [_project(prob, init, rng=np.random.default_rng(0)) for prob, init in runs]
+    fresh = pres.relator_differential_matrix
+    monkeypatch.setattr(pres, "relator_differential_matrix",
+                        lambda spec, mats, g, m, f=None: fresh(spec, mats, g, m))
+    for (prob, init), ref in zip(runs, want):
+        got = _project(prob, init, rng=np.random.default_rng(0))
+        assert got[3].all()
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
+@pytest.mark.parametrize("m", [0, 1])
+def test_differential_from_a_trials_partial_products_is_exact(family, rank, m):
+    """The solve builds each Jacobian from the partial products its accepted
+    trial left behind (read on the whole batch of trials, kept for a subset):
+    the same bits as a fresh :func:`relator_differential_matrix` pass."""
+    spec, g = cv.GroupSpec(family, rank), 2
+    rep = np.diag(np.exp(1j * np.linspace(0.3, -0.3, rank)))
+    classes = cv.ConjugacyClassSpec(spec, (rep,) * m)
+    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m), classes)
+    rng = np.random.default_rng(25)
+    x = problem.initial_batch(rng, 5)
+    slots = boundary_slots(spec, x, g, m, classes)
+    step = 0.1 * rng.standard_normal((5, 2 * g * spec.dim + sum(classes.ranks)))
+    trial = apply_step(spec, x, g, slots, step)
+    _, _, f = _batch_residual(spec, trial, g, m, lg.group_inverse(spec, classes.target))
+    take = np.array([0, 2, 3])
+    held = pres.relator_differential_matrix(spec, trial[take], g, m, f[take])
+    assert np.array_equal(held, pres.relator_differential_matrix(spec, trial[take], g, m))
+
+
 def test_projection_su3(su3):
     prob = cv.VarietyProblem(su3, cv.SurfacePresentation(2),
                              cv.ConjugacyClassSpec(su3))
@@ -379,6 +451,7 @@ def test_coboundaries_inside_cocycles(solved_points, closed_problem):
     for p in solved_points[:5]:
         basis = cv.cohomology_at(p, closed_problem.classes)
         D = differential(p.tuple)
+        assert np.array_equal(basis.dpi, D)  # the split keeps the differential it read
         assert np.abs(D @ basis.b_coords).max() < 1e-9
         # containment: projecting b1 onto span(z1) changes nothing
         Z = basis.z_coords
@@ -441,12 +514,6 @@ def test_split_rank_unit_cases():
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
-
-def test_conjugate_identity_is_identity(solved_points):
-    p = solved_points[0]
-    q = conjugate_tuple(p.tuple, np.eye(2))
-    assert np.array_equal(q.mats, p.tuple.mats)
-
 
 def test_conjugation_residual_invariance(solved_points, closed_problem, su2):
     rng = np.random.default_rng(10)

@@ -368,7 +368,7 @@ def _unscreened_stream(problem, n_samples, seed):
     for done in range(0, n_samples, vol.SAMPLE_BATCH):
         nb = min(vol.SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        R0, bad0 = _batch_residual(spec, init, g, m, z0i)
+        R0, bad0, _ = _batch_residual(spec, init, g, m, z0i)
         mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
                                        tol=vol.LANDING_TOL,
                                        max_iter=vol.LANDING_MAX_ITER, rng=nudges)
