@@ -276,12 +276,12 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
     add("coboundary_rank", abs(nb - point.spec.dim), 0.5)
     add("rank_gap_quality", 1.0 / max(basis.gap_quality, 1e-300), gap_tol)
     # cocycle condition of the coboundaries, under the split's own differential
-    cocycle_defect = float(np.abs(basis.dpi @ basis.b_coords).max()) if nb else 0.0
+    cocycle_defect = float(np.abs(basis.lin.D @ basis.b_coords).max()) if nb else 0.0
     add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
     # descent (both argument orders), the form on h1 and its kernel on the
     # cocycles from one Gram over the columns [z | b | h]; an empty block reads 0
     zbh = np.concatenate([basis.z_coords, basis.b_coords, basis.h_coords], axis=1)
-    G = tf.form_gram_coords(point, classes, zbh, zbh)
+    G = tf.form_gram_stack(basis.lin, zbh, zbh)
     descent = max(np.abs(G[nz:nz + nb, :nz]).max(initial=0.0),
                   np.abs(G[:nz, nz:nz + nb]).max(initial=0.0))
     add("descent", descent, 1e-9)

@@ -88,13 +88,7 @@ def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nd
     return f
 
 
-def relator_product(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
-    """Pi evaluated right to left; shape (..., r, r)."""
-    return partial_products(spec, mats, g, m)[..., -1, :, :]
-
-
-def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                     f: np.ndarray | None = None):
+def letter_transport(spec: GroupSpec, f: np.ndarray, g: int, m: int) -> np.ndarray:
     """Per-letter operators moving a right-trivialized slot component to the
     start of the word, where the two-form pairs letter components.
 
@@ -103,39 +97,34 @@ def letter_transport(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         alpha_j = s^-1:  T_j = -Ad(f_{j-1}^-1)
     (the left-trivialized letter component, Ad(s^-1) H or -H, transported
     by Ad(f_{j-1}^-1), with f_j^-1 = f_{j-1}^-1 s^-1 for a direct letter).
-    Returns (T, f): T of shape (..., N, dim, dim) and the partial products
-    f of :func:`partial_products`, built here unless the caller holds them.
+    ``f`` holds the :func:`partial_products` of the tuples; returns T of
+    shape (..., N, dim, dim).
     """
     letters = word_letters(g, m)
-    if f is None:
-        f = partial_products(spec, mats, g, m)
     ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
     # ad[..., i] is Ad(f_{i+1}^-1); letter i+1 reads i, or i-1 when it is an
     # inverse letter (never the first one)
     T = ad[..., [i if e == 1 else i - 1 for i, (_, e) in enumerate(letters)], :, :]
     T *= np.array([e for _, e in letters])[:, None, None]
-    return T, f
+    return T
 
 
-def relator_differential_matrix(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                                f: np.ndarray | None = None) -> np.ndarray:
+def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
+                                g: int, m: int) -> np.ndarray:
     """Differential of Pi in right trivialization, as a coordinate matrix.
 
     Shape (..., dim, n_slots*dim): maps stacked right-trivialized slot
     coordinates to the algebra coordinates of (d/dt Pi) Pi^-1.  The suffix
     alpha_N ... alpha_{j+1} is Pi f_j^-1, so slot s contributes
-    Ad(Pi) sum_{j at s} T_j with T from :func:`letter_transport`.  A
-    caller that already holds the :func:`partial_products` ``f`` at mats (a
-    residual evaluation made them) passes them; the result is the same bits.
+    Ad(Pi) sum_{j at s} T_j, from the :func:`letter_transport` ``T`` and
+    the relator value ``Pi`` (..., r, r) of the tuples.
     """
-    T, f = letter_transport(spec, mats, g, m, f)
-    n = mats.shape[-3]
-    d = spec.dim
+    n, d = 2 * g + m, spec.dim
     slots = np.array([s for s, _ in word_letters(g, m)])
     at_slot = (slots == np.arange(n)[:, None]).astype(float)  # (n, N)
     sums = np.einsum("sj,...jab->...sab", at_slot, T)
-    blocks = lg.adjoint_matrix(spec, f[..., -1:, :, :]) @ sums  # (..., n, d, d)
-    return np.moveaxis(blocks, -3, -2).reshape(mats.shape[:-3] + (d, n * d))
+    blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums  # (..., n, d, d)
+    return np.moveaxis(blocks, -3, -2).reshape(T.shape[:-3] + (d, n * d))
 
 
 def coboundary_matrix(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
@@ -223,4 +212,4 @@ class GeneratorTuple:
 
 def evaluate_relator(t: GeneratorTuple) -> np.ndarray:
     """The relator word at the tuple, rightmost factor first."""
-    return relator_product(t.spec, t.mats, t.genus, t.boundary_count)
+    return partial_products(t.spec, t.mats, t.genus, t.boundary_count)[-1]

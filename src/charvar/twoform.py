@@ -29,18 +29,16 @@ import numpy as np
 
 from . import liegroup as lg
 from . import presentation as pres
-from .errors import DimensionMismatchError, NoConvergenceError
+from .errors import DimensionMismatchError, NoConvergenceError, OutsideDomainError
 from .liegroup import GroupSpec
 from .variety import (
-    BoundarySlot,
     CohomologyBasis,
     ConjugacyClassSpec,
+    Linearization,
     RepresentationPoint,
+    _batch_residual,
     apply_step,
-    boundary_slots,
     cohomology_at,
-    embed_moves,
-    flat_residual,
     split_rank,
 )
 
@@ -86,18 +84,17 @@ def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
                   - _pair_letters(tu, np.cumsum(tv, axis=-3)))
 
 
-def form_gram_stack(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                    U: np.ndarray, V: np.ndarray, slots: list) -> np.ndarray:
+def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Form matrices (..., k, l) over coordinate stacks U (..., n*dim, k) and
-    V (..., n*dim, l) at (a batch of) tuples with boundary ``slots``.
+    V (..., n*dim, l) at (a batch of) tuples, read from their
+    :class:`Linearization`: its letter transport and boundary slots.
     Boundary components must be class-tangent (:class:`NotClassTangentError`
     otherwise); each enters the boundary term through its minimal conjugator.
     """
-    d = spec.dim
-    T, _ = pres.letter_transport(spec, mats, g, m)
-    G = first_sum_gram(spec, T, g, m, U, V)
+    spec, g, d, mats = lin.spec, lin.g, lin.spec.dim, lin.mats
+    G = first_sum_gram(spec, lin.T, g, len(lin.slots), U, V)
     Gp = lg.pairing_gram(spec)
-    for k, slot in enumerate(slots):
+    for k, slot in enumerate(lin.slots):
         rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
         Yu = slot.conjugator(U[..., rows, :])
         Yv = slot.conjugator(V[..., rows, :])
@@ -119,9 +116,8 @@ def form_gram_coords(p: RepresentationPoint, classes: ConjugacyClassSpec,
     n = t.n_generators * t.spec.dim
     if U.shape[0] != n or V.shape[0] != n:
         raise DimensionMismatchError("tangent slot count mismatch")
-    g, m = t.genus, t.boundary_count
-    return form_gram_stack(t.spec, t.mats, g, m, U, V,
-                           boundary_slots(t.spec, t.mats, g, m, classes))
+    lin = Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes)
+    return form_gram_stack(lin, U, V)
 
 
 def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
@@ -129,7 +125,7 @@ def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
     """The form matrix (dh, dh) over the orthonormal h1 basis."""
     if basis is None:
         basis = cohomology_at(p, classes)
-    return form_gram_coords(p, classes, basis.h_coords, basis.h_coords)
+    return form_gram_stack(basis.lin, basis.h_coords, basis.h_coords)
 
 
 def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
@@ -210,52 +206,55 @@ class _Chart:
         self.HB = np.concatenate([self.H, self.basis.b_coords], axis=1).T
 
     def _system(self, qmats):
+        """Residual, displacement, Jacobian and linearization at qmats."""
         spec, g, m = self.spec, self.g, self.m
-        f = pres.partial_products(spec, qmats, g, m)  # one relator pass
-        R = flat_residual(spec, qmats, g, m, self.classes.target, f)
+        R, bad, f = _batch_residual(spec, qmats, g, m,
+                                    lg.group_inverse(spec, self.classes.target))
+        if np.any(bad):
+            raise OutsideDomainError("relator outside the principal-log domain")
+        lin = Linearization.at(spec, qmats, g, m, self.classes, f)
         ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
-        slots = boundary_slots(spec, qmats, g, m, self.classes)
-        S = embed_moves(spec.dim, g, [sl.velocities for sl in slots])
+        S = lin.S
         LS = lam @ S.reshape(S.shape[:-2] + lam.shape[-3:-1] + S.shape[-1:])
         LS = LS.reshape(LS.shape[:-3] + S.shape[-2:])  # d(ell) S, slot by slot
-        D = pres.relator_differential_matrix(spec, qmats, g, m, f)
-        return R, ell, np.concatenate([D @ S, self.HB @ LS], axis=-2), slots
+        return R, ell, np.concatenate([lin.D @ S, self.HB @ LS], axis=-2), lin
 
-    def solve(self, t: np.ndarray):
-        """Chart points (b, n, r, r) at coordinates t (b, dh) and their Newton
-        Jacobians.  Each iteration runs on the rows not converged yet; a row
-        not converged after 60 raises :class:`NoConvergenceError`."""
+    def solve(self, t: np.ndarray) -> list:
+        """One ``(rows, J, lin)`` per group of rows of t (b, dh) that converged
+        at the same Newton iteration: their Jacobians and the linearization at
+        their chart points.  Each iteration runs on the rows not converged yet;
+        a row not converged after 60 raises :class:`NoConvergenceError`."""
         base, d = self.p.tuple.mats, self.spec.dim
         qmats = np.array(np.broadcast_to(base, t.shape[:1] + base.shape))
-        J = np.empty((len(t),) + (d + len(self.HB),) * 2)
+        groups = []
         act = np.arange(len(t))
         if not act.size:  # the log of an empty SU(r >= 3) stack fails
-            return qmats, J
+            return groups
         for _ in range(60):
-            R, ell, Ja, slots = self._system(qmats[act])
+            R, ell, Ja, lin = self._system(qmats[act])
             F = np.concatenate([R, (self.HB @ ell[..., None])[..., 0]], axis=-1)
             F[:, d:d + t.shape[1]] -= t[act]
             done = np.linalg.norm(F, axis=-1) < _CHART_TOL
-            J[act[done]] = Ja[done]
+            if np.any(done):
+                groups.append((act[done], Ja[done], lin.take(done)))
             go = ~done
-            act, Ja, F = act[go], Ja[go], F[go]
+            act, Ja, F, lin = act[go], Ja[go], F[go], lin.take(go)
             if not act.size:
-                return qmats, J
-            slots = [BoundarySlot(sl.ad[go], sl.U[go], sl.s[go], sl.V[go]) for sl in slots]
+                return groups
             step = np.linalg.solve(Ja, -F[..., None])[..., 0]
-            qmats[act] = apply_step(self.spec, qmats[act], self.g, slots, step)
+            qmats[act] = apply_step(self.spec, qmats[act], self.g, lin.slots, step)
         raise NoConvergenceError(60, float(np.linalg.norm(F, axis=-1).max()),
                                  "chart re-solve did not converge")
 
     def omega_at(self, t: np.ndarray) -> np.ndarray:
         """Chart coefficients (b, dh, dh) of the form at coordinates t (b, dh)."""
-        qmats, J = self.solve(t)
-        d, g, m = self.spec.dim, self.g, self.m
-        slots = boundary_slots(self.spec, qmats, g, m, self.classes)
-        S = embed_moves(d, g, [sl.velocities for sl in slots])
-        # slot-velocity coordinates of the frame dq/dt
-        frame = S @ np.linalg.solve(J, np.eye(J.shape[-1], t.shape[-1], -d))
-        return form_gram_stack(self.spec, qmats, g, m, frame, frame, slots)
+        dh, d = t.shape[-1], self.spec.dim
+        omega = np.empty((len(t), dh, dh))
+        for rows, J, lin in self.solve(t):
+            # slot-velocity coordinates of the frame dq/dt
+            frame = lin.S @ np.linalg.solve(J, np.eye(J.shape[-1], dh, -d))
+            omega[rows] = form_gram_stack(lin, frame, frame)
+        return omega
 
 
 def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,

@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotClassTangentError,
-    OutsideDomainError,
     RankDeficiencyWarning,
 )
 from .liegroup import GroupSpec
@@ -134,17 +133,16 @@ class CohomologyBasis:
     Columns of ``z_coords`` span {H : dPi(H) = 0, boundary components
     class-tangent}, ``b_coords`` the image of the coboundary map, and
     ``h_coords`` the orthocomplement of b1 inside z1, all in the
-    slot-major algebra basis.  ``dpi`` is the relator differential
-    (:func:`presentation.relator_differential_matrix`) the split was read
-    from, and ``dpi_singular_values`` are those of its class-constrained
-    restriction.  The arrays carry batch axes when :func:`cohomology_split`
-    ran on a batch.
+    slot-major algebra basis.  ``lin`` is the :class:`Linearization` the
+    split was read from, and ``dpi_singular_values`` are those of the
+    class-constrained relator differential ``D E``.  The arrays carry batch
+    axes when :func:`cohomology_split` ran on a batch.
     """
 
     z_coords: np.ndarray = field(repr=False)
     b_coords: np.ndarray = field(repr=False)
     h_coords: np.ndarray = field(repr=False)
-    dpi: np.ndarray = field(repr=False)
+    lin: Linearization = field(repr=False)
     dpi_singular_values: np.ndarray = field(repr=False)
     gap_quality: float = float("inf")
 
@@ -271,14 +269,6 @@ class BoundarySlot:
         return E @ c @ lg.group_inverse(spec, E)
 
 
-def boundary_slots(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                   classes: ConjugacyClassSpec) -> list:
-    """One :class:`BoundarySlot` per boundary generator of (a batch of)
-    tuples, each cut at its class rank."""
-    return [BoundarySlot.at(spec, mats[..., 2 * g + k, :, :], classes.ranks[k])
-            for k in range(m)]
-
-
 def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:
     """Block-diagonal map from step coordinates to stacked slot vectors.
 
@@ -299,6 +289,47 @@ def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:
         out[..., row:row + d, col:col + w] = b
         col += w
     return out
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """First-order data of (a batch of) tuples, built once by :meth:`at` for
+    the solver, the split, the screen, the form and the chart: the letter
+    transport ``T``, one :class:`BoundarySlot` per boundary generator, the
+    relator differential ``D``, and the :func:`embed_moves` ``E`` of the
+    slots' ``U`` and ``S`` of their ``U S`` (unbatched identities at m = 0)."""
+
+    spec: GroupSpec
+    g: int
+    mats: np.ndarray = field(repr=False)
+    T: np.ndarray = field(repr=False)
+    slots: tuple = field(repr=False)
+    D: np.ndarray = field(repr=False)
+    E: np.ndarray = field(repr=False)
+    S: np.ndarray = field(repr=False)
+
+    @classmethod
+    def at(cls, spec: GroupSpec, mats: np.ndarray, g: int, m: int,
+           classes: ConjugacyClassSpec, f: np.ndarray | None = None) -> "Linearization":
+        """The linearization at mats; ``f`` passes their partial products when
+        a residual evaluation already made them."""
+        if f is None:
+            f = pres.partial_products(spec, mats, g, m)
+        T = pres.letter_transport(spec, f, g, m)
+        slots = tuple(BoundarySlot.at(spec, mats[..., 2 * g + k, :, :], classes.ranks[k])
+                      for k in range(m))
+        return cls(spec, g, mats, T, slots,
+                   pres.relator_differential_matrix(spec, T, f[..., -1, :, :], g, m),
+                   embed_moves(spec.dim, g, [sl.U for sl in slots]),
+                   embed_moves(spec.dim, g, [sl.velocities for sl in slots]))
+
+    def take(self, idx) -> "Linearization":
+        """The linearization of the tuples ``mats[idx]``."""
+        slots = tuple(BoundarySlot(sl.ad[idx], sl.U[idx], sl.s[idx], sl.V[idx])
+                      for sl in self.slots)
+        E, S = (self.E[idx], self.S[idx]) if slots else (self.E, self.S)
+        return replace(self, mats=self.mats[idx], T=self.T[idx], slots=slots,
+                       D=self.D[idx], E=E, S=S)
 
 
 def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
@@ -326,29 +357,14 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
 # Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
-def _batch_residual(spec, mats, g, m, z0i, f=None):
+def _batch_residual(spec, mats, g, m, z0i):
     """Residual coords log(Pi . z0^-1) of (a batch of) tuples, the per-sample
     mask of relators outside the principal-log domain (their residual reads
-    0) and the :func:`presentation.partial_products` ``f`` it read Pi from
-    (built here unless given).  ``z0i`` broadcasts over the batch."""
-    if f is None:
-        f = pres.partial_products(spec, mats, g, m)
+    0) and the :func:`presentation.partial_products` ``f`` it read Pi from.
+    ``z0i`` broadcasts over the batch."""
+    f = pres.partial_products(spec, mats, g, m)
     L, bad = lg.principal_log(spec, lg.mat_product(f[..., -1, :, :], z0i))
     return lg.algebra_coords(spec, L), bad, f
-
-
-def flat_residual(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                  target: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
-    """Algebra coordinates of log(Pi . z0^-1); shape (..., dim).  ``f``, the
-    partial products at mats when the caller holds them, saves rebuilding them.
-
-    Raises :class:`OutsideDomainError` when a relator is outside the
-    principal-log domain.
-    """
-    R, bad, _ = _batch_residual(spec, mats, g, m, lg.group_inverse(spec, target), f)
-    if np.any(bad):
-        raise OutsideDomainError("relator outside the principal-log domain")
-    return R
 
 
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
@@ -398,10 +414,9 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             live = ~(rnorm[act] <= tol)
             act, f = act[live], f[live]
         x, r0 = mats[act], rnorm[act]
-        J = pres.relator_differential_matrix(spec, x, g, m, f)
-        slots = boundary_slots(spec, x, g, m, classes)
-        if slots:
-            J = J @ embed_moves(spec.dim, g, [sl.velocities for sl in slots])
+        lin = Linearization.at(spec, x, g, m, classes, f)
+        J, slots = lin.D @ lin.S, lin.slots
+        del lin  # its transport is freed before the trials: bounds the peak memory
         lam = np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
@@ -469,8 +484,10 @@ def is_irreducible(point) -> bool:
     ``dim g``, read off its singular-value gap by :func:`split_rank`.
 
     The map's kernel is the traceless part of the joint commutant, so full
-    rank means the commutant is the scalars, on SU(r) and SL(r, C) alike;
-    the volume sampler's mask applies the same rule.
+    rank means the commutant is the scalars; the volume sampler's mask
+    applies the same rule.  On SU(r) that is irreducibility.  On SL(r, C)
+    it is not: a tuple with a common invariant subspace (an upper-triangular
+    one, say) can still have a trivial commutant and read True.
     """
     t = point.tuple if isinstance(point, RepresentationPoint) else point
     s = np.linalg.svd(pres.coboundary_matrix(t.spec, t.mats), compute_uv=False)
@@ -481,24 +498,21 @@ def is_irreducible(point) -> bool:
 # cohomology at a point
 # ---------------------------------------------------------------------------
 
-def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                     classes: ConjugacyClassSpec, gap_tol: float = GAP_TOL,
+def cohomology_split(lin: Linearization, gap_tol: float = GAP_TOL,
                      ranks: tuple[int, int] | None = None):
     """Cocycles, coboundaries and H1 of (a batch of) tuples from three
-    stacked SVDs: of the class-constrained differential ``D E``, of the
-    constrained coboundaries ``E* C`` and of the cocycles with the
-    coboundaries projected out.  Every slice is cut at ``ranks`` (of ``D E``
-    and ``E* C``), or at an unbatched tuple's own gaps when None.  Returns
-    the :class:`CohomologyBasis` (arrays with the batch axes) and the
-    ``split_rank`` triple of each SVD.
+    stacked SVDs of their :class:`Linearization`: of the class-constrained
+    differential ``D E``, of the constrained coboundaries ``E* C`` and of
+    the cocycles with the coboundaries projected out.  Every slice is cut
+    at ``ranks`` (of ``D E`` and ``E* C``), or at an unbatched tuple's own
+    gaps when None.  Returns the :class:`CohomologyBasis` (arrays with the
+    batch axes) and the ``split_rank`` triple of each SVD.
     """
-    slots = boundary_slots(spec, mats, g, m, classes)
-    E = embed_moves(spec.dim, g, [sl.U for sl in slots])
-    D = pres.relator_differential_matrix(spec, mats, g, m)
-    _, s, Vh = np.linalg.svd(D @ E)
+    _, s, Vh = np.linalg.svd(lin.D @ lin.E)
     own_z = split_rank(s, gap_tol)
-    Ub, sb, _ = np.linalg.svd(np.swapaxes(E, -2, -1).conj()
-                              @ pres.coboundary_matrix(spec, mats), full_matrices=False)
+    Ub, sb, _ = np.linalg.svd(np.swapaxes(lin.E, -2, -1).conj()
+                              @ pres.coboundary_matrix(lin.spec, lin.mats),
+                              full_matrices=False)
     own_b = split_rank(sb, gap_tol)
     rz, rb = (own_z[0], own_b[0]) if ranks is None else ranks
     Zc = np.swapaxes(Vh[..., rz:, :], -2, -1).conj()  # (..., D_c, nz), orthonormal
@@ -508,7 +522,7 @@ def cohomology_split(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     own_h = split_rank(sh, gap_tol)
     Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
     return CohomologyBasis(
-        z_coords=E @ Zc, b_coords=E @ Bc, h_coords=E @ Hc, dpi=D,
+        z_coords=lin.E @ Zc, b_coords=lin.E @ Bc, h_coords=lin.E @ Hc, lin=lin,
         dpi_singular_values=s,
         gap_quality=np.minimum(np.minimum(own_z[1], own_b[1]), own_h[1]),
     ), (own_z, own_b, own_h)
@@ -528,8 +542,8 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     if p.residual_norm > tol_flat:
         raise ValueError(
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
-    basis, own = cohomology_split(t.spec, t.mats, t.genus, t.boundary_count,
-                                  classes, gap_tol)
+    basis, own = cohomology_split(
+        Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes), gap_tol)
     for what, (_, quality, clean) in zip(
             ("kernel/range split", "coboundary rank", "h1 complement"), own):
         if not clean:

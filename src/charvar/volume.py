@@ -1,10 +1,14 @@
-"""Monte Carlo estimation of relative symplectic (Liouville) volumes of
-moduli components.
+"""Monte Carlo estimation of Pfaffian-weighted volumes of moduli components.
 
 The density against the Riemannian measure induced by the invariant
-pairing is the Pfaffian of the form matrix over an orthonormal h1 basis
-(sign fixed positive by orientation convention).  Two estimator variants
-thicken the variety in different metrics and must agree:
+pairing is the Pfaffian ``pf`` of the form matrix over an orthonormal h1
+basis (sign fixed positive by orientation convention).  The payload is
+not the Liouville volume ``int pf``: both estimators integrate ``pf`` over
+the relator's level set in the tuple space, which weights each moduli
+point by the volume of its conjugation orbit, proportional to the product
+``O`` of the ``dim g`` singular values of the coboundary map.  The payload
+is ``int pf O``, and ``O`` varies.  Two estimator variants thicken the
+variety in different metrics and must agree:
 
 * ``coarea``: accept a Haar sample when its initial relator residual
   lies in a ball of radius ``residual_gate``; the mass of that acceptance
@@ -26,8 +30,9 @@ density scales by lambda^(dim h1 / 2) if the pairing is scaled by lambda).
 Each estimator runs on its own stream with its own gate.  The tube stream
 projects every sample; the co-area stream projects only the samples whose
 initial residual is inside its gate, the only ones it can accept.  A stream
-screens every converged landing by its normal distance, from one QR, and
-evaluates the density only where its gate accepts.
+builds one :class:`variety.Linearization` per batch of converged landings,
+screens them all by their normal distance, from one QR, and evaluates the
+density only where its gate accepts, from that linearization's cut.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lg
-from . import presentation as pres
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
@@ -46,11 +50,10 @@ from .errors import (
 )
 from .twoform import form_gram_stack
 from .variety import (
+    Linearization,
     VarietyProblem,
     _batch_residual,
-    boundary_slots,
     cohomology_split,
-    embed_moves,
     project_batch,
 )
 
@@ -112,8 +115,9 @@ def _displacement_coords(spec, final, initial):
     return out.reshape(rel.shape[:-3] + (rel.shape[-3] * spec.dim,))
 
 
-def landing_densities(problem: VarietyProblem, mats: np.ndarray):
-    """(pf, coarea_jacobian, irreducible) at a stack of landings.
+def landing_densities(lin: Linearization):
+    """(pf, coarea_jacobian, irreducible) at a stack of landings, from their
+    :class:`Linearization`.
 
     One :func:`cohomology_split`, cut at the ranks of an irreducible point
     ``rank(D E) = rank(E* C) = dim g``, and one form Gram serve the stack;
@@ -124,33 +128,25 @@ def landing_densities(problem: VarietyProblem, mats: np.ndarray):
     traceless element centralizing the image, which the coboundary map kills.
     An empty stack gives three empty arrays.
     """
-    if not len(mats):
+    if not len(lin.mats):
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
-    spec, d = problem.spec, problem.spec.dim
-    g, m = problem.presentation.genus, problem.presentation.boundary_count
-    basis, own = cohomology_split(spec, mats, g, m, problem.classes, ranks=(d, d))
+    d = lin.spec.dim
+    basis, own = cohomology_split(lin, ranks=(d, d))
     ok = (own[0][0] == d) & (own[1][0] == d)
-    G = form_gram_stack(spec, mats, g, m, basis.h_coords, basis.h_coords,
-                        boundary_slots(spec, mats, g, m, problem.classes))
-    pf = pfaffian_abs(G)
+    pf = pfaffian_abs(form_gram_stack(lin, basis.h_coords, basis.h_coords))
     jac = np.prod(basis.dpi_singular_values[..., :d], axis=-1)
     return np.where(ok, pf, 0.0), np.where(ok, jac, 0.0), ok
 
 
-def _screened_distance(problem: VarietyProblem, mats: np.ndarray,
-                       displacement: np.ndarray) -> np.ndarray:
+def _screened_distance(lin: Linearization, displacement: np.ndarray) -> np.ndarray:
     """The tube distance at a stack of landings: the log displacement's
     component ``|Q* E* ell|`` normal to the variety, ``Q`` the QR factor of
     ``(D E)*`` (the row space of the class-constrained relator differential
-    where ``D E`` has full rank).  A QR does not raise on a reducible slice."""
-    spec, g = problem.spec, problem.presentation.genus
-    m = problem.presentation.boundary_count
-    E = embed_moves(spec.dim, g, [sl.U for sl in
-                                  boundary_slots(spec, mats, g, m, problem.classes)])
-    DE = pres.relator_differential_matrix(spec, mats, g, m) @ E
-    Q = np.linalg.qr(np.swapaxes(DE, -2, -1).conj())[0]
+    where ``D E`` has full rank), read from the landings' :class:`Linearization`.
+    A QR does not raise on a reducible slice."""
+    Q = np.linalg.qr(np.swapaxes(lin.D @ lin.E, -2, -1).conj())[0]
     # ell is real, so |Q* E* ell| = |ell^T E Q|
-    return np.linalg.norm((displacement[..., None, :] @ E @ Q)[..., 0, :], axis=-1)
+    return np.linalg.norm((displacement[..., None, :] @ lin.E @ Q)[..., 0, :], axis=-1)
 
 
 @dataclass
@@ -222,13 +218,15 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
                                        rng=nudges)
         proj[rows], conv[rows] = True, ok
         mats, init, rows = mats[ok], init[ok], rows[ok]
-        disp[rows] = _screened_distance(problem, mats,
-                                        _displacement_coords(spec, mats, init))
+        ell = _displacement_coords(spec, mats, init)
+        lin = Linearization.at(spec, mats, g, m, problem.classes)
+        disp[rows] = _screened_distance(lin, ell)
         keep = np.flatnonzero(gated[rows] <= gate)
-        evald[rows[keep]] = True
-        for part in np.split(keep, range(LANDING_CHUNK, keep.size, LANDING_CHUNK)):
-            at = rows[part]
-            dens[at], jac[at], irr[at] = landing_densities(problem, mats[part])
+        lin, rows = lin.take(keep), rows[keep]  # only the gated landings go on
+        evald[rows] = True
+        for lo in range(0, keep.size, LANDING_CHUNK):
+            at = slice(lo, lo + LANDING_CHUNK)
+            dens[rows[at]], jac[rows[at]], irr[rows[at]] = landing_densities(lin.take(at))
         done += nb
     return SampleRecords(proj, conv, evald, irr, res0, disp, dens, jac)
 
@@ -256,7 +254,7 @@ def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
                              *, estimator: str = "coarea",
                              residual_gate: float = 0.6,
                              distance_gate: float = 0.45) -> VolumeEstimate:
-    """Relative Liouville volume of one component by gated Haar sampling.
+    """Relative volume ``int pf O`` of one component by gated Haar sampling.
 
     SU family only.  The returned value is relative to the Haar-probability
     baseline in the metric of the -trace(XY) pairing that

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import charvar as cv
+from charvar.variety import Linearization
 
 # Property tests draw the same examples on every run and are not timed:
 # tier-1 stays deterministic and does not flake on a slow machine.
@@ -28,6 +29,16 @@ def algebra_defect(spec, X):
     if spec.is_unitary:
         d = np.maximum(d, np.abs(X + np.swapaxes(X, -2, -1).conj()).max(axis=(-2, -1)))
     return d
+
+
+def linearization(spec, mats, g, m, classes=None):
+    """``Linearization.at`` of (a stack of) tuples.  Without ``classes``
+    every boundary class is the identity's, of rank 0: its slots move
+    nothing, and the letter transport and the relator differential, which
+    do not depend on the classes, are read as at any class."""
+    if classes is None:
+        classes = cv.ConjugacyClassSpec(spec, (np.eye(spec.rank),) * m)
+    return Linearization.at(spec, mats, g, m, classes)
 
 
 @pytest.fixture(scope="session")

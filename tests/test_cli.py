@@ -562,6 +562,35 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
     assert len(calls) == 1
 
 
+def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
+                                                 monkeypatch):
+    """The battery builds partial products once for the point (its
+    linearization serves the split, the cocycle check and the form) and once
+    per chart row and Newton iterate (the chart's form and frame read the
+    linearization its last iterate built): 109 tuple rows here, where
+    rebuilding them for the form and the frame made 146."""
+    from charvar import presentation, twoform
+
+    rows, chart_rows = [], []
+    products, system = presentation.partial_products, twoform._Chart._system
+
+    def counted(spec, mats, g, m):
+        rows.append(int(np.prod(mats.shape[:-3])))
+        return products(spec, mats, g, m)
+
+    def counted_system(self, qmats):
+        chart_rows.append(len(qmats))
+        return system(self, qmats)
+
+    monkeypatch.setattr(presentation, "partial_products", counted)
+    monkeypatch.setattr(twoform._Chart, "_system", counted_system)
+    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
+                                      cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
+    assert all(c["pass"] for c in checks), checks
+    assert rows == [1] + chart_rows
+    assert sum(rows) == 109
+
+
 def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypatch):
     """Descent, the form on h1 and its kernel on the cocycles all come from
     one Gram over the columns [z | b | h]."""

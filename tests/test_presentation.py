@@ -10,6 +10,7 @@ from charvar import liegroup as lg
 from charvar import presentation as pres
 from charvar.presentation import GeneratorTuple, word_letters
 from charvar.twoform import first_sum_gram
+from conftest import linearization
 from test_liegroup import assert_slices_agree, batch_shapes
 
 
@@ -42,7 +43,7 @@ def conjugate_tuple(t, A):
 
 def differential(t):
     """Coordinate matrix of the relator differential at the tuple."""
-    return pres.relator_differential_matrix(t.spec, t.mats, t.genus, t.boundary_count)
+    return linearization(t.spec, t.mats, t.genus, t.boundary_count).D
 
 
 def coords(spec, comps):
@@ -179,10 +180,9 @@ def test_word_calculus_batch_matches_per_slice(spec, g, m, shape, seed):
     V = rng.standard_normal(shape + (n * spec.dim, 2))
 
     def word_calculus(mats, U, V):
-        T, _ = pres.letter_transport(spec, mats, g, m)
-        return (pres.relator_product(spec, mats, g, m),
-                pres.relator_differential_matrix(spec, mats, g, m),
-                first_sum_gram(spec, T, g, m, U, V))
+        lin = linearization(spec, mats, g, m)
+        return (pres.partial_products(spec, mats, g, m)[..., -1, :, :], lin.D,
+                first_sum_gram(spec, lin.T, g, m, U, V))
 
     batched = word_calculus(mats, U, V)
     slices = [word_calculus(mats[i], U[i], V[i]) for i in np.ndindex(shape)]

@@ -8,9 +8,9 @@ import charvar as cv
 from charvar import liegroup as lg
 from charvar import twoform
 from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
-from charvar.presentation import GeneratorTuple, letter_transport
+from charvar.presentation import GeneratorTuple
 from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
-from charvar.variety import boundary_slots, embed_moves
+from conftest import linearization
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
 from test_variety import conjugate_point
@@ -45,7 +45,7 @@ def form_kernel(p, classes, basis):
 def closed_theta(p, u, v):
     """The closed-surface double sum alone, with no boundary term."""
     t = p.tuple
-    T, _ = letter_transport(p.spec, t.mats, t.genus, 0)
+    T = linearization(p.spec, t.mats, t.genus, 0).T
     return first_sum_gram(p.spec, T, t.genus, 0, u[:, None], v[:, None])[0, 0]
 
 
@@ -129,8 +129,7 @@ def admissible_basis(p, classes):
     """Orthonormal admissible directions at p: interior slots free,
     boundary slot k spanned by its class-tangent basis U."""
     t = p.tuple
-    slots = boundary_slots(p.spec, t.mats, t.genus, t.boundary_count, classes)
-    return embed_moves(p.spec.dim, t.genus, [sl.U for sl in slots])
+    return linearization(p.spec, t.mats, t.genus, t.boundary_count, classes).E
 
 
 def test_epsilon_convention():
@@ -275,7 +274,7 @@ def test_theta_matches_brute_force_generic_class(generic_points, generic_problem
             fast = theta(p, generic_problem.classes, u, v)
             worst = max(worst, abs(fast - brute_force_theta(
                 t, comps(p.spec, u), comps(p.spec, v))))
-            T, _ = letter_transport(p.spec, t.mats, 2, 1)
+            T = linearization(p.spec, t.mats, 2, 1).T
             first = first_sum_gram(p.spec, T, 2, 1, u[:, None], v[:, None])
             boundary_part = max(boundary_part, abs(fast - first[0, 0]))
     assert worst < 1e-12
@@ -582,9 +581,9 @@ def test_closedness_check_detects_non_closed_form(solved_points, closed_problem,
     large and does not decay with the step, and both certify gates fail."""
     form = twoform.form_gram_stack
 
-    def scaled(spec, mats, g, m, U, V, slots):
-        f = 1.0 + np.trace(mats[..., 0, :, :], axis1=-2, axis2=-1).real
-        return f[..., None, None] * form(spec, mats, g, m, U, V, slots)
+    def scaled(lin, U, V):
+        f = 1.0 + np.trace(lin.mats[..., 0, :, :], axis1=-2, axis2=-1).real
+        return f[..., None, None] * form(lin, U, V)
 
     monkeypatch.setattr(twoform, "form_gram_stack", scaled)
     steps = (1e-3, 5e-4, 2.5e-4)

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
-from charvar import presentation as pres
 from charvar.errors import NoConvergenceError, RankDeficiencyWarning
 from charvar.presentation import GeneratorTuple
 from charvar.variety import (
     _batch_residual,
     apply_step,
-    boundary_slots,
+    Linearization,
     class_distance,
-    flat_residual,
     project_batch,
     project_to_class,
     split_rank,
@@ -49,7 +47,8 @@ def commutant_dimension(spec, mats):
 def conjugate_point(p, A, classes):
     """The point slotwise conjugated by A, its residual recomputed there."""
     t = conjugate_tuple(p.tuple, A)
-    R = flat_residual(t.spec, t.mats, t.genus, t.boundary_count, classes.target)
+    R, _, _ = _batch_residual(t.spec, t.mats, t.genus, t.boundary_count,
+                              lg.group_inverse(t.spec, classes.target))
     return cv.RepresentationPoint(t, float(np.linalg.norm(R)), p.irreducible)
 
 
@@ -244,9 +243,9 @@ def test_project_batch_held_products_match_a_fresh_pass(closed_problem, su2, mon
     runs = [(closed_problem, cut),
             (bounded, _starts(bounded, np.random.default_rng(27), (4,)))]
     want = [_project(prob, init, rng=np.random.default_rng(0)) for prob, init in runs]
-    fresh = pres.relator_differential_matrix
-    monkeypatch.setattr(pres, "relator_differential_matrix",
-                        lambda spec, mats, g, m, f=None: fresh(spec, mats, g, m))
+    fresh = Linearization.at.__func__
+    monkeypatch.setattr(Linearization, "at", classmethod(
+        lambda cls, spec, mats, g, m, classes, f=None: fresh(cls, spec, mats, g, m, classes)))
     for (prob, init), ref in zip(runs, want):
         got = _project(prob, init, rng=np.random.default_rng(0))
         assert got[3].all()
@@ -254,25 +253,55 @@ def test_project_batch_held_products_match_a_fresh_pass(closed_problem, su2, mon
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
-@pytest.mark.parametrize("m", [0, 1])
-def test_differential_from_a_trials_partial_products_is_exact(family, rank, m):
-    """The solve builds each Jacobian from the partial products its accepted
-    trial left behind (read on the whole batch of trials, kept for a subset):
-    the same bits as a fresh :func:`relator_differential_matrix` pass."""
+def assert_same_linearization(a, b):
+    """Every array of two linearizations, the slots' included, bit for bit."""
+    for name in ("mats", "T", "D", "E", "S"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.slots) == len(b.slots)
+    for sa, sb in zip(a.slots, b.slots):
+        for name in ("ad", "U", "s", "V"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+
+
+def _linearization_case(family, rank, m, rng, size):
+    """(spec, g, classes, tuples): genus 2 with m boundary loops at a
+    regular class, ``size`` Haar starting tuples drawn from ``rng``."""
     spec, g = cv.GroupSpec(family, rank), 2
     rep = np.diag(np.exp(1j * np.linspace(0.3, -0.3, rank)))
     classes = cv.ConjugacyClassSpec(spec, (rep,) * m)
     problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m), classes)
+    return spec, g, classes, problem.initial_batch(rng, size)
+
+
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
+@pytest.mark.parametrize("m", [0, 1])
+def test_linearization_take_is_the_linearization_of_the_rows(family, rank, m):
+    """``take`` cuts every field, the slots' included, to the bits that
+    ``Linearization.at`` reads on those rows alone."""
+    spec, g, classes, mats = _linearization_case(family, rank, m,
+                                                 np.random.default_rng(24), 6)
+    lin = Linearization.at(spec, mats, g, m, classes)
+    rows = np.array([4, 0, 2])
+    for idx in (rows, np.isin(np.arange(6), rows), rows[:0]):
+        assert_same_linearization(lin.take(idx), Linearization.at(spec, mats[idx], g, m,
+                                                                  classes))
+
+
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
+@pytest.mark.parametrize("m", [0, 1])
+def test_linearization_from_a_trials_partial_products_is_exact(family, rank, m):
+    """The solve builds each linearization from the partial products its
+    accepted trial left behind (read on the whole batch of trials, kept for
+    a subset): the same bits as a fresh ``Linearization.at``."""
     rng = np.random.default_rng(25)
-    x = problem.initial_batch(rng, 5)
-    slots = boundary_slots(spec, x, g, m, classes)
+    spec, g, classes, x = _linearization_case(family, rank, m, rng, 5)
+    slots = Linearization.at(spec, x, g, m, classes).slots
     step = 0.1 * rng.standard_normal((5, 2 * g * spec.dim + sum(classes.ranks)))
     trial = apply_step(spec, x, g, slots, step)
     _, _, f = _batch_residual(spec, trial, g, m, lg.group_inverse(spec, classes.target))
     take = np.array([0, 2, 3])
-    held = pres.relator_differential_matrix(spec, trial[take], g, m, f[take])
-    assert np.array_equal(held, pres.relator_differential_matrix(spec, trial[take], g, m))
+    held = Linearization.at(spec, trial[take], g, m, classes, f[take])
+    assert_same_linearization(held, Linearization.at(spec, trial[take], g, m, classes))
 
 
 def test_projection_su3(su3):
@@ -401,6 +430,19 @@ def test_solved_points_irreducible(solved_points):
     assert all(p.irreducible for p in solved_points)
 
 
+@pytest.mark.xfail(strict=True, reason="a trivial commutant does not rule out an "
+                   "invariant subspace on SL(r, C)")
+def test_is_irreducible_rejects_an_upper_triangular_slc_tuple(slc2):
+    """(a, b, b, a) with upper-triangular a, b fixes the line e_1, so it is
+    reducible, and its relator is I up to rounding; its commutant is the
+    scalars, which is all ``is_irreducible`` reads."""
+    a = np.array([[2.0, 1.0], [0.0, 0.5]])
+    b = np.array([[1.5, -0.7], [0.0, 1 / 1.5]])
+    t = GeneratorTuple.from_parts(slc2, [a, b], [b, a])
+    assert np.abs(cv.evaluate_relator(t) - np.eye(2)).max() < 1e-15
+    assert not cv.is_irreducible(t)
+
+
 def test_irreducibility_conjugation_invariant(solved_points, su2):
     rng = np.random.default_rng(7)
     p = solved_points[0]
@@ -451,7 +493,7 @@ def test_coboundaries_inside_cocycles(solved_points, closed_problem):
     for p in solved_points[:5]:
         basis = cv.cohomology_at(p, closed_problem.classes)
         D = differential(p.tuple)
-        assert np.array_equal(basis.dpi, D)  # the split keeps the differential it read
+        assert np.array_equal(basis.lin.D, D)  # the split keeps the differential it read
         assert np.abs(D @ basis.b_coords).max() < 1e-9
         # containment: projecting b1 onto span(z1) changes nothing
         Z = basis.z_coords
@@ -642,5 +684,5 @@ def test_point_json_roundtrip(solved_points, su2):
 
 def test_residual_matches_stored(solved_points, su2):
     p = solved_points[0]
-    R = flat_residual(su2, p.tuple.mats, 2, 0, np.eye(2))
+    R, _, _ = _batch_residual(su2, p.tuple.mats, 2, 0, np.eye(2))
     assert abs(np.linalg.norm(R) - p.residual_norm) < 1e-13

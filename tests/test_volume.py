@@ -19,9 +19,8 @@ from charvar import presentation as pres
 from charvar import volume as vol
 from charvar.twoform import form_gram_coords
 from charvar.variety import (
+    Linearization,
     _batch_residual,
-    boundary_slots,
-    embed_moves,
     project_batch,
     split_rank,
 )
@@ -236,14 +235,19 @@ def _diagonal_tuple(problem, rng):
     return np.array(mats + list(problem.classes.representatives))
 
 
+def _linearization(problem, mats):
+    """``Linearization.at`` of a stack of the problem's tuples."""
+    pr = problem.presentation
+    return Linearization.at(problem.spec, mats, pr.genus, pr.boundary_count,
+                            problem.classes)
+
+
 def _normal_distance(problem, mats, ell):
     """The per-point tube distance: ``ell`` on the rows ``Vh[:rank]`` of the
     SVD of the class-constrained relator differential ``D E``."""
-    spec, g, m = problem.spec, problem.presentation.genus, problem.presentation.boundary_count
-    E = embed_moves(spec.dim, g, [sl.U for sl in
-                                  boundary_slots(spec, mats, g, m, problem.classes)])
-    _, s, Vh = np.linalg.svd(pres.relator_differential_matrix(spec, mats, g, m) @ E)
-    return np.linalg.norm(Vh[:split_rank(s)[0]] @ E.conj().T @ ell)
+    lin = _linearization(problem, mats)
+    _, s, Vh = np.linalg.svd(lin.D @ lin.E)
+    return np.linalg.norm(Vh[:split_rank(s)[0]] @ lin.E.conj().T @ ell)
 
 
 def _one_point(problem, mats, ell):
@@ -262,7 +266,8 @@ def _one_point(problem, mats, ell):
 
 def _batched(problem, mats, ell):
     """(pf, jacobian, irreducible, screened distance) of the stream's path."""
-    return landing_densities(problem, mats) + (vol._screened_distance(problem, mats, ell),)
+    lin = _linearization(problem, mats)
+    return landing_densities(lin) + (vol._screened_distance(lin, ell),)
 
 
 def _assert_matches_one_point(problem, stack, ell):
@@ -321,7 +326,7 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
             reducible.append(mats)
         mats = np.concatenate([np.array(reducible),
                                cv.haar_sample(spec, rng, size=(4, 4))])
-        irr = landing_densities(problem, mats)[2]
+        irr = landing_densities(_linearization(problem, mats))[2]
         assert irr.tolist() == [False] * 4 + [True] * 4
         assert irr.tolist() == [commutant_dimension(spec, x) == 1 for x in mats]
         assert irr.tolist() == [cv.is_irreducible(cv.GeneratorTuple(spec, 2, 0, x))
@@ -329,10 +334,29 @@ def test_coboundary_rank_irreducibility_matches_commutant(closed_problem, su3):
 
 
 def test_landing_densities_on_an_empty_stack(closed_problem):
-    out = landing_densities(closed_problem, np.zeros((0, 4, 2, 2), dtype=complex))
+    out = landing_densities(_linearization(closed_problem,
+                                           np.zeros((0, 4, 2, 2), dtype=complex)))
     assert len(out) == 3
     for a, dtype in zip(out, (float, float, bool)):
         assert a.shape == (0,) and a.dtype == dtype
+
+
+@pytest.mark.parametrize("name", ["su2_plus", "su2_g1_theta"])
+def test_landing_densities_build_no_partial_products(landing_sets, name, monkeypatch):
+    """The density reads the letter transport, the differential and the
+    boundary slots from the linearization it is given: it evaluates no
+    relator word of its own."""
+    problem, mats = landing_sets[name]
+    lin = _linearization(problem, mats)
+    calls, products = [], pres.partial_products
+
+    def counted(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(pres, "partial_products", counted)
+    assert landing_densities(lin)[2].all()
+    assert not calls
 
 
 def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
@@ -377,9 +401,9 @@ def _unscreened_stream(problem, n_samples, seed):
             bad0, np.inf, np.linalg.norm(R0, axis=-1))
         ell = vol._displacement_coords(spec, mats, init)
         at = done + np.flatnonzero(ok)
-        rec.density[at], rec.jacobian[at], rec.irreducible[at] = landing_densities(
-            problem, mats[ok])
-        rec.displacement[at] = vol._screened_distance(problem, mats[ok], ell[ok])
+        lin = _linearization(problem, mats[ok])
+        rec.density[at], rec.jacobian[at], rec.irreducible[at] = landing_densities(lin)
+        rec.displacement[at] = vol._screened_distance(lin, ell[ok])
     rec.evaluated[:] = rec.converged
     return rec
 
@@ -461,11 +485,8 @@ def test_nudges_leave_the_haar_draws_alone(su3, monkeypatch):
 def test_screen_without_class_constraint_fails(landing_sets, monkeypatch):
     """Planted: a screen that drops the class embedding ``E`` misreads the
     tube distance at the theta = 0.3 class, and the per-point oracle sees it."""
-    def unconstrained(problem, mats, displacement):
-        pr = problem.presentation
-        D = pres.relator_differential_matrix(problem.spec, mats, pr.genus,
-                                             pr.boundary_count)
-        Q = np.linalg.qr(np.swapaxes(D, -2, -1))[0]
+    def unconstrained(lin, displacement):
+        Q = np.linalg.qr(np.swapaxes(lin.D, -2, -1))[0]
         return np.linalg.norm((displacement[..., None, :] @ Q)[..., 0, :], axis=-1)
 
     problem, mats = landing_sets["su2_g1_theta"]
