@@ -289,10 +289,11 @@ def test_linearization_take_is_the_linearization_of_the_rows(family, rank, m):
 
 @pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
 @pytest.mark.parametrize("m", [0, 1])
-def test_linearization_from_a_trials_partial_products_is_exact(family, rank, m):
-    """The solve builds each linearization from the partial products its
-    accepted trial left behind (read on the whole batch of trials, kept for
-    a subset): the same bits as a fresh ``Linearization.at``."""
+def test_differential_from_a_trials_partial_products_is_exact(family, rank, m):
+    """The solve builds each linearization, its relator differential ``D``
+    included, from the partial products its accepted trial left behind (read
+    on the whole batch of trials, kept for a subset): the same bits as a
+    fresh ``Linearization.at``."""
     rng = np.random.default_rng(25)
     spec, g, classes, x = _linearization_case(family, rank, m, rng, 5)
     slots = Linearization.at(spec, x, g, m, classes).slots
