@@ -23,7 +23,6 @@ from .errors import (
 )
 from .liegroup import (
     GroupSpec,
-    adjoint,
     adjoint_matrix,
     algebra_basis,
     algebra_coords,

@@ -7,11 +7,13 @@ operation here.  ``GroupSpec`` carries the family and the rank and is the
 only typed wrapper at this level.
 
 SU(2) has closed forms for exp (``_exp_su2``), the principal log
-(``_log_su2``) and the adjoint matrix (``_adjoint_su2``, the SO(3)
-rotation of the unit quaternion read off g); SU(r >= 3) exp and log use
-numpy's batched ``eigh`` (of iX, and in :func:`eigenframe`), and other
-adjoint matrices the cached adjoint operator.  Only SL(r, C) exp and log
-use scipy, imported on first use, so SU runs never load ``scipy.linalg``.
+(``_log_su2``), the adjoint matrix (``_adjoint_su2``, the SO(3) rotation
+of the unit quaternion read off g) and the Haar draw (``_haar_su2``, the
+Ginibre QR recipe without the QR); SU(r >= 3) exp and log use numpy's
+batched ``eigh`` (of iX, and in :func:`eigenframe`), its Haar draw a
+batched QR, and other adjoint matrices the cached adjoint operator.  Only
+SL(r, C) exp and log use scipy, imported on first use, so SU runs never
+load ``scipy.linalg``.
 
 Conventions
 -----------
@@ -318,11 +320,6 @@ def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def adjoint(spec: GroupSpec, g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ad(g) X = g X g^-1."""
-    return g @ X @ group_inverse(spec, g)
-
-
 @functools.lru_cache(maxsize=None)
 def _adjoint_operator(spec: GroupSpec) -> np.ndarray:
     """M (r^4, dim^2) with ``Ad_ik = sum Bout_i[a,b] B_k[c,d] P[a,c,d,b]`` for the
@@ -424,27 +421,48 @@ def pairing_gram(spec: GroupSpec) -> np.ndarray:
 # random elements
 # ---------------------------------------------------------------------------
 
+def _haar_su2(z: np.ndarray) -> np.ndarray:
+    """Closed-form SU(2) Haar draw from a Ginibre stack z (..., 2, 2): the QR
+    recipe of :func:`haar_sample` in exact arithmetic.  For u the unit first
+    column of z, ``c = u0 z11 - u1 z01`` is R22 up to its phase and det Q, so
+    the draw is ``[[a, -conj b], [b, conj a]]``, ``(a, b) = u e^{-i arg(c) / 2}``."""
+    col = z[..., :, 0]
+    u = col / np.sqrt((col.real**2 + col.imag**2).sum(axis=-1))[..., None]
+    c = u[..., 0] * z[..., 1, 1] - u[..., 1] * z[..., 0, 1]
+    out = np.empty(z.shape, dtype=complex)
+    out[..., :, 0] = u * np.exp(-0.5j * np.angle(c))[..., None]  # (a, b)
+    np.conjugate(out[..., ::-1, 0], out=out[..., :, 1])
+    out[..., 0, 1] *= -1.0
+    return out
+
+
 def haar_sample(spec: GroupSpec, rng: np.random.Generator,
                 size: int | tuple | None = None) -> np.ndarray:
     """Random group elements.
 
     SU(r): exact Haar distribution via Ginibre + QR with the positive-
-    diagonal phase fix, then a determinant phase correction into SU(r).
-    SL(r, C): exp of a Gaussian algebra element -- there is no Haar
-    probability measure on the noncompact group; this is a documented
-    stand-in for seeding solvers only.
+    diagonal phase fix, then a determinant phase correction into SU(r); on
+    SU(2) the closed form :func:`_haar_su2` of that recipe, from the same
+    normals.  SL(r, C): exp of a Gaussian algebra element -- there is no
+    Haar probability measure on the noncompact group; this is a documented
+    stand-in for seeding solvers only.  A lone draw (``size=None``) is the
+    slice of a ``size=1`` draw, bit for bit.
     """
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
+    shape = (1,) if size is None else (size if isinstance(size, tuple) else (size,))
     r = spec.rank
     if spec.family == "SU":
         z = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
-        q, rmat = np.linalg.qr(z / np.sqrt(2.0))
-        diag = np.diagonal(rmat, axis1=-2, axis2=-1)
-        q = q * (diag / np.abs(diag))[..., None, :]
-        det = np.linalg.det(q)
-        return q * np.exp(-1j * np.angle(det) / r)[..., None, None]
-    X = random_algebra(spec, rng, scale=1.0, size=size)
-    return exp(spec, X)
+        if r == 2:
+            g = _haar_su2(z)
+        else:
+            q, rmat = np.linalg.qr(z / np.sqrt(2.0))
+            diag = np.diagonal(rmat, axis1=-2, axis2=-1)
+            q = q * (diag / np.abs(diag))[..., None, :]
+            det = np.linalg.det(q)
+            g = q * np.exp(-1j * np.angle(det) / r)[..., None, None]
+    else:
+        g = exp(spec, random_algebra(spec, rng, scale=1.0, size=shape))
+    return g[0] if size is None else g
 
 
 def random_algebra(spec: GroupSpec, rng: np.random.Generator, scale: float = 1.0,

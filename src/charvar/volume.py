@@ -105,12 +105,15 @@ def _displacement_coords(spec, final, initial):
     Slots outside the principal-log domain, or with an eigen-angle of
     the log above 3 (near-antipodal: the log direction is ill-conditioned),
     are parked at a large sentinel: they are far outside every gate and
-    must not abort the stream.
+    must not abort the stream.  The eigen-angles of the skew-Hermitian L
+    are the eigenvalues of iL; on SU(2), ``L = [[ia, b], [-conj b, -ia]]``
+    has the pair ``+-sqrt(a^2 + |b|^2)``, the norm of its first row.
     """
     rel = lg.mat_product(final, lg.group_inverse(spec, initial))
     L, bad = lg.principal_log(spec, rel)
-    # the eigen-angles of the skew-Hermitian L are the eigenvalues of iL
-    far = bad | (np.abs(np.linalg.eigvalsh(1j * L)).max(axis=-1) > 3.0)
+    angle = (np.linalg.norm(L[..., 0, :], axis=-1) if spec.rank == 2
+             else np.abs(np.linalg.eigvalsh(1j * L)).max(axis=-1))
+    far = bad | (angle > 3.0)
     out = np.where(far[..., None], 2.0 * np.pi, lg.algebra_coords(spec, L))
     return out.reshape(rel.shape[:-3] + (rel.shape[-3] * spec.dim,))
 

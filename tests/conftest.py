@@ -31,6 +31,11 @@ def algebra_defect(spec, X):
     return d
 
 
+def adjoint(spec, g, X):
+    """Oracle: Ad(g) X = g X g^-1, by two matrix products."""
+    return g @ X @ cv.liegroup.group_inverse(spec, g)
+
+
 def linearization(spec, mats, g, m, classes=None):
     """``Linearization.at`` of (a stack of) tuples.  Without ``classes``
     every boundary class is the identity's, of rank 0: its slots move

@@ -16,7 +16,7 @@ from charvar import cli
 from charvar import liegroup as lg
 from charvar.twoform import form_gram_coords
 
-from conftest import group_defect
+from conftest import adjoint, group_defect
 from test_presentation import coords
 from test_seifert import on_holonomy_target, perturb_point
 from test_twoform import (brute_force_theta, closed_theta, form_kernel, random_coords,
@@ -173,7 +173,7 @@ def test_criterion_7_lie_core_oracles(su2, su3):
             X = cv.random_algebra(spec, rng)
             Y = cv.random_algebra(spec, rng)
             worst_ad = max(worst_ad, abs(
-                cv.pairing(spec, cv.adjoint(spec, g, X), cv.adjoint(spec, g, Y))
+                cv.pairing(spec, adjoint(spec, g, X), adjoint(spec, g, Y))
                 - cv.pairing(spec, X, Y)))
     n = 100_000
     g = cv.haar_sample(su2, rng, size=n)

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "InsufficientSamplesError", "NoConvergenceError", "NotClassTangentError",
     "OddDimensionError", "OutsideDomainError", "RankDeficiencyWarning",
     "RepresentationPoint", "SeifertData", "SurfacePresentation", "VarietyProblem",
-    "VolumeEstimate", "adjoint", "adjoint_matrix", "algebra_basis", "algebra_coords",
+    "VolumeEstimate", "adjoint_matrix", "algebra_basis", "algebra_coords",
     "closedness_sweep", "cohomology_at", "coords_to_algebra", "cross_check",
     "errors", "estimate_relative_volume", "evaluate_relator", "exp",
     "fiber_holonomy_candidates", "form_on_cohomology", "haar_sample",

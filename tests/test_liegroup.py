@@ -10,7 +10,7 @@ import charvar as cv
 from charvar import liegroup as lg
 from charvar.errors import OutsideDomainError
 
-from conftest import TOL_ALG, algebra_defect, group_defect
+from conftest import TOL_ALG, adjoint, algebra_defect, group_defect
 
 
 def series_exp(X, terms=40):
@@ -66,7 +66,7 @@ def test_adjoint_of_exp_matches_commutator_series(su2, su3):
             if nrm > 1.0:
                 X = X / nrm
             Y = cv.random_algebra(spec, rng, scale=1.0)
-            lhs = cv.adjoint(spec, cv.exp(spec, X), Y)
+            lhs = adjoint(spec, cv.exp(spec, X), Y)
             assert np.abs(lhs - commutator_series(X, Y)).max() < 1e-10
 
 
@@ -129,10 +129,10 @@ def test_log_output_in_algebra(su2, su3):
 def test_adjoint_identity_and_inverse(su2):
     rng = np.random.default_rng(5)
     X = cv.random_algebra(su2, rng)
-    assert np.abs(cv.adjoint(su2, np.eye(2), X) - X).max() == 0.0
+    assert np.abs(adjoint(su2, np.eye(2), X) - X).max() == 0.0
     g = cv.haar_sample(su2, rng)
     gi = np.conj(g.T)
-    roundtrip = cv.adjoint(su2, g, cv.adjoint(su2, gi, X))
+    roundtrip = adjoint(su2, g, adjoint(su2, gi, X))
     assert np.abs(roundtrip - X).max() < 1e-12
 
 
@@ -143,8 +143,8 @@ def test_adjoint_is_homomorphism(su2, su3):
             g = cv.haar_sample(spec, rng)
             h = cv.haar_sample(spec, rng)
             X = cv.random_algebra(spec, rng)
-            lhs = cv.adjoint(spec, g @ h, X)
-            rhs = cv.adjoint(spec, g, cv.adjoint(spec, h, X))
+            lhs = adjoint(spec, g @ h, X)
+            rhs = adjoint(spec, g, adjoint(spec, h, X))
             assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -179,7 +179,7 @@ def test_pairing_ad_invariance(su2, su3, slc2):
             g = cv.haar_sample(spec, rng)
             X = cv.random_algebra(spec, rng)
             Y = cv.random_algebra(spec, rng)
-            a = cv.pairing(spec, cv.adjoint(spec, g, X), cv.adjoint(spec, g, Y))
+            a = cv.pairing(spec, adjoint(spec, g, X), adjoint(spec, g, Y))
             b = cv.pairing(spec, X, Y)
             assert abs(a - b) < 1e-12
             Ad = cv.adjoint_matrix(spec, g)
@@ -207,7 +207,7 @@ def test_adjoint_matrix_consistent(su2, su3):
         X = cv.random_algebra(spec, rng)
         via_matrix = cv.coords_to_algebra(
             spec, cv.adjoint_matrix(spec, g) @ cv.algebra_coords(spec, X))
-        assert np.abs(via_matrix - cv.adjoint(spec, g, X)).max() < 1e-12
+        assert np.abs(via_matrix - adjoint(spec, g, X)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +564,74 @@ def test_haar_translation_invariance_statistic(su2):
     shifted = V @ g
     sigma_mean = np.sqrt(1.0 / (2 * 2 * 50_000))
     assert np.abs(shifted.mean(axis=0)).max() < 5 * sigma_mean
+
+
+def qr_haar(r, rng, shape):
+    """Oracle: the Ginibre QR recipe with the positive-diagonal phase fix and
+    the determinant phase correction, one LAPACK QR per matrix."""
+    z = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
+    q, rmat = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.diagonal(rmat, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / r)[..., None, None]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("shape", [(), (7,), (5, 4)])
+def test_haar_draw_is_the_qr_recipe(r, shape):
+    """From equal generator states the draw is the QR recipe's matrix (the
+    closed form on SU(2)), and both leave the generator in the same state."""
+    spec = cv.GroupSpec("SU", r)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = cv.haar_sample(spec, rng, size=shape if shape else None)
+        want = qr_haar(r, ref, shape)
+        assert g.shape == shape + (r, r)
+        assert np.abs(g - want).max() < 1e-13
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_su2_haar_draw_is_quaternion_structured(su2):
+    """The second column is exactly ``(-conj b, conj a)`` of the first
+    column ``(a, b)``, a unit vector."""
+    g = cv.haar_sample(su2, np.random.default_rng(17), size=(300, 3))
+    a, b = g[..., 0, 0], g[..., 1, 0]
+    assert np.array_equal(g[..., 0, 1], -b.conj())
+    assert np.array_equal(g[..., 1, 1], a.conj())
+    assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() < 1e-15
+
+
+def weyl_ks_distance(g):
+    """Kolmogorov-Smirnov distance of the trace angles ``arccos(Re tr g / 2)``
+    of SU(2) draws from Weyl's law, the CDF ``(t - sin t cos t) / pi`` that
+    Haar measure gives on [0, pi]."""
+    t = np.sort(np.arccos(np.clip(0.5 * np.trace(g, axis1=-2, axis2=-1).real, -1, 1)))
+    cdf = (t - np.sin(t) * np.cos(t)) / np.pi
+    n = t.size
+    return max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+
+
+def test_su2_haar_trace_angle_follows_weyls_law(su2):
+    """KS at n = 2e5 against the 0.1 % critical value 1.95 / sqrt(n); a draw
+    of exp of a Gaussian algebra element is planted and must fail."""
+    n = 200_000
+    crit = 1.95 / np.sqrt(n)
+    assert weyl_ks_distance(cv.haar_sample(su2, np.random.default_rng(18), size=n)) < crit
+    planted = cv.exp(su2, cv.random_algebra(su2, np.random.default_rng(18), size=n))
+    assert weyl_ks_distance(planted) > crit
+
+
+@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2)])
+def test_lone_haar_draw_is_the_slice_of_a_stack_of_one(family, r):
+    """``haar_sample(spec, rng)`` and ``haar_sample(spec, rng, size=1)[0]``
+    read the same bits and leave the generator in the same state."""
+    spec = cv.GroupSpec(family, r)
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = cv.haar_sample(spec, rng)
+        assert g.shape == (r, r)
+        assert g.tobytes() == cv.haar_sample(spec, ref, size=1)[0].tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_slc_sampler_lands_on_group(slc2):

@@ -496,3 +496,28 @@ def test_screen_without_class_constraint_fails(landing_sets, monkeypatch):
     monkeypatch.setattr(vol, "_screened_distance", unconstrained)
     with pytest.raises(AssertionError):
         _assert_matches_one_point(problem, mats, ell)
+
+
+def test_su2_far_test_reads_the_log_rotation_angle(su2):
+    """On SU(2) the far test reads the rotation angle of the log, the norm of
+    its first row: it is the largest eigen-angle ``|eigvalsh(iL)|`` to 1e-13
+    at angles spread over [0, pi), near 3.0 and near pi, and a slot is parked
+    at the sentinel exactly when that eigen-angle is above 3 or the log is
+    outside its domain."""
+    rng = np.random.default_rng(19)
+    theta = np.concatenate([rng.uniform(0.0, np.pi, 2000),
+                            3.0 + np.linspace(-1e-6, 1e-6, 21),
+                            np.pi - np.logspace(-2, -9, 30)])
+    v = rng.standard_normal((theta.size, 3))
+    # the pairing reads 2 theta^2 on an element of eigen-angle theta
+    v *= (np.sqrt(2.0) * theta / np.linalg.norm(v, axis=-1))[:, None]
+    rel = cv.exp(su2, cv.coords_to_algebra(su2, v))
+    L, bad = lg.principal_log(su2, rel)
+    want = np.abs(np.linalg.eigvalsh(1j * L)).max(axis=-1)
+    assert np.abs(np.linalg.norm(L[:, 0, :], axis=-1) - want).max() < 1e-13
+    ell = vol._displacement_coords(su2, rel[:, None], np.eye(2, dtype=complex))
+    parked = np.all(ell == 2.0 * np.pi, axis=-1)
+    far = bad | (want > 3.0)
+    assert 0 < far.sum() < theta.size and bad.any()
+    away = np.abs(want - 3.0) > 1e-13
+    assert np.array_equal(parked[away], far[away])
