@@ -3,8 +3,8 @@
 Configuration is JSON only (one parser, one schema), every command emits
 machine-readable JSON, and files are written atomically (temp + rename).
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(no convergence, insufficient samples), 3 certification failure, 4 an
-internal error (any other exception inside a command).
+(no convergence, too few samples, a saturated volume gate), 3 certification
+failure, 4 an internal error (any other exception inside a command).
 
 Determinism contract: identical config + seed produce byte-identical
 output files; nothing time- or path-dependent goes into the payloads.
@@ -340,6 +340,11 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
         result = vol.cross_check(cfg.problem, cfg.n_samples, cfg.seed, **cfg.gates)
     except InsufficientSamplesError as e:
         error_record("insufficient_samples", str(e))
+        return EXIT_NUMERICAL
+    full = [n for n in vol.GATE_NAMES if result[n].landings == result[n].samples]
+    if full:  # a gate wider than the variety's tube: the estimate is no volume
+        error_record("saturated_gate", f"the {full[0]} stream's {vol.GATE_NAMES[full[0]]} "
+                     f"accepted all {cfg.n_samples} samples")
         return EXIT_NUMERICAL
     payload = {
         "coarea": result["coarea"].to_json(),

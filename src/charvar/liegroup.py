@@ -8,8 +8,9 @@ only typed wrapper at this level.
 
 SU(2) has closed forms for exp (``_exp_su2``), the principal log
 (``_log_su2``), the adjoint matrix (``_adjoint_su2``, the SO(3) rotation
-of the unit quaternion read off g) and the Haar draw (``_haar_su2``, the
-Ginibre QR recipe without the QR); SU(r >= 3) exp and log use numpy's
+of the unit quaternion read off g), the Haar draw (``_haar_su2``, the
+Ginibre QR recipe without the QR) and the algebra coordinates (entries
+``+-v_k / sqrt 2``); SU(r >= 3) exp and log use numpy's
 batched ``eigh`` (of iX, and in :func:`eigenframe`), its Haar draw a
 batched QR, and other adjoint matrices the cached adjoint operator.  Only
 SL(r, C) exp and log use scipy, imported on first use, so SU runs never
@@ -40,6 +41,7 @@ from .errors import DimensionMismatchError, OutsideDomainError
 TOL_GROUP = 1e-10
 
 _BRANCH_TOL = 1e-12
+_SQRT_HALF = 1.0 / np.sqrt(2.0)  # the entries of the su(2) basis
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,12 @@ class GroupSpec:
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
         return cls(family=data["family"], rank=int(data["rank"]))
+
+
+@functools.lru_cache(maxsize=None)
+def identity(r: int) -> np.ndarray:
+    """The complex r x r identity, built once per rank: a read-only view."""
+    return np.broadcast_to(np.eye(r, dtype=complex), (r, r))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +130,14 @@ def algebra_coords(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Coordinates of X in the orthonormal basis; shape (..., dim).
 
     Real for SU (the basis is orthonormal for -trace), complex for SLC
-    (orthonormal for the Hermitian trace form).
+    (orthonormal for the Hermitian trace form).  On SU(2) the entries are
+    read directly, with the einsum's products in its order: its bits.
     """
+    if spec.family == "SU" and spec.rank == 2:
+        Xs = X * _SQRT_HALF
+        return np.stack([Xs[..., 0, 1].real - Xs[..., 1, 0].real,
+                         Xs[..., 0, 1].imag + Xs[..., 1, 0].imag,
+                         Xs[..., 0, 0].imag - Xs[..., 1, 1].imag], axis=-1)
     B = algebra_basis(spec)
     if spec.family == "SU":
         return -np.einsum("...ab,kba->...k", X, B).real
@@ -131,7 +145,15 @@ def algebra_coords(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
 
 
 def coords_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`algebra_coords`; shape (..., r, r)."""
+    """Inverse of :func:`algebra_coords`; shape (..., r, r).  SU(2) writes the
+    entries ``+-v_k / sqrt 2``: the einsum's bits (its other terms are 0)."""
+    if spec.family == "SU" and spec.rank == 2:
+        w = np.asarray(v) * _SQRT_HALF
+        out = np.zeros(w.shape[:-1] + (2, 2), dtype=complex)
+        re, im = out.real, out.imag
+        re[..., 0, 1], im[..., 0, 1], im[..., 0, 0] = w[..., 0], w[..., 1], w[..., 2]
+        re[..., 1, 0], im[..., 1, 0], im[..., 1, 1] = -w[..., 0], w[..., 1], -w[..., 2]
+        return out
     B = algebra_basis(spec)
     return np.einsum("...k,kab->...ab", v, B)
 
@@ -142,7 +164,7 @@ def project_to_algebra(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     if spec.is_unitary:
         X = 0.5 * (X - np.swapaxes(X, -2, -1).conj())
     tr = np.trace(X, axis1=-2, axis2=-1)
-    return X - tr[..., None, None] * np.eye(r) / r
+    return X - tr[..., None, None] * identity(r) / r
 
 
 def project_to_group(spec: GroupSpec, M: np.ndarray) -> np.ndarray:
@@ -168,12 +190,16 @@ def project_to_group(spec: GroupSpec, M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _exp_su2(X: np.ndarray) -> np.ndarray:
-    """Closed-form exponential on su(2): X^2 = -theta^2 I."""
-    theta2 = (-np.einsum("...ab,...ba->...", X, X).real) / 2.0
-    theta = np.sqrt(np.maximum(theta2, 0.0))
+    """Closed-form exponential on su(2): X^2 = -theta^2 I, theta^2 = Im(X00)^2 + |X01|^2."""
+    theta2 = X[..., 0, 0].imag ** 2 + (X[..., 0, 1].real ** 2 + X[..., 0, 1].imag ** 2)
+    theta = np.sqrt(theta2)
     safe = np.where(theta > 1e-30, theta, 1.0)
     sinc = np.where(theta > 1e-30, np.sin(theta) / safe, 1.0 - theta2 / 6.0)
-    return np.cos(theta)[..., None, None] * np.eye(2) + sinc[..., None, None] * X
+    out = sinc[..., None, None] * X
+    cos = np.cos(theta)
+    out.real[..., 0, 0] += cos
+    out.real[..., 1, 1] += cos
+    return out
 
 
 def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
@@ -241,7 +267,7 @@ def eigenframe(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         return lam, V, np.linalg.inv(V)
     poles = _cayley_poles(spec.rank)
     gap = np.abs(np.linalg.eigvals(g)[..., :, None] - poles).min(axis=-2)
-    p = poles[gap.argmax(axis=-1)][..., None, None] * np.eye(spec.rank)
+    p = poles[gap.argmax(axis=-1)][..., None, None] * identity(spec.rank)
     _, V = np.linalg.eigh(1j * np.linalg.solve(p - g, p + g))
     W = np.swapaxes(V, -2, -1).conj()
     return np.diagonal(W @ g @ V, axis1=-2, axis2=-1), V, W
@@ -263,7 +289,7 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     g = np.asarray(g, dtype=complex)
     r = spec.rank
-    eye = np.eye(r, dtype=complex)
+    eye = identity(r)
     if spec.family == "SU" and r == 2:
         # the cut and the central factor -I both sit at trace -2
         bad = 0.5 * np.trace(g, axis1=-2, axis2=-1).real < -1.0 + _BRANCH_TOL

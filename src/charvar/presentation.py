@@ -27,6 +27,7 @@ broadcast over leading batch axes; :class:`GeneratorTuple` wraps one tuple.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,7 +82,7 @@ def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nd
     r = spec.rank
     inv = lg.group_inverse(spec, mats)
     f = np.empty(mats.shape[:-3] + (len(letters) + 1, r, r), dtype=complex)
-    f[..., 0, :, :] = np.eye(r)
+    f[..., 0, :, :] = lg.identity(r)
     for j, (s, e) in enumerate(letters):
         lg.mat_product((mats if e == 1 else inv)[..., s, :, :], f[..., j, :, :],
                        out=f[..., j + 1, :, :])
@@ -109,6 +110,14 @@ def letter_transport(spec: GroupSpec, f: np.ndarray, g: int, m: int) -> np.ndarr
     return T
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_letters(g: int, m: int) -> tuple[list, list]:
+    """Each slot's first letter and each interior slot's inverse letter."""
+    letters = word_letters(g, m)
+    return ([letters.index((s, 1)) for s in range(2 * g + m)],
+            [letters.index((s, -1)) for s in range(2 * g)])
+
+
 def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
                                 g: int, m: int) -> np.ndarray:
     """Differential of Pi in right trivialization, as a coordinate matrix.
@@ -120,9 +129,9 @@ def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
     the relator value ``Pi`` (..., r, r) of the tuples.
     """
     n, d = 2 * g + m, spec.dim
-    slots = np.array([s for s, _ in word_letters(g, m)])
-    at_slot = (slots == np.arange(n)[:, None]).astype(float)  # (n, N)
-    sums = np.einsum("sj,...jab->...sab", at_slot, T)
+    first, inverse = _slot_letters(g, m)
+    sums = T[..., first, :, :]
+    sums[..., : 2 * g, :, :] += T[..., inverse, :, :]
     blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums  # (..., n, d, d)
     return np.moveaxis(blocks, -3, -2).reshape(T.shape[:-3] + (d, n * d))
 
@@ -179,8 +188,7 @@ class GeneratorTuple:
     @classmethod
     def identity(cls, spec, genus, boundary_count=0):
         n = 2 * genus + boundary_count
-        mats = np.broadcast_to(np.eye(spec.rank, dtype=complex),
-                               (n, spec.rank, spec.rank)).copy()
+        mats = np.broadcast_to(lg.identity(spec.rank), (n, spec.rank, spec.rank)).copy()
         return cls(spec, genus, boundary_count, mats)
 
     def replace_mats(self, mats: np.ndarray) -> "GeneratorTuple":

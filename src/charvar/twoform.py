@@ -105,21 +105,6 @@ def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndar
     return G
 
 
-def form_gram_coords(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                     U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Matrix of the form over two coordinate stacks at a shared point.
-
-    U: (n*dim, k), V: (n*dim, l) columns in the slot-major algebra basis
-    -> (k, l); the one-point call of :func:`form_gram_stack`.
-    """
-    t = p.tuple
-    n = t.n_generators * t.spec.dim
-    if U.shape[0] != n or V.shape[0] != n:
-        raise DimensionMismatchError("tangent slot count mismatch")
-    lin = Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes)
-    return form_gram_stack(lin, U, V)
-
-
 def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
                        basis: CohomologyBasis | None = None) -> np.ndarray:
     """The form matrix (dh, dh) over the orthonormal h1 basis."""

@@ -400,7 +400,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     act = np.arange(mats.shape[0])  # the slices f holds, in order
     for it in range(max_iter):
         live = ~(rnorm[act] <= tol)
-        act, f = act[live], f[live]
+        act, f = (act, f) if live.all() else (act[live], f[live])
         if not act.size:
             break
         if np.any(bad):  # a bad slice reads rnorm = inf, so it is active
@@ -413,14 +413,17 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             rnorm[nb] = np.where(bad[nb], np.inf, np.linalg.norm(R[nb], axis=-1))
             live = ~(rnorm[act] <= tol)
             act, f = act[live], f[live]
-        x, r0 = mats[act], rnorm[act]
+        # every slice live: no copies; a write-back then replaces rows of
+        # improved slices only, which later trials read but never take
+        every = act.size == len(mats)
+        x, r0, za = (mats, rnorm, z0i) if every else (mats[act], rnorm[act], z0i[act])
         lin = Linearization.at(spec, x, g, m, classes, f)
-        J, slots = lin.D @ lin.S, lin.slots
+        J, slots = (lin.D @ lin.S if m else lin.D), lin.slots  # S is I at m = 0
         del lin  # its transport is freed before the trials: bounds the peak memory
         lam = np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
-        y = np.linalg.solve(A, R[act][..., None])
+        y = np.linalg.solve(A, (R if every else R[act])[..., None])
         full_step = -(np.swapaxes(J, -2, -1).conj() @ y)[..., 0]
         if spec.family == "SU":
             full_step = full_step.real
@@ -429,12 +432,15 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         improved = np.zeros(act.size, dtype=bool)
         for _ in range(8):
             trial = apply_step(spec, x, g, slots, scale[:, None] * full_step)
-            Rt, badt, ft = _batch_residual(spec, trial, g, m, z0i[act])
+            Rt, badt, ft = _batch_residual(spec, trial, g, m, za)
             rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
             take = ~improved & (rt < r0)
-            at = act[take]
-            mats[at], R[at], f[take] = trial[take], Rt[take], ft[take]
-            bad[at], rnorm[at] = badt[take], rt[take]
+            if every and take.all():  # the first trial, taken by every slice
+                mats, R, f, bad, rnorm = trial, Rt, ft, badt, rt
+            else:
+                at = act[take]
+                mats[at], R[at], f[take] = trial[take], Rt[take], ft[take]
+                bad[at], rnorm[at] = badt[take], rt[take]
             del trial, ft  # freed before the next halving: bounds the peak memory
             improved |= take
             if np.all(improved):

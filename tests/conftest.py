@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import charvar as cv
+from charvar.twoform import form_gram_stack
 from charvar.variety import Linearization
 
 # Property tests draw the same examples on every run and are not timed:
@@ -34,6 +35,14 @@ def algebra_defect(spec, X):
 def adjoint(spec, g, X):
     """Oracle: Ad(g) X = g X g^-1, by two matrix products."""
     return g @ X @ cv.liegroup.group_inverse(spec, g)
+
+
+def form_gram_coords(p, classes, U, V):
+    """Oracle: the form matrix (k, l) between coordinate stacks U (n*dim, k)
+    and V (n*dim, l) at one point, from a linearization built for the call."""
+    t = p.tuple
+    lin = Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes)
+    return form_gram_stack(lin, U, V)
 
 
 def linearization(spec, mats, g, m, classes=None):

@@ -14,9 +14,8 @@ import pytest
 import charvar as cv
 from charvar import cli
 from charvar import liegroup as lg
-from charvar.twoform import form_gram_coords
 
-from conftest import adjoint, group_defect
+from conftest import adjoint, form_gram_coords, group_defect
 from test_presentation import coords
 from test_seifert import on_holonomy_target, perturb_point
 from test_twoform import (brute_force_theta, closed_theta, form_kernel, random_coords,

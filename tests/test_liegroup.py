@@ -523,6 +523,57 @@ def test_su2_adjoint_of_quaternion_units(su2):
     assert np.array_equal(cv.adjoint_matrix(su2, -np.eye(2, dtype=complex)), np.eye(3))
 
 
+def su2_coords_with_zeros(n=10_000):
+    """Random su(2) coordinates over several scales, with zero and signed-zero
+    coordinates planted in every position."""
+    v = np.random.default_rng(41).standard_normal((n, 3))
+    v *= 10.0 ** np.random.default_rng(42).integers(-8, 3, size=(n, 1))
+    v[::7, 0], v[::5, 1], v[::3, 2], v[::11, 0] = 0.0, 0.0, 0.0, -0.0
+    v[::13] = 0.0
+    return v
+
+
+def test_su2_coords_to_algebra_is_the_basis_einsum(su2):
+    """The closed form is the einsum over the basis bit for bit: its other
+    products are exact zeros."""
+    v = su2_coords_with_zeros()
+    basis = cv.algebra_basis(su2)
+    assert np.array_equal(cv.coords_to_algebra(su2, v), np.einsum("...k,kab->...ab", v, basis))
+    assert np.array_equal(cv.coords_to_algebra(su2, v[0]), np.einsum("k,kab->ab", v[0], basis))
+    assert cv.coords_to_algebra(su2, v.reshape(100, 100, 3)).shape == (100, 100, 2, 2)
+
+
+def test_su2_algebra_coords_inverts_coords_to_algebra(su2):
+    """Within 2 ulp of the coordinates, and on any matrix the einsum's bits
+    (its projection onto the algebra, off it too)."""
+    v = su2_coords_with_zeros()
+    back = cv.algebra_coords(su2, cv.coords_to_algebra(su2, v))
+    assert np.all(np.abs(back - v) <= 2 * np.spacing(np.abs(v)))
+    Z = np.random.default_rng(43).standard_normal((2, 1000, 2, 2, 2)) @ [1.0, 1j]
+    basis = cv.algebra_basis(su2)
+    assert np.array_equal(cv.algebra_coords(su2, Z),
+                          -np.einsum("...ab,kba->...k", Z, basis).real)
+
+
+def test_su2_exp_matches_the_trace_closed_form(su2):
+    """The entry-read theta^2 against theta^2 = -tr(X^2) / 2 by einsum."""
+    v = su2_coords_with_zeros()
+    X = cv.coords_to_algebra(su2, v * np.random.default_rng(44).uniform(0, 3, (len(v), 1)))
+    theta2 = -np.einsum("...ab,...ba->...", X, X).real / 2.0
+    theta = np.sqrt(np.maximum(theta2, 0.0))
+    sinc = np.where(theta > 1e-30, np.sin(theta) / np.where(theta > 1e-30, theta, 1.0),
+                    1.0 - theta2 / 6.0)
+    want = np.cos(theta)[:, None, None] * np.eye(2) + sinc[:, None, None] * X
+    assert np.abs(cv.exp(su2, X) - want).max() < 1e-15
+
+
+def test_identity_is_built_once_per_rank_and_read_only():
+    eye = lg.identity(3)
+    assert lg.identity(3) is eye and np.array_equal(eye, np.eye(3))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+
+
 # ---------------------------------------------------------------------------
 # Haar statistics
 # ---------------------------------------------------------------------------

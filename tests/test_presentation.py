@@ -165,6 +165,32 @@ def test_differential_equivariance(su2):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
+def einsum_slot_sum_differential(spec, T, Pi, g, m):
+    """Oracle: Ad(Pi) times each slot's letter-operator sum, the sum taken
+    by einsum over the 0/1 slot-membership matrix of the letters."""
+    n, d = 2 * g + m, spec.dim
+    slots = np.array([s for s, _ in word_letters(g, m)])
+    at_slot = (slots == np.arange(n)[:, None]).astype(float)
+    sums = np.einsum("sj,...jab->...sab", at_slot, T)
+    blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums
+    return np.moveaxis(blocks, -3, -2).reshape(T.shape[:-3] + (d, n * d))
+
+
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_relator_differential_is_the_einsum_slot_sum(family, rank, g, m):
+    """Summing each slot's letters by index gives the einsum's bits: the
+    terms it drops are exact zeros."""
+    spec = cv.GroupSpec(family, rank)
+    mats = lg.haar_sample(spec, np.random.default_rng(100 * g + m), size=(5, 2 * g + m))
+    f = pres.partial_products(spec, mats, g, m)
+    T = pres.letter_transport(spec, f, g, m)
+    got = pres.relator_differential_matrix(spec, T, f[..., -1, :, :], g, m)
+    assert got.shape == (5, spec.dim, (2 * g + m) * spec.dim)
+    assert np.array_equal(got, einsum_slot_sum_differential(spec, T, f[..., -1, :, :], g, m))
+
+
 @given(spec=st.sampled_from([cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3),
                               cv.GroupSpec("SLC", 2)]),
        g=st.integers(1, 2), m=st.integers(0, 1), shape=batch_shapes,

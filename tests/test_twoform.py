@@ -9,8 +9,8 @@ from charvar import liegroup as lg
 from charvar import twoform
 from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
 from charvar.presentation import GeneratorTuple
-from charvar.twoform import first_sum_gram, form_gram_coords, observed_order
-from conftest import linearization
+from charvar.twoform import first_sum_gram, observed_order
+from conftest import form_gram_coords, linearization
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
 from test_variety import conjugate_point

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import charvar as cv
+from charvar import variety as vy
 from charvar import liegroup as lg
 from charvar.errors import NoConvergenceError, RankDeficiencyWarning
 from charvar.presentation import GeneratorTuple
@@ -126,10 +127,15 @@ def _starts(problem, rng, shape):
     return flat.reshape(shape + flat.shape[1:])
 
 
-@pytest.mark.parametrize("case", ["su2_g2", "su2_g1_theta0.3", "su3_g2", "su2_g2_2d"])
-def test_project_batch_stack_matches_per_slice(case, su2, su3):
+@pytest.mark.parametrize("case", ["su2_g2", "su2_g1_theta0.3", "su3_g2", "su2_g2_2d",
+                                  "su2_g2_64", "slc2_g2"])
+def test_project_batch_stack_matches_per_slice(case, su2, su3, slc2, monkeypatch):
     """Every slice iterates on its own: a stack gives each tuple the bits of
-    its own call (points, residuals, iteration counts, flags)."""
+    its own call (points, residuals, iteration counts, flags).  The last two
+    stacks plant no solved slice, so their first iterates run with every
+    slice live before the slices drop out: the 64 SU(2) starts take every
+    first trial (one trial per such iterate), and some SL(2,C) start halves
+    its step there, so the trial write-back runs while every slice is live."""
     rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
     problem, shape = {
         "su2_g2": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
@@ -140,15 +146,33 @@ def test_project_batch_stack_matches_per_slice(case, su2, su3):
                                      cv.ConjugacyClassSpec(su3)), (4,)),
         "su2_g2_2d": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
                                         cv.ConjugacyClassSpec(su2)), (2, 3)),
+        "su2_g2_64": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
+                                        cv.ConjugacyClassSpec(su2)), (64,)),
+        "slc2_g2": (cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
+                                      cv.ConjugacyClassSpec(slc2)), (8,)),
     }[case]
     init = _starts(problem, np.random.default_rng(21), shape)
     # one slice starts on the variety, so the stack's slices finish apart
     first = (0,) * len(shape)
-    init[first] = _project(problem, init[first], rng=_NoDraws())[0]
+    planted = case not in ("su2_g2_64", "slc2_g2")
+    if planted:
+        init[first] = _project(problem, init[first], rng=_NoDraws())[0]
+    trials = []  # the stack size of every trial step
+    step = vy.apply_step
+    monkeypatch.setattr(vy, "apply_step",
+                        lambda spec, mats, *a: trials.append(len(mats)) or step(spec, mats, *a))
     stacked = _project(problem, init, rng=_NoDraws())
+    monkeypatch.undo()
     assert stacked[0].shape == init.shape
     assert all(a.shape == shape for a in stacked[1:])
-    assert stacked[2][first] == 0 and stacked[2].min() < stacked[2].max()
+    assert stacked[2].min() < stacked[2].max()
+    if planted:
+        assert stacked[2][first] == 0
+    else:  # every slice is live for the first min(iters) iterates
+        all_live = trials.count(init.shape[0])
+        assert stacked[2].min() >= 2
+        assert (all_live == stacked[2].min() if case == "su2_g2_64"
+                else all_live > stacked[2].min())
     for idx in np.ndindex(shape):
         one = _project(problem, init[idx], rng=_NoDraws())
         for got, want in zip(stacked, one):

@@ -17,7 +17,6 @@ from charvar.errors import (
 from charvar import liegroup as lg
 from charvar import presentation as pres
 from charvar import volume as vol
-from charvar.twoform import form_gram_coords
 from charvar.variety import (
     Linearization,
     _batch_residual,
@@ -33,6 +32,7 @@ from charvar.volume import (
     sample_stream,
 )
 
+from conftest import form_gram_coords
 from test_variety import commutant_dimension, conjugate_point
 
 
