@@ -341,11 +341,6 @@ def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
     except InsufficientSamplesError as e:
         error_record("insufficient_samples", str(e))
         return EXIT_NUMERICAL
-    full = [n for n in vol.GATE_NAMES if result[n].landings == result[n].samples]
-    if full:  # a gate wider than the variety's tube: the estimate is no volume
-        error_record("saturated_gate", f"the {full[0]} stream's {vol.GATE_NAMES[full[0]]} "
-                     f"accepted all {cfg.n_samples} samples")
-        return EXIT_NUMERICAL
     payload = {
         "coarea": result["coarea"].to_json(),
         "tube": result["tube"].to_json(),

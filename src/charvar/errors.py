@@ -41,12 +41,11 @@ class OddDimensionError(CharvarError):
 class InsufficientSamplesError(CharvarError):
     """Monte Carlo run produced too few usable landings."""
 
-    def __init__(self, landed, required):
+    def __init__(self, landed, required, message=None):
         self.landed = landed
         self.required = required
-        super().__init__(
-            f"only {landed} irreducible landings (need at least {required})"
-        )
+        super().__init__(message or
+                         f"only {landed} irreducible landings (need at least {required})")
 
 
 class ConfigError(CharvarError):

@@ -413,17 +413,17 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             rnorm[nb] = np.where(bad[nb], np.inf, np.linalg.norm(R[nb], axis=-1))
             live = ~(rnorm[act] <= tol)
             act, f = act[live], f[live]
-        # every slice live: no copies; a write-back then replaces rows of
-        # improved slices only, which later trials read but never take
-        every = act.size == len(mats)
-        x, r0, za = (mats, rnorm, z0i) if every else (mats[act], rnorm[act], z0i[act])
+        # all live: x and r0 are views, and a partial write-back edits them only
+        # in rows of improved slices, which later halvings never take again
+        sel = slice(None) if act.size == len(mats) else act
+        x, r0, za = mats[sel], rnorm[sel], z0i[sel]
         lin = Linearization.at(spec, x, g, m, classes, f)
         J, slots = (lin.D @ lin.S if m else lin.D), lin.slots  # S is I at m = 0
         del lin  # its transport is freed before the trials: bounds the peak memory
         lam = np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
-        y = np.linalg.solve(A, (R if every else R[act])[..., None])
+        y = np.linalg.solve(A, R[sel][..., None])
         full_step = -(np.swapaxes(J, -2, -1).conj() @ y)[..., 0]
         if spec.family == "SU":
             full_step = full_step.real
@@ -435,8 +435,8 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             Rt, badt, ft = _batch_residual(spec, trial, g, m, za)
             rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
             take = ~improved & (rt < r0)
-            if every and take.all():  # the first trial, taken by every slice
-                mats, R, f, bad, rnorm = trial, Rt, ft, badt, rt
+            if take.all():  # every active slice takes this trial
+                mats[sel], R[sel], f, bad[sel], rnorm[sel] = trial, Rt, ft, badt, rt
             else:
                 at = act[take]
                 mats[at], R[at], f[take] = trial[take], Rt[take], ft[take]

@@ -237,7 +237,8 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
 def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,
                            estimator: str, gate: float) -> VolumeEstimate:
     """The estimate of a stream gated at ``gate``: it accepts the evaluated
-    irreducible landings, weighted by ``pf * J`` (co-area) or ``pf`` (tube)."""
+    irreducible landings, weighted by ``pf * J`` (co-area) or ``pf`` (tube).
+    A gate that takes every sample it sees leaves no usable landing."""
     codim = problem.spec.dim  # rank of the relator differential at irreducible points
     accept = rec.evaluated & rec.irreducible
     pf_weight = rec.density * rec.jacobian if estimator == "coarea" else rec.density
@@ -246,6 +247,11 @@ def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,
     if landings < MIN_LANDINGS:
         raise InsufficientSamplesError(landings, MIN_LANDINGS)
     n = rec.n
+    seen = rec.initial_residual if estimator == "coarea" else rec.displacement[rec.converged]
+    if np.all(seen <= gate):  # every draw (co-area) or converged landing (tube) it saw
+        raise InsufficientSamplesError(0, MIN_LANDINGS, (
+            f"no usable landing: the {estimator} stream's {GATE_NAMES[estimator]}={gate} "
+            f"took all {seen.size} samples it saw, so its estimate measures the gate"))
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(n))
     return VolumeEstimate(value, stderr, n,

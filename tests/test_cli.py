@@ -745,13 +745,13 @@ def test_console_script_installed(tmp_path):
 def test_volume_saturated_gate_is_a_numerical_failure(tmp_path, capsys):
     """At gates 3.0/5.0 the tube stream accepts every one of its 3000 samples
     (its weight reads the same at each, a stderr of 5e-17): exit 2 with a
-    structured record, and no payload."""
+    structured record that names the saturated gate, and no payload."""
     cfg = write_config(tmp_path, volume={"n_samples": 3000, "residual_gate": 3.0,
                                          "distance_gate": 5.0})
     out = tmp_path / "vol.json"
     rc = cli.main(["volume", "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == cli.EXIT_NUMERICAL == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "saturated_gate"
-    assert "tube" in err["detail"] and "3000" in err["detail"]
+    assert err["error"] == "insufficient_samples"
+    assert "tube stream's distance_gate=5.0 took all 3000 samples" in err["detail"]
     assert not out.exists()

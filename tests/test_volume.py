@@ -372,6 +372,30 @@ def test_stream_with_nothing_in_a_gate_is_insufficient(closed_problem):
         cv.cross_check(closed_problem, 100, 3, residual_gate=1e-9, distance_gate=1e-9)
 
 
+def test_saturated_gate_is_read_from_the_landings_the_gate_saw(closed_problem,
+                                                                monkeypatch):
+    """A gate that takes every sample it sees makes no volume estimate, also
+    when some samples do not land: with a Gauss-Newton budget too short for
+    a few samples, the tube gate 5.0 still takes every converged landing,
+    and a landing marked reducible changes nothing.  The co-area gate sees
+    every draw.  The library raises InsufficientSamplesError, so
+    ``cross_check`` and the CLI agree."""
+    monkeypatch.setattr(vol, "LANDING_MAX_ITER", 6)
+    rec = sample_stream(closed_problem, 200, 11, "tube", 5.0)
+    assert 2 * vol.MIN_LANDINGS < rec.converged.sum() < rec.n
+    assert np.array_equal(rec.evaluated, rec.converged)
+    reducible = rec.irreducible.copy()
+    reducible[np.flatnonzero(rec.evaluated)[0]] = False
+    for r in (rec, dataclasses.replace(rec, irreducible=reducible)):
+        with pytest.raises(InsufficientSamplesError,
+                           match="tube stream's distance_gate=5.0 took all 197 samples"):
+            _estimate_from_records(closed_problem, r, "tube", 5.0)
+    with pytest.raises(InsufficientSamplesError, match="coarea stream's residual_gate=10.0"):
+        cv.cross_check(closed_problem, 200, 11, residual_gate=10.0)
+    with pytest.raises(InsufficientSamplesError, match="tube stream's distance_gate=5.0"):
+        cv.cross_check(closed_problem, 200, 11, residual_gate=3.0, distance_gate=5.0)
+
+
 # ---------------------------------------------------------------------------
 # the screened stream against the stream that evaluates every landing
 # ---------------------------------------------------------------------------
