@@ -11,9 +11,10 @@ the word reads ``alpha_N ... alpha_1`` with the genus block
 ``(a_i, b_i, a_i^-1, b_i^-1)`` occupying letters 4i-3 .. 4i and the
 boundary letters at the end; only letters 1, 2, 5, 6, ... (and the
 boundary) are independent.  This letter order is load-bearing: the
-partial products feeding the two-form depend on it.  One per-letter
+partial products feeding the two-form depend on it (on SU(2) they recur
+by first columns, see :func:`partial_products`).  One per-letter
 transport (:func:`letter_transport`) serves both the relator differential
-and the two-form.
+and the two-form; it reads 3g + m of the 4g + m + 1 partial products.
 
 Tangent directions are coordinate stacks ``(..., n_slots*dim, k)`` in the
 slot-major orthonormal algebra basis, right-trivialized: the component
@@ -77,15 +78,32 @@ def word_letters(g: int, m: int) -> list[tuple[int, int]]:
 
 def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
     """f_0 = I, f_j = alpha_j ... alpha_1 over the letters alpha_j of
-    :func:`word_letters`; shape (..., N+1, r, r)."""
+    :func:`word_letters`; shape (..., N+1, r, r).
+
+    On SU(2) only first columns ``c`` recur, by the multiply-adds of
+    :func:`liegroup.mat_product`'s column 0 in its order, and each second
+    column is written as ``(-conj c_1, conj c_0)`` at the end: the whole
+    product bit for bit when the generators have the exact form
+    ``[[a, -conj b], [b, conj a]]`` (Haar draws, exp steps and their
+    products), to rounding for others (class projections made with ``@``).
+    """
     letters = word_letters(g, m)
     r = spec.rank
+    su2 = spec.family == "SU" and r == 2
     inv = lg.group_inverse(spec, mats)
     f = np.empty(mats.shape[:-3] + (len(letters) + 1, r, r), dtype=complex)
     f[..., 0, :, :] = lg.identity(r)
+    c = f[..., :, :, 0]  # (..., N+1, r): the first columns
     for j, (s, e) in enumerate(letters):
-        lg.mat_product((mats if e == 1 else inv)[..., s, :, :], f[..., j, :, :],
-                       out=f[..., j + 1, :, :])
+        a = (mats if e == 1 else inv)[..., s, :, :]
+        if su2:
+            np.multiply(a[..., :, 0], c[..., j, :1], out=c[..., j + 1, :])
+            c[..., j + 1, :] += a[..., :, 1] * c[..., j, 1:]
+        else:
+            lg.mat_product(a, f[..., j, :, :], out=f[..., j + 1, :, :])
+    if su2:
+        np.negative(c[..., 1:, 1].conj(), out=f[..., 1:, 0, 1])
+        np.conjugate(c[..., 1:, 0], out=f[..., 1:, 1, 1])
     return f
 
 
@@ -101,21 +119,24 @@ def letter_transport(spec: GroupSpec, f: np.ndarray, g: int, m: int) -> np.ndarr
     ``f`` holds the :func:`partial_products` of the tuples; returns T of
     shape (..., N, dim, dim).
     """
-    letters = word_letters(g, m)
-    ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
-    # ad[..., i] is Ad(f_{i+1}^-1); letter i+1 reads i, or i-1 when it is an
-    # inverse letter (never the first one)
-    T = ad[..., [i if e == 1 else i - 1 for i, (_, e) in enumerate(letters)], :, :]
-    T *= np.array([e for _, e in letters])[:, None, None]
+    _, inverse, read, at = _letter_tables(g, m)
+    T = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., read, :, :]))[..., at, :, :]
+    T[..., inverse, :, :] *= -1
     return T
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_letters(g: int, m: int) -> tuple[list, list]:
-    """Each slot's first letter and each interior slot's inverse letter."""
+def _letter_tables(g: int, m: int) -> tuple[list, list, list, list]:
+    """Each slot's first letter, each interior slot's inverse letter, the
+    partial products the letters read, ascending, and each letter's place
+    among them.  Letter j reads f_j, or f_{j-1} when it is an inverse
+    letter, so none reads f_{4i}: 3g + m are read."""
     letters = word_letters(g, m)
+    reads = [j + 1 if e == 1 else j for j, (_, e) in enumerate(letters)]
+    read = sorted(set(reads))
     return ([letters.index((s, 1)) for s in range(2 * g + m)],
-            [letters.index((s, -1)) for s in range(2 * g)])
+            [letters.index((s, -1)) for s in range(2 * g)],
+            read, [read.index(k) for k in reads])
 
 
 def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
@@ -129,7 +150,7 @@ def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
     the relator value ``Pi`` (..., r, r) of the tuples.
     """
     n, d = 2 * g + m, spec.dim
-    first, inverse = _slot_letters(g, m)
+    first, inverse, _, _ = _letter_tables(g, m)
     sums = T[..., first, :, :]
     sums[..., : 2 * g, :, :] += T[..., inverse, :, :]
     blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums  # (..., n, d, d)

@@ -76,9 +76,8 @@ def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
     slots = [s for s, _ in pres.word_letters(g, m)]
     tu = _transported(T, slots, U)  # (..., N, d, k)
     tv = _transported(T, slots, V)  # (..., N, d, l)
-    Gp = lg.pairing_gram(spec)
-    if not np.allclose(Gp, np.eye(spec.dim)):
-        tu = Gp @ tu
+    if spec.family != "SU":  # the su(r) basis is orthonormal for -tr
+        tu = lg.pairing_gram(spec) @ tu
     # inclusive prefix sums over the letters: the i = j terms cancel
     return 0.5 * (_pair_letters(np.cumsum(tu, axis=-3), tv)
                   - _pair_letters(tu, np.cumsum(tv, axis=-3)))
@@ -215,8 +214,12 @@ class _Chart:
         act = np.arange(len(t))
         if not act.size:  # the log of an empty SU(r >= 3) stack fails
             return groups
-        for _ in range(60):
-            R, ell, Ja, lin = self._system(qmats[act])
+        for it in range(60):
+            # every row starts at the base point, where one system serves them all
+            R, ell, Ja, lin = self._system(qmats[act] if it else base[None])
+            if not it:
+                at = np.zeros(act.size, dtype=int)
+                R, ell, Ja, lin = R[at], ell[at], Ja[at], lin.take(at)
             F = np.concatenate([R, (self.HB @ ell[..., None])[..., 0]], axis=-1)
             F[:, d:d + t.shape[1]] -= t[act]
             done = np.linalg.norm(F, axis=-1) < _CHART_TOL

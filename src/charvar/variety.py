@@ -370,7 +370,7 @@ def _batch_residual(spec, mats, g, m, z0i):
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                   classes: ConjugacyClassSpec, *, tol: float = 1e-12,
                   max_iter: int = 200, rng: np.random.Generator | None = None,
-                  target: np.ndarray | None = None):
+                  target: np.ndarray | None = None, start: tuple | None = None):
     """Damped Gauss-Newton flattening of a batch of tuples.
 
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
@@ -380,7 +380,9 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     so a slice's iterates do not depend on its neighbours or their targets.
     Each iterate evaluates the relator word once: the partial products of
     the residual are held, for the unconverged slices only, and the next
-    Jacobian is built from them.  Branch-cut hits are retried with small
+    Jacobian is built from them.  ``start`` passes the
+    :func:`_batch_residual` triple of ``mats`` when the caller has it; the
+    solver writes into its arrays.  Branch-cut hits are retried with small
     random interior nudges from ``rng``, drawn for the whole batch shape
     whenever any slice needs one (the same draws as a loop over every
     slice), so a nudged slice's draws depend on the batch it sits in;
@@ -394,7 +396,8 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     z0 = classes.target if target is None else target
     r = spec.rank
     z0i = np.broadcast_to(lg.group_inverse(spec, z0), batch + (r, r)).reshape(-1, r, r)
-    R, bad, f = _batch_residual(spec, mats, g, m, z0i)
+    R, bad, f = (_batch_residual(spec, mats, g, m, z0i) if start is None
+                 else (a.reshape(mats.shape[:1] + a.shape[len(batch):]) for a in start))
     rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
     iters = np.zeros(mats.shape[0], dtype=int)
     act = np.arange(mats.shape[0])  # the slices f holds, in order

@@ -37,6 +37,17 @@ def adjoint(spec, g, X):
     return g @ X @ cv.liegroup.group_inverse(spec, g)
 
 
+def mat_product_partial_products(spec, mats, g, m):
+    """Oracle: the partial products f_j = alpha_j f_{j-1} of the relator's
+    letters, each a whole :func:`liegroup.mat_product`."""
+    letters = cv.presentation.word_letters(g, m)
+    inv = cv.liegroup.group_inverse(spec, mats)
+    f = [np.broadcast_to(np.eye(spec.rank, dtype=complex), mats.shape[:-3] + (spec.rank,) * 2)]
+    for s, e in letters:
+        f.append(cv.liegroup.mat_product((mats if e == 1 else inv)[..., s, :, :], f[-1]))
+    return np.stack(f, axis=-3)
+
+
 def form_gram_coords(p, classes, U, V):
     """Oracle: the form matrix (k, l) between coordinate stacks U (n*dim, k)
     and V (n*dim, l) at one point, from a linearization built for the call."""

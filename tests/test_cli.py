@@ -565,10 +565,12 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
 def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
                                                  monkeypatch):
     """The battery builds partial products once for the point (its
-    linearization serves the split, the cocycle check and the form) and once
-    per chart row and Newton iterate (the chart's form and frame read the
-    linearization its last iterate built): 109 tuple rows here, where
-    rebuilding them for the form and the frame made 146."""
+    linearization serves the split, the cocycle check and the form), once
+    for the chart's base point, where every row starts, and once per chart
+    row and later Newton iterate (the chart's form and frame read the
+    linearization its last iterate built): 74 tuple rows here, where one
+    first-iterate system per row made 109 and rebuilding the products for
+    the form and the frame made 146."""
     from charvar import presentation, twoform
 
     rows, chart_rows = [], []
@@ -588,7 +590,7 @@ def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
                                       cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
     assert all(c["pass"] for c in checks), checks
     assert rows == [1] + chart_rows
-    assert sum(rows) == 109
+    assert sum(rows) == 74
 
 
 def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypatch):

@@ -200,6 +200,15 @@ def test_negative_trace_form_positive_definite(su2, su3):
         assert np.linalg.eigvalsh(lg.pairing_gram(spec)).min() > 0
 
 
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SU", 4), ("SLC", 2), ("SLC", 3)])
+def test_pairing_gram_is_the_identity_on_su_only(family, rank):
+    """The two-form's first sum multiplies by the pairing Gram on SL(r, C)
+    alone: the su(r) basis is orthonormal for -trace, the sl(r, C) one is
+    not orthonormal for trace."""
+    spec = cv.GroupSpec(family, rank)
+    assert np.allclose(lg.pairing_gram(spec), np.eye(spec.dim)) == (family == "SU")
+
+
 def test_adjoint_matrix_consistent(su2, su3):
     rng = np.random.default_rng(11)
     for spec in (su2, su3):

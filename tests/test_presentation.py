@@ -10,7 +10,7 @@ from charvar import liegroup as lg
 from charvar import presentation as pres
 from charvar.presentation import GeneratorTuple, word_letters
 from charvar.twoform import first_sum_gram
-from conftest import linearization
+from conftest import linearization, mat_product_partial_products
 from test_liegroup import assert_slices_agree, batch_shapes
 
 
@@ -189,6 +189,95 @@ def test_relator_differential_is_the_einsum_slot_sum(family, rank, g, m):
     got = pres.relator_differential_matrix(spec, T, f[..., -1, :, :], g, m)
     assert got.shape == (5, spec.dim, (2 * g + m) * spec.dim)
     assert np.array_equal(got, einsum_slot_sum_differential(spec, T, f[..., -1, :, :], g, m))
+
+
+def su2_tuples(kind, g, batch):
+    """(batch, 2g) SU(2) tuples of exact form [[a, -conj b], [b, conj a]]:
+    Haar draws, Gauss-Newton iterates from them towards the relator -I
+    (irreducible at every genus), or identities."""
+    su2 = cv.GroupSpec("SU", 2)
+    if kind == "identity":
+        return np.array(np.broadcast_to(np.eye(2, dtype=complex), (batch, 2 * g, 2, 2)))
+    mats = lg.haar_sample(su2, np.random.default_rng(10 * g + batch), size=(batch, 2 * g))
+    if kind == "haar":
+        return mats
+    return cv.variety.project_batch(su2, mats, g, 0,
+                                    cv.ConjugacyClassSpec(su2, (), -np.eye(2)),
+                                    max_iter=3)[0]
+
+
+@pytest.mark.parametrize("kind", ["haar", "landing", "identity"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 2048])
+def test_su2_partial_products_are_the_mat_product_recurrence(kind, g, batch):
+    """The SU(2) first-column recurrence gives the whole-matrix products bit
+    for bit on exact-form tuples (at identities a zero may change its sign,
+    which no comparison sees)."""
+    su2 = cv.GroupSpec("SU", 2)
+    mats = su2_tuples(kind, g, batch)
+    got = pres.partial_products(su2, mats, g, 0)
+    want = mat_product_partial_products(su2, mats, g, 0)
+    assert got.shape == (batch, 4 * g + 1, 2, 2)
+    if kind == "identity":
+        assert np.array_equal(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_su2_partial_products_with_a_class_projected_boundary():
+    """A boundary generator projected onto its class by ``@`` is unitary but
+    not of exact form: the first columns are still the whole products' bits,
+    and the second columns agree to rounding."""
+    su2 = cv.GroupSpec("SU", 2)
+    rng = np.random.default_rng(4)
+    rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    for g in (1, 2):
+        mats = lg.haar_sample(su2, rng, size=(64, 2 * g + 1))
+        mats[:, -1] = [cv.variety.project_to_class(su2, c, rep) for c in mats[:, -1]]
+        got = pres.partial_products(su2, mats, g, 1)
+        want = mat_product_partial_products(su2, mats, g, 1)
+        assert got[..., 0].tobytes() == want[..., 0].tobytes()
+        assert np.abs(got[..., 1] - want[..., 1]).max() <= 1e-15
+
+
+def all_letters_transport(spec, f, g, m):
+    """Oracle: Ad(f_j^-1) of every partial product j >= 1, then each letter's
+    operator picked from them with its sign."""
+    ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
+    letters = word_letters(g, m)
+    T = ad[..., [j if e == 1 else j - 1 for j, (_, e) in enumerate(letters)], :, :]
+    return T * np.array([e for _, e in letters])[:, None, None]
+
+
+@pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_letter_transport_matches_all_letters_oracle(family, rank, g, m):
+    """Taking the adjoints of only the partial products the letters read
+    gives the all-letters operators bit for bit."""
+    spec = cv.GroupSpec(family, rank)
+    mats = lg.haar_sample(spec, np.random.default_rng(10 * g + m), size=(3, 2 * g + m))
+    f = pres.partial_products(spec, mats, g, m)
+    got = pres.letter_transport(spec, f, g, m)
+    assert got.shape == (3, 4 * g + m, spec.dim, spec.dim)
+    assert got.tobytes() == all_letters_transport(spec, f, g, m).tobytes()
+
+
+@pytest.mark.parametrize("g, m", [(1, 0), (2, 1), (3, 2)])
+def test_letter_transport_adjoints_only_the_products_read(su3, monkeypatch, g, m):
+    """No letter reads f_{4i}: the transport takes 3g + m adjoints per tuple
+    for its 4g + m letters."""
+    seen, adjoint = [], lg.adjoint_matrix
+
+    def counted(spec, x):
+        seen.append(int(np.prod(x.shape[:-2])))
+        return adjoint(spec, x)
+
+    mats = lg.haar_sample(su3, np.random.default_rng(g), size=(5, 2 * g + m))
+    f = pres.partial_products(su3, mats, g, m)
+    monkeypatch.setattr(lg, "adjoint_matrix", counted)
+    pres.letter_transport(su3, f, g, m)
+    assert seen == [5 * (3 * g + m)]
 
 
 @given(spec=st.sampled_from([cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3),

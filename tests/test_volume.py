@@ -1,5 +1,6 @@
 """Liouville density and the two Monte Carlo volume estimators."""
 
+import collections
 import dataclasses
 import math
 
@@ -491,6 +492,35 @@ def test_coarea_stream_projects_only_its_gated_samples(closed_problem, monkeypat
             assert 0 < sum(sent) == np.sum(rec.initial_residual <= gate) < 400
         else:
             assert sum(sent) == 400
+
+
+@pytest.mark.parametrize("est", GATES)
+def test_stream_builds_each_initial_partial_product_once(closed_problem, monkeypatch, est):
+    """The stream hands the residual it read its gate from to the solver: the
+    partial products of every initial tuple are built once, whether the
+    stream projects the tuple or not."""
+    n, seed = 400, 21  # one batch
+    init = closed_problem.initial_batch(np.random.default_rng(seed), n)
+    seen, products = collections.Counter(), pres.partial_products
+
+    def counted(spec, mats, g, m):
+        seen.update(t.tobytes() for t in mats.reshape((-1,) + mats.shape[-3:]))
+        return products(spec, mats, g, m)
+
+    monkeypatch.setattr(pres, "partial_products", counted)
+    rec = sample_stream(closed_problem, n, seed, est, GATES[est])
+    assert rec.projected.any()
+    assert [seen[t.tobytes()] for t in init] == [1] * n
+
+
+def test_sample_stream_rejects_an_unknown_estimator(closed_problem, monkeypatch):
+    """A misspelt estimator is an error before any draw, not the tube stream."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the stream drew samples before checking its estimator")
+
+    monkeypatch.setattr(closed_problem.__class__, "initial_batch", no_draw)
+    with pytest.raises(ValueError, match="unknown estimator 'Tube'"):
+        sample_stream(closed_problem, 100, 0, "Tube", 0.45)
 
 
 def test_nudges_leave_the_haar_draws_alone(su3, monkeypatch):
