@@ -81,11 +81,11 @@ def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nd
     :func:`word_letters`; shape (..., N+1, r, r).
 
     On SU(2) only first columns ``c`` recur, by the multiply-adds of
-    :func:`liegroup.mat_product`'s column 0 in its order, and each second
-    column is written as ``(-conj c_1, conj c_0)`` at the end: the whole
-    product bit for bit when the generators have the exact form
-    ``[[a, -conj b], [b, conj a]]`` (Haar draws, exp steps and their
-    products), to rounding for others (class projections made with ``@``).
+    :func:`liegroup.mat_product`'s column 0 in its order; each second column
+    is written as ``(-conj c_1, conj c_0)`` at the end.  That is the whole
+    product bit for bit, but for the sign of an exactly cancelled zero, on
+    generators ``[[a, -conj b], [b, conj a]]`` (Haar draws, exp steps and
+    their products), and to rounding on others (``@`` class projections).
     """
     letters = word_letters(g, m)
     r = spec.rank
