@@ -412,7 +412,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     mats, rnorm, iters, conv = vy.project_batch(
         cfg.group, np.stack([t.mats for t in starts]), cfg.seifert.genus, 0,
         problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
-        tol=min(1e-12, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
+        tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
         target=np.stack([cand.target for cand in cands]))
     components = []
     worst = EXIT_OK

@@ -169,6 +169,7 @@ class _Chart:
     Coordinates are the h1 directions, in stacks (b, dh) of independent
     rows; the chart point q(t) solves flatness + (h1-coordinates of the
     displacement = t) + (b1-slice orthogonality), a square Newton system.
+    :meth:`solve` returns the chart coefficients of the form at each row.
     Frame vectors dq/dt_i come from linear solves against the same
     Jacobian, so the only finite differencing happens at the
     exterior-derivative level.
@@ -192,9 +193,9 @@ class _Chart:
     def _system(self, qmats):
         """Residual, displacement, Jacobian and linearization at qmats."""
         spec, g, m = self.spec, self.g, self.m
-        R, bad, f = _batch_residual(spec, qmats, g, m,
-                                    lg.group_inverse(spec, self.classes.target))
-        if np.any(bad):
+        R, rnorm, f = _batch_residual(spec, qmats, g, m,
+                                      lg.group_inverse(spec, self.classes.target))
+        if np.any(rnorm == np.inf):
             raise OutsideDomainError("relator outside the principal-log domain")
         lin = Linearization.at(spec, qmats, g, m, self.classes, f)
         ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
@@ -203,17 +204,19 @@ class _Chart:
         LS = LS.reshape(LS.shape[:-3] + S.shape[-2:])  # d(ell) S, slot by slot
         return R, ell, np.concatenate([lin.D @ S, self.HB @ LS], axis=-2), lin
 
-    def solve(self, t: np.ndarray) -> list:
-        """One ``(rows, J, lin)`` per group of rows of t (b, dh) that converged
-        at the same Newton iteration: their Jacobians and the linearization at
-        their chart points.  Each iteration runs on the rows not converged yet;
-        a row not converged after 60 raises :class:`NoConvergenceError`."""
-        base, d = self.p.tuple.mats, self.spec.dim
+    def solve(self, t: np.ndarray) -> np.ndarray:
+        """Chart coefficients (b, dh, dh) of the form at coordinates t (b, dh).
+
+        Each Newton iteration runs on the rows not converged yet; the rows
+        that converge at one iteration read their frame dq/dt and the form
+        there, from their Jacobians and the linearization at their chart
+        points.  A row not converged after 60 raises :class:`NoConvergenceError`."""
+        base, d, dh = self.p.tuple.mats, self.spec.dim, t.shape[-1]
         qmats = np.array(np.broadcast_to(base, t.shape[:1] + base.shape))
-        groups = []
+        omega = np.empty((len(t), dh, dh))
         act = np.arange(len(t))
         if not act.size:  # the log of an empty SU(r >= 3) stack fails
-            return groups
+            return omega
         for it in range(60):
             # every row starts at the base point, where one system serves them all
             R, ell, Ja, lin = self._system(qmats[act] if it else base[None])
@@ -221,28 +224,21 @@ class _Chart:
                 at = np.zeros(act.size, dtype=int)
                 R, ell, Ja, lin = R[at], ell[at], Ja[at], lin.take(at)
             F = np.concatenate([R, (self.HB @ ell[..., None])[..., 0]], axis=-1)
-            F[:, d:d + t.shape[1]] -= t[act]
+            F[:, d:d + dh] -= t[act]
             done = np.linalg.norm(F, axis=-1) < _CHART_TOL
             if np.any(done):
-                groups.append((act[done], Ja[done], lin.take(done)))
+                conv = lin.take(done)
+                # slot-velocity coordinates of the frame dq/dt
+                frame = conv.S @ np.linalg.solve(Ja[done], np.eye(Ja.shape[-1], dh, -d))
+                omega[act[done]] = form_gram_stack(conv, frame, frame)
             go = ~done
             act, Ja, F, lin = act[go], Ja[go], F[go], lin.take(go)
             if not act.size:
-                return groups
+                return omega
             step = np.linalg.solve(Ja, -F[..., None])[..., 0]
             qmats[act] = apply_step(self.spec, qmats[act], self.g, lin.slots, step)
         raise NoConvergenceError(60, float(np.linalg.norm(F, axis=-1).max()),
                                  "chart re-solve did not converge")
-
-    def omega_at(self, t: np.ndarray) -> np.ndarray:
-        """Chart coefficients (b, dh, dh) of the form at coordinates t (b, dh)."""
-        dh, d = t.shape[-1], self.spec.dim
-        omega = np.empty((len(t), dh, dh))
-        for rows, J, lin in self.solve(t):
-            # slot-velocity coordinates of the frame dq/dt
-            frame = lin.S @ np.linalg.solve(J, np.eye(J.shape[-1], dh, -d))
-            omega[rows] = form_gram_stack(lin, frame, frame)
-        return omega
 
 
 def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,
@@ -258,7 +254,7 @@ def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,
     dh = chart.H.shape[1]
     e = h[:, None, None] * np.eye(dh)  # (steps, i, dh): row i is h e_i
     t = np.stack([e, -e], axis=2)
-    omega = chart.omega_at(t.reshape(-1, dh)).reshape(t.shape + (dh,))
+    omega = chart.solve(t.reshape(-1, dh)).reshape(t.shape + (dh,))
     grad = (omega[:, :, 0] - omega[:, :, 1]) / (2.0 * h)[:, None, None, None]
     # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
     d_omega = grad - grad.transpose(0, 2, 1, 3) + grad.transpose(0, 2, 3, 1)

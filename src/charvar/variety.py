@@ -41,6 +41,7 @@ from .liegroup import GroupSpec
 from .presentation import GeneratorTuple, SurfacePresentation
 
 TOL_FLAT = 1e-9
+SOLVE_TOL = 1e-12  # Gauss-Newton stop of a solve, below TOL_FLAT
 GAP_TOL = 1e-6
 CLASS_TANGENT_TOL = 1e-8
 
@@ -358,17 +359,36 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
 # ---------------------------------------------------------------------------
 
 def _batch_residual(spec, mats, g, m, z0i):
-    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, the per-sample
-    mask of relators outside the principal-log domain (their residual reads
-    0) and the :func:`presentation.partial_products` ``f`` it read Pi from.
-    ``z0i`` broadcasts over the batch."""
+    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, their norms
+    and the :func:`presentation.partial_products` ``f`` Pi was read from.
+    The norm is the domain flag: it reads inf where the relator is outside
+    the principal-log domain, whose residual coords read 0.  ``z0i``
+    broadcasts over the batch."""
     f = pres.partial_products(spec, mats, g, m)
     L, bad = lg.principal_log(spec, lg.mat_product(f[..., -1, :, :], z0i))
-    return lg.algebra_coords(spec, L), bad, f
+    R = lg.algebra_coords(spec, L)
+    return R, np.where(bad, np.inf, np.linalg.norm(R, axis=-1)), f
+
+
+def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(A, b)`` over a stack.  When some slice's system is
+    singular, every slice is solved alone and the singular ones take their
+    least-squares step; LAPACK solves a stack slice by slice, so the others
+    keep their bits."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        y = np.empty(b.shape, dtype=np.result_type(A, b))
+        for i, (Ai, bi) in enumerate(zip(A, b)):
+            try:
+                y[i] = np.linalg.solve(Ai, bi)
+            except np.linalg.LinAlgError:
+                y[i] = np.linalg.lstsq(Ai, bi, rcond=None)[0]
+        return y
 
 
 def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                  classes: ConjugacyClassSpec, *, tol: float = 1e-12,
+                  classes: ConjugacyClassSpec, *, tol: float = SOLVE_TOL,
                   max_iter: int = 200, rng: np.random.Generator | None = None,
                   target: np.ndarray | None = None, start: tuple | None = None):
     """Damped Gauss-Newton flattening of a batch of tuples.
@@ -376,11 +396,13 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
     batch axes preserved.  Each slice flattens onto its own relator target:
     ``target`` (..., r, r) broadcasts over the batch and defaults to
-    ``classes.target``.  Each iteration runs on the unconverged slices only,
-    so a slice's iterates do not depend on its neighbours or their targets.
-    Each iterate evaluates the relator word once: the partial products of
-    the residual are held, for the unconverged slices only, and the next
-    Jacobian is built from them.  ``start`` passes the
+    ``classes.target``.  The solver holds the state of the unconverged
+    slices only (tuples, residuals, norms, partial products, ``z0^-1``) and
+    writes a slice's result once, at the iterate where it converges or runs
+    out of budget, so a slice's iterates do not depend on its neighbours or
+    their targets.  Each iterate evaluates the relator word once: the next
+    Jacobian is built from the held partial products.  A singular damped
+    normal system takes its least-squares step.  ``start`` passes the
     :func:`_batch_residual` triple of ``mats`` when the caller has it; the
     solver writes into its arrays.  Branch-cut hits are retried with small
     random interior nudges from ``rng``, drawn for the whole batch shape
@@ -395,61 +417,54 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
     mats = mats.reshape((-1,) + mats.shape[-3:])
     z0 = classes.target if target is None else target
     r = spec.rank
-    z0i = np.broadcast_to(lg.group_inverse(spec, z0), batch + (r, r)).reshape(-1, r, r)
-    R, bad, f = (_batch_residual(spec, mats, g, m, z0i) if start is None
-                 else (a.reshape(mats.shape[:1] + a.shape[len(batch):]) for a in start))
-    rnorm = np.where(bad, np.inf, np.linalg.norm(R, axis=-1))
-    iters = np.zeros(mats.shape[0], dtype=int)
-    act = np.arange(mats.shape[0])  # the slices f holds, in order
-    for it in range(max_iter):
-        live = ~(rnorm[act] <= tol)
-        act, f = (act, f) if live.all() else (act[live], f[live])
-        if not act.size:
-            break
-        if np.any(bad):  # a bad slice reads rnorm = inf, so it is active
+    za = np.broadcast_to(lg.group_inverse(spec, z0), batch + (r, r)).reshape(-1, r, r)
+    R, rn, f = (_batch_residual(spec, mats, g, m, za) if start is None
+                else (a.reshape(mats.shape[:1] + a.shape[len(batch):]) for a in start))
+    rnorm = np.empty(mats.shape[0])
+    iters = np.empty(mats.shape[0], dtype=int)
+    act, x = np.arange(mats.shape[0]), mats  # the unconverged slices and their tuples
+    for it in range(max_iter + 1 if act.size else 0):
+        off = np.flatnonzero(rn == np.inf)  # relators off the principal-log domain
+        if off.size and it < max_iter:
             kick = lg.random_algebra(spec, rng, scale=0.2, size=batch + (2 * g,))
-            nb = np.flatnonzero(bad)
-            kick = kick.reshape((-1,) + kick.shape[-3:])[nb]
-            mats[nb, : 2 * g] = lg.exp(spec, kick) @ mats[nb, : 2 * g]
-            at = np.searchsorted(act, nb)
-            R[nb], bad[nb], f[at] = _batch_residual(spec, mats[nb], g, m, z0i[nb])
-            rnorm[nb] = np.where(bad[nb], np.inf, np.linalg.norm(R[nb], axis=-1))
-            live = ~(rnorm[act] <= tol)
-            act, f = act[live], f[live]
-        # all live: x and r0 are views, and a partial write-back edits them only
-        # in rows of improved slices, which later halvings never take again
-        sel = slice(None) if act.size == len(mats) else act
-        x, r0, za = mats[sel], rnorm[sel], z0i[sel]
+            kick = kick.reshape((-1,) + kick.shape[-3:])[act[off]]
+            x[off, : 2 * g] = lg.exp(spec, kick) @ x[off, : 2 * g]
+            R[off], rn[off], f[off] = _batch_residual(spec, x[off], g, m, za[off])
+        done = (rn <= tol) | (it == max_iter)
+        if done.any():  # the one write-back of these slices
+            at = act[done]
+            mats[at], rnorm[at], iters[at] = x[done], rn[done], it
+            if done.all():
+                break
+            go = ~done
+            act, x, R, rn, f, za = act[go], x[go], R[go], rn[go], f[go], za[go]
         lin = Linearization.at(spec, x, g, m, classes, f)
         J, slots = (lin.D @ lin.S if m else lin.D), lin.slots  # S is I at m = 0
         del lin  # its transport is freed before the trials: bounds the peak memory
-        lam = np.minimum(1.0, np.where(np.isfinite(r0), r0, 1.0))
+        lam = np.minimum(1.0, np.where(np.isfinite(rn), rn, 1.0))
         JJt = J @ np.swapaxes(J, -2, -1).conj()
         A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
-        y = np.linalg.solve(A, R[sel][..., None])
-        full_step = -(np.swapaxes(J, -2, -1).conj() @ y)[..., 0]
+        full_step = -(np.swapaxes(J, -2, -1).conj() @ _damped_solve(A, R[..., None]))[..., 0]
         if spec.family == "SU":
             full_step = full_step.real
-        # backtracking: halve steps that do not reduce the residual
+        # backtracking: halve steps that do not reduce the residual.  A slice
+        # that improves is stored at once and never taken again, so later
+        # trials of the others still start from this iterate's state
         scale = np.ones(act.size)
         improved = np.zeros(act.size, dtype=bool)
         for _ in range(8):
             trial = apply_step(spec, x, g, slots, scale[:, None] * full_step)
-            Rt, badt, ft = _batch_residual(spec, trial, g, m, za)
-            rt = np.where(badt, np.inf, np.linalg.norm(Rt, axis=-1))
-            take = ~improved & (rt < r0)
+            Rt, rt, ft = _batch_residual(spec, trial, g, m, za)
+            take = ~improved & (rt < rn)
             if take.all():  # every active slice takes this trial
-                mats[sel], R[sel], f, bad[sel], rnorm[sel] = trial, Rt, ft, badt, rt
+                x[...], R, rn, f = trial, Rt, rt, ft
             else:
-                at = act[take]
-                mats[at], R[at], f[take] = trial[take], Rt[take], ft[take]
-                bad[at], rnorm[at] = badt[take], rt[take]
+                x[take], R[take], rn[take], f[take] = trial[take], Rt[take], rt[take], ft[take]
             del trial, ft  # freed before the next halving: bounds the peak memory
             improved |= take
             if np.all(improved):
                 break
             scale = np.where(improved, scale, scale * 0.5)
-        iters[act] = it + 1
     converged = rnorm <= tol
     rnorm = np.where(np.isfinite(rnorm), rnorm, np.inf)
     return (mats.reshape(batch + mats.shape[1:]), rnorm.reshape(batch),
@@ -457,8 +472,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
 
 
 def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
-                       *, tol_flat: float = TOL_FLAT, solve_tol: float = 1e-12,
-                       max_iter: int = 200,
+                       *, tol_flat: float = TOL_FLAT, max_iter: int = 200,
                        rng: np.random.Generator | None = None) -> RepresentationPoint:
     """Project a tuple onto the variety (relator = target, classes exact).
 
@@ -476,7 +490,7 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
         mats[2 * g + k] = project_to_class(spec, mats[2 * g + k],
                                            classes.representatives[k])
     out, rnorm, iters, conv = project_batch(
-        spec, mats, g, m, classes, tol=min(solve_tol, tol_flat),
+        spec, mats, g, m, classes, tol=min(SOLVE_TOL, tol_flat),
         max_iter=max_iter, rng=rng)
     if not bool(conv):
         raise NoConvergenceError(int(iters), float(rnorm))

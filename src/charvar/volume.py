@@ -213,15 +213,15 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     while done < n_samples:
         nb = min(SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        R0, bad0, f0 = _batch_residual(spec, init, g, m, z0i)
-        res0[done:done + nb] = np.where(bad0, np.inf, np.linalg.norm(R0, axis=-1))
-        sel = (np.flatnonzero(res0[done:done + nb] <= gate) if estimator == "coarea"
+        R0, rn0, f0 = _batch_residual(spec, init, g, m, z0i)
+        res0[done:done + nb] = rn0
+        sel = (np.flatnonzero(rn0 <= gate) if estimator == "coarea"
                else slice(None))  # views: the tube stream projects the whole batch
         init, rows = init[sel], np.arange(done, done + nb)[sel]
         mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
                                        tol=LANDING_TOL, max_iter=LANDING_MAX_ITER,
-                                       rng=nudges, start=(R0[sel], bad0[sel], f0[sel]))
-        del R0, bad0, f0  # freed before the landings' linearization: bounds the peak memory
+                                       rng=nudges, start=(R0[sel], rn0[sel], f0[sel]))
+        del R0, rn0, f0  # freed before the landings' linearization: bounds the peak memory
         proj[rows], conv[rows] = True, ok
         mats, init, rows = mats[ok], init[ok], rows[ok]
         ell = _displacement_coords(spec, mats, init)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,6 +7,11 @@ from hypothesis import settings
 import charvar as cv
 from charvar.twoform import form_gram_stack
 from charvar.variety import Linearization
+
+# subprocesses the tests start import charvar from where the suite did
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(cv.__file__))]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 # Property tests draw the same examples on every run and are not timed:
 # tier-1 stays deterministic and does not flake on a slow machine.

@@ -352,6 +352,20 @@ def test_volume_insufficient_samples_exit_2(tmp_path, capsys):
     assert err["error"] == "insufficient_samples"
 
 
+def test_volume_closed_torus_is_insufficient_samples_not_internal(tmp_path, capsys):
+    """SU(2) genus 1 over z0 = I lands on commuting pairs, where a damped
+    normal system can be singular: the solve takes a least-squares step
+    there, and the run ends in exit 2 because the surface has no
+    irreducible point, not in an internal error."""
+    cfg = write_config(tmp_path, problem={"type": "surface", "genus": 1},
+                       volume={"n_samples": 3000})
+    with pytest.warns(UserWarning, match="genus < 2"):
+        rc = cli.main(["volume", "--config", cfg, "--seed", "1", "--quiet"])
+    assert rc == cli.EXIT_NUMERICAL == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "insufficient_samples"
+
+
 def test_unmapped_exception_exit_4(tmp_path, capsys, monkeypatch):
     """An exception no handler names is an internal error, not a config one."""
     def crash(*args):

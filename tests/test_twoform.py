@@ -529,18 +529,18 @@ def test_chart_stack_matches_one_row_calls(su2, su3_regular_problem, solved_poin
     monkeypatch.setattr(twoform._Chart, "_system", counted)
     for chart, T in _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
         sizes.clear()
-        stack = chart.omega_at(T)
+        stack = chart.solve(T)
         # one system at the base point serves every row's first iterate
         assert sizes[0] == 1 and len(set(sizes)) > 2  # rows finish apart
-        rows = np.concatenate([chart.omega_at(T[i:i + 1]) for i in range(len(T))])
+        rows = np.concatenate([chart.solve(T[i:i + 1]) for i in range(len(T))])
         assert stack.shape == (len(T),) + (chart.H.shape[1],) * 2
         assert_slices_agree(chart.spec, stack, rows)
-        assert chart.omega_at(T[:0]).shape == (0,) + stack.shape[1:]
+        assert chart.solve(T[:0]).shape == (0,) + stack.shape[1:]
 
 
 def _omega_or_error(chart, T):
     try:
-        return chart.omega_at(T)
+        return chart.solve(T)
     except (OutsideDomainError, NoConvergenceError) as err:
         return type(err)
 
@@ -570,7 +570,7 @@ def test_chart_at_base_point_is_form_on_cohomology(solved_points, closed_problem
     are the form matrix over h1."""
     p = solved_points[index]
     chart = twoform._Chart(p, closed_problem.classes)
-    omega = chart.omega_at(np.zeros((1, chart.H.shape[1])))[0]
+    omega = chart.solve(np.zeros((1, chart.H.shape[1])))[0]
     want = cv.form_on_cohomology(p, closed_problem.classes)
     assert np.abs(omega - want).max() < 1e-11
 

@@ -417,13 +417,12 @@ def _unscreened_stream(problem, n_samples, seed):
     for done in range(0, n_samples, vol.SAMPLE_BATCH):
         nb = min(vol.SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        R0, bad0, _ = _batch_residual(spec, init, g, m, z0i)
+        _, rn0, _ = _batch_residual(spec, init, g, m, z0i)
         mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
                                        tol=vol.LANDING_TOL,
                                        max_iter=vol.LANDING_MAX_ITER, rng=nudges)
         rec.converged[done:done + nb] = ok
-        rec.initial_residual[done:done + nb] = np.where(
-            bad0, np.inf, np.linalg.norm(R0, axis=-1))
+        rec.initial_residual[done:done + nb] = rn0
         ell = vol._displacement_coords(spec, mats, init)
         at = done + np.flatnonzero(ok)
         lin = _linearization(problem, mats[ok])
