@@ -2,7 +2,7 @@
 explicit matrix-tuple manifolds, with the symplectic two-form on them.
 
 Workflow: pick a :class:`GroupSpec` and a :class:`SurfacePresentation`
-(or :class:`SeifertData` reduced through :func:`to_surface_problem`),
+(or :class:`SeifertData` reduced through :func:`variety_problem`),
 project a seed tuple onto the variety with :func:`project_to_variety`,
 split the tangent directions with :func:`cohomology_at`, and evaluate or
 certify the two-form with the ``twoform`` operations.  ``volume`` adds
@@ -42,14 +42,12 @@ from .seifert import (
     FiberHolonomy,
     SeifertData,
     fiber_holonomy_candidates,
-    to_surface_problem,
     variety_problem,
 )
 from .twoform import (
     closedness_sweep,
     form_on_cohomology,
     kernel_of_form,
-    observed_order,
 )
 from .variety import (
     CohomologyBasis,

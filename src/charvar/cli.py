@@ -5,6 +5,8 @@ machine-readable JSON, and files are written atomically (temp + rename).
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (no convergence, too few samples, a saturated volume gate), 3 certification
 failure, 4 an internal error (any other exception inside a command).
+Commands raise; :func:`main` maps each exception class to one error kind
+and exit code (``_FAILURES``) and writes one JSON error record to stderr.
 
 Determinism contract: identical config + seed produce byte-identical
 output files; nothing time- or path-dependent goes into the payloads.
@@ -18,10 +20,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import liegroup as lg
 from . import seifert as sf
 from . import twoform as tf
 from . import variety as vy
@@ -47,7 +50,13 @@ DEFAULT_TOLERANCES = {
     "tol_flat": vy.TOL_FLAT,
     "gap_tol": vy.GAP_TOL,
 }
-CERTIFY_STEPS = (1e-3, 5e-4, 2.5e-4)  # certify's closedness sweep default
+# (exception classes, error kind, exit code), first match wins; any other
+# exception is an internal error
+_FAILURES = (
+    ((ConfigError, DimensionMismatchError), "config", EXIT_CONFIG),
+    ((NoConvergenceError, OutsideDomainError), "no_convergence", EXIT_NUMERICAL),
+    ((InsufficientSamplesError,), "insufficient_samples", EXIT_NUMERICAL),
+)
 
 
 def _object(val, where: str, keys) -> dict:
@@ -82,6 +91,13 @@ def _integer(section: dict, key: str, default, where: str) -> int:
     return val
 
 
+def _seed(val: int) -> int:
+    """``val`` when it can seed a generator: a non-negative integer."""
+    if val < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not {val}")
+    return val
+
+
 @dataclass
 class RunConfig:
     """Run configuration, typed and validated once when it is loaded."""
@@ -95,7 +111,6 @@ class RunConfig:
     max_iter: int
     n_samples: int
     gates: dict  # the volume gates the config sets; the others keep their defaults
-    closedness_steps: tuple | None  # None: the command's default
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -116,7 +131,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Every key typed and checked here; a bad one raises :class:`ConfigError`."""
         _object(data, "the config root", ("group", "problem", "seed", "initial",
-                                          "tolerances", "solver", "volume", "certify"))
+                                          "tolerances", "solver", "volume"))
         group = _object(data.get("group"), "group", ("family", "rank"))
         _integer(group, "rank", None, "group.")
         try:
@@ -124,7 +139,7 @@ class RunConfig:
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad group spec: {e}") from e
         problem, seif = _problem(group, data.get("problem"))
-        seed = _integer(data, "seed", 0, "")
+        seed = _seed(_integer(data, "seed", 0, ""))
         given = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
         tol = {name: _positive(given, name, default, float, "tolerances.")
                for name, default in DEFAULT_TOLERANCES.items()}
@@ -134,21 +149,13 @@ class RunConfig:
         solver = _object(data.get("solver", {}), "solver", ("max_iter",))
         gate_keys = ("residual_gate", "distance_gate")
         volume = _object(data.get("volume", {}), "volume", ("n_samples",) + gate_keys)
-        steps = _object(data.get("certify", {}), "certify",
-                        ("closedness_steps",)).get("closedness_steps")
-        if steps is not None and not (isinstance(steps, list) and all(
-                type(h) in (int, float) and 0 < h < float("inf") for h in steps)
-                and len(set(steps)) != 1):
-            raise ConfigError("certify.closedness_steps must be empty or hold at "
-                              "least two distinct positive steps (one fixes no order)")
         return cls(
             group=group, problem=problem, seifert=seif, seed=seed, tolerances=tol,
             initial=initial,
             max_iter=_positive(solver, "max_iter", 200, int, "solver."),
             n_samples=_positive(volume, "n_samples", 2000, int, "volume."),
             gates={k: _positive(volume, k, None, float, "volume.")
-                   for k in gate_keys if k in volume},
-            closedness_steps=None if steps is None else tuple(steps))
+                   for k in gate_keys if k in volume})
 
 
 def _problem(group: GroupSpec, prob) -> tuple:
@@ -220,16 +227,12 @@ def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     pres_ = cfg.problem.presentation
     initial = (GeneratorTuple.identity(cfg.group, pres_.genus, pres_.boundary_count)
                if cfg.initial == "identity" else cfg.problem.random_initial(rng))
-    try:
-        point = vy.project_to_variety(
-            initial, cfg.problem.classes,
-            tol_flat=cfg.tolerances["tol_flat"],
-            max_iter=cfg.max_iter,
-            rng=rng,
-        )
-    except (NoConvergenceError, OutsideDomainError) as e:
-        error_record("no_convergence", str(e))
-        return EXIT_NUMERICAL
+    point = vy.project_to_variety(
+        initial, cfg.problem.classes,
+        tol_flat=cfg.tolerances["tol_flat"],
+        max_iter=cfg.max_iter,
+        rng=rng,
+    )
     point = point.with_irreducible(vy.is_irreducible(point))
     payload = {"group": cfg.group.to_json(), "point": point.to_json(),
                "seed": cfg.seed}
@@ -254,9 +257,9 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
 
 
 def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyClassSpec,
-                         tolerances: dict, steps) -> list[dict]:
-    """Run the descent / closedness / kernel / nondegeneracy battery; an
-    empty ``steps`` skips closedness."""
+                         tolerances: dict, closedness: bool) -> list[dict]:
+    """Run the descent / kernel / nondegeneracy battery, and the closedness
+    sweep when ``closedness`` is set."""
     checks = []
     tol_flat = tolerances["tol_flat"]
     gap_tol = tolerances["gap_tol"]
@@ -294,35 +297,50 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
         add("nondegenerate_sigma_min", 0.0, -1e-8, ok=True)
     K = tf.kernel_of_form(G[:nz, :nz], basis.z_coords)
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
-    if steps and nh < 3:
-        # no triple of chart directions: every dOmega coefficient is zero
-        add("closedness_value", 0.0, 1e-4)
-    elif steps:
-        vals = tf.closedness_sweep(point, classes, steps, basis)
-        add("closedness_value", vals[0], 1e-4)
-        order = tf.observed_order(steps, vals)
-        add("closedness_order", -order, -1.8)
+    if closedness:
+        value, order = tf.closedness_sweep(point, classes, basis)
+        add("closedness_value", value, 1e-4)
+        if order is not None:
+            add("closedness_order", -order, -1.8)
     return checks
 
 
-def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -> int:
+def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
+    """The point of a solve payload; :class:`ConfigError` when the file is
+    not such a payload or its genus or boundary count is not the config's."""
     try:
         with open(point_path) as fh:
             data = json.load(fh)
     except OSError as e:
-        error_record("config", f"cannot read point file: {e}")
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read point file: {e}") from e
     except json.JSONDecodeError as e:
-        error_record("config",
-                     f"point parse error at line {e.lineno}, column {e.colno}: {e.msg}")
-        return EXIT_CONFIG
+        raise ConfigError(
+            f"point parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     try:
         point = vy.RepresentationPoint.from_json(cfg.group, data["point"])
     except (KeyError, TypeError, ValueError, CharvarError) as e:
-        error_record("config", f"bad point payload: {e}")
-        return EXIT_CONFIG
-    steps = CERTIFY_STEPS if cfg.closedness_steps is None else cfg.closedness_steps
-    checks = certification_checks(point, cfg.problem.classes, cfg.tolerances, steps)
+        raise ConfigError(f"bad point payload: {e}") from e
+    t, pres_ = point.tuple, cfg.problem.presentation
+    if (t.genus, t.boundary_count) != (pres_.genus, pres_.boundary_count):
+        raise ConfigError(
+            f"point has genus {t.genus} and {t.boundary_count} boundary classes; "
+            f"the config's problem has genus {pres_.genus} and "
+            f"{pres_.boundary_count}")
+    return point
+
+
+def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -> int:
+    """Certify the point of a solve payload.  The battery reads its relator
+    residual evaluated afresh at the config's target, in the solver's shapes
+    (a batch of one tuple); the report's ``residual`` is the recorded one,
+    which names the point the report is about."""
+    point = _read_point(cfg, point_path)
+    t = point.tuple
+    z0i = lg.group_inverse(cfg.group, cfg.problem.classes.target)
+    _, rnorm, _ = vy._batch_residual(cfg.group, t.mats[None], t.genus,
+                                     t.boundary_count, z0i[None])
+    checks = certification_checks(replace(point, residual_norm=float(rnorm[0])),
+                                  cfg.problem.classes, cfg.tolerances, True)
     passed = all(c["pass"] for c in checks)
     payload = {"checks": checks, "passed": passed, "seed": cfg.seed,
                "residual": point.residual_norm}
@@ -336,11 +354,7 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
 # ---------------------------------------------------------------------------
 
 def cmd_volume(cfg: RunConfig, out: str | None, fmt: str, quiet: bool) -> int:
-    try:
-        result = vol.cross_check(cfg.problem, cfg.n_samples, cfg.seed, **cfg.gates)
-    except InsufficientSamplesError as e:
-        error_record("insufficient_samples", str(e))
-        return EXIT_NUMERICAL
+    result = vol.cross_check(cfg.problem, cfg.n_samples, cfg.seed, **cfg.gates)
     payload = {
         "coarea": result["coarea"].to_json(),
         "tube": result["tube"].to_json(),
@@ -401,9 +415,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     the whole batch from one generator.  Certification runs per component.
     """
     if cfg.seifert is None:
-        error_record("config", "seifert-scan needs a problem of type 'seifert'")
-        return EXIT_CONFIG
-    steps = cfg.closedness_steps or ()  # the scan runs no closedness by default
+        raise ConfigError("seifert-scan needs a problem of type 'seifert'")
     cands = sf.fiber_holonomy_candidates(cfg.seifert)
     # closed-surface problems: they differ only in their relator target
     problems = [sf.variety_problem(cfg.seifert, cand) for cand in cands]
@@ -425,7 +437,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
             worst = max(worst, EXIT_NUMERICAL)
             continue
         point = vy.RepresentationPoint(start.replace_mats(mats[k]), float(rnorm[k]))
-        checks = certification_checks(point, problem.classes, cfg.tolerances, steps)
+        checks = certification_checks(point, problem.classes, cfg.tolerances, False)
         # a converged point passes the residual check, so the battery's
         # irreducibility check ran
         irreducible = next(c["pass"] for c in checks if c["check"] == "irreducible")
@@ -468,42 +480,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Load the config and run the command; a failure raises."""
+    cfg = RunConfig.from_file(args.config)
+    if args.seed is not None:
+        cfg.seed = _seed(args.seed)
+    if args.format == "csv" and (args.command != "volume" or args.out is None):
+        raise ConfigError("csv format is only supported by 'volume' with --out "
+                          "(the CSV is written beside the JSON)")
+    if args.format == "csv" and _csv_path(args.out) == args.out:
+        raise ConfigError(f"--out {args.out!r} is also the CSV path "
+                          "(<out stem>.csv): the JSON would overwrite the CSV")
+    if args.command == "solve":
+        return cmd_solve(cfg, args.out, args.quiet)
+    if args.command == "certify":
+        return cmd_certify(cfg, args.point, args.out, args.quiet)
+    if args.command == "volume":
+        return cmd_volume(cfg, args.out, args.format, args.quiet)
+    return cmd_seifert_scan(cfg, args.out, args.quiet)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config)
-    except ConfigError as e:
-        error_record("config", str(e))
-        return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.format == "csv" and (args.command != "volume" or args.out is None):
-        error_record("config", "csv format is only supported by 'volume' with --out "
-                               "(the CSV is written beside the JSON)")
-        return EXIT_CONFIG
-    if args.format == "csv" and _csv_path(args.out) == args.out:
-        error_record("config", f"--out {args.out!r} is also the CSV path "
-                               "(<out stem>.csv): the JSON would overwrite the CSV")
-        return EXIT_CONFIG
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, args.out, args.quiet)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.point, args.out, args.quiet)
-        if args.command == "volume":
-            return cmd_volume(cfg, args.out, args.format, args.quiet)
-        if args.command == "seifert-scan":
-            return cmd_seifert_scan(cfg, args.out, args.quiet)
-    except DimensionMismatchError as e:
-        error_record("config", str(e))
-        return EXIT_CONFIG
-    except (NoConvergenceError, OutsideDomainError, InsufficientSamplesError) as e:
-        error_record("numerical", str(e))
-        return EXIT_NUMERICAL
-    except Exception as e:  # a defect of the program, not of its input
+        return _run(args)
+    except Exception as e:
+        for classes, kind, code in _FAILURES:
+            if isinstance(e, classes):
+                error_record(kind, str(e))
+                return code
+        # a defect of the program, not of its input
         error_record("internal", f"{type(e).__name__}: {e}")
         return EXIT_INTERNAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -77,28 +77,10 @@ def fiber_holonomy_candidates(d: SeifertData) -> list[FiberHolonomy]:
     return out
 
 
-def to_surface_problem(d: SeifertData, zeta: complex | FiberHolonomy):
-    """Closed-surface data whose solutions are the representations with
-    fiber holonomy zeta*I.
-
-    Returns (SurfacePresentation, ConjugacyClassSpec); all two-form
-    machinery applies unchanged to the resulting points.
-    """
-    cand = _resolve(d, zeta)
-    spec = d.group_spec
-    return (SurfacePresentation(d.genus, 0),
-            ConjugacyClassSpec(spec, (), cand.target))
-
-
-def variety_problem(d: SeifertData, zeta: complex | FiberHolonomy) -> VarietyProblem:
-    presentation, classes = to_surface_problem(d, zeta)
-    return VarietyProblem(d.group_spec, presentation, classes)
-
-
-def _resolve(d: SeifertData, zeta) -> FiberHolonomy:
-    if isinstance(zeta, FiberHolonomy):
-        return zeta
-    for cand in fiber_holonomy_candidates(d):
-        if abs(cand.zeta - zeta) < 1e-8:
-            return cand
-    raise ValueError(f"{zeta} is not an order-{d.rank} root of unity")
+def variety_problem(d: SeifertData, cand: FiberHolonomy) -> VarietyProblem:
+    """The closed-surface problem whose solutions are the representations
+    with fiber holonomy ``cand.zeta * I``: genus g, no boundary, relator
+    target ``cand.target``.  All two-form machinery applies unchanged to
+    its points."""
+    return VarietyProblem(d.group_spec, SurfacePresentation(d.genus, 0),
+                          ConjugacyClassSpec(d.group_spec, (), cand.target))

@@ -161,6 +161,7 @@ def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
 
 
 _CHART_TOL = 1e-13  # Newton stop on the chart system's residual norm
+_CLOSEDNESS_STEPS = (1e-3, 5e-4, 2.5e-4)  # the closedness sweep's steps h
 
 
 class _Chart:
@@ -241,17 +242,25 @@ class _Chart:
                                  "chart re-solve did not converge")
 
 
-def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,
-                     basis: CohomologyBasis | None = None) -> list[float]:
-    """Max |dOmega| coefficient of the chart-pulled-back form, per step.
+def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec,
+                     basis: CohomologyBasis | None = None) -> tuple[float, float | None]:
+    """Closedness of the form in a chart around p: the max |dOmega|
+    coefficient of the chart-pulled-back form at the first step of
+    ``_CLOSEDNESS_STEPS``, and the observed order of its decay over the steps.
 
     Central second-order differences of the chart coefficients, from one
     chart solve over the stencil +-h e_i of every step h and h1 direction
-    e_i; each value decays as O(h^2) when the form is closed.
+    e_i; the value decays as O(h^2) when the form is closed.  Below three
+    h1 directions no dOmega coefficient exists: the value reads 0 and the
+    order None.
     """
+    if basis is None:
+        basis = cohomology_at(p, classes)
+    dh = basis.h_coords.shape[-1]
+    if dh < 3:
+        return 0.0, None
     chart = _Chart(p, classes, basis)
-    h = np.asarray(steps, dtype=float)
-    dh = chart.H.shape[1]
+    h = np.asarray(_CLOSEDNESS_STEPS)
     e = h[:, None, None] * np.eye(dh)  # (steps, i, dh): row i is h e_i
     t = np.stack([e, -e], axis=2)
     omega = chart.solve(t.reshape(-1, dh)).reshape(t.shape + (dh,))
@@ -259,17 +268,14 @@ def closedness_sweep(p: RepresentationPoint, classes: ConjugacyClassSpec, steps,
     # dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij over i < j < k
     d_omega = grad - grad.transpose(0, 2, 1, 3) + grad.transpose(0, 2, 3, 1)
     i, j, k = np.indices(grad.shape[1:])
-    return [float(v) for v in
-            np.abs(d_omega[:, (i < j) & (j < k)]).max(axis=-1, initial=0.0)]
+    vals = np.abs(d_omega[:, (i < j) & (j < k)]).max(axis=-1)
+    return float(vals[0]), _observed_order(h, vals)
 
 
-def observed_order(steps, values) -> float:
-    """Log-log slope of values against steps (least squares); ValueError
-    with fewer than two distinct steps, which fix no slope."""
-    x = np.log(np.asarray(steps, dtype=float))
-    if np.unique(x).size < 2:
-        raise ValueError("an observed order needs at least two distinct steps")
-    y = np.log(np.maximum(np.asarray(values, dtype=float), 1e-300))
+def _observed_order(steps: np.ndarray, values: np.ndarray) -> float:
+    """Log-log slope of values against steps (least squares)."""
+    x = np.log(steps)
+    y = np.log(np.maximum(values, 1e-300))
     A = np.stack([x, np.ones_like(x)], axis=1)
     slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
     return float(slope)

@@ -528,8 +528,10 @@ def cohomology_split(lin: Linearization, gap_tol: float = GAP_TOL,
     differential ``D E``, of the constrained coboundaries ``E* C`` and of
     the cocycles with the coboundaries projected out.  Every slice is cut
     at ``ranks`` (of ``D E`` and ``E* C``), or at an unbatched tuple's own
-    gaps when None.  Returns the :class:`CohomologyBasis` (arrays with the
-    batch axes) and the ``split_rank`` triple of each SVD.
+    gaps when None; h1 takes the ``nz - nb`` leading directions of the
+    third SVD, so ``nh + nb = nz``, and that SVD's gap is a quality figure
+    only.  Returns the :class:`CohomologyBasis` (arrays with the batch
+    axes) and the ``split_rank`` triple of each SVD.
     """
     _, s, Vh = np.linalg.svd(lin.D @ lin.E)
     own_z = split_rank(s, gap_tol)
@@ -543,7 +545,7 @@ def cohomology_split(lin: Linearization, gap_tol: float = GAP_TOL,
     P = Zc - Bc @ (np.swapaxes(Bc, -2, -1).conj() @ Zc)
     Uh, sh, _ = np.linalg.svd(P, full_matrices=False)
     own_h = split_rank(sh, gap_tol)
-    Hc = Uh[..., :own_h[0] if ranks is None else Zc.shape[-1] - rb]
+    Hc = Uh[..., :Zc.shape[-1] - rb]
     return CohomologyBasis(
         z_coords=lin.E @ Zc, b_coords=lin.E @ Bc, h_coords=lin.E @ Hc, lin=lin,
         dpi_singular_values=s,

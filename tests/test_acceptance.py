@@ -14,6 +14,7 @@ import pytest
 import charvar as cv
 from charvar import cli
 from charvar import liegroup as lg
+from charvar import twoform
 
 from conftest import adjoint, form_gram_coords, group_defect
 from test_presentation import coords
@@ -72,15 +73,14 @@ def test_criterion_3_closedness(criterion_points, closed_problem):
     """Order >= 1.8 over h in {1e-3, 5e-4, 2.5e-4}; <= 1e-4 at h = 1e-3;
     at >= 5 points; <= 10 min."""
     t0 = time.time()
-    steps = (1e-3, 5e-4, 2.5e-4)
+    assert twoform._CLOSEDNESS_STEPS == (1e-3, 5e-4, 2.5e-4)
     ok = True
     worst_val, worst_order = 0.0, np.inf
     for p in criterion_points[:5]:
-        vals = cv.closedness_sweep(p, closed_problem.classes, steps=steps)
-        order = cv.observed_order(steps, vals)
-        worst_val = max(worst_val, vals[0])
+        value, order = cv.closedness_sweep(p, closed_problem.classes)
+        worst_val = max(worst_val, value)
         worst_order = min(worst_order, order)
-        ok &= vals[0] <= 1e-4 and order >= 1.8
+        ok &= value <= 1e-4 and order >= 1.8
     elapsed = time.time() - t0
     ok &= elapsed <= 600.0
     report(3, f"closedness: max d-coefficient {worst_val:.2e} at h=1e-3, "

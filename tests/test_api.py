@@ -16,9 +16,8 @@ PUBLIC_NAMES = [
     "errors", "estimate_relative_volume", "evaluate_relator", "exp",
     "fiber_holonomy_candidates", "form_on_cohomology", "haar_sample",
     "is_irreducible", "kernel_of_form", "liegroup", "log_near_identity",
-    "observed_order", "pairing", "presentation", "project_to_variety",
-    "random_algebra", "seifert", "to_surface_problem", "twoform", "variety",
-    "variety_problem", "volume",
+    "pairing", "presentation", "project_to_variety", "random_algebra",
+    "seifert", "twoform", "variety", "variety_problem", "volume",
 ]
 
 

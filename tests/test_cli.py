@@ -97,6 +97,13 @@ def test_malformed_config_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert "line" in err["detail"] and "column" in err["detail"]
+    # the closedness steps are a constant: a certify section is unknown
+    cfg = write_config(tmp_path, certify={"closedness_steps": [1e-3, 5e-4]})
+    assert cli.main(["certify", "--config", cfg, "--point", "unread.json"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": "unknown key 'certify' in the "
+                   "config root (known: group, problem, seed, initial, tolerances, "
+                   "solver, volume)"}
 
 
 SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
@@ -118,11 +125,12 @@ SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
     {"problem": {**SEIFERT, "euler": 1.5}},
     {"seed": True},
     {"seed": 11.0},
+    {"seed": -1},
 ], ids=["orbifold", "boundary-without-classes", "n-samples-string",
         "max-iter-string", "gate-string", "zeta-index-string",
         "tolerances-not-object", "solver-not-object", "unknown-tolerance",
         "rank-float", "genus-float", "boundary-count-float", "euler-float",
-        "seed-bool", "seed-float"])
+        "seed-bool", "seed-float", "seed-negative"])
 @pytest.mark.parametrize("command", ["solve", "volume"])
 def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
     """A malformed config is rejected when it is loaded, whichever command
@@ -132,6 +140,21 @@ def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("command", ["solve", "seifert-scan"])
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, command):
+    """``--seed -1`` seeds no generator: exit 1 and one JSON config record,
+    not argparse's usage exit or an internal error."""
+    cfg = write_config(tmp_path, problem=SEIFERT)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", cfg, "--seed", "-1",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "config", "detail": "seed must be a non-negative integer, not -1"}
+    assert not out.exists()
 
 
 def test_csv_rejected_outside_volume(tmp_path):
@@ -253,22 +276,6 @@ def test_certify_two_dimensional_chart_skips_order(tmp_path):
     assert "closedness_order" not in checks
 
 
-@pytest.mark.parametrize("certify", [
-    {"closedness_steps": [1e-3]}, {"closedness_steps": [1e-3, 1e-3]},
-    {"closedness_steps": [1e-3, 0.0]}, {"closedness_steps": [1e-3, -5e-4]},
-    {"closedness_steps": [1e-3, "5e-4"]}, {"closedness_steps": 1e-3},
-    [1e-3, 5e-4]], ids=["one", "repeated", "zero", "negative", "string",
-                        "scalar", "section-not-object"])
-def test_closedness_steps_need_two_distinct_positive(tmp_path, capsys, certify):
-    """One step (or one repeated) fixes no convergence order, and a step
-    that is not a positive number fixes no difference quotient."""
-    cfg = write_config(tmp_path, certify=certify)
-    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config"
-    assert "closedness_steps" in err["detail"]
-
-
 def test_certify_slc_is_a_structured_config_error(tmp_path):
     """The closedness chart takes real (SU) coordinates: certify on an
     SL(2, C) point ends in the JSON error record with the config exit code,
@@ -342,6 +349,92 @@ def test_certify_perturbed_point_exit_3(tmp_path):
     assert not rep["passed"]
     assert rep["checks"][0]["check"] == "residual"
     assert not rep["checks"][0]["pass"]
+
+
+GENUS_1_CLASS = {"type": "surface", "genus": 1, "boundary_count": 1,
+                 "classes": {"representatives": [_diag_json(0.3, -0.3)]}}
+
+
+def test_certify_reevaluates_a_stale_residual(tmp_path):
+    """A solved point moved by 1e-7 and saved with its old residual: the
+    battery reads the residual of the tuple in the file, which fails the
+    residual check (exit 3); the report's residual is the recorded one."""
+    cfg = write_config(tmp_path)
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
+    data = json.loads(point.read_text())
+    mat = np.array(data["point"]["a"][0], dtype=float)
+    mat[0][0][0] += 1e-7
+    data["point"]["a"][0] = mat.tolist()
+    point.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    rc = cli.main(["certify", "--config", cfg, "--point", str(point),
+                   "--out", str(report), "--quiet"])
+    assert rc == cli.EXIT_CERTIFY
+    rep = json.loads(report.read_text())
+    assert rep["residual"] == data["point"]["residual"] < 1e-12
+    assert [c["check"] for c in rep["checks"]] == ["residual"]
+    assert 1e-8 < rep["checks"][0]["value"] < 1e-6
+    assert not rep["checks"][0]["pass"]
+
+
+def test_certify_reads_the_solved_residual(tmp_path, monkeypatch):
+    """On a solved point the re-evaluated residual is the recorded one, bit
+    for bit: the solver's last evaluation, in the same shapes."""
+    battery = []
+    checks = cli.certification_checks
+
+    def kept(point, *args):
+        battery.append(point.residual_norm)
+        return checks(point, *args)
+
+    monkeypatch.setattr(cli, "certification_checks", kept)
+    for problem in ({"type": "surface", "genus": 2}, GENUS_1_CLASS):
+        cfg = write_config(tmp_path, problem=problem)
+        rc, data = _solve_and_certify(tmp_path, cfg, 3)
+        assert rc == 0, data
+        assert battery.pop() == data["residual"] == data["checks"][0]["value"]
+
+
+@pytest.mark.parametrize("solved, certified", [
+    (GENUS_1_CLASS, {"type": "surface", "genus": 2}),
+    ({"type": "surface", "genus": 2}, {"type": "surface", "genus": 3}),
+    ({"type": "surface", "genus": 2}, GENUS_1_CLASS),
+], ids=["g1-class-point-closed-g2-config", "g2-point-g3-config",
+        "g2-point-g1-class-config"])
+def test_certify_point_of_another_problem_is_a_config_error(
+        tmp_path, capsys, solved, certified):
+    """A point whose genus or boundary count is not the config's problem's
+    is bad input: exit 1 and one config record, and no report."""
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", write_config(tmp_path, "s.json", problem=solved),
+                     "--seed", "3", "--out", str(point), "--quiet"]) == 0
+    report = tmp_path / "report.json"
+    rc = cli.main(["certify", "--config", write_config(tmp_path, problem=certified),
+                   "--point", str(point), "--out", str(report), "--quiet"])
+    assert rc == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and err["detail"].startswith("point has genus")
+    assert not report.exists()
+
+
+def test_certify_chart_failure_is_no_convergence(tmp_path, capsys, monkeypatch):
+    """A closedness chart that does not converge ends the run with the
+    solver's kind, ``no_convergence``, and exit 2."""
+    def stalled(*args):
+        raise NoConvergenceError(60, 1e-3, "chart re-solve did not converge")
+
+    monkeypatch.setattr(cli.tf, "closedness_sweep", stalled)
+    cfg = write_config(tmp_path)
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
+    assert cli.main(["certify", "--config", cfg, "--point", str(point),
+                     "--quiet"]) == cli.EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "no_convergence",
+                   "detail": "chart re-solve did not converge"}
 
 
 def test_volume_insufficient_samples_exit_2(tmp_path, capsys):
@@ -433,7 +526,6 @@ def test_seifert_scan_two_components(tmp_path):
     cfg = write_config(
         tmp_path,
         problem={"type": "seifert", "genus": 2, "euler": 1},
-        certify={"closedness_steps": []},
     )
     out = tmp_path / "scan.json"
     rc = cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
@@ -448,8 +540,7 @@ def test_seifert_scan_two_components(tmp_path):
 
 
 def test_seifert_scan_runs_no_closedness_by_default(tmp_path):
-    """Without a certify section the scan certifies every component but
-    runs no closedness sweep."""
+    """The scan certifies every component but runs no closedness sweep."""
     cfg = write_config(tmp_path, problem=SEIFERT)
     out = tmp_path / "scan.json"
     assert cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
@@ -504,7 +595,7 @@ def _per_component_scan(cfg: cli.RunConfig) -> dict:
                               tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
         point = point.with_irreducible(vy.is_irreducible(point))
         checks = cli.certification_checks(point, problem.classes, cfg.tolerances,
-                                          cfg.closedness_steps or ())
+                                          False)
         comps.append({**cand.to_json(),
                       "solve": {"converged": True, "residual": point.residual_norm,
                                 "irreducible": point.irreducible},
@@ -550,7 +641,7 @@ def test_battery_builds_one_differential_and_one_irreducibility(
     counted(presentation, "relator_differential_matrix")
     counted(vy, "is_irreducible")
     cli.certification_checks(solved_points[0], closed_problem.classes,
-                             cli.DEFAULT_TOLERANCES, ())
+                             cli.DEFAULT_TOLERANCES, False)
     assert calls == {"relator_differential_matrix": 1, "is_irreducible": 1}
     calls.clear()
     cfg = write_config(tmp_path, problem=SEIFERT)
@@ -571,7 +662,7 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
 
     monkeypatch.setattr(variety, "cohomology_split", counted)
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
+                                      cli.DEFAULT_TOLERANCES, True)
     assert "closedness_order" in {c["check"] for c in checks}
     assert len(calls) == 1
 
@@ -601,7 +692,7 @@ def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
     monkeypatch.setattr(presentation, "partial_products", counted)
     monkeypatch.setattr(twoform._Chart, "_system", counted_system)
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, cli.CERTIFY_STEPS)
+                                      cli.DEFAULT_TOLERANCES, True)
     assert all(c["pass"] for c in checks), checks
     assert rows == [1] + chart_rows
     assert sum(rows) == 74
@@ -620,7 +711,7 @@ def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypa
 
     monkeypatch.setattr(twoform, "form_gram_stack", counted)
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, ())
+                                      cli.DEFAULT_TOLERANCES, False)
     assert all(c["pass"] for c in checks), checks
     assert len(calls) == 1
 
@@ -643,8 +734,7 @@ def test_certify_isolated_irreducible_point():
     nondegenerate, and closedness reads 0 as below three h1 directions."""
     point, classes = _isolated_point()
     assert cohomology_at(point, classes).dims() == (3, 3, 0)
-    checks = cli.certification_checks(point, classes, cli.DEFAULT_TOLERANCES,
-                                      cli.CERTIFY_STEPS)
+    checks = cli.certification_checks(point, classes, cli.DEFAULT_TOLERANCES, True)
     assert all(c["pass"] for c in checks), checks
     values = {c["check"]: c["value"] for c in checks}
     assert values["form_skew"] == 0.0
@@ -715,7 +805,6 @@ def test_seifert_scan_component_count_stable_across_seeds(tmp_path):
     cfg = write_config(
         tmp_path,
         problem={"type": "seifert", "genus": 2, "euler": 1},
-        certify={"closedness_steps": []},
     )
     counts = []
     for seed in ("5", "6"):

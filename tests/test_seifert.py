@@ -55,10 +55,13 @@ def test_targets_are_central_roots_of_unity():
 
 
 def test_to_surface_problem_trivial_target():
+    """zeta = 1 reduces to the closed genus-g surface over the target I."""
     d = cv.SeifertData(2, 5, 2)
-    presentation, classes = cv.to_surface_problem(d, 1.0)
-    assert presentation.genus == 2 and presentation.boundary_count == 0
-    assert np.abs(classes.target - np.eye(2)).max() < 1e-14
+    cand = cv.fiber_holonomy_candidates(d)[0]
+    assert cand.zeta == 1.0
+    problem = cv.variety_problem(d, cand)
+    assert problem.presentation.genus == 2 and problem.presentation.boundary_count == 0
+    assert np.abs(problem.classes.target - np.eye(2)).max() < 1e-14
 
 
 def test_both_components_solvable_r2_n1(su2):
@@ -89,12 +92,6 @@ def test_rigidity_random_walk(su2):
     for q in path:
         assert on_holonomy_target(q, cand)
         assert q.residual_norm < 1e-9
-
-
-def test_to_surface_problem_rejects_bad_zeta():
-    d = cv.SeifertData(2, 1, 2)
-    with pytest.raises(ValueError):
-        cv.to_surface_problem(d, 0.5)
 
 
 def test_seifert_data_validation():

@@ -9,7 +9,7 @@ from charvar import liegroup as lg
 from charvar import twoform
 from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
 from charvar.presentation import GeneratorTuple
-from charvar.twoform import first_sum_gram, observed_order
+from charvar.twoform import first_sum_gram
 from conftest import form_gram_coords, linearization
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
@@ -431,14 +431,15 @@ def test_zero_tangent_in_kernel(solved_points, closed_problem, su2):
 # ---------------------------------------------------------------------------
 
 def test_closedness_halving_ratio(solved_points, closed_problem):
-    vals = cv.closedness_sweep(solved_points[0], closed_problem.classes,
-                               steps=(1e-3, 5e-4))
-    ratio = vals[0] / vals[1]
-    assert 3.0 <= ratio <= 5.0
+    """Each halving of the step divides the value by 3 to 5: an observed
+    order between log2 3 and log2 5."""
+    assert twoform._CLOSEDNESS_STEPS == (1e-3, 5e-4, 2.5e-4)
+    _, order = cv.closedness_sweep(solved_points[0], closed_problem.classes)
+    assert np.log2(3.0) <= order <= np.log2(5.0)
 
 
 def test_closedness_small_at_default_step(solved_points, closed_problem):
-    (v,) = cv.closedness_sweep(solved_points[1], closed_problem.classes, (1e-3,))
+    v, _ = cv.closedness_sweep(solved_points[1], closed_problem.classes)
     assert v <= 1e-4
 
 
@@ -477,23 +478,15 @@ def test_closedness_flat_torus_sanity(su2):
 
 
 def test_closedness_order_generic_class(generic_points, generic_problem):
-    steps = (1e-3, 5e-4, 2.5e-4)
-    vals = cv.closedness_sweep(generic_points[0], generic_problem.classes, steps=steps)
-    assert vals[0] <= 1e-4
-    assert observed_order(steps, vals) >= 1.8
+    value, order = cv.closedness_sweep(generic_points[0], generic_problem.classes)
+    assert value <= 1e-4
+    assert order >= 1.8
 
 
 def test_observed_order_helper():
-    steps = (1e-3, 5e-4, 2.5e-4)
-    vals = [4e-8, 1e-8, 2.5e-9]
-    assert abs(observed_order(steps, vals) - 2.0) < 1e-6
-
-
-def test_observed_order_needs_two_distinct_steps():
-    """One step fixes no slope (a least-squares fit would invent one)."""
-    for steps in ([1e-3], [1e-3, 1e-3]):
-        with pytest.raises(ValueError):
-            observed_order(steps, [1e-7] * len(steps))
+    steps = np.array([1e-3, 5e-4, 2.5e-4])
+    vals = np.array([4e-8, 1e-8, 2.5e-9])
+    assert abs(twoform._observed_order(steps, vals) - 2.0) < 1e-6
 
 
 def _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
@@ -587,10 +580,9 @@ def test_closedness_check_detects_non_closed_form(solved_points, closed_problem,
         return f[..., None, None] * form(lin, U, V)
 
     monkeypatch.setattr(twoform, "form_gram_stack", scaled)
-    steps = (1e-3, 5e-4, 2.5e-4)
-    vals = cv.closedness_sweep(solved_points[0], closed_problem.classes, steps=steps)
-    assert vals[0] > 1e-2
-    assert observed_order(steps, vals) < 0.5
+    value, order = cv.closedness_sweep(solved_points[0], closed_problem.classes)
+    assert value > 1e-2
+    assert order < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +617,8 @@ def test_su3_regular_class_form(su3_regular_problem):
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
     assert form_kernel(p, prob.classes, basis).shape[1] == 8
-    steps = (1e-3, 5e-4, 2.5e-4)
-    vals = cv.closedness_sweep(p, prob.classes, steps=steps)
-    assert observed_order(steps, vals) >= 1.8
+    _, order = cv.closedness_sweep(p, prob.classes)
+    assert order >= 1.8
 
 
 def test_slc_complex_form(slc2):

@@ -540,6 +540,20 @@ def test_h1_orthogonal_to_b1(solved_points, closed_problem):
     assert np.abs(basis.b_coords.T @ basis.h_coords).max() < 1e-10
 
 
+def test_h1_is_cocycles_less_coboundaries_off_the_variety(solved_points, closed_problem,
+                                                         su2):
+    """A solved tuple moved by 1e-7 off the group: the third SVD's own gap
+    reads 9 directions there, but h1 takes nz - nb of them, so the chart
+    system stays square."""
+    mats = solved_points[0].tuple.mats.copy()
+    mats[0, 0, 0] += 1e-7
+    basis, own = vy.cohomology_split(
+        Linearization.at(su2, mats, 2, 0, closed_problem.classes))
+    assert own[2][0] == 9
+    assert basis.dims() == (9, 3, 6)
+    assert np.abs(basis.b_coords.T @ basis.h_coords).max() < 1e-10
+
+
 def test_central_tuple_cohomology(su2):
     """All-central tuple: the differential vanishes, coboundaries are zero."""
     t = GeneratorTuple(su2, 2, 0, np.stack([-np.eye(2, dtype=complex)] * 4))
