@@ -44,11 +44,7 @@ from .seifert import (
     fiber_holonomy_candidates,
     variety_problem,
 )
-from .twoform import (
-    closedness_sweep,
-    form_on_cohomology,
-    kernel_of_form,
-)
+from .twoform import kernel_of_form
 from .variety import (
     CohomologyBasis,
     ConjugacyClassSpec,

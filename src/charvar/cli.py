@@ -259,7 +259,8 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
 def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyClassSpec,
                          tolerances: dict, closedness: bool) -> list[dict]:
     """Run the descent / kernel / nondegeneracy battery, and the closedness
-    sweep when ``closedness`` is set."""
+    identity at the point (:func:`twoform.closedness_defect`) when
+    ``closedness`` is set."""
     checks = []
     tol_flat = tolerances["tol_flat"]
     gap_tol = tolerances["gap_tol"]
@@ -298,10 +299,7 @@ def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyCla
     K = tf.kernel_of_form(G[:nz, :nz], basis.z_coords)
     add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
     if closedness:
-        value, order = tf.closedness_sweep(point, classes, basis)
-        add("closedness_value", value, 1e-4)
-        if order is not None:
-            add("closedness_order", -order, -1.8)
+        add("closedness", tf.closedness_defect(basis.lin), 1e-10)
     return checks
 
 
@@ -333,7 +331,12 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
     """Certify the point of a solve payload.  The battery reads its relator
     residual evaluated afresh at the config's target, in the solver's shapes
     (a batch of one tuple); the report's ``residual`` is the recorded one,
-    which names the point the report is about."""
+    which names the point the report is about.  Only the SU family is
+    certified: on SL(r, C) the irreducibility check reads a trivial
+    commutant, which is weaker than irreducibility."""
+    if cfg.group.family != "SU":
+        raise ConfigError("certify runs on the SU family only: on SL(r, C) the "
+                          "irreducibility check is not a Burnside test")
     point = _read_point(cfg, point_path)
     t = point.tuple
     z0i = lg.group_inverse(cfg.group, cfg.problem.classes.target)

@@ -1,5 +1,5 @@
-"""The skew two-form on tangent tuples, its descent to cohomology, and the
-numerical closedness / nondegeneracy checks.
+"""The skew two-form on tangent tuples, its descent to cohomology, its
+kernel, and its closedness.
 
 Evaluation runs over the word spelled in single letters (genus blocks
 ``a, b, a^-1, b^-1`` then the boundary letters).  A tangent vector enters
@@ -21,9 +21,20 @@ The family fixes the pairing ``<., .>`` (:func:`liegroup.pairing_gram`):
 the convention here: the closed-surface form equals the boundary form at
 m = 0 identically.  Writings of the closed-surface sum without the 1/2
 are twice this one.
+
+Closedness is checked exactly at one tuple (:func:`closedness_defect`):
+the ambient form is quasi-Hamiltonian for the relator Phi, d omega =
+Phi*eta with eta the Cartan 3-form, at every tuple, and Phi*eta vanishes
+on the tangent space of the variety.  d omega comes from second-order
+letter calculus on the transport the :class:`Linearization` holds, over
+a frame of right translations and conjugations.  The finite-difference
+sweep in implicit Newton charts (:func:`closedness_sweep`, ``_Chart``)
+is the tests' oracle for the form on H1; no command runs it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -104,14 +115,6 @@ def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndar
     return G
 
 
-def form_on_cohomology(p: RepresentationPoint, classes: ConjugacyClassSpec,
-                       basis: CohomologyBasis | None = None) -> np.ndarray:
-    """The form matrix (dh, dh) over the orthonormal h1 basis."""
-    if basis is None:
-        basis = cohomology_at(p, classes)
-    return form_gram_stack(basis.lin, basis.h_coords, basis.h_coords)
-
-
 def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
     """Orthonormal columns (n*dim, k) spanning the null space of the form
     restricted to the cocycles, from its Gram (nz, nz) over the orthonormal
@@ -130,7 +133,109 @@ def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closedness in a chart
+# closedness at the point
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _structure(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``ad`` (dim, dim, dim) with ``ad[a]`` the matrix of ad(e_a), and the
+    structure tensor ``C[a, b, c] = <e_a, [e_b, e_c]>`` of the pairing."""
+    ad = lg.ad_algebra_matrix(spec, lg.algebra_basis(spec))
+    C = np.einsum("ad,bdc->abc", lg.pairing_gram(spec), ad)
+    ad.flags.writeable = C.flags.writeable = False
+    return ad, C
+
+
+def _frame_form(lin: Linearization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame, the form on it and the form's derivatives along it, at
+    one (unbatched) tuple.
+
+    The frame has one field X per slot s and basis element e: ``q_s <-
+    exp(t e) q_s`` at an interior slot, ``c_k <- exp(t e) c_k exp(-t e)`` at
+    a boundary slot, with velocity columns ``U`` (K, K), K = n dim: ``e``,
+    or ``(1 - Ad c_k) e``.  Returns ``U``, the form ``W`` (K, K) on the
+    frame and ``dW`` (K, K, K), where ``dW[x]`` is the derivative of ``W``
+    along X_x.  Along X_x every transported letter component moves by
+    ``-[pi_j^x, .]``, with ``pi_j^x`` the prefix sum of the transported
+    components of x up to f_j (direct letter) or f_{j-1} (inverse letter).
+    """
+    spec, g, d, T = lin.spec, lin.g, lin.spec.dim, lin.T
+    n, m = lin.mats.shape[-3], len(lin.slots)
+    K = n * d
+    ad, C = _structure(spec)
+    Gp = lg.pairing_gram(spec)
+    U = np.eye(K, dtype=T.dtype)
+    for k, slot in enumerate(lin.slots):
+        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+        U[rows, rows] -= slot.ad
+    letters = pres.word_letters(g, m)
+    x = _transported(T, [s for s, _ in letters], U)  # (N, d, K)
+    P = np.cumsum(x, axis=0)
+    pi = P.copy()
+    inverse = [j for j, (_, e) in enumerate(letters) if e == -1]
+    pi[inverse] = P[[j - 1 for j in inverse]]
+    Z = P[-1] - 2.0 * P + x  # sum_i sign(i - j) x_i
+    # dW[x, y, z] = -(E[x, y, z] - E[x, z, y]) / 2 for
+    # E[x, y, z] = sum_j <pi_j^x, [x_j^y, Z_j^z]>; Ezy[x, z, y] = E[x, y, z]
+    Q = np.tensordot(pi, C, axes=(1, 0)).reshape(len(letters), K * d, d) @ Z
+    Ezy = np.tensordot(Q.reshape(len(letters), K, d, K), x, axes=([0, 2], [0, 1]))
+    dW = 0.5 * (Ezy - Ezy.transpose(0, 2, 1))
+    W = first_sum_gram(spec, T, g, m, U, U)
+    for k, slot in enumerate(lin.slots):
+        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+        M = slot.ad - lg.adjoint_matrix(
+            spec, lg.group_inverse(spec, lin.mats[2 * g + k, :, :]))
+        W[rows, rows] += 0.5 * Gp @ M
+        # along X_x at this slot, 1 - Ad c_k moves by -[ad e_x, Ad c_k] in
+        # both arguments, and the class term by [ad e_x, M] / 2
+        dU = np.zeros((d, K, d), dtype=U.dtype)
+        dU[:, rows] = slot.ad @ ad - ad @ slot.ad
+        R = first_sum_gram(spec, T, g, m, dU, U)  # (d, d, K)
+        dW[rows, rows] += R
+        dW[rows, :, rows] -= R.swapaxes(1, 2)
+        dW[rows, rows, rows] += 0.5 * Gp @ (ad @ M - M @ ad)
+    return U, W, dW
+
+
+def _d_omega(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
+    """The exterior derivative of the ambient form and the pullback of the
+    Cartan 3-form by the relator, both (K, K, K) over the frame of
+    :func:`_frame_form`: ``Phi*eta(x, y, z) = <Dx, [Dy, Dz]> / 2``.  Frame
+    fields of one slot bracket as ``[X_a, X_b] = -X_[a,b]``; fields of two
+    slots commute.
+    """
+    U, W, dW = _frame_form(lin)
+    ad, C = _structure(lin.spec)
+    d = lin.spec.dim
+    n, K = lin.mats.shape[-3], W.shape[-1]
+    # B[x, y, z] = W([X_x, X_y], X_z)
+    B = np.zeros((K, K, K), dtype=W.dtype)
+    Bs = -(ad.swapaxes(1, 2) @ W.reshape(n, 1, d, K))
+    for s in range(n):
+        B[s * d:(s + 1) * d, s * d:(s + 1) * d] = Bs[s]
+    d_omega = (dW - dW.transpose(1, 0, 2) + dW.transpose(1, 2, 0)
+               - B + B.transpose(0, 2, 1) - B.transpose(2, 0, 1))
+    D = lin.D @ U
+    eta = 0.5 * np.tensordot(D, D.T @ (C @ D), axes=(0, 0))
+    return d_omega, eta
+
+
+def closedness_defect(lin: Linearization) -> float:
+    """``max |d omega - Phi*eta| / max |d omega|`` over all frame triples at
+    one tuple, from its :class:`Linearization`: the quasi-Hamiltonian
+    identity d omega = Phi*eta of the ambient form (Alekseev-Malkin-
+    Meinrenken, J. Diff. Geom. 48, 1998, Def. 2.2), evaluated exactly.
+    ``Phi*eta`` vanishes on ker dPhi, so on the variety the identity is the
+    closedness of the form there.  The defect is absolute where d omega
+    vanishes."""
+    d_omega, eta = _d_omega(lin)
+    scale = np.abs(d_omega).max()
+    defect = np.abs(d_omega - eta).max()
+    return float(defect / scale if scale else defect)
+
+
+# ---------------------------------------------------------------------------
+# closedness in a chart: the tests' finite-difference oracle of the form on H1
 # ---------------------------------------------------------------------------
 
 def _phi_series(A: np.ndarray) -> np.ndarray:

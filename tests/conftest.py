@@ -63,6 +63,51 @@ def form_gram_coords(p, classes, U, V):
     return form_gram_stack(lin, U, V)
 
 
+def form_on_cohomology(p, classes, basis=None):
+    """Oracle: the form matrix (dh, dh) over the orthonormal h1 basis of
+    :func:`cohomology_at`, or of ``basis`` when given."""
+    if basis is None:
+        basis = cv.cohomology_at(p, classes)
+    return form_gram_stack(basis.lin, basis.h_coords, basis.h_coords)
+
+
+def _dexp(spec, X):
+    """(e^{ad X} - 1) / ad X by its series, (..., dim, dim): the velocity of
+    ``exp(X + s e) exp(-X)`` at s = 0 is this matrix applied to e."""
+    A = cv.liegroup.ad_algebra_matrix(spec, X)
+    out = term = np.broadcast_to(np.eye(spec.dim), A.shape)
+    for k in range(2, 20):
+        term = term @ A / k
+        out = out + term
+    return out
+
+
+def d_omega_by_differences(spec, mats, g, m, classes, h):
+    """Oracle: d omega (K, K, K), K = n dim, of the form at one tuple over
+    the frame of ``twoform.closedness_defect``, by central differences of
+    step h in an explicit chart, with no Newton solve.  The chart moves
+    interior slot s to ``exp(t_s) q_s`` and boundary slot k to
+    ``exp(t_k) c_k exp(-t_k)``, for t_s in the algebra; its coordinate
+    fields commute and equal the frame at t = 0, so
+    d omega_xyz = d_x W_yz - d_y W_xz + d_z W_xy there."""
+    n, d = 2 * g + m, spec.dim
+    K = n * d
+    t = np.concatenate([h * np.eye(K), -h * np.eye(K)]).reshape(2 * K, n, d)
+    X = cv.liegroup.coords_to_algebra(spec, t)
+    E = cv.exp(spec, X)
+    q = E @ mats
+    q[:, 2 * g:] = q[:, 2 * g:] @ cv.liegroup.group_inverse(spec, E[:, 2 * g:])
+    lin = Linearization.at(spec, q, g, m, classes)
+    blocks = _dexp(spec, X)  # (2K, n, d, d): velocity columns of the chart fields
+    blocks[:, 2 * g:] = (np.eye(d) - cv.adjoint_matrix(spec, q[:, 2 * g:])) @ blocks[:, 2 * g:]
+    V = np.zeros((2 * K, K, K), dtype=blocks.dtype)
+    for s in range(n):
+        V[:, s * d:(s + 1) * d, s * d:(s + 1) * d] = blocks[:, s]
+    W = form_gram_stack(lin, V, V)
+    grad = (W[:K] - W[K:]) / (2.0 * h)
+    return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
+
+
 def linearization(spec, mats, g, m, classes=None):
     """``Linearization.at`` of (a stack of) tuples.  Without ``classes``
     every boundary class is the identity's, of rank 0: its slots move

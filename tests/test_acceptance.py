@@ -16,7 +16,7 @@ from charvar import cli
 from charvar import liegroup as lg
 from charvar import twoform
 
-from conftest import adjoint, form_gram_coords, group_defect
+from conftest import adjoint, form_gram_coords, form_on_cohomology, group_defect
 from test_presentation import coords
 from test_seifert import on_holonomy_target, perturb_point
 from test_twoform import (brute_force_theta, closed_theta, form_kernel, random_coords,
@@ -77,7 +77,7 @@ def test_criterion_3_closedness(criterion_points, closed_problem):
     ok = True
     worst_val, worst_order = 0.0, np.inf
     for p in criterion_points[:5]:
-        value, order = cv.closedness_sweep(p, closed_problem.classes)
+        value, order = twoform.closedness_sweep(p, closed_problem.classes)
         worst_val = max(worst_val, value)
         worst_order = min(worst_order, order)
         ok &= value <= 1e-4 and order >= 1.8
@@ -94,7 +94,7 @@ def test_criterion_4_nondegeneracy(criterion_points, closed_problem,
     def component_ok(points, classes):
         for p in points:
             basis = cv.cohomology_at(p, classes)
-            omega = cv.form_on_cohomology(p, classes, basis)
+            omega = form_on_cohomology(p, classes, basis)
             if np.linalg.svd(omega, compute_uv=False)[-1] <= 0:
                 return False
             K = form_kernel(p, classes, basis)

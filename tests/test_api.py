@@ -12,9 +12,9 @@ PUBLIC_NAMES = [
     "OddDimensionError", "OutsideDomainError", "RankDeficiencyWarning",
     "RepresentationPoint", "SeifertData", "SurfacePresentation", "VarietyProblem",
     "VolumeEstimate", "adjoint_matrix", "algebra_basis", "algebra_coords",
-    "closedness_sweep", "cohomology_at", "coords_to_algebra", "cross_check",
+    "cohomology_at", "coords_to_algebra", "cross_check",
     "errors", "estimate_relative_volume", "evaluate_relator", "exp",
-    "fiber_holonomy_candidates", "form_on_cohomology", "haar_sample",
+    "fiber_holonomy_candidates", "haar_sample",
     "is_irreducible", "kernel_of_form", "liegroup", "log_near_identity",
     "pairing", "presentation", "project_to_variety", "random_algebra",
     "seifert", "twoform", "variety", "variety_problem", "volume",

@@ -213,10 +213,10 @@ def test_solve_then_certify_passes(tmp_path):
     assert data["passed"]
     names = {c["check"] for c in data["checks"]}
     assert {"residual", "descent", "form_skew", "kernel_matches_coboundaries",
-            "closedness_value", "closedness_order"} <= names
-    kernel = next(c for c in data["checks"]
-                  if c["check"] == "kernel_matches_coboundaries")
-    assert kernel["value"] <= 1e-13
+            "closedness"} <= names
+    checks = {c["check"]: c for c in data["checks"]}
+    assert checks["kernel_matches_coboundaries"]["value"] <= 1e-13
+    assert checks["closedness"]["value"] <= 1e-12
 
 
 def test_subspace_sine_known_angle():
@@ -251,35 +251,37 @@ def _solve_and_certify(tmp_path, cfg, seed):
 
 def test_certify_generic_boundary_class_passes(tmp_path):
     """Genus 2 with one boundary at diag(e^{0.3i}, e^{-0.3i}): the boundary
-    term is nonzero and every check, closedness order included, passes."""
+    term is nonzero and every check, closedness included, passes."""
     cfg = write_config(tmp_path, problem={
         "type": "surface", "genus": 2, "boundary_count": 1,
         "classes": {"representatives": [_diag_json(0.3, -0.3)]}})
     rc, data = _solve_and_certify(tmp_path, cfg, 3)
     assert rc == 0, data
     validate_report_schema(data)
-    names = {c["check"] for c in data["checks"]}
+    checks = {c["check"]: c for c in data["checks"]}
     assert {"descent", "form_skew", "kernel_matches_coboundaries",
-            "closedness_value", "closedness_order"} <= names
+            "closedness"} <= set(checks)
+    assert checks["closedness"]["value"] <= 1e-12
 
 
-def test_certify_two_dimensional_chart_skips_order(tmp_path):
-    """Genus 1 with one boundary: dim h1 = 2 leaves no dOmega coefficient,
-    so closedness reads 0 and no order is fitted."""
+def test_certify_closedness_at_two_h1_directions(tmp_path):
+    """Genus 1 with one boundary: dim h1 = 2 leaves no reduced dOmega
+    coefficient, but the ambient frame has triples, so the closedness
+    identity reads at rounding level, not 0."""
     cfg = write_config(tmp_path, problem={
         "type": "surface", "genus": 1, "boundary_count": 1,
         "classes": {"representatives": [_diag_json(0.3, -0.3)]}})
     rc, data = _solve_and_certify(tmp_path, cfg, 3)
     assert rc == 0, data
     checks = {c["check"]: c for c in data["checks"]}
-    assert checks["closedness_value"]["value"] == 0.0
-    assert "closedness_order" not in checks
+    assert 0.0 < checks["closedness"]["value"] <= 1e-12
 
 
 def test_certify_slc_is_a_structured_config_error(tmp_path):
-    """The closedness chart takes real (SU) coordinates: certify on an
-    SL(2, C) point ends in the JSON error record with the config exit code,
-    not in a traceback."""
+    """certify runs on the SU family only (on SL(2, C) the irreducibility
+    check is not a Burnside test): on an SL(2, C) point it ends in the JSON
+    error record with the config exit code, not in a traceback, and runs no
+    battery."""
     import subprocess
     import sys
 
@@ -420,13 +422,13 @@ def test_certify_point_of_another_problem_is_a_config_error(
     assert not report.exists()
 
 
-def test_certify_chart_failure_is_no_convergence(tmp_path, capsys, monkeypatch):
-    """A closedness chart that does not converge ends the run with the
+def test_certify_numerical_failure_is_no_convergence(tmp_path, capsys, monkeypatch):
+    """A numerical failure inside the certify battery ends the run with the
     solver's kind, ``no_convergence``, and exit 2."""
     def stalled(*args):
         raise NoConvergenceError(60, 1e-3, "chart re-solve did not converge")
 
-    monkeypatch.setattr(cli.tf, "closedness_sweep", stalled)
+    monkeypatch.setattr(cli.tf, "closedness_defect", stalled)
     cfg = write_config(tmp_path)
     point = tmp_path / "point.json"
     assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
@@ -651,7 +653,7 @@ def test_battery_builds_one_differential_and_one_irreducibility(
 
 
 def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkeypatch):
-    """The closedness chart reuses the split the battery already made."""
+    """The closedness check reads the linearization of the battery's split."""
     from charvar import variety
 
     calls, split = [], variety.cohomology_split
@@ -663,39 +665,36 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
     monkeypatch.setattr(variety, "cohomology_split", counted)
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
                                       cli.DEFAULT_TOLERANCES, True)
-    assert "closedness_order" in {c["check"] for c in checks}
+    assert "closedness" in {c["check"] for c in checks}
     assert len(calls) == 1
 
 
 def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
                                                  monkeypatch):
-    """The battery builds partial products once for the point (its
-    linearization serves the split, the cocycle check and the form), once
-    for the chart's base point, where every row starts, and once per chart
-    row and later Newton iterate (the chart's form and frame read the
-    linearization its last iterate built): 74 tuple rows here, where one
-    first-iterate system per row made 109 and rebuilding the products for
-    the form and the frame made 146."""
+    """The battery builds partial products once, for the point: its
+    linearization serves the split, the cocycle check, the form and the
+    closedness identity.  That is 1 tuple row, where the Newton chart of
+    the closedness sweep made 74; no chart is built."""
     from charvar import presentation, twoform
 
-    rows, chart_rows = [], []
-    products, system = presentation.partial_products, twoform._Chart._system
+    rows, charts = [], []
+    products, chart_init = presentation.partial_products, twoform._Chart.__init__
 
     def counted(spec, mats, g, m):
         rows.append(int(np.prod(mats.shape[:-3])))
         return products(spec, mats, g, m)
 
-    def counted_system(self, qmats):
-        chart_rows.append(len(qmats))
-        return system(self, qmats)
+    def counted_chart(self, *args, **kwargs):
+        charts.append(1)
+        chart_init(self, *args, **kwargs)
 
     monkeypatch.setattr(presentation, "partial_products", counted)
-    monkeypatch.setattr(twoform._Chart, "_system", counted_system)
+    monkeypatch.setattr(twoform._Chart, "__init__", counted_chart)
     checks = cli.certification_checks(solved_points[0], closed_problem.classes,
                                       cli.DEFAULT_TOLERANCES, True)
     assert all(c["pass"] for c in checks), checks
-    assert rows == [1] + chart_rows
-    assert sum(rows) == 74
+    assert rows == [1]
+    assert charts == []
 
 
 def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypatch):
@@ -731,7 +730,8 @@ def _isolated_point():
 
 def test_certify_isolated_irreducible_point():
     """At dim H1 = 0 the form lives on the zero space: it reads skew 0 and is
-    nondegenerate, and closedness reads 0 as below three h1 directions."""
+    nondegenerate.  The ambient frame still has triples, so closedness reads
+    at rounding level, not 0."""
     point, classes = _isolated_point()
     assert cohomology_at(point, classes).dims() == (3, 3, 0)
     checks = cli.certification_checks(point, classes, cli.DEFAULT_TOLERANCES, True)
@@ -739,7 +739,7 @@ def test_certify_isolated_irreducible_point():
     values = {c["check"]: c["value"] for c in checks}
     assert values["form_skew"] == 0.0
     assert values["nondegenerate_sigma_min"] == 0.0
-    assert values["closedness_value"] == 0.0
+    assert 0.0 < values["closedness"] <= 1e-12
 
 
 def test_certify_isolated_irreducible_point_cli(tmp_path):

@@ -1,16 +1,22 @@
 """Two-form evaluation against a brute-force oracle, descent, kernel
-structure, nondegeneracy, and the finite-difference closedness check."""
+structure, nondegeneracy, the exact closedness identity d omega = Phi*eta
+against an explicit-chart oracle, and the finite-difference closedness
+sweep in Newton charts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charvar as cv
+from charvar import cli
 from charvar import liegroup as lg
 from charvar import twoform
 from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
 from charvar.presentation import GeneratorTuple
 from charvar.twoform import first_sum_gram
-from conftest import form_gram_coords, linearization
+from conftest import (d_omega_by_differences, form_gram_coords, form_on_cohomology,
+                      linearization)
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
 from test_variety import conjugate_point
@@ -288,7 +294,7 @@ def test_skewness_at_generic_class(generic_points, generic_problem):
         A = E @ rng.standard_normal((E.shape[1], 8))
         G = form_gram_coords(p, generic_problem.classes, A, A)
         assert np.abs(G + G.T).max() < 1e-12
-        omega = cv.form_on_cohomology(p, generic_problem.classes)
+        omega = form_on_cohomology(p, generic_problem.classes)
         assert np.abs(omega + omega.T).max() < 1e-12
 
 
@@ -343,7 +349,7 @@ def test_form_well_defined_modulo_coboundaries(solved_points, closed_problem):
     rng = np.random.default_rng(10)
     p = solved_points[3]
     basis = cv.cohomology_at(p, closed_problem.classes)
-    omega = cv.form_on_cohomology(p, closed_problem.classes, basis)
+    omega = form_on_cohomology(p, closed_problem.classes, basis)
     shifted = basis.h_coords + 0.5 * rng.standard_normal(6) * np.tile(basis.b_coords, 2)
     G = form_gram_coords(p, closed_problem.classes, shifted, shifted)
     assert np.abs(G - omega).max() < 1e-8
@@ -351,7 +357,7 @@ def test_form_well_defined_modulo_coboundaries(solved_points, closed_problem):
 
 def test_form_matrix_structure(solved_points, closed_problem):
     p = solved_points[4]
-    omega = cv.form_on_cohomology(p, closed_problem.classes)
+    omega = form_on_cohomology(p, closed_problem.classes)
     assert omega.shape == (6, 6)
     assert np.abs(omega + omega.T).max() < 1e-10
     svals = np.linalg.svd(omega, compute_uv=False)
@@ -434,12 +440,12 @@ def test_closedness_halving_ratio(solved_points, closed_problem):
     """Each halving of the step divides the value by 3 to 5: an observed
     order between log2 3 and log2 5."""
     assert twoform._CLOSEDNESS_STEPS == (1e-3, 5e-4, 2.5e-4)
-    _, order = cv.closedness_sweep(solved_points[0], closed_problem.classes)
+    _, order = twoform.closedness_sweep(solved_points[0], closed_problem.classes)
     assert np.log2(3.0) <= order <= np.log2(5.0)
 
 
 def test_closedness_small_at_default_step(solved_points, closed_problem):
-    v, _ = cv.closedness_sweep(solved_points[1], closed_problem.classes)
+    v, _ = twoform.closedness_sweep(solved_points[1], closed_problem.classes)
     assert v <= 1e-4
 
 
@@ -478,7 +484,7 @@ def test_closedness_flat_torus_sanity(su2):
 
 
 def test_closedness_order_generic_class(generic_points, generic_problem):
-    value, order = cv.closedness_sweep(generic_points[0], generic_problem.classes)
+    value, order = twoform.closedness_sweep(generic_points[0], generic_problem.classes)
     assert value <= 1e-4
     assert order >= 1.8
 
@@ -564,7 +570,7 @@ def test_chart_at_base_point_is_form_on_cohomology(solved_points, closed_problem
     p = solved_points[index]
     chart = twoform._Chart(p, closed_problem.classes)
     omega = chart.solve(np.zeros((1, chart.H.shape[1])))[0]
-    want = cv.form_on_cohomology(p, closed_problem.classes)
+    want = form_on_cohomology(p, closed_problem.classes)
     assert np.abs(omega - want).max() < 1e-11
 
 
@@ -580,9 +586,106 @@ def test_closedness_check_detects_non_closed_form(solved_points, closed_problem,
         return f[..., None, None] * form(lin, U, V)
 
     monkeypatch.setattr(twoform, "form_gram_stack", scaled)
-    value, order = cv.closedness_sweep(solved_points[0], closed_problem.classes)
+    value, order = twoform.closedness_sweep(solved_points[0], closed_problem.classes)
     assert value > 1e-2
     assert order < 0.5
+
+
+# ---------------------------------------------------------------------------
+# closedness at the point: d omega = Phi*eta
+# ---------------------------------------------------------------------------
+
+def haar_case(family, rank, g, m, angle, degenerate, seed):
+    """A draw of :meth:`VarietyProblem.initial_batch` with m boundary slots
+    in the class of diag(e^{i angle}, e^{-i angle}) (rank 2), of
+    diag(e^{i angle}, 1, e^{-i angle}) or, ``degenerate``,
+    diag(e^{i angle}, e^{i angle}, e^{-2i angle}) (rank 3); returns
+    (spec, mats, classes, linearization)."""
+    spec = cv.GroupSpec(family, rank)
+    phases = ([angle, -angle] if rank == 2 else
+              [angle, angle, -2 * angle] if degenerate else [angle, 0.0, -angle])
+    classes = cv.ConjugacyClassSpec(spec, (np.diag(np.exp(1j * np.array(phases))),) * m)
+    prob = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m), classes)
+    mats = prob.initial_batch(np.random.default_rng(seed), 1)[0]
+    return spec, mats, classes, linearization(spec, mats, g, m, classes)
+
+
+@pytest.mark.parametrize("family, rank, g, m, angle, degenerate", [
+    ("SU", 2, 2, 0, 0.0, False), ("SU", 2, 1, 1, 0.3, False),
+    ("SU", 2, 2, 2, 1.0, False), ("SU", 3, 1, 1, 0.4, False),
+    ("SU", 3, 1, 1, 0.4, True), ("SLC", 2, 1, 1, 0.3, False),
+], ids=["su2-g2", "su2-g1m1", "su2-g2m2", "su3-regular", "su3-degenerate", "slc2-g1m1"])
+def test_d_omega_matches_chart_differences(family, rank, g, m, angle, degenerate):
+    """The exact d omega of the letter calculus agrees with central
+    differences in an explicit chart to truncation: the misfit is below
+    1e-7 of |d omega| at h = 1e-4 and grows 3 to 5 times at h = 2e-4."""
+    spec, mats, classes, lin = haar_case(family, rank, g, m, angle, degenerate, 1)
+    d_omega, _ = twoform._d_omega(lin)
+    scale = np.abs(d_omega).max()
+    misfit = [np.abs(d_omega_by_differences(spec, mats, g, m, classes, h) - d_omega).max()
+              / scale for h in (1e-4, 2e-4)]
+    assert misfit[0] < 1e-7
+    assert 3.0 < misfit[1] / misfit[0] < 5.0
+
+
+@pytest.mark.filterwarnings("ignore:closed surface of genus < 2")
+@given(family=st.sampled_from(["SU", "SLC"]), rank=st.integers(2, 3),
+       g=st.integers(1, 3), m=st.integers(0, 2), angle=st.floats(0.05, 3.0),
+       degenerate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_d_omega_is_phi_star_eta_at_haar_draws(family, rank, g, m, angle, degenerate, seed):
+    """The ambient form is quasi-Hamiltonian at every tuple, on or off the
+    variety: d omega = Phi*eta to rounding.  The gate is 1e-13 times the
+    cube of the largest letter-transport entry (at least 1): d omega sums
+    triple products of transported components.  On SU that is 1e-13.  The
+    SL(r, C) draws are exp of Gaussians, whose transport reaches 1e10 at rank
+    3 and genus 3; there a 1e-15 step of the input moves d omega by as much
+    as the defect, and |d omega| itself is no rounding scale."""
+    _, _, _, lin = haar_case(family, rank, g, m, angle, degenerate, seed)
+    gate = 1e-13 * max(1.0, np.abs(lin.T).max()) ** 3
+    assert twoform.closedness_defect(lin) <= gate
+
+
+def test_closedness_at_solved_points(solved_points, closed_problem, minus_points,
+                                     minus_problem, boundary_points, boundary_problem,
+                                     generic_points, generic_problem, su3_regular_problem):
+    """At solved points -- SU(2) genus 2 at +-I (the benchmark's certify
+    configs), SU(2) at boundary classes and SU(3) at a regular class -- the
+    closedness identity holds to 1e-12."""
+    su3 = su3_regular_problem
+    cases = ([(p, closed_problem) for p in solved_points[:5]]
+             + [(p, minus_problem) for p in minus_points]
+             + [(p, boundary_problem) for p in boundary_points]
+             + [(p, generic_problem) for p in generic_points]
+             + [(su3.solve(np.random.default_rng(5)), su3)])
+    for p, prob in cases:
+        t = p.tuple
+        lin = linearization(p.spec, t.mats, t.genus, t.boundary_count, prob.classes)
+        assert twoform.closedness_defect(lin) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [-1.0, 1.01])
+def test_planted_form_scale_fails_closedness(factor, solved_points, closed_problem,
+                                             generic_points, generic_problem,
+                                             monkeypatch):
+    """The form scaled by -1 or by 1.01 reads |factor - 1| / |factor| (2 and
+    about 1e-2) and fails the certify check, with and without a boundary
+    class."""
+    frame_form = twoform._frame_form
+
+    def scaled(lin):
+        U, W, dW = frame_form(lin)
+        return U, factor * W, factor * dW
+
+    monkeypatch.setattr(twoform, "_frame_form", scaled)
+    for p, prob in [(solved_points[0], closed_problem), (generic_points[0], generic_problem)]:
+        t = p.tuple
+        lin = linearization(p.spec, t.mats, t.genus, t.boundary_count, prob.classes)
+        value = twoform.closedness_defect(lin)
+        assert abs(value - abs(factor - 1.0) / abs(factor)) < 1e-12
+        checks = cli.certification_checks(p, prob.classes, cli.DEFAULT_TOLERANCES, True)
+        closedness = next(c for c in checks if c["check"] == "closedness")
+        assert not closedness["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +704,7 @@ def test_su3_structure(su3):
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
     assert form_kernel(p, prob.classes, basis).shape[1] == 8
-    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    omega = form_on_cohomology(p, prob.classes, basis)
     assert np.linalg.svd(omega, compute_uv=False)[-1] > 1e-3
 
 
@@ -612,12 +715,12 @@ def test_su3_regular_class_form(su3_regular_problem):
     p = prob.solve(np.random.default_rng(5))
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (14, 8, 6)
-    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    omega = form_on_cohomology(p, prob.classes, basis)
     assert np.abs(omega + omega.T).max() < 1e-12
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
                                    basis.z_coords)).max() < 1e-9
     assert form_kernel(p, prob.classes, basis).shape[1] == 8
-    _, order = cv.closedness_sweep(p, prob.classes)
+    _, order = twoform.closedness_sweep(p, prob.classes)
     assert order >= 1.8
 
 
@@ -629,7 +732,7 @@ def test_slc_complex_form(slc2):
     assert cv.is_irreducible(p)
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (9, 3, 6)  # complex dimensions
-    omega = cv.form_on_cohomology(p, prob.classes, basis)
+    omega = form_on_cohomology(p, prob.classes, basis)
     assert np.iscomplexobj(omega)
     assert np.abs(omega + omega.T).max() < 1e-10
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
@@ -640,3 +743,4 @@ def test_slc_complex_form(slc2):
     val = theta(p, prob.classes, u, v)
     assert isinstance(val, complex)
     assert abs(val + theta(p, prob.classes, v, u)) < 1e-12
+    assert twoform.closedness_defect(basis.lin) <= 1e-12

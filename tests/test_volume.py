@@ -33,13 +33,13 @@ from charvar.volume import (
     sample_stream,
 )
 
-from conftest import form_gram_coords
+from conftest import form_gram_coords, form_on_cohomology
 from test_variety import commutant_dimension, conjugate_point
 
 
 def liouville_density(p, classes, basis=None):
     """The per-point Liouville density: |Pf| of the form over the h1 basis."""
-    return pfaffian_abs(cv.form_on_cohomology(p, classes, basis))
+    return pfaffian_abs(form_on_cohomology(p, classes, basis))
 
 
 def test_pfaffian_single_block():
