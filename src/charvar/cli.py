@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,51 +256,97 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(B - K @ (K.conj().T @ B), 2))
 
 
-def certification_checks(point: vy.RepresentationPoint, classes: vy.ConjugacyClassSpec,
-                         tolerances: dict, closedness: bool) -> list[dict]:
-    """Run the descent / kernel / nondegeneracy battery, and the closedness
-    identity at the point (:func:`twoform.closedness_defect`) when
-    ``closedness`` is set."""
-    checks = []
-    tol_flat = tolerances["tol_flat"]
-    gap_tol = tolerances["gap_tol"]
+def certification_checks(mats: np.ndarray, residuals: np.ndarray,
+                         classes: vy.ConjugacyClassSpec, tolerances: dict,
+                         closedness: bool, f: np.ndarray | None = None) -> list[list[dict]]:
+    """Run the descent / kernel / nondegeneracy battery on a stack of tuples
+    ``mats`` (B, 2g + m, r, r) of one genus at the boundary classes of
+    ``classes``, and the closedness identity (:func:`twoform.closedness_defect`)
+    when ``closedness`` is set.  The relator targets enter only through the
+    tuples' ``residuals`` (B,); ``f`` passes their partial products when a
+    residual evaluation already made them.
 
-    def add(name, value, tolerance, ok=None):
+    Returns one check list per tuple: the list of a stack of that tuple
+    alone.  A tuple stops at the residual check, or at irreducibility:
+    ``rank(E* C) == dim g``, read off the gap of the split's coboundary SVD.
+    That is the rank :func:`variety.is_irreducible` reads, since ``E`` has
+    orthonormal columns spanning every coboundary.  A tuple past both emits
+    the rank-deficiency warnings :func:`variety.cohomology_at` emits at it,
+    and is cut at its own ranks: one split cuts the stack at (dim g, dim g),
+    and the tuples whose own ``rank(D E)`` differs, if any, are split again
+    at it.  The tuples of one cut share one form Gram over the columns
+    [z | b | h] and one stacked SVD per check.
+    """
+    spec, m = classes.spec, classes.boundary_count
+    g, d = (mats.shape[-3] - m) // 2, spec.dim
+    tol_flat, gap_tol = tolerances["tol_flat"], tolerances["gap_tol"]
+    checks = [[] for _ in range(len(mats))]
+
+    def add(i, name, value, tolerance, ok=None):
         ok = bool(value <= tolerance) if ok is None else bool(ok)
-        checks.append({"check": name, "value": float(value),
-                       "tolerance": float(tolerance), "pass": ok})
+        checks[i].append({"check": name, "value": float(value),
+                          "tolerance": float(tolerance), "pass": ok})
         return ok
 
-    if not add("residual", point.residual_norm, tol_flat):
+    flat = [i for i in range(len(mats)) if add(i, "residual", residuals[i], tol_flat)]
+    if not flat:
         return checks
-    if not add("irreducible", 0.0 if vy.is_irreducible(point) else 1.0, 0.5):
-        return checks
-    basis = vy.cohomology_at(point, classes, gap_tol=gap_tol, tol_flat=tol_flat)
+    lin = vy.Linearization.at(spec, mats[flat], g, m, classes,
+                              None if f is None else f[flat])
+    split = vy.cohomology_split(lin, gap_tol, ranks=(d, d))
+    (rz, _, _), (rb, _, _), _ = split[1]
+    past = {}  # rank(D E) -> stack positions of the tuples past irreducibility
+    for j, i in enumerate(flat):
+        if add(i, "irreducible", 0.0 if rb[j] == d else 1.0, 0.5):
+            past.setdefault(int(rz[j]), []).append(j)
+    cuts, where = [], {}
+    for r, js in past.items():  # each at its own ranks: the split above serves dim g
+        (basis, own), at = (split, js) if r == d else (
+            vy.cohomology_split(lin.take(js), gap_tol, ranks=(r, d)), range(len(js)))
+        cuts.append(([flat[j] for j in js], basis, list(at)))
+        where.update((j, (own, k)) for j, k in zip(js, at))
+    for j in sorted(where):  # in stack order
+        own, k = where[j]
+        vy._warn_weak_gaps([tuple(a[k] for a in triple) for triple in own])
+    for rows, basis, at in cuts:
+        _cut_checks(add, rows, basis, at, d, gap_tol, closedness)
+    return checks
+
+
+def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list, d: int,
+                gap_tol: float, closedness: bool):
+    """The battery's checks after irreducibility, for its tuples ``rows``:
+    the slices ``at`` of one batched split ``basis``."""
+    if len(at) == basis.lin.mats.shape[0]:
+        at = slice(None)  # every slice: views, not copies
+    lin = basis.lin.take(at)
     nz, nb, nh = basis.dims()
-    add("coboundary_rank", abs(nb - point.spec.dim), 0.5)
-    add("rank_gap_quality", 1.0 / max(basis.gap_quality, 1e-300), gap_tol)
+    Z, B, gap = basis.z_coords[at], basis.b_coords[at], basis.gap_quality[at]
     # cocycle condition of the coboundaries, under the split's own differential
-    cocycle_defect = float(np.abs(basis.lin.D @ basis.b_coords).max()) if nb else 0.0
-    add("coboundaries_are_cocycles", cocycle_defect, 1e-9)
+    cocycle = np.abs(lin.D @ B).max(axis=(-2, -1))
     # descent (both argument orders), the form on h1 and its kernel on the
     # cocycles from one Gram over the columns [z | b | h]; an empty block reads 0
-    zbh = np.concatenate([basis.z_coords, basis.b_coords, basis.h_coords], axis=1)
-    G = tf.form_gram_stack(basis.lin, zbh, zbh)
-    descent = max(np.abs(G[nz:nz + nb, :nz]).max(initial=0.0),
-                  np.abs(G[:nz, nz:nz + nb]).max(initial=0.0))
-    add("descent", descent, 1e-9)
-    omega = G[nz + nb:, nz + nb:]
-    add("form_skew", np.abs(omega + omega.T).max(initial=0.0), 1e-10)
-    if nh:
-        smin = np.linalg.svd(omega, compute_uv=False)[-1]
-        add("nondegenerate_sigma_min", -smin, -1e-8)
-    else:  # a form on the zero space is nondegenerate
-        add("nondegenerate_sigma_min", 0.0, -1e-8, ok=True)
-    K = tf.kernel_of_form(G[:nz, :nz], basis.z_coords)
-    add("kernel_matches_coboundaries", _subspace_sine(K, basis.b_coords), 1e-7)
-    if closedness:
-        add("closedness", tf.closedness_defect(basis.lin), 1e-10)
-    return checks
+    zbh = np.concatenate([Z, B, basis.h_coords[at]], axis=-1)
+    G = tf.form_gram_stack(lin, zbh, zbh)
+    descent = np.maximum(np.abs(G[:, nz:nz + nb, :nz]).max(axis=(-2, -1), initial=0.0),
+                         np.abs(G[:, :nz, nz:nz + nb]).max(axis=(-2, -1), initial=0.0))
+    omega = G[:, nz + nb:, nz + nb:]
+    skew = np.abs(omega + np.swapaxes(omega, -2, -1)).max(axis=(-2, -1), initial=0.0)
+    smin = np.linalg.svd(omega, compute_uv=False)[:, -1] if nh else None
+    K = tf.kernel_of_form(G[:, :nz, :nz], Z)
+    for k, i in enumerate(rows):
+        add(i, "coboundary_rank", abs(nb - d), 0.5)
+        add(i, "rank_gap_quality", 1.0 / max(gap[k], 1e-300), gap_tol)
+        add(i, "coboundaries_are_cocycles", cocycle[k], 1e-9)
+        add(i, "descent", descent[k], 1e-9)
+        add(i, "form_skew", skew[k], 1e-10)
+        if nh:
+            add(i, "nondegenerate_sigma_min", -smin[k], -1e-8)
+        else:  # a form on the zero space is nondegenerate
+            add(i, "nondegenerate_sigma_min", 0.0, -1e-8, ok=True)
+        add(i, "kernel_matches_coboundaries", _subspace_sine(K[k], B[k]), 1e-7)
+        if closedness:
+            add(i, "closedness", tf.closedness_defect(lin.take(k)), 1e-10)
 
 
 def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
@@ -340,10 +386,10 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
     point = _read_point(cfg, point_path)
     t = point.tuple
     z0i = lg.group_inverse(cfg.group, cfg.problem.classes.target)
-    _, rnorm, _ = vy._batch_residual(cfg.group, t.mats[None], t.genus,
+    _, rnorm, f = vy._batch_residual(cfg.group, t.mats[None], t.genus,
                                      t.boundary_count, z0i[None])
-    checks = certification_checks(replace(point, residual_norm=float(rnorm[0])),
-                                  cfg.problem.classes, cfg.tolerances, True)
+    (checks,) = certification_checks(t.mats[None], rnorm, cfg.problem.classes,
+                                     cfg.tolerances, True, f)
     passed = all(c["pass"] for c in checks)
     payload = {"checks": checks, "passed": passed, "seed": cfg.seed,
                "residual": point.residual_norm}
@@ -415,7 +461,9 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     start is flattened onto its own target ``zeta^n I`` by one batched
     Gauss-Newton solve.  Its branch-cut nudges (if any) continue component
     0's generator, as ``solve``'s continue its own, so they are drawn for
-    the whole batch from one generator.  Certification runs per component.
+    the whole batch from one generator.  One battery certifies the
+    converged components as a stack: the components share their genus, and
+    their targets enter it only through their residuals.
     """
     if cfg.seifert is None:
         raise ConfigError("seifert-scan needs a problem of type 'seifert'")
@@ -423,15 +471,18 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     # closed-surface problems: they differ only in their relator target
     problems = [sf.variety_problem(cfg.seifert, cand) for cand in cands]
     rngs = [np.random.default_rng(cfg.seed + cand.index) for cand in cands]
-    starts = [p.random_initial(rng) for p, rng in zip(problems, rngs)]
+    starts = np.stack([p.initial_batch(rng, 1)[0] for p, rng in zip(problems, rngs)])
     mats, rnorm, iters, conv = vy.project_batch(
-        cfg.group, np.stack([t.mats for t in starts]), cfg.seifert.genus, 0,
+        cfg.group, starts, cfg.seifert.genus, 0,
         problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
         tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
         target=np.stack([cand.target for cand in cands]))
+    done = np.flatnonzero(conv)
+    batteries = dict(zip(done, certification_checks(
+        mats[done], rnorm[done], problems[0].classes, cfg.tolerances, False)))
     components = []
     worst = EXIT_OK
-    for k, (cand, problem, start) in enumerate(zip(cands, problems, starts)):
+    for k, cand in enumerate(cands):
         entry = cand.to_json()
         components.append(entry)
         if not conv[k]:
@@ -439,12 +490,11 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
             entry["solve"] = {"converged": False, "detail": detail}
             worst = max(worst, EXIT_NUMERICAL)
             continue
-        point = vy.RepresentationPoint(start.replace_mats(mats[k]), float(rnorm[k]))
-        checks = certification_checks(point, problem.classes, cfg.tolerances, False)
+        checks = batteries[k]
         # a converged point passes the residual check, so the battery's
         # irreducibility check ran
         irreducible = next(c["pass"] for c in checks if c["check"] == "irreducible")
-        entry["solve"] = {"converged": True, "residual": point.residual_norm,
+        entry["solve"] = {"converged": True, "residual": float(rnorm[k]),
                           "irreducible": irreducible}
         entry["certify"] = {"checks": checks,
                             "passed": all(c["pass"] for c in checks)}

@@ -223,9 +223,9 @@ def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     return project_to_group(spec, scipy.linalg.expm(X))
 
 
-def _log_su2(g: np.ndarray) -> np.ndarray:
-    """Closed-form principal log on SU(2), off the cut at trace = -2."""
-    ct = 0.5 * np.trace(g, axis1=-2, axis2=-1).real
+def _log_su2(g: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    """Closed-form principal log on SU(2), off the cut at trace = -2, from
+    the half traces ``ct`` of g."""
     ct = np.clip(ct, -1.0, 1.0)
     theta = np.arccos(ct)
     A = 0.5 * (g - np.swapaxes(g, -2, -1).conj())  # sin(theta) * (unit su(2) dir)
@@ -292,18 +292,21 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     eye = identity(r)
     if spec.family == "SU" and r == 2:
         # the cut and the central factor -I both sit at trace -2
-        bad = 0.5 * np.trace(g, axis1=-2, axis2=-1).real < -1.0 + _BRANCH_TOL
-        return _log_su2(np.where(bad[..., None, None], eye, g)), bad
+        ct = 0.5 * np.trace(g, axis1=-2, axis2=-1).real
+        bad = ct < -1.0 + _BRANCH_TOL
+        if bad.any():  # the log of the identity
+            g, ct = np.where(bad[..., None, None], eye, g), np.where(bad, 1.0, ct)
+        return _log_su2(g, ct), bad
     if spec.is_unitary:
         lam, V, W = eigenframe(spec, g)
     else:
         lam = np.linalg.eigvals(g)
-    bad = np.any((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real)),
-                 axis=-1)
+    bad = ((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real))).any(axis=-1)
     L = ((V * (1j * np.angle(lam))[..., None, :]) @ W if spec.is_unitary
          else _logm(np.where(bad[..., None, None], eye, g)))
     bad = bad | (np.abs(np.trace(L, axis1=-2, axis2=-1)) > np.pi)
-    L = np.where(bad[..., None, None], 0.0, L)
+    if bad.any():
+        L = np.where(bad[..., None, None], 0.0, L)
     return project_to_algebra(spec, L), bad
 
 

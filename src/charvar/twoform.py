@@ -115,7 +115,7 @@ def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndar
     return G
 
 
-def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
+def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray | list:
     """Orthonormal columns (n*dim, k) spanning the null space of the form
     restricted to the cocycles, from its Gram (nz, nz) over the orthonormal
     cocycle columns ``z_coords`` (n*dim, nz).
@@ -123,13 +123,19 @@ def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray:
     At irreducible compact-group points this coincides with the
     coboundary directions; the kernel dimension is read off the
     singular-value gap, so a larger kernel at a degenerate point is
-    reported rather than hidden.
+    reported rather than hidden.  A stack of Grams (B, nz, nz) over
+    ``z_coords`` (B, n*dim, nz) takes one stacked SVD and returns a list of
+    B such column blocks, whose widths may differ.
     """
-    if gram.shape[0] == 0:
-        return z_coords
-    _, s, Vh = np.linalg.svd(gram)
-    rank, _, _ = split_rank(s)
-    return z_coords @ Vh[rank:].conj().T
+    one = gram.ndim == 2
+    if one:
+        gram, z_coords = gram[None], z_coords[None]
+    if gram.shape[-1] == 0:
+        K = list(z_coords)
+    else:
+        _, s, Vh = np.linalg.svd(gram)
+        K = [z @ v[k:].conj().T for z, v, k in zip(z_coords, Vh, split_rank(s)[0])]
+    return K[0] if one else K
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ contract -- results are still returned.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -270,14 +271,22 @@ class BoundarySlot:
         return E @ c @ lg.group_inverse(spec, E)
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The read-only (n, n) identity, built once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:
     """Block-diagonal map from step coordinates to stacked slot vectors.
 
     Identity on the 2g interior slots, then one (..., dim, w_k) block per
-    boundary slot; the identity itself when there is no boundary.
+    boundary slot; the (read-only) identity itself when there is no boundary.
     """
     if not blocks:
-        return np.eye(2 * g * d)
+        return _eye(2 * g * d)
     batch = blocks[0].shape[:-2]
     widths = [b.shape[-1] for b in blocks]
     dtype = np.result_type(*blocks)
@@ -442,9 +451,9 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         J, slots = (lin.D @ lin.S if m else lin.D), lin.slots  # S is I at m = 0
         del lin  # its transport is freed before the trials: bounds the peak memory
         lam = np.minimum(1.0, np.where(np.isfinite(rn), rn, 1.0))
-        JJt = J @ np.swapaxes(J, -2, -1).conj()
-        A = JJt + (lam**2)[..., None, None] * np.eye(J.shape[-2])
-        full_step = -(np.swapaxes(J, -2, -1).conj() @ _damped_solve(A, R[..., None]))[..., 0]
+        Jh = np.swapaxes(J, -2, -1).conj()  # a view when J is real
+        A = J @ Jh + (lam**2)[..., None, None] * _eye(J.shape[-2])
+        full_step = -(Jh @ _damped_solve(A, R[..., None]))[..., 0]
         if spec.family == "SU":
             full_step = full_step.real
         # backtracking: halve steps that do not reduce the residual.  A slice
@@ -462,7 +471,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                 x[take], R[take], rn[take], f[take] = trial[take], Rt[take], rt[take], ft[take]
             del trial, ft  # freed before the next halving: bounds the peak memory
             improved |= take
-            if np.all(improved):
+            if improved.all():
                 break
             scale = np.where(improved, scale, scale * 0.5)
     converged = rnorm <= tol
@@ -569,12 +578,19 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
     basis, own = cohomology_split(
         Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes), gap_tol)
+    _warn_weak_gaps(own, stacklevel=2)
+    return basis
+
+
+def _warn_weak_gaps(own: tuple, stacklevel: int = 1):
+    """One :class:`RankDeficiencyWarning` per unclean ``split_rank`` triple
+    of an unbatched :func:`cohomology_split`, in its order; ``stacklevel``
+    as the caller's own ``warnings.warn`` would take it."""
     for what, (_, quality, clean) in zip(
             ("kernel/range split", "coboundary rank", "h1 complement"), own):
         if not clean:
             warnings.warn(f"{what} gap {quality:.2e} below 1/gap_tol",
-                          RankDeficiencyWarning, stacklevel=2)
-    return basis
+                          RankDeficiencyWarning, stacklevel=stacklevel + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +617,8 @@ class VarietyProblem:
         spec, r = self.spec, self.spec.rank
         g, m = self.presentation.genus, self.presentation.boundary_count
         interior = lg.haar_sample(spec, rng, size=(size, 2 * g))
+        if not m:  # an empty draw consumes nothing
+            return interior
         U = lg.haar_sample(spec, rng, size=(size, m))
         reps = np.array(self.classes.representatives).reshape(m, r, r)
         return np.concatenate([interior, U @ reps @ lg.group_inverse(spec, U)], axis=-3)

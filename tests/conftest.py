@@ -108,6 +108,17 @@ def d_omega_by_differences(spec, mats, g, m, classes, h):
     return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
 
 
+def certify_point(p, classes, tolerances=None, closedness=False):
+    """The check list of :func:`cli.certification_checks` on a stack of one
+    point, at its recorded residual."""
+    from charvar import cli
+
+    (checks,) = cli.certification_checks(
+        p.tuple.mats[None], np.array([p.residual_norm]), classes,
+        cli.DEFAULT_TOLERANCES if tolerances is None else tolerances, closedness)
+    return checks
+
+
 def linearization(spec, mats, g, m, classes=None):
     """``Linearization.at`` of (a stack of) tuples.  Without ``classes``
     every boundary class is the identity's, of rank 0: its slots move

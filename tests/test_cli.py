@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, report schema."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from charvar import cli
 from charvar import liegroup as lg
 from charvar import seifert as sf
 from charvar import variety as vy
-from charvar.errors import NoConvergenceError
+from charvar.errors import NoConvergenceError, RankDeficiencyWarning
 from charvar.liegroup import GroupSpec
 from charvar.presentation import GeneratorTuple, evaluate_relator
 from charvar.variety import ConjugacyClassSpec, RepresentationPoint, cohomology_at
+from conftest import certify_point
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -386,9 +388,9 @@ def test_certify_reads_the_solved_residual(tmp_path, monkeypatch):
     battery = []
     checks = cli.certification_checks
 
-    def kept(point, *args):
-        battery.append(point.residual_norm)
-        return checks(point, *args)
+    def kept(mats, residuals, *args):
+        battery.append(float(residuals[0]))
+        return checks(mats, residuals, *args)
 
     monkeypatch.setattr(cli, "certification_checks", kept)
     for problem in ({"type": "surface", "genus": 2}, GENUS_1_CLASS):
@@ -589,15 +591,14 @@ def test_seifert_scan_honours_max_iter(tmp_path, monkeypatch):
 def _per_component_scan(cfg: cli.RunConfig) -> dict:
     """The scan payload solved one component at a time: ``problem.solve``
     from ``default_rng(seed + k)``, then ``is_irreducible``, then the
-    battery."""
+    battery on a stack of that one point."""
     comps = []
     for cand in sf.fiber_holonomy_candidates(cfg.seifert):
         problem = sf.variety_problem(cfg.seifert, cand)
         point = problem.solve(np.random.default_rng(cfg.seed + cand.index),
                               tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
         point = point.with_irreducible(vy.is_irreducible(point))
-        checks = cli.certification_checks(point, problem.classes, cfg.tolerances,
-                                          False)
+        checks = certify_point(point, problem.classes, cfg.tolerances)
         comps.append({**cand.to_json(),
                       "solve": {"converged": True, "residual": point.residual_norm,
                                 "irreducible": point.irreducible},
@@ -624,8 +625,10 @@ def test_seifert_scan_matches_per_component_solves(tmp_path, monkeypatch, rank, 
 
 def test_battery_builds_one_differential_and_one_irreducibility(
         solved_points, closed_problem, tmp_path, monkeypatch):
-    """The cocycle check reads the split's differential, and the scan's
-    irreducibility flag is the battery's."""
+    """The cocycle check reads the split's differential, and irreducibility
+    is read off the split's coboundary SVD: neither the battery nor the
+    scan, whose irreducibility flag is the battery's, calls
+    ``is_irreducible``."""
     from collections import Counter
 
     from charvar import presentation
@@ -642,14 +645,13 @@ def test_battery_builds_one_differential_and_one_irreducibility(
 
     counted(presentation, "relator_differential_matrix")
     counted(vy, "is_irreducible")
-    cli.certification_checks(solved_points[0], closed_problem.classes,
-                             cli.DEFAULT_TOLERANCES, False)
-    assert calls == {"relator_differential_matrix": 1, "is_irreducible": 1}
+    certify_point(solved_points[0], closed_problem.classes)
+    assert calls == {"relator_differential_matrix": 1}
     calls.clear()
     cfg = write_config(tmp_path, problem=SEIFERT)
     assert cli.main(["seifert-scan", "--config", cfg, "--out",
                      str(tmp_path / "scan.json"), "--quiet"]) == 0
-    assert calls["is_irreducible"] == 2
+    assert calls["is_irreducible"] == 0
 
 
 def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkeypatch):
@@ -663,19 +665,22 @@ def test_certify_runs_one_cohomology_split(solved_points, closed_problem, monkey
         return split(*args, **kwargs)
 
     monkeypatch.setattr(variety, "cohomology_split", counted)
-    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, True)
+    checks = certify_point(solved_points[0], closed_problem.classes, closedness=True)
     assert "closedness" in {c["check"] for c in checks}
     assert len(calls) == 1
 
 
-def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
-                                                 monkeypatch):
-    """The battery builds partial products once, for the point: its
-    linearization serves the split, the cocycle check, the form and the
+def test_certify_evaluates_each_relator_word_once(tmp_path, monkeypatch):
+    """A certify op builds partial products once, for the point: its
+    residual re-evaluation makes them, and the battery's linearization
+    reads them for the split, the cocycle check, the form and the
     closedness identity.  That is 1 tuple row, where the Newton chart of
     the closedness sweep made 74; no chart is built."""
     from charvar import presentation, twoform
+
+    cfg = write_config(tmp_path)
+    point, report = tmp_path / "point.json", tmp_path / "report.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
 
     rows, charts = [], []
     products, chart_init = presentation.partial_products, twoform._Chart.__init__
@@ -690,11 +695,174 @@ def test_certify_evaluates_each_relator_word_once(solved_points, closed_problem,
 
     monkeypatch.setattr(presentation, "partial_products", counted)
     monkeypatch.setattr(twoform._Chart, "__init__", counted_chart)
-    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, True)
-    assert all(c["pass"] for c in checks), checks
+    assert cli.main(["certify", "--config", cfg, "--point", str(point),
+                     "--out", str(report), "--quiet"]) == 0
+    assert "closedness" in {c["check"] for c in json.loads(report.read_text())["checks"]}
     assert rows == [1]
     assert charts == []
+
+
+def _stack_battery(points, classes, tolerances=cli.DEFAULT_TOLERANCES, closedness=False):
+    """The battery on the stack of ``points``, at their recorded residuals."""
+    return cli.certification_checks(np.stack([p.tuple.mats for p in points]),
+                                    np.array([p.residual_norm for p in points]),
+                                    classes, tolerances, closedness)
+
+
+def _mixed_stack(solved_points):
+    """SU(2) genus-2 points at z0 = I: a solved one, a solved one moved by
+    1e-7 (its relator residual re-evaluated), the identity (reducible) and
+    another solved one."""
+    t = solved_points[2].tuple
+    moved = t.mats.copy()
+    moved[0, 0, 0] += 1e-7
+    _, rnorm, _ = vy._batch_residual(t.spec, moved[None], 2, 0, np.eye(2)[None])
+    return [solved_points[0], RepresentationPoint(t.replace_mats(moved), float(rnorm[0])),
+            RepresentationPoint(GeneratorTuple.identity(t.spec, 2, 0), 0.0),
+            solved_points[1]]
+
+
+@pytest.mark.parametrize("closedness", [False, True])
+def test_battery_on_a_mixed_stack_is_the_per_point_battery(
+        solved_points, closed_problem, closedness):
+    """Each tuple of a stack reads the check list of a stack of that tuple
+    alone: the moved point stops at its residual, the identity at
+    irreducibility, and the solved points pass every check."""
+    points = _mixed_stack(solved_points)
+    got = _stack_battery(points, closed_problem.classes, closedness=closedness)
+    assert got == [certify_point(p, closed_problem.classes, closedness=closedness)
+                   for p in points]
+    assert [[c["check"] for c in checks] for checks in got[1:3]] == [
+        ["residual"], ["residual", "irreducible"]]
+    assert not got[1][-1]["pass"] and not got[2][-1]["pass"]
+    assert all(c["pass"] for c in got[0] + got[3])
+    assert ("closedness" in {c["check"] for c in got[0]}) == closedness
+
+
+def test_battery_cuts_each_tuple_at_its_own_rank(solved_points, closed_problem,
+                                                 monkeypatch):
+    """A tuple whose own ``rank(D E)`` reads below dim g (planted: the rank
+    the split reports for it is lowered by one) is split again at that rank,
+    and its neighbours keep the cut at (dim g, dim g): every list is still
+    the one of a stack of that tuple alone."""
+    points = _mixed_stack(solved_points)
+    odd = points[3].tuple.mats
+    unplanted = certify_point(points[3], closed_problem.classes)
+    split, d = vy.cohomology_split, closed_problem.spec.dim
+
+    def planted(lin, gap_tol, ranks=None):
+        basis, own = split(lin, gap_tol, ranks)
+        if ranks == (d, d):
+            own[0][0][(lin.mats == odd).all(axis=(-3, -2, -1))] = d - 1
+        return basis, own
+
+    monkeypatch.setattr(vy, "cohomology_split", planted)
+    got = _stack_battery(points, closed_problem.classes)
+    assert got == [certify_point(p, closed_problem.classes) for p in points]
+    assert got[3] != unplanted
+    assert not all(c["pass"] for c in got[3])
+
+
+def _messages(record) -> list:
+    assert all(issubclass(w.category, RankDeficiencyWarning) for w in record)
+    return [str(w.message) for w in record]
+
+
+def test_battery_warns_for_each_tuple_past_irreducibility(solved_points,
+                                                          closed_problem):
+    """At gap_tol = 1e-16 every gap is weak: each tuple past irreducibility
+    emits the warnings ``cohomology_at`` emits at it, in stack order, and
+    the moved point and the identity emit none."""
+    tol = {**cli.DEFAULT_TOLERANCES, "gap_tol": 1e-16}
+    points = _mixed_stack(solved_points)
+    want = []
+    for p in (points[0], points[3]):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cohomology_at(p, closed_problem.classes, gap_tol=1e-16)
+        assert record
+        want += _messages(record)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        _stack_battery(points, closed_problem.classes, tol)
+    assert _messages(record) == want
+
+
+def test_seifert_scan_warns_for_each_component(tmp_path, monkeypatch):
+    """The scan's one battery warns as ``cohomology_at`` does at each
+    component, in component order."""
+    monkeypatch.setattr(lg, "random_algebra", _no_nudges)
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": 3}, problem=SEIFERT,
+                       tolerances={"gap_tol": 1e-16}, seed=0)
+    run = cli.RunConfig.from_file(cfg)
+    want = []
+    for cand in sf.fiber_holonomy_candidates(run.seifert):
+        problem = sf.variety_problem(run.seifert, cand)
+        point = problem.solve(np.random.default_rng(cand.index), max_iter=run.max_iter)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cohomology_at(point, problem.classes, gap_tol=1e-16)
+        assert record
+        want += _messages(record)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        # the gaps fail the rank_gap_quality check too
+        assert cli.main(["seifert-scan", "--config", cfg, "--out",
+                         str(tmp_path / "scan.json"), "--quiet"]) == cli.EXIT_CERTIFY
+    assert _messages(record) == want
+
+
+def _counted(monkeypatch, calls, owner, name, inside=None):
+    """Count the calls of ``owner.name`` in ``calls[name]``; only while
+    ``inside[0]`` is set when ``inside`` is given."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        if inside is None or inside[0]:
+            calls[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_battery_takes_each_svd_once(tmp_path, monkeypatch):
+    """A certify op takes 5 SVDs (the split's three, the form on h1 and its
+    kernel on the cocycles) and calls no ``is_irreducible``.  The battery of
+    an SU(3) genus-2 scan certifies its three components with one
+    linearization, one split and the same 5 SVDs."""
+    from collections import Counter
+
+    calls = Counter()
+    cfg = write_config(tmp_path)
+    point = tmp_path / "point.json"
+    assert cli.main(["solve", "--config", cfg, "--out", str(point), "--quiet"]) == 0
+    _counted(monkeypatch, calls, np.linalg, "svd")
+    _counted(monkeypatch, calls, vy, "is_irreducible")
+    assert cli.main(["certify", "--config", cfg, "--point", str(point),
+                     "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
+    assert calls == {"svd": 5}
+
+    monkeypatch.undo()
+    calls.clear()
+    inside, battery = [False], cli.certification_checks
+    sizes = []
+
+    def flagged(mats, *args):
+        sizes.append(len(mats))
+        inside[0] = True
+        try:
+            return battery(mats, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cli, "certification_checks", flagged)
+    for owner, name in ((np.linalg, "svd"), (vy, "is_irreducible"),
+                        (vy, "cohomology_split"), (vy.Linearization, "at")):
+        _counted(monkeypatch, calls, owner, name, inside)
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": 3}, problem=SEIFERT)
+    assert cli.main(["seifert-scan", "--config", cfg, "--out",
+                     str(tmp_path / "scan.json"), "--quiet"]) == 0
+    assert sizes == [3]
+    assert calls == {"svd": 5, "cohomology_split": 1, "at": 1}
 
 
 def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypatch):
@@ -709,8 +877,7 @@ def test_certify_evaluates_the_form_once(solved_points, closed_problem, monkeypa
         return form(*args, **kwargs)
 
     monkeypatch.setattr(twoform, "form_gram_stack", counted)
-    checks = cli.certification_checks(solved_points[0], closed_problem.classes,
-                                      cli.DEFAULT_TOLERANCES, False)
+    checks = certify_point(solved_points[0], closed_problem.classes)
     assert all(c["pass"] for c in checks), checks
     assert len(calls) == 1
 
@@ -734,7 +901,7 @@ def test_certify_isolated_irreducible_point():
     at rounding level, not 0."""
     point, classes = _isolated_point()
     assert cohomology_at(point, classes).dims() == (3, 3, 0)
-    checks = cli.certification_checks(point, classes, cli.DEFAULT_TOLERANCES, True)
+    checks = certify_point(point, classes, closedness=True)
     assert all(c["pass"] for c in checks), checks
     values = {c["check"]: c["value"] for c in checks}
     assert values["form_skew"] == 0.0

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charvar as cv
-from charvar import cli
 from charvar import liegroup as lg
 from charvar import twoform
 from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDomainError
 from charvar.presentation import GeneratorTuple
 from charvar.twoform import first_sum_gram
-from conftest import (d_omega_by_differences, form_gram_coords, form_on_cohomology,
-                      linearization)
+from conftest import (certify_point, d_omega_by_differences, form_gram_coords,
+                      form_on_cohomology, linearization)
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
 from test_variety import conjugate_point
@@ -683,7 +682,7 @@ def test_planted_form_scale_fails_closedness(factor, solved_points, closed_probl
         lin = linearization(p.spec, t.mats, t.genus, t.boundary_count, prob.classes)
         value = twoform.closedness_defect(lin)
         assert abs(value - abs(factor - 1.0) / abs(factor)) < 1e-12
-        checks = cli.certification_checks(p, prob.classes, cli.DEFAULT_TOLERANCES, True)
+        checks = certify_point(p, prob.classes, closedness=True)
         closedness = next(c for c in checks if c["check"] == "closedness")
         assert not closedness["pass"]
 

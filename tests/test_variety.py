@@ -704,6 +704,22 @@ def test_initial_batch_draw(family, r):
             assert t.mats.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2), ("SLC", 3)])
+def test_closed_initial_batch_is_the_interior_draw(family, r):
+    """At m = 0 a start is ``haar_sample(size=(k, 2g))`` from the same seed,
+    bit for bit, and leaves the generator where that draw leaves it: the
+    empty boundary draw consumes nothing."""
+    spec = cv.GroupSpec(family, r)
+    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(2),
+                                cv.ConjugacyClassSpec(spec))
+    for k in (1, 3):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = problem.initial_batch(rng, k)
+        want = cv.haar_sample(spec, ref_rng, size=(k, 4))
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_class_spec_validation(su2):
     with pytest.raises(ValueError):
         cv.ConjugacyClassSpec(su2, (), np.diag([1j, -1j]))  # not central
