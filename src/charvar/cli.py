@@ -102,7 +102,6 @@ def _seed(val: int) -> int:
 class RunConfig:
     """Run configuration, typed and validated once when it is loaded."""
 
-    group: GroupSpec
     problem: vy.VarietyProblem
     seifert: sf.SeifertData | None  # set by a problem of type 'seifert'
     seed: int
@@ -150,7 +149,7 @@ class RunConfig:
         gate_keys = ("residual_gate", "distance_gate")
         volume = _object(data.get("volume", {}), "volume", ("n_samples",) + gate_keys)
         return cls(
-            group=group, problem=problem, seifert=seif, seed=seed, tolerances=tol,
+            problem=problem, seifert=seif, seed=seed, tolerances=tol,
             initial=initial,
             max_iter=_positive(solver, "max_iter", 200, int, "solver."),
             n_samples=_positive(volume, "n_samples", 2000, int, "volume."),
@@ -225,7 +224,7 @@ def error_record(kind: str, detail: str):
 def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     pres_ = cfg.problem.presentation
-    initial = (GeneratorTuple.identity(cfg.group, pres_.genus, pres_.boundary_count)
+    initial = (GeneratorTuple.identity(cfg.problem.spec, pres_.genus, pres_.boundary_count)
                if cfg.initial == "identity" else cfg.problem.random_initial(rng))
     point = vy.project_to_variety(
         initial, cfg.problem.classes,
@@ -234,7 +233,7 @@ def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
         rng=rng,
     )
     point = point.with_irreducible(vy.is_irreducible(point))
-    payload = {"group": cfg.group.to_json(), "point": point.to_json(),
+    payload = {"group": cfg.problem.spec.to_json(), "point": point.to_json(),
                "seed": cfg.seed}
     emit(payload, out, quiet,
          f"solved: residual {point.residual_norm:.3e}, "
@@ -277,8 +276,7 @@ def certification_checks(mats: np.ndarray, residuals: np.ndarray,
     at it.  The tuples of one cut share one form Gram over the columns
     [z | b | h] and one stacked SVD per check.
     """
-    spec, m = classes.spec, classes.boundary_count
-    g, d = (mats.shape[-3] - m) // 2, spec.dim
+    d = classes.spec.dim
     tol_flat, gap_tol = tolerances["tol_flat"], tolerances["gap_tol"]
     checks = [[] for _ in range(len(mats))]
 
@@ -291,8 +289,7 @@ def certification_checks(mats: np.ndarray, residuals: np.ndarray,
     flat = [i for i in range(len(mats)) if add(i, "residual", residuals[i], tol_flat)]
     if not flat:
         return checks
-    lin = vy.Linearization.at(spec, mats[flat], g, m, classes,
-                              None if f is None else f[flat])
+    lin = vy.Linearization.at(mats[flat], classes, None if f is None else f[flat])
     split = vy.cohomology_split(lin, gap_tol, ranks=(d, d))
     (rz, _, _), (rb, _, _), _ = split[1]
     past = {}  # rank(D E) -> stack positions of the tuples past irreducibility
@@ -361,7 +358,7 @@ def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
         raise ConfigError(
             f"point parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     try:
-        point = vy.RepresentationPoint.from_json(cfg.group, data["point"])
+        point = vy.RepresentationPoint.from_json(cfg.problem.spec, data["point"])
     except (KeyError, TypeError, ValueError, CharvarError) as e:
         raise ConfigError(f"bad point payload: {e}") from e
     t, pres_ = point.tuple, cfg.problem.presentation
@@ -380,14 +377,13 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
     which names the point the report is about.  Only the SU family is
     certified: on SL(r, C) the irreducibility check reads a trivial
     commutant, which is weaker than irreducibility."""
-    if cfg.group.family != "SU":
+    if cfg.problem.spec.family != "SU":
         raise ConfigError("certify runs on the SU family only: on SL(r, C) the "
                           "irreducibility check is not a Burnside test")
     point = _read_point(cfg, point_path)
     t = point.tuple
-    z0i = lg.group_inverse(cfg.group, cfg.problem.classes.target)
-    _, rnorm, f = vy._batch_residual(cfg.group, t.mats[None], t.genus,
-                                     t.boundary_count, z0i[None])
+    z0i = lg.group_inverse(cfg.problem.spec, cfg.problem.classes.target)
+    _, rnorm, f = vy._batch_residual(t.mats[None], cfg.problem.classes, z0i[None])
     (checks,) = certification_checks(t.mats[None], rnorm, cfg.problem.classes,
                                      cfg.tolerances, True, f)
     passed = all(c["pass"] for c in checks)
@@ -473,8 +469,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     rngs = [np.random.default_rng(cfg.seed + cand.index) for cand in cands]
     starts = np.stack([p.initial_batch(rng, 1)[0] for p, rng in zip(problems, rngs)])
     mats, rnorm, iters, conv = vy.project_batch(
-        cfg.group, starts, cfg.seifert.genus, 0,
-        problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
+        starts, problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
         tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
         target=np.stack([cand.target for cand in cands]))
     done = np.flatnonzero(conv)

@@ -77,18 +77,18 @@ def _pair_letters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.swapaxes(rows(x), -2, -1) @ rows(y)
 
 
-def first_sum_gram(spec: GroupSpec, T: np.ndarray, g: int, m: int,
-                   U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Gram array of the transported double sum over two coordinate stacks.
+def first_sum_gram(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Gram array of the transported double sum over two coordinate stacks,
+    through the letter operators ``T`` (..., N, dim, dim) of the tuples'
+    :class:`Linearization`.
 
-    T: the letter operators (..., N, dim, dim) of the tuples;
     U: (..., n*dim, k), V: (..., n*dim, l) -> (..., k, l).
     """
-    slots = [s for s, _ in pres.word_letters(g, m)]
-    tu = _transported(T, slots, U)  # (..., N, d, k)
-    tv = _transported(T, slots, V)  # (..., N, d, l)
-    if spec.family != "SU":  # the su(r) basis is orthonormal for -tr
-        tu = lg.pairing_gram(spec) @ tu
+    slots = [s for s, _ in pres.word_letters(lin.g, len(lin.slots))]
+    tu = _transported(lin.T, slots, U)  # (..., N, d, k)
+    tv = _transported(lin.T, slots, V)  # (..., N, d, l)
+    if lin.spec.family != "SU":  # the su(r) basis is orthonormal for -tr
+        tu = lg.pairing_gram(lin.spec) @ tu
     # inclusive prefix sums over the letters: the i = j terms cancel
     return 0.5 * (_pair_letters(np.cumsum(tu, axis=-3), tv)
                   - _pair_letters(tu, np.cumsum(tv, axis=-3)))
@@ -101,16 +101,13 @@ def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndar
     Boundary components must be class-tangent (:class:`NotClassTangentError`
     otherwise); each enters the boundary term through its minimal conjugator.
     """
-    spec, g, d, mats = lin.spec, lin.g, lin.spec.dim, lin.mats
-    G = first_sum_gram(spec, lin.T, g, len(lin.slots), U, V)
-    Gp = lg.pairing_gram(spec)
-    for k, slot in enumerate(lin.slots):
-        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+    G = first_sum_gram(lin, U, V)
+    Gp = lg.pairing_gram(lin.spec)
+    for rows, slot, M in lin.class_terms():
         Yu = slot.conjugator(U[..., rows, :])
         Yv = slot.conjugator(V[..., rows, :])
-        ad_inv = lg.adjoint_matrix(spec, lg.group_inverse(spec, mats[..., 2 * g + k, :, :]))
-        G = G + 0.5 * (np.swapaxes(Yu, -2, -1) @ Gp @ (slot.ad - ad_inv) @ Yv)
-    if spec.family == "SU":
+        G = G + 0.5 * (np.swapaxes(Yu, -2, -1) @ Gp @ M @ Yv)
+    if lin.spec.family == "SU":
         G = np.real(G)
     return G
 
@@ -165,16 +162,14 @@ def _frame_form(lin: Linearization) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ``-[pi_j^x, .]``, with ``pi_j^x`` the prefix sum of the transported
     components of x up to f_j (direct letter) or f_{j-1} (inverse letter).
     """
-    spec, g, d, T = lin.spec, lin.g, lin.spec.dim, lin.T
-    n, m = lin.mats.shape[-3], len(lin.slots)
-    K = n * d
+    spec, d, T, terms = lin.spec, lin.spec.dim, lin.T, lin.class_terms()
+    K = lin.mats.shape[-3] * d
     ad, C = _structure(spec)
     Gp = lg.pairing_gram(spec)
     U = np.eye(K, dtype=T.dtype)
-    for k, slot in enumerate(lin.slots):
-        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
+    for rows, slot, _ in terms:
         U[rows, rows] -= slot.ad
-    letters = pres.word_letters(g, m)
+    letters = pres.word_letters(lin.g, len(terms))
     x = _transported(T, [s for s, _ in letters], U)  # (N, d, K)
     P = np.cumsum(x, axis=0)
     pi = P.copy()
@@ -186,17 +181,14 @@ def _frame_form(lin: Linearization) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Q = np.tensordot(pi, C, axes=(1, 0)).reshape(len(letters), K * d, d) @ Z
     Ezy = np.tensordot(Q.reshape(len(letters), K, d, K), x, axes=([0, 2], [0, 1]))
     dW = 0.5 * (Ezy - Ezy.transpose(0, 2, 1))
-    W = first_sum_gram(spec, T, g, m, U, U)
-    for k, slot in enumerate(lin.slots):
-        rows = slice((2 * g + k) * d, (2 * g + k + 1) * d)
-        M = slot.ad - lg.adjoint_matrix(
-            spec, lg.group_inverse(spec, lin.mats[2 * g + k, :, :]))
+    W = first_sum_gram(lin, U, U)
+    for rows, slot, M in terms:
         W[rows, rows] += 0.5 * Gp @ M
         # along X_x at this slot, 1 - Ad c_k moves by -[ad e_x, Ad c_k] in
         # both arguments, and the class term by [ad e_x, M] / 2
         dU = np.zeros((d, K, d), dtype=U.dtype)
         dU[:, rows] = slot.ad @ ad - ad @ slot.ad
-        R = first_sum_gram(spec, T, g, m, dU, U)  # (d, d, K)
+        R = first_sum_gram(lin, dU, U)  # (d, d, K)
         dW[rows, rows] += R
         dW[rows, :, rows] -= R.swapaxes(1, 2)
         dW[rows, rows, rows] += 0.5 * Gp @ (ad @ M - M @ ad)
@@ -296,21 +288,18 @@ class _Chart:
         self.classes = classes
         self.spec = p.spec
         self.basis = basis if basis is not None else cohomology_at(p, classes)
-        self.g = p.tuple.genus
-        self.m = p.tuple.boundary_count
         self.H = self.basis.h_coords
         # h1 rows, then b1 rows: the chart equations besides flatness
         self.HB = np.concatenate([self.H, self.basis.b_coords], axis=1).T
 
     def _system(self, qmats):
         """Residual, displacement, Jacobian and linearization at qmats."""
-        spec, g, m = self.spec, self.g, self.m
-        R, rnorm, f = _batch_residual(spec, qmats, g, m,
-                                      lg.group_inverse(spec, self.classes.target))
+        R, rnorm, f = _batch_residual(qmats, self.classes,
+                                      lg.group_inverse(self.spec, self.classes.target))
         if np.any(rnorm == np.inf):
             raise OutsideDomainError("relator outside the principal-log domain")
-        lin = Linearization.at(spec, qmats, g, m, self.classes, f)
-        ell, lam = _displacement(spec, qmats, self.p.tuple.mats)
+        lin = Linearization.at(qmats, self.classes, f)
+        ell, lam = _displacement(self.spec, qmats, self.p.tuple.mats)
         S = lin.S
         LS = lam @ S.reshape(S.shape[:-2] + lam.shape[-3:-1] + S.shape[-1:])
         LS = LS.reshape(LS.shape[:-3] + S.shape[-2:])  # d(ell) S, slot by slot
@@ -348,7 +337,7 @@ class _Chart:
             if not act.size:
                 return omega
             step = np.linalg.solve(Ja, -F[..., None])[..., 0]
-            qmats[act] = apply_step(self.spec, qmats[act], self.g, lin.slots, step)
+            qmats[act] = apply_step(self.spec, qmats[act], lin.slots, step)
         raise NoConvergenceError(60, float(np.linalg.norm(F, axis=-1).max()),
                                  "chart re-solve did not converge")
 

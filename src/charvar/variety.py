@@ -301,13 +301,25 @@ def embed_moves(d: int, g: int, blocks: list) -> np.ndarray:
     return out
 
 
+def _layout(mats: np.ndarray, classes: ConjugacyClassSpec) -> tuple[GroupSpec, int, int]:
+    """The group and m of the class data and g = (n - m) / 2 of a tuple stack
+    (..., n, r, r); :class:`DimensionMismatchError` when the stack does not fit."""
+    spec, m = classes.spec, classes.boundary_count
+    n = mats.shape[-3] if mats.ndim >= 3 else 0
+    if mats.shape[-2:] != (spec.rank, spec.rank) or (n - m) % 2 or n - m < 2:
+        raise DimensionMismatchError(f"{n} generators of shape {mats.shape[-2:]} do not "
+                                     f"fit {m} classes of {spec.family}({spec.rank}), g >= 1")
+    return spec, (n - m) // 2, m
+
+
 @dataclass(frozen=True)
 class Linearization:
     """First-order data of (a batch of) tuples, built once by :meth:`at` for
     the solver, the split, the screen, the form and the chart: the letter
     transport ``T``, one :class:`BoundarySlot` per boundary generator, the
     relator differential ``D``, and the :func:`embed_moves` ``E`` of the
-    slots' ``U`` and ``S`` of their ``U S`` (unbatched identities at m = 0)."""
+    slots' ``U`` and ``S`` of their ``U S`` (unbatched identities at m = 0).
+    The group and the genus are read from the stack and its class data."""
 
     spec: GroupSpec
     g: int
@@ -319,10 +331,11 @@ class Linearization:
     S: np.ndarray = field(repr=False)
 
     @classmethod
-    def at(cls, spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-           classes: ConjugacyClassSpec, f: np.ndarray | None = None) -> "Linearization":
+    def at(cls, mats: np.ndarray, classes: ConjugacyClassSpec,
+           f: np.ndarray | None = None) -> "Linearization":
         """The linearization at mats; ``f`` passes their partial products when
         a residual evaluation already made them."""
+        spec, g, m = _layout(mats, classes)
         if f is None:
             f = pres.partial_products(spec, mats, g, m)
         T = pres.letter_transport(spec, f, g, m)
@@ -341,15 +354,25 @@ class Linearization:
         return replace(self, mats=self.mats[idx], T=self.T[idx], slots=slots,
                        D=self.D[idx], E=E, S=S)
 
+    def class_terms(self) -> list:
+        """Per boundary slot k: its rows of a stacked coordinate vector, its
+        :class:`BoundarySlot` and ``Ad c_k - Ad c_k^-1``, the operator of its
+        class term in the two-form.  Built on demand: the solver never reads it."""
+        spec, g, d = self.spec, self.g, self.spec.dim
+        return [(slice((2 * g + k) * d, (2 * g + k + 1) * d), slot,
+                 slot.ad - lg.adjoint_matrix(spec, lg.group_inverse(
+                     spec, self.mats[..., 2 * g + k, :, :])))
+                for k, slot in enumerate(self.slots)]
 
-def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
+
+def apply_step(spec: GroupSpec, mats: np.ndarray, slots: list,
                step: np.ndarray) -> np.ndarray:
     """Move (a batch of) tuples by stacked step coordinates.
 
-    Interior slots are right-translated by exp of their velocity; boundary
-    slot k is conjugated by its slot's ``move``.
+    Interior slots (the n - m ahead of the m boundary ``slots``) are right-
+    translated by exp of their velocity; boundary slot k is conjugated by its ``move``.
     """
-    d = spec.dim
+    d, g = spec.dim, (mats.shape[-3] - len(slots)) // 2
     out = np.empty_like(mats)
     W = step[..., : 2 * g * d].reshape(step.shape[:-1] + (2 * g, d))
     move = lg.exp(spec, lg.coords_to_algebra(spec, W))
@@ -367,12 +390,13 @@ def apply_step(spec: GroupSpec, mats: np.ndarray, g: int, slots: list,
 # Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
-def _batch_residual(spec, mats, g, m, z0i):
-    """Residual coords log(Pi . z0^-1) of (a batch of) tuples, their norms
-    and the :func:`presentation.partial_products` ``f`` Pi was read from.
-    The norm is the domain flag: it reads inf where the relator is outside
-    the principal-log domain, whose residual coords read 0.  ``z0i``
-    broadcasts over the batch."""
+def _batch_residual(mats, classes, z0i):
+    """Residual coords log(Pi . z0^-1) of (a batch of) tuples at their class
+    data, their norms and the :func:`presentation.partial_products` ``f`` Pi
+    was read from.  The norm is the domain flag: it reads inf where the
+    relator is outside the principal-log domain, whose residual coords read
+    0.  ``z0i`` broadcasts over the batch."""
+    spec, g, m = _layout(mats, classes)
     f = pres.partial_products(spec, mats, g, m)
     L, bad = lg.principal_log(spec, lg.mat_product(f[..., -1, :, :], z0i))
     R = lg.algebra_coords(spec, L)
@@ -396,11 +420,11 @@ def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return y
 
 
-def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
-                  classes: ConjugacyClassSpec, *, tol: float = SOLVE_TOL,
+def project_batch(mats: np.ndarray, classes: ConjugacyClassSpec, *, tol: float = SOLVE_TOL,
                   max_iter: int = 200, rng: np.random.Generator | None = None,
                   target: np.ndarray | None = None, start: tuple | None = None):
-    """Damped Gauss-Newton flattening of a batch of tuples.
+    """Damped Gauss-Newton flattening of a batch of tuples at their class
+    data, which fixes the group, the genus and the boundary count.
 
     Returns ``(mats, residual_norms, iterations, converged)`` with leading
     batch axes preserved.  Each slice flattens onto its own relator target:
@@ -423,11 +447,12 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         rng = np.random.default_rng(0)
     mats = np.array(mats, dtype=complex)
     batch = mats.shape[:-3]
+    spec, g, m = _layout(mats, classes)
     mats = mats.reshape((-1,) + mats.shape[-3:])
     z0 = classes.target if target is None else target
     r = spec.rank
     za = np.broadcast_to(lg.group_inverse(spec, z0), batch + (r, r)).reshape(-1, r, r)
-    R, rn, f = (_batch_residual(spec, mats, g, m, za) if start is None
+    R, rn, f = (_batch_residual(mats, classes, za) if start is None
                 else (a.reshape(mats.shape[:1] + a.shape[len(batch):]) for a in start))
     rnorm = np.empty(mats.shape[0])
     iters = np.empty(mats.shape[0], dtype=int)
@@ -438,7 +463,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
             kick = lg.random_algebra(spec, rng, scale=0.2, size=batch + (2 * g,))
             kick = kick.reshape((-1,) + kick.shape[-3:])[act[off]]
             x[off, : 2 * g] = lg.exp(spec, kick) @ x[off, : 2 * g]
-            R[off], rn[off], f[off] = _batch_residual(spec, x[off], g, m, za[off])
+            R[off], rn[off], f[off] = _batch_residual(x[off], classes, za[off])
         done = (rn <= tol) | (it == max_iter)
         if done.any():  # the one write-back of these slices
             at = act[done]
@@ -447,7 +472,7 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
                 break
             go = ~done
             act, x, R, rn, f, za = act[go], x[go], R[go], rn[go], f[go], za[go]
-        lin = Linearization.at(spec, x, g, m, classes, f)
+        lin = Linearization.at(x, classes, f)
         J, slots = (lin.D @ lin.S if m else lin.D), lin.slots  # S is I at m = 0
         del lin  # its transport is freed before the trials: bounds the peak memory
         lam = np.minimum(1.0, np.where(np.isfinite(rn), rn, 1.0))
@@ -462,8 +487,8 @@ def project_batch(spec: GroupSpec, mats: np.ndarray, g: int, m: int,
         scale = np.ones(act.size)
         improved = np.zeros(act.size, dtype=bool)
         for _ in range(8):
-            trial = apply_step(spec, x, g, slots, scale[:, None] * full_step)
-            Rt, rt, ft = _batch_residual(spec, trial, g, m, za)
+            trial = apply_step(spec, x, slots, scale[:, None] * full_step)
+            Rt, rt, ft = _batch_residual(trial, classes, za)
             take = ~improved & (rt < rn)
             if take.all():  # every active slice takes this trial
                 x[...], R, rn, f = trial, Rt, rt, ft
@@ -488,19 +513,19 @@ def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
     Boundary entries are first snapped onto their prescribed classes and
     afterwards move only by conjugation.  Raises
     :class:`NoConvergenceError` with the iteration count and final
-    residual when the budget runs out.
+    residual when the budget runs out, and :class:`DimensionMismatchError`
+    when the tuple's group or boundary count is not the class data's.
     """
     spec = initial.spec
     g, m = initial.genus, initial.boundary_count
-    if m != classes.boundary_count:
-        raise DimensionMismatchError("boundary count disagrees with class data")
+    if (spec, m) != (classes.spec, classes.boundary_count):
+        raise DimensionMismatchError("tuple group or boundary count disagrees with class data")
     mats = initial.mats.copy()
     for k in range(m):
         mats[2 * g + k] = project_to_class(spec, mats[2 * g + k],
                                            classes.representatives[k])
     out, rnorm, iters, conv = project_batch(
-        spec, mats, g, m, classes, tol=min(SOLVE_TOL, tol_flat),
-        max_iter=max_iter, rng=rng)
+        mats, classes, tol=min(SOLVE_TOL, tol_flat), max_iter=max_iter, rng=rng)
     if not bool(conv):
         raise NoConvergenceError(int(iters), float(rnorm))
     t = initial.replace_mats(out)
@@ -570,14 +595,16 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     class-tangent boundary moves; coboundaries are the conjugation
     directions; h1 is the orthocomplement of the latter in the former.
     Emits :class:`RankDeficiencyWarning` when any singular-value gap is
-    weaker than 1/gap_tol (non-smooth or reducible-adjacent point).
+    weaker than 1/gap_tol (non-smooth or reducible-adjacent point), and
+    raises :class:`DimensionMismatchError` as :func:`project_to_variety` does.
     """
     t = p.tuple
+    if (t.spec, t.boundary_count) != (classes.spec, classes.boundary_count):
+        raise DimensionMismatchError("tuple group or boundary count disagrees with class data")
     if p.residual_norm > tol_flat:
         raise ValueError(
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
-    basis, own = cohomology_split(
-        Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes), gap_tol)
+    basis, own = cohomology_split(Linearization.at(t.mats, classes), gap_tol)
     _warn_weak_gaps(own, stacklevel=2)
     return basis
 
@@ -606,6 +633,8 @@ class VarietyProblem:
     classes: ConjugacyClassSpec
 
     def __post_init__(self):
+        if self.spec != self.classes.spec:
+            raise DimensionMismatchError("problem group and class data group disagree")
         if self.presentation.boundary_count != self.classes.boundary_count:
             raise DimensionMismatchError(
                 "presentation and class data disagree on boundary count")

@@ -195,8 +195,6 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
             "volume estimation is defined for the SU family only")
     if estimator not in GATE_NAMES:
         raise ValueError(f"unknown estimator {estimator!r}")
-    g = problem.presentation.genus
-    m = problem.presentation.boundary_count
     rng = np.random.default_rng(seed)
     nudges = rng.spawn(1)[0]  # spawning leaves rng's state as it is
     proj = np.zeros(n_samples, dtype=bool)
@@ -213,19 +211,19 @@ def sample_stream(problem: VarietyProblem, n_samples: int, seed: int,
     while done < n_samples:
         nb = min(SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        R0, rn0, f0 = _batch_residual(spec, init, g, m, z0i)
+        R0, rn0, f0 = _batch_residual(init, problem.classes, z0i)
         res0[done:done + nb] = rn0
         sel = (np.flatnonzero(rn0 <= gate) if estimator == "coarea"
                else slice(None))  # views: the tube stream projects the whole batch
         init, rows = init[sel], np.arange(done, done + nb)[sel]
-        mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
+        mats, _, _, ok = project_batch(init, problem.classes,
                                        tol=LANDING_TOL, max_iter=LANDING_MAX_ITER,
                                        rng=nudges, start=(R0[sel], rn0[sel], f0[sel]))
         del R0, rn0, f0  # freed before the landings' linearization: bounds the peak memory
         proj[rows], conv[rows] = True, ok
         mats, init, rows = mats[ok], init[ok], rows[ok]
         ell = _displacement_coords(spec, mats, init)
-        lin = Linearization.at(spec, mats, g, m, problem.classes)
+        lin = Linearization.at(mats, problem.classes)
         disp[rows] = _screened_distance(lin, ell)
         keep = np.flatnonzero(gated[rows] <= gate)
         lin, rows = lin.take(keep), rows[keep]  # only the gated landings go on

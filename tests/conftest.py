@@ -59,7 +59,7 @@ def form_gram_coords(p, classes, U, V):
     """Oracle: the form matrix (k, l) between coordinate stacks U (n*dim, k)
     and V (n*dim, l) at one point, from a linearization built for the call."""
     t = p.tuple
-    lin = Linearization.at(t.spec, t.mats, t.genus, t.boundary_count, classes)
+    lin = Linearization.at(t.mats, classes)
     return form_gram_stack(lin, U, V)
 
 
@@ -97,7 +97,7 @@ def d_omega_by_differences(spec, mats, g, m, classes, h):
     E = cv.exp(spec, X)
     q = E @ mats
     q[:, 2 * g:] = q[:, 2 * g:] @ cv.liegroup.group_inverse(spec, E[:, 2 * g:])
-    lin = Linearization.at(spec, q, g, m, classes)
+    lin = Linearization.at(q, classes)
     blocks = _dexp(spec, X)  # (2K, n, d, d): velocity columns of the chart fields
     blocks[:, 2 * g:] = (np.eye(d) - cv.adjoint_matrix(spec, q[:, 2 * g:])) @ blocks[:, 2 * g:]
     V = np.zeros((2 * K, K, K), dtype=blocks.dtype)
@@ -126,7 +126,7 @@ def linearization(spec, mats, g, m, classes=None):
     do not depend on the classes, are read as at any class."""
     if classes is None:
         classes = cv.ConjugacyClassSpec(spec, (np.eye(spec.rank),) * m)
-    return Linearization.at(spec, mats, g, m, classes)
+    return Linearization.at(mats, classes)
 
 
 @pytest.fixture(scope="session")

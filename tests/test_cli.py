@@ -716,7 +716,7 @@ def _mixed_stack(solved_points):
     t = solved_points[2].tuple
     moved = t.mats.copy()
     moved[0, 0, 0] += 1e-7
-    _, rnorm, _ = vy._batch_residual(t.spec, moved[None], 2, 0, np.eye(2)[None])
+    _, rnorm, _ = vy._batch_residual(moved[None], ConjugacyClassSpec(t.spec), np.eye(2)[None])
     return [solved_points[0], RepresentationPoint(t.replace_mats(moved), float(rnorm[0])),
             RepresentationPoint(GeneratorTuple.identity(t.spec, 2, 0), 0.0),
             solved_points[1]]

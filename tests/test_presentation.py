@@ -202,7 +202,7 @@ def su2_tuples(kind, g, batch):
     if kind == "haar":
         return mats
     landed, _, _, ok = cv.variety.project_batch(
-        su2, mats, g, 0, cv.ConjugacyClassSpec(su2, (), -np.eye(2)), tol=1e-11)
+        mats, cv.ConjugacyClassSpec(su2, (), -np.eye(2)), tol=1e-11)
     assert ok.mean() > 0.9
     return landed
 
@@ -300,7 +300,7 @@ def test_word_calculus_batch_matches_per_slice(spec, g, m, shape, seed):
     def word_calculus(mats, U, V):
         lin = linearization(spec, mats, g, m)
         return (pres.partial_products(spec, mats, g, m)[..., -1, :, :], lin.D,
-                first_sum_gram(spec, lin.T, g, m, U, V))
+                first_sum_gram(lin, U, V))
 
     batched = word_calculus(mats, U, V)
     slices = [word_calculus(mats[i], U[i], V[i]) for i in np.ndindex(shape)]

@@ -50,8 +50,8 @@ def form_kernel(p, classes, basis):
 def closed_theta(p, u, v):
     """The closed-surface double sum alone, with no boundary term."""
     t = p.tuple
-    T = linearization(p.spec, t.mats, t.genus, 0).T
-    return first_sum_gram(p.spec, T, t.genus, 0, u[:, None], v[:, None])[0, 0]
+    lin = linearization(p.spec, t.mats, t.genus, 0)
+    return first_sum_gram(lin, u[:, None], v[:, None])[0, 0]
 
 
 def brute_force_theta(tup, Ku, Kv, magnitude=False):
@@ -279,8 +279,8 @@ def test_theta_matches_brute_force_generic_class(generic_points, generic_problem
             fast = theta(p, generic_problem.classes, u, v)
             worst = max(worst, abs(fast - brute_force_theta(
                 t, comps(p.spec, u), comps(p.spec, v))))
-            T = linearization(p.spec, t.mats, 2, 1).T
-            first = first_sum_gram(p.spec, T, 2, 1, u[:, None], v[:, None])
+            lin = linearization(p.spec, t.mats, 2, 1)
+            first = first_sum_gram(lin, u[:, None], v[:, None])
             boundary_part = max(boundary_part, abs(fast - first[0, 0]))
     assert worst < 1e-12
     assert boundary_part > 1e-2

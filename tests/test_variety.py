@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import charvar as cv
 from charvar import variety as vy
 from charvar import liegroup as lg
-from charvar.errors import NoConvergenceError, RankDeficiencyWarning
+from charvar.errors import DimensionMismatchError, NoConvergenceError, RankDeficiencyWarning
 from charvar.presentation import GeneratorTuple
 from charvar.variety import (
     _batch_residual,
@@ -49,8 +49,7 @@ def commutant_dimension(spec, mats):
 def conjugate_point(p, A, classes):
     """The point slotwise conjugated by A, its residual recomputed there."""
     t = conjugate_tuple(p.tuple, A)
-    _, rnorm, _ = _batch_residual(t.spec, t.mats, t.genus, t.boundary_count,
-                                  lg.group_inverse(t.spec, classes.target))
+    _, rnorm, _ = _batch_residual(t.mats, classes, lg.group_inverse(t.spec, classes.target))
     return cv.RepresentationPoint(t, float(rnorm), p.irreducible)
 
 
@@ -67,7 +66,7 @@ def test_projection_benchmark_200_seeds(closed_problem):
     for seed in range(200):
         rng = np.random.default_rng(seed)
         t = closed_problem.random_initial(rng)
-        *_, conv = project_batch(t.spec, t.mats, 2, 0, closed_problem.classes,
+        *_, conv = project_batch(t.mats, closed_problem.classes,
                                  tol=1e-10, max_iter=60, rng=rng)
         ok += bool(conv)
     assert ok >= 190
@@ -100,7 +99,7 @@ def test_projection_idempotent(solved_points, closed_problem, su2):
     """Re-projecting a solved point moves nothing and needs <= 2 iterations."""
     for p in solved_points[:5]:
         out, rnorm, iters, conv = project_batch(
-            su2, p.tuple.mats, 2, 0, closed_problem.classes, tol=1e-12)
+            p.tuple.mats, closed_problem.classes, tol=1e-12)
         assert bool(conv) and int(iters) <= 2
         assert np.abs(out - p.tuple.mats).max() < 1e-12
 
@@ -114,9 +113,7 @@ class _NoDraws:
 
 
 def _project(problem, mats, **kw):
-    g, m = problem.presentation.genus, problem.presentation.boundary_count
-    return project_batch(problem.spec, mats, g, m, problem.classes, tol=1e-11,
-                         max_iter=120, **kw)
+    return project_batch(mats, problem.classes, tol=1e-11, max_iter=120, **kw)
 
 
 def _starts(problem, rng, shape):
@@ -230,10 +227,9 @@ def test_project_batch_stuck_slice_leaves_neighbours_iterations(solved_points,
     near = cv.exp(su2, kick) @ near
     far = closed_problem.random_initial(rng).mats
     kw = dict(max_iter=3, rng=_NoDraws())
-    g = closed_problem.presentation.genus
-    alone = project_batch(su2, near, g, 0, closed_problem.classes, tol=1e-11, **kw)
-    out = project_batch(su2, np.concatenate([near, far[None]]), g, 0,
-                        closed_problem.classes, tol=1e-11, **kw)
+    alone = project_batch(near, closed_problem.classes, tol=1e-11, **kw)
+    out = project_batch(np.concatenate([near, far[None]]), closed_problem.classes,
+                        tol=1e-11, **kw)
     assert not out[3][-1] and out[2][-1] == 3
     assert alone[3].all() and alone[2].max() < 3
     for got, want in zip(out, alone):
@@ -256,11 +252,11 @@ def test_project_batch_per_slice_targets_match_solving_alone(su3):
         problem_of += [prob, prob]
     init = np.concatenate(starts)
     kw = dict(tol=1e-11, max_iter=4, rng=_NoDraws())
-    out = project_batch(su3, init, 2, 0, problems[0].classes,
+    out = project_batch(init, problems[0].classes,
                         target=np.stack([p.classes.target for p in problem_of]), **kw)
     assert out[3].any() and not out[3].all()
     for i, prob in enumerate(problem_of):
-        alone = project_batch(su3, init[i], 2, 0, prob.classes, **kw)
+        alone = project_batch(init[i], prob.classes, **kw)
         for got, want in zip(out, alone):
             assert np.array_equal(got[i], want)
 
@@ -279,7 +275,7 @@ def test_project_batch_held_products_match_a_fresh_pass(closed_problem, su2, mon
     want = [_project(prob, init, rng=np.random.default_rng(0)) for prob, init in runs]
     fresh = Linearization.at.__func__
     monkeypatch.setattr(Linearization, "at", classmethod(
-        lambda cls, spec, mats, g, m, classes, f=None: fresh(cls, spec, mats, g, m, classes)))
+        lambda cls, mats, classes, f=None: fresh(cls, mats, classes)))
     for (prob, init), ref in zip(runs, want):
         got = _project(prob, init, rng=np.random.default_rng(0))
         assert got[3].all()
@@ -314,11 +310,10 @@ def test_linearization_take_is_the_linearization_of_the_rows(family, rank, m):
     ``Linearization.at`` reads on those rows alone."""
     spec, g, classes, mats = _linearization_case(family, rank, m,
                                                  np.random.default_rng(24), 6)
-    lin = Linearization.at(spec, mats, g, m, classes)
+    lin = Linearization.at(mats, classes)
     rows = np.array([4, 0, 2])
     for idx in (rows, np.isin(np.arange(6), rows), rows[:0]):
-        assert_same_linearization(lin.take(idx), Linearization.at(spec, mats[idx], g, m,
-                                                                  classes))
+        assert_same_linearization(lin.take(idx), Linearization.at(mats[idx], classes))
 
 
 @pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])
@@ -330,13 +325,57 @@ def test_differential_from_a_trials_partial_products_is_exact(family, rank, m):
     fresh ``Linearization.at``."""
     rng = np.random.default_rng(25)
     spec, g, classes, x = _linearization_case(family, rank, m, rng, 5)
-    slots = Linearization.at(spec, x, g, m, classes).slots
+    slots = Linearization.at(x, classes).slots
     step = 0.1 * rng.standard_normal((5, 2 * g * spec.dim + sum(classes.ranks)))
-    trial = apply_step(spec, x, g, slots, step)
-    _, _, f = _batch_residual(spec, trial, g, m, lg.group_inverse(spec, classes.target))
+    trial = apply_step(spec, x, slots, step)
+    _, _, f = _batch_residual(trial, classes, lg.group_inverse(spec, classes.target))
     take = np.array([0, 2, 3])
-    held = Linearization.at(spec, trial[take], g, m, classes, f[take])
-    assert_same_linearization(held, Linearization.at(spec, trial[take], g, m, classes))
+    held = Linearization.at(trial[take], classes, f[take])
+    assert_same_linearization(held, Linearization.at(trial[take], classes))
+
+
+_THETA = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+_SU2, _SU3 = cv.GroupSpec("SU", 2), cv.GroupSpec("SU", 3)
+LAYOUT_MISFITS = {  # SU(2) slots of the stack, its class data
+    "odd_n_minus_m": (4, cv.ConjugacyClassSpec(_SU2, (_THETA,))),
+    "no_class_5_slots": (5, cv.ConjugacyClassSpec(_SU2)),
+    "su3_classes_2x2": (4, cv.ConjugacyClassSpec(_SU3)),
+    "no_genus": (2, cv.ConjugacyClassSpec(_SU2, (_THETA,) * 2)),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_MISFITS)
+def test_stack_that_does_not_fit_its_classes_raises(case):
+    """The batched core reads the group, the genus and the boundary count
+    from a stack (..., 2g + m, r, r) and its class data: a stack with
+    ``n - m`` odd or below 2, or of matrices of another rank, raises
+    rather than solving the wrong word."""
+    n, classes = LAYOUT_MISFITS[case]
+    mats = lg.haar_sample(_SU2, np.random.default_rng(30), size=(3, n))
+    z0i = lg.group_inverse(classes.spec, classes.target)
+    for call in (lambda: project_batch(mats, classes, rng=_NoDraws()),
+                 lambda: Linearization.at(mats, classes),
+                 lambda: _batch_residual(mats, classes, z0i)):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
+def test_problem_and_point_of_another_group_than_the_classes_raise(
+        solved_points, su2, su3, slc2):
+    """The core takes the group of the class data, so a problem, a start or
+    a point whose group is not the classes' raises: SU(2) with SL(2, C)
+    classes would otherwise solve with SL(2, C) numerics, and with SU(3)
+    classes fail in a broadcast.  A point is split only at class data of its
+    own boundary count."""
+    for other in (slc2, su3):
+        with pytest.raises(DimensionMismatchError):
+            cv.VarietyProblem(su2, cv.SurfacePresentation(2), cv.ConjugacyClassSpec(other))
+        with pytest.raises(DimensionMismatchError):
+            cv.project_to_variety(solved_points[0].tuple, cv.ConjugacyClassSpec(other))
+        with pytest.raises(DimensionMismatchError):
+            cv.cohomology_at(solved_points[0], cv.ConjugacyClassSpec(other))
+    with pytest.raises(DimensionMismatchError):
+        cv.cohomology_at(solved_points[0], cv.ConjugacyClassSpec(su2, (_THETA,) * 2))
 
 
 def test_projection_su3(su3):
@@ -548,7 +587,7 @@ def test_h1_is_cocycles_less_coboundaries_off_the_variety(solved_points, closed_
     mats = solved_points[0].tuple.mats.copy()
     mats[0, 0, 0] += 1e-7
     basis, own = vy.cohomology_split(
-        Linearization.at(su2, mats, 2, 0, closed_problem.classes))
+        Linearization.at(mats, closed_problem.classes))
     assert own[2][0] == 9
     assert basis.dims() == (9, 3, 6)
     assert np.abs(basis.b_coords.T @ basis.h_coords).max() < 1e-10
@@ -741,7 +780,7 @@ def test_point_json_roundtrip(solved_points, su2):
     assert back.irreducible == p.irreducible
 
 
-def test_residual_matches_stored(solved_points, su2):
+def test_residual_matches_stored(solved_points, closed_problem):
     p = solved_points[0]
-    _, rnorm, _ = _batch_residual(su2, p.tuple.mats, 2, 0, np.eye(2))
+    _, rnorm, _ = _batch_residual(p.tuple.mats, closed_problem.classes, np.eye(2))
     assert abs(rnorm - p.residual_norm) < 1e-13

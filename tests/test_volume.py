@@ -220,9 +220,7 @@ def landing_sets(su2, su3):
     for k, (name, prob) in enumerate(problems.items()):
         rng = np.random.default_rng(500 + k)
         init = prob.initial_batch(rng, 6)
-        mats, _, _, ok = project_batch(prob.spec, init, prob.presentation.genus,
-                                       prob.presentation.boundary_count,
-                                       prob.classes, tol=1e-11, rng=rng)
+        mats, _, _, ok = project_batch(init, prob.classes, tol=1e-11, rng=rng)
         out[name] = (prob, mats[ok])
     return out
 
@@ -238,9 +236,7 @@ def _diagonal_tuple(problem, rng):
 
 def _linearization(problem, mats):
     """``Linearization.at`` of a stack of the problem's tuples."""
-    pr = problem.presentation
-    return Linearization.at(problem.spec, mats, pr.genus, pr.boundary_count,
-                            problem.classes)
+    return Linearization.at(mats, problem.classes)
 
 
 def _normal_distance(problem, mats, ell):
@@ -405,8 +401,7 @@ def _unscreened_stream(problem, n_samples, seed):
     """The reference loop: it projects every sample, and evaluates
     ``landing_densities`` and the screened distance at every converged
     landing."""
-    spec, pr = problem.spec, problem.presentation
-    g, m = pr.genus, pr.boundary_count
+    spec = problem.spec
     rng = np.random.default_rng(seed)
     nudges = rng.spawn(1)[0]
     rec = SampleRecords(np.ones(n_samples, dtype=bool), np.zeros(n_samples, dtype=bool),
@@ -417,8 +412,8 @@ def _unscreened_stream(problem, n_samples, seed):
     for done in range(0, n_samples, vol.SAMPLE_BATCH):
         nb = min(vol.SAMPLE_BATCH, n_samples - done)
         init = problem.initial_batch(rng, nb)
-        _, rn0, _ = _batch_residual(spec, init, g, m, z0i)
-        mats, _, _, ok = project_batch(spec, init, g, m, problem.classes,
+        _, rn0, _ = _batch_residual(init, problem.classes, z0i)
+        mats, _, _, ok = project_batch(init, problem.classes,
                                        tol=vol.LANDING_TOL,
                                        max_iter=vol.LANDING_MAX_ITER, rng=nudges)
         rec.converged[done:done + nb] = ok
@@ -476,9 +471,9 @@ def test_coarea_stream_projects_only_its_gated_samples(closed_problem, monkeypat
     samples with ``initial_residual <= gate``, the tube stream all of them."""
     sent = []
 
-    def counting(spec, mats, *args, **kwargs):
+    def counting(mats, *args, **kwargs):
         sent.append(len(mats))
-        return project_batch(spec, mats, *args, **kwargs)
+        return project_batch(mats, *args, **kwargs)
 
     monkeypatch.setattr(vol, "project_batch", counting)
     monkeypatch.setattr(vol, "SAMPLE_BATCH", 150)
