@@ -1,13 +1,14 @@
 """charvar: character varieties of surface and circle-bundle groups as
 explicit matrix-tuple manifolds, with the symplectic two-form on them.
 
-Workflow: pick a :class:`GroupSpec` and a :class:`SurfacePresentation`
-(or :class:`SeifertData` reduced through :func:`variety_problem`),
-project a seed tuple onto the variety with :func:`project_to_variety`,
-split the tangent directions with :func:`cohomology_at`, and evaluate or
-certify the two-form with the ``twoform`` operations.  ``volume`` adds
-Monte Carlo Liouville-volume estimation, and the ``charvar`` CLI wraps
-everything for batch runs.
+Workflow: pick a :class:`GroupSpec`, fix the boundary classes and the
+relator target in a :class:`ConjugacyClassSpec`, and pair it with a genus
+in a :class:`VarietyProblem` (or reduce :class:`SeifertData` through
+:func:`variety_problem`); project a seed tuple onto the variety with
+:func:`project_to_variety`, split the tangent directions with
+:func:`cohomology_at`, and evaluate or certify the two-form with the
+``twoform`` operations.  ``volume`` adds Monte Carlo Liouville-volume
+estimation, and the ``charvar`` CLI wraps everything for batch runs.
 """
 
 from .errors import (
@@ -35,7 +36,6 @@ from .liegroup import (
 )
 from .presentation import (
     GeneratorTuple,
-    SurfacePresentation,
     evaluate_relator,
 )
 from .seifert import (

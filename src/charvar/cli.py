@@ -38,7 +38,7 @@ from .errors import (
     OutsideDomainError,
 )
 from .liegroup import GroupSpec
-from .presentation import GeneratorTuple, SurfacePresentation
+from .presentation import GeneratorTuple
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -168,9 +168,11 @@ def _problem(group: GroupSpec, prob) -> tuple:
         genus = _integer(prob, "genus", None, "problem.")
         m = _integer(prob, "boundary_count", 0, "problem.")
         try:
-            pres_ = SurfacePresentation(genus, m)
-            return vy.VarietyProblem(
-                group, pres_, vy.ConjugacyClassSpec.from_json(group, classes)), None
+            classes = vy.ConjugacyClassSpec.from_json(group, classes)
+            if m != classes.boundary_count:
+                raise DimensionMismatchError(
+                    "presentation and class data disagree on boundary count")
+            return vy.VarietyProblem(genus, classes), None
         except (KeyError, ValueError, TypeError, DimensionMismatchError) as e:
             raise ConfigError(f"bad surface problem: {e}") from e
     if prob["type"] == "seifert":
@@ -178,7 +180,7 @@ def _problem(group: GroupSpec, prob) -> tuple:
         genus = _integer(prob, "genus", None, "problem.")
         euler = _integer(prob, "euler", None, "problem.")
         try:
-            seif = sf.SeifertData(genus, euler, group.rank, group.family)
+            seif = sf.SeifertData(genus, euler, group)
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad seifert problem: {e}") from e
         cands = sf.fiber_holonomy_candidates(seif)
@@ -223,17 +225,17 @@ def error_record(kind: str, detail: str):
 
 def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
-    pres_ = cfg.problem.presentation
-    initial = (GeneratorTuple.identity(cfg.problem.spec, pres_.genus, pres_.boundary_count)
-               if cfg.initial == "identity" else cfg.problem.random_initial(rng))
+    prob = cfg.problem
+    initial = (GeneratorTuple.identity(prob.spec, prob.genus, prob.boundary_count)
+               if cfg.initial == "identity" else prob.random_initial(rng))
     point = vy.project_to_variety(
-        initial, cfg.problem.classes,
+        initial, prob.classes,
         tol_flat=cfg.tolerances["tol_flat"],
         max_iter=cfg.max_iter,
         rng=rng,
     )
     point = point.with_irreducible(vy.is_irreducible(point))
-    payload = {"group": cfg.problem.spec.to_json(), "point": point.to_json(),
+    payload = {"group": prob.spec.to_json(), "point": point.to_json(),
                "seed": cfg.seed}
     emit(payload, out, quiet,
          f"solved: residual {point.residual_norm:.3e}, "
@@ -361,12 +363,12 @@ def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
         point = vy.RepresentationPoint.from_json(cfg.problem.spec, data["point"])
     except (KeyError, TypeError, ValueError, CharvarError) as e:
         raise ConfigError(f"bad point payload: {e}") from e
-    t, pres_ = point.tuple, cfg.problem.presentation
-    if (t.genus, t.boundary_count) != (pres_.genus, pres_.boundary_count):
+    t, prob = point.tuple, cfg.problem
+    if (t.genus, t.boundary_count) != (prob.genus, prob.boundary_count):
         raise ConfigError(
             f"point has genus {t.genus} and {t.boundary_count} boundary classes; "
-            f"the config's problem has genus {pres_.genus} and "
-            f"{pres_.boundary_count}")
+            f"the config's problem has genus {prob.genus} and "
+            f"{prob.boundary_count}")
     return point
 
 
@@ -464,17 +466,19 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     if cfg.seifert is None:
         raise ConfigError("seifert-scan needs a problem of type 'seifert'")
     cands = sf.fiber_holonomy_candidates(cfg.seifert)
-    # closed-surface problems: they differ only in their relator target
-    problems = [sf.variety_problem(cfg.seifert, cand) for cand in cands]
     rngs = [np.random.default_rng(cfg.seed + cand.index) for cand in cands]
-    starts = np.stack([p.initial_batch(rng, 1)[0] for p, rng in zip(problems, rngs)])
+    # the components are closed-surface problems that differ only in their
+    # target, and a closed draw does not read the target: every start is a
+    # draw of the config's problem, solved to its component's target
+    classes = cfg.problem.classes
+    starts = np.stack([cfg.problem.initial_batch(rng, 1)[0] for rng in rngs])
     mats, rnorm, iters, conv = vy.project_batch(
-        starts, problems[0].classes, max_iter=cfg.max_iter, rng=rngs[0],
+        starts, classes, max_iter=cfg.max_iter, rng=rngs[0],
         tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
         target=np.stack([cand.target for cand in cands]))
     done = np.flatnonzero(conv)
     batteries = dict(zip(done, certification_checks(
-        mats[done], rnorm[done], problems[0].classes, cfg.tolerances, False)))
+        mats[done], rnorm[done], classes, cfg.tolerances, False)))
     components = []
     worst = EXIT_OK
     for k, cand in enumerate(cands):

@@ -62,10 +62,6 @@ class GroupSpec:
         """Algebra dimension r^2 - 1 (real for SU, complex for SLC)."""
         return self.rank * self.rank - 1
 
-    @property
-    def is_unitary(self) -> bool:
-        return self.family == "SU"
-
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
 
@@ -161,7 +157,7 @@ def coords_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
 def project_to_algebra(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
     """Nearest algebra element: remove trace, and the Hermitian part for SU."""
     r = spec.rank
-    if spec.is_unitary:
+    if spec.family == "SU":
         X = 0.5 * (X - np.swapaxes(X, -2, -1).conj())
     tr = np.trace(X, axis1=-2, axis2=-1)
     return X - tr[..., None, None] * identity(r) / r
@@ -170,11 +166,11 @@ def project_to_algebra(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
 def project_to_group(spec: GroupSpec, M: np.ndarray) -> np.ndarray:
     """Retract onto the group: polar factor (SU) and det-phase normalization."""
     r = spec.rank
-    if spec.is_unitary:
+    if spec.family == "SU":
         U, _, Vh = np.linalg.svd(M)
         M = U @ Vh
     det = np.linalg.det(M)
-    if spec.is_unitary:
+    if spec.family == "SU":
         # det is a phase; divide by its r-th root
         M = M * np.exp(-1j * np.angle(det) / r)[..., None, None]
     else:
@@ -216,7 +212,7 @@ def exp(spec: GroupSpec, X: np.ndarray) -> np.ndarray:
         raise ValueError("exp requires finite entries")
     if spec.family == "SU" and spec.rank == 2:
         return _exp_su2(X)
-    if spec.is_unitary:
+    if spec.family == "SU":
         w, V = np.linalg.eigh(1j * X)
         return (V * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(V, -2, -1).conj()
     import scipy.linalg
@@ -262,7 +258,7 @@ def eigenframe(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     at chord >= 2 sin(pi / 4r); cot is monotone on the circle, so close
     eigenvalues mix only within their cluster.  A slice reads the same bits
     in any batch."""
-    if not spec.is_unitary:
+    if spec.family != "SU":
         lam, V = np.linalg.eig(g)
         return lam, V, np.linalg.inv(V)
     poles = _cayley_poles(spec.rank)
@@ -297,12 +293,12 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if bad.any():  # the log of the identity
             g, ct = np.where(bad[..., None, None], eye, g), np.where(bad, 1.0, ct)
         return _log_su2(g, ct), bad
-    if spec.is_unitary:
+    if spec.family == "SU":
         lam, V, W = eigenframe(spec, g)
     else:
         lam = np.linalg.eigvals(g)
     bad = ((lam.real < 0) & (np.abs(lam.imag) < _BRANCH_TOL * np.abs(lam.real))).any(axis=-1)
-    L = ((V * (1j * np.angle(lam))[..., None, :]) @ W if spec.is_unitary
+    L = ((V * (1j * np.angle(lam))[..., None, :]) @ W if spec.family == "SU"
          else _logm(np.where(bad[..., None, None], eye, g)))
     bad = bad | (np.abs(np.trace(L, axis1=-2, axis2=-1)) > np.pi)
     if bad.any():
@@ -344,7 +340,7 @@ def mat_product(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> 
 
 
 def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    if spec.is_unitary:
+    if spec.family == "SU":
         return np.swapaxes(g, -2, -1).conj()
     return np.linalg.inv(g)
 

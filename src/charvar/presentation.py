@@ -29,7 +29,6 @@ broadcast over leading batch axes; :class:`GeneratorTuple` wraps one tuple.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,30 +36,6 @@ import numpy as np
 from . import liegroup as lg
 from .errors import DimensionMismatchError
 from .liegroup import GroupSpec
-
-
-@dataclass(frozen=True)
-class SurfacePresentation:
-    """Genus g >= 1 surface with m >= 0 boundary loops; 2g + m generators."""
-
-    genus: int
-    boundary_count: int = 0
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError("genus must be >= 1")
-        if self.boundary_count < 0:
-            raise ValueError("boundary_count must be >= 0")
-        if self.boundary_count == 0 and self.genus < 2:
-            warnings.warn(
-                "closed surface of genus < 2: the smooth stratum has no "
-                "irreducible SU(2) points over the trivial target",
-                stacklevel=2,
-            )
-
-    @property
-    def n_generators(self) -> int:
-        return 2 * self.genus + self.boundary_count
 
 
 def word_letters(g: int, m: int) -> list[tuple[int, int]]:

@@ -22,28 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liegroup import GroupSpec
-from .presentation import SurfacePresentation
 from .variety import ConjugacyClassSpec, VarietyProblem
 
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Circle bundle of Euler number n over a closed genus-g surface, target rank r."""
+    """Circle bundle of Euler number n over a closed genus-g surface, target group G."""
 
     genus: int
     euler_number: int
-    rank: int
-    family: str = "SU"
+    spec: GroupSpec
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("genus must be >= 2")
-        if self.rank < 2:
-            raise ValueError("rank must be >= 2")
-
-    @property
-    def group_spec(self) -> GroupSpec:
-        return GroupSpec(self.family, self.rank)
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ def _root_of_unity(k: int, r: int) -> complex:
 
 def fiber_holonomy_candidates(d: SeifertData) -> list[FiberHolonomy]:
     """All zeta with zeta^r = 1, each tagged with its target zeta^n * I."""
-    r = d.rank
+    r = d.spec.rank
     out = []
     for k in range(r):
         zeta = _root_of_unity(k, r)
@@ -82,5 +74,4 @@ def variety_problem(d: SeifertData, cand: FiberHolonomy) -> VarietyProblem:
     with fiber holonomy ``cand.zeta * I``: genus g, no boundary, relator
     target ``cand.target``.  All two-form machinery applies unchanged to
     its points."""
-    return VarietyProblem(d.group_spec, SurfacePresentation(d.genus, 0),
-                          ConjugacyClassSpec(d.group_spec, (), cand.target))
+    return VarietyProblem(d.genus, ConjugacyClassSpec(d.spec, (), cand.target))

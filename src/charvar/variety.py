@@ -39,7 +39,7 @@ from .errors import (
     RankDeficiencyWarning,
 )
 from .liegroup import GroupSpec
-from .presentation import GeneratorTuple, SurfacePresentation
+from .presentation import GeneratorTuple
 
 TOL_FLAT = 1e-9
 SOLVE_TOL = 1e-12  # Gauss-Newton stop of a solve, below TOL_FLAT
@@ -626,25 +626,38 @@ def _warn_weak_gaps(own: tuple, stacklevel: int = 1):
 
 @dataclass(frozen=True)
 class VarietyProblem:
-    """Group + presentation + class data: everything defining one variety."""
+    """Genus + class data: everything defining one variety.  The class data
+    fix the group, the boundary count m and the relator target."""
 
-    spec: GroupSpec
-    presentation: SurfacePresentation
+    genus: int
     classes: ConjugacyClassSpec
 
     def __post_init__(self):
-        if self.spec != self.classes.spec:
-            raise DimensionMismatchError("problem group and class data group disagree")
-        if self.presentation.boundary_count != self.classes.boundary_count:
-            raise DimensionMismatchError(
-                "presentation and class data disagree on boundary count")
+        if self.genus < 1:
+            raise ValueError("genus must be >= 1")
+        off = np.abs(self.classes.target - lg.identity(self.spec.rank)).max()
+        if (self.genus, self.boundary_count) == (1, 0) and off <= lg.TOL_GROUP:
+            # the dataclass __init__ sits between this frame and the caller
+            warnings.warn(
+                "closed genus-1 surface over the target I: commuting matrices "
+                "share an eigenvector, so every point is reducible",
+                stacklevel=3,
+            )
+
+    @property
+    def spec(self) -> GroupSpec:
+        return self.classes.spec
+
+    @property
+    def boundary_count(self) -> int:
+        return self.classes.boundary_count
 
     def initial_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` starting tuples, shape (size, 2g + m, r, r): Haar interior
         generators for the whole batch, then Haar conjugates of the class
         representatives.  At m = 0 this is ``haar_sample(size=(size, 2g))``."""
         spec, r = self.spec, self.spec.rank
-        g, m = self.presentation.genus, self.presentation.boundary_count
+        g, m = self.genus, self.boundary_count
         interior = lg.haar_sample(spec, rng, size=(size, 2 * g))
         if not m:  # an empty draw consumes nothing
             return interior
@@ -654,8 +667,7 @@ class VarietyProblem:
 
     def random_initial(self, rng: np.random.Generator) -> GeneratorTuple:
         """One starting tuple: the single draw of :meth:`initial_batch`."""
-        pr = self.presentation
-        return GeneratorTuple(self.spec, pr.genus, pr.boundary_count,
+        return GeneratorTuple(self.spec, self.genus, self.boundary_count,
                               self.initial_batch(rng, 1)[0])
 
     def solve(self, rng: np.random.Generator, **kw) -> RepresentationPoint:

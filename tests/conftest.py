@@ -24,7 +24,7 @@ TOL_ALG = 1e-10
 def group_defect(spec, g):
     """Oracle: max violation of the group invariants (det = 1, unitarity for SU)."""
     d = np.abs(np.linalg.det(g) - 1.0)
-    if spec.is_unitary:
+    if spec.family == "SU":
         gram = np.einsum("...ij,...kj->...ik", g, g.conj())
         d = np.maximum(d, np.abs(gram - np.eye(spec.rank)).max(axis=(-2, -1)))
     return d
@@ -34,7 +34,7 @@ def algebra_defect(spec, X):
     """Oracle: max violation of the algebra invariants (traceless,
     skew-Hermitian for SU)."""
     d = np.abs(np.trace(X, axis1=-2, axis2=-1))
-    if spec.is_unitary:
+    if spec.family == "SU":
         d = np.maximum(d, np.abs(X + np.swapaxes(X, -2, -1).conj()).max(axis=(-2, -1)))
     return d
 
@@ -147,8 +147,7 @@ def slc2():
 @pytest.fixture(scope="session")
 def closed_problem(su2):
     """SU(2), genus 2, no boundary, trivial target."""
-    return cv.VarietyProblem(su2, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(su2))
+    return cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2))
 
 
 @pytest.fixture(scope="session")
@@ -164,8 +163,7 @@ def solved_points(closed_problem):
 @pytest.fixture(scope="session")
 def minus_problem(su2):
     """SU(2), genus 2, central target -I (the other Seifert component)."""
-    return cv.VarietyProblem(su2, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(su2, (), -np.eye(2)))
+    return cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2, (), -np.eye(2)))
 
 
 @pytest.fixture(scope="session")
@@ -181,8 +179,7 @@ def minus_points(minus_problem):
 def boundary_problem(su2):
     """SU(2), genus 1, one boundary loop in the class of diag(i, -i)."""
     rep = np.diag([1j, -1j])
-    return cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
-                             cv.ConjugacyClassSpec(su2, (rep,)))
+    return cv.VarietyProblem(1, cv.ConjugacyClassSpec(su2, (rep,)))
 
 
 @pytest.fixture(scope="session")
@@ -203,8 +200,7 @@ def generic_problem(request, su2):
     """
     t = request.param
     rep = np.diag([np.exp(1j * t), np.exp(-1j * t)])
-    return cv.VarietyProblem(su2, cv.SurfacePresentation(2, 1),
-                             cv.ConjugacyClassSpec(su2, (rep,)))
+    return cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2, (rep,)))
 
 
 @pytest.fixture(scope="session")
@@ -217,5 +213,4 @@ def generic_points(generic_problem):
 def su3_regular_problem(su3):
     """SU(3), genus 1, one boundary loop at a regular class (distinct eigenvalues)."""
     rep = np.diag(np.exp(1j * np.array([0.3, 0.5, -0.8])))
-    return cv.VarietyProblem(su3, cv.SurfacePresentation(1, 1),
-                             cv.ConjugacyClassSpec(su3, (rep,)))
+    return cv.VarietyProblem(1, cv.ConjugacyClassSpec(su3, (rep,)))

@@ -114,7 +114,7 @@ def test_criterion_4_nondegeneracy(criterion_points, closed_problem,
 
 def test_criterion_5_rigidity():
     """10/10 twenty-step perturb-reproject walks keep the fiber holonomy."""
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, cv.GroupSpec("SU", 2))
     ok = True
     for cand in cv.fiber_holonomy_candidates(d):
         problem = cv.variety_problem(d, cand)

@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "DimensionMismatchError", "FiberHolonomy", "GeneratorTuple", "GroupSpec",
     "InsufficientSamplesError", "NoConvergenceError", "NotClassTangentError",
     "OddDimensionError", "OutsideDomainError", "RankDeficiencyWarning",
-    "RepresentationPoint", "SeifertData", "SurfacePresentation", "VarietyProblem",
+    "RepresentationPoint", "SeifertData", "VarietyProblem",
     "VolumeEstimate", "adjoint_matrix", "algebra_basis", "algebra_coords",
     "cohomology_at", "coords_to_algebra", "cross_check",
     "errors", "estimate_relative_volume", "evaluate_relator", "exp",

@@ -128,11 +128,14 @@ SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
     {"seed": True},
     {"seed": 11.0},
     {"seed": -1},
+    {"problem": {"type": "surface", "genus": 0}},
+    {"problem": {"type": "surface", "genus": 2, "boundary_count": -1}},
 ], ids=["orbifold", "boundary-without-classes", "n-samples-string",
         "max-iter-string", "gate-string", "zeta-index-string",
         "tolerances-not-object", "solver-not-object", "unknown-tolerance",
         "rank-float", "genus-float", "boundary-count-float", "euler-float",
-        "seed-bool", "seed-float", "seed-negative"])
+        "seed-bool", "seed-float", "seed-negative", "genus-zero",
+        "boundary-count-negative"])
 @pytest.mark.parametrize("command", ["solve", "volume"])
 def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
     """A malformed config is rejected when it is loaded, whichever command
@@ -456,7 +459,7 @@ def test_volume_closed_torus_is_insufficient_samples_not_internal(tmp_path, caps
     irreducible point, not in an internal error."""
     cfg = write_config(tmp_path, problem={"type": "surface", "genus": 1},
                        volume={"n_samples": 3000})
-    with pytest.warns(UserWarning, match="genus < 2"):
+    with pytest.warns(UserWarning, match="closed genus-1 surface"):
         rc = cli.main(["volume", "--config", cfg, "--seed", "1", "--quiet"])
     assert rc == cli.EXIT_NUMERICAL == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -578,7 +581,7 @@ def test_seifert_scan_honours_max_iter(tmp_path, monkeypatch):
     assert cli.main(["seifert-scan", "--config", cfg, "--out", str(out),
                      "--quiet"]) == cli.EXIT_NUMERICAL
     comps = json.loads(out.read_text())["components"]
-    data = sf.SeifertData(2, 1, 2)
+    data = sf.SeifertData(2, 1, GroupSpec("SU", 2))
     assert len(comps) == 2
     for cand, comp in zip(sf.fiber_holonomy_candidates(data), comps):
         with pytest.raises(NoConvergenceError) as err:

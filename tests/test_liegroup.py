@@ -249,7 +249,7 @@ def assert_slices_agree(spec, got, want):
     """Bit for bit on SU(r); to 1e-15 on SL(r, C), whose scipy logm draws
     random probe vectors for its norm estimates at r >= 3 (from a fixed seed
     per call, so a slice's probes depend on its place in the batch)."""
-    if spec.is_unitary:
+    if spec.family == "SU":
         assert np.array_equal(got, want)
     else:
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
@@ -259,7 +259,7 @@ def planted_outside(spec):
     """Slices outside the principal-log domain: an eigenvalue pair on the
     cut and, at rank 3, omega*I and omega*exp(X) (logs of trace 2 pi i)."""
     r = spec.rank
-    pair = [-1.0, -1.0] if spec.is_unitary else [-2.0, -0.5]
+    pair = [-1.0, -1.0] if spec.family == "SU" else [-2.0, -0.5]
     planted = [np.diag(pair + [1.0] * (r - 2)).astype(complex)]
     if r == 3:
         omega = np.exp(2j * np.pi / 3)
@@ -421,7 +421,7 @@ def test_adjoint_operator_against_direct_conjugation(spec, shape, seed, scale):
     assert Ad_g.shape == shape + (spec.dim, spec.dim)
     assert _rel(Ad_g, direct) < 1e-14
     assert _rel(cv.adjoint_matrix(spec, g @ h), Ad_g @ cv.adjoint_matrix(spec, h)) < 1e-13
-    if spec.is_unitary:
+    if spec.family == "SU":
         assert np.abs(Ad_g @ np.swapaxes(Ad_g, -2, -1) - np.eye(spec.dim)).max() < 1e-13
     assert_slices_agree(spec, Ad_g, per_slice(cv.adjoint_matrix, spec, g))
 

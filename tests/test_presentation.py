@@ -360,12 +360,13 @@ def test_coboundaries_are_cocycles_at_flat_points(solved_points, su2):
 # dataclasses and serialization
 # ---------------------------------------------------------------------------
 
-def test_presentation_validation():
-    with pytest.warns(UserWarning):
-        cv.SurfacePresentation(1, 0)
+def test_presentation_validation(su2):
+    """A problem needs genus >= 1; its class data fix m, so 2g + m slots."""
+    reps = (np.diag([1j, -1j]),) * 2
     with pytest.raises(ValueError):
-        cv.SurfacePresentation(0, 2)
-    assert cv.SurfacePresentation(3, 2).n_generators == 8
+        cv.VarietyProblem(0, cv.ConjugacyClassSpec(su2, reps))
+    assert GeneratorTuple.identity(su2, 3, 2).n_generators == 8
+    assert cv.VarietyProblem(3, cv.ConjugacyClassSpec(su2, reps)).boundary_count == 2
 
 
 def test_generator_tuple_json_roundtrip(su2):

@@ -24,7 +24,7 @@ def on_holonomy_target(p, cand):
 
 
 def test_candidates_r2():
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, cv.GroupSpec("SU", 2))
     zetas = sorted(c.zeta.real for c in cv.fiber_holonomy_candidates(d))
     assert len(zetas) == 2
     assert abs(zetas[0] + 1) < 1e-15 and abs(zetas[1] - 1) < 1e-15
@@ -32,21 +32,21 @@ def test_candidates_r2():
 
 def test_candidates_r3_euler3_collapse():
     """n a multiple of r: every candidate induces the trivial target."""
-    d = cv.SeifertData(2, 3, 3)
+    d = cv.SeifertData(2, 3, cv.GroupSpec("SU", 3))
     for cand in cv.fiber_holonomy_candidates(d):
         assert np.abs(cand.target - np.eye(3)).max() < 1e-14
     assert len(cv.fiber_holonomy_candidates(d)) == 3
 
 
 def test_candidate_targets_r2_n1():
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, cv.GroupSpec("SU", 2))
     targets = [c.target for c in cv.fiber_holonomy_candidates(d)]
     assert np.abs(targets[0] - np.eye(2)).max() < 1e-15
     assert np.abs(targets[1] + np.eye(2)).max() < 1e-15
 
 
 def test_targets_are_central_roots_of_unity():
-    d = cv.SeifertData(3, 2, 4)
+    d = cv.SeifertData(3, 2, cv.GroupSpec("SU", 4))
     for cand in cv.fiber_holonomy_candidates(d):
         zeta = cand.zeta
         assert abs(zeta**4 - 1) < 1e-12
@@ -56,17 +56,17 @@ def test_targets_are_central_roots_of_unity():
 
 def test_to_surface_problem_trivial_target():
     """zeta = 1 reduces to the closed genus-g surface over the target I."""
-    d = cv.SeifertData(2, 5, 2)
+    d = cv.SeifertData(2, 5, cv.GroupSpec("SU", 2))
     cand = cv.fiber_holonomy_candidates(d)[0]
     assert cand.zeta == 1.0
     problem = cv.variety_problem(d, cand)
-    assert problem.presentation.genus == 2 and problem.presentation.boundary_count == 0
+    assert problem.genus == 2 and problem.boundary_count == 0
     assert np.abs(problem.classes.target - np.eye(2)).max() < 1e-14
 
 
 def test_both_components_solvable_r2_n1(su2):
     """Both fiber holonomies give solvable, irreducible components for g = 2."""
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, su2)
     for cand in cv.fiber_holonomy_candidates(d):
         prob = cv.variety_problem(d, cand)
         p = prob.solve(np.random.default_rng(40 + cand.index))
@@ -81,7 +81,7 @@ def test_both_components_solvable_r2_n1(su2):
 
 def test_rigidity_random_walk(su2):
     """Twenty perturb-reproject steps never change the fiber holonomy."""
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, su2)
     cand = cv.fiber_holonomy_candidates(d)[1]
     prob = cv.variety_problem(d, cand)
     rng = np.random.default_rng(50)
@@ -94,15 +94,14 @@ def test_rigidity_random_walk(su2):
         assert q.residual_norm < 1e-9
 
 
-def test_seifert_data_validation():
+def test_seifert_data_validation(su2):
+    """Genus 1 is refused; the rank is :class:`GroupSpec`'s to check."""
     with pytest.raises(ValueError):
-        cv.SeifertData(1, 1, 2)
-    with pytest.raises(ValueError):
-        cv.SeifertData(2, 1, 1)
+        cv.SeifertData(1, 1, su2)
 
 
 def test_candidate_json():
-    d = cv.SeifertData(2, 1, 2)
+    d = cv.SeifertData(2, 1, cv.GroupSpec("SU", 2))
     cand = cv.fiber_holonomy_candidates(d)[1]
     data = cand.to_json()
     assert data["target_power"] == 1

@@ -182,7 +182,7 @@ def test_theta_matches_brute_force(family, rank, g):
         slow = brute_force_theta(t, u, v)
         # SL(2,C) partial products are far from unitary: the transported
         # components grow large and cancel, so the bound follows their size
-        tol = 1e-13 if spec.is_unitary else \
+        tol = 1e-13 if spec.family == "SU" else \
             1e-14 * brute_force_theta(t, u, v, magnitude=True)
         assert abs(fast - slow) < tol
 
@@ -501,8 +501,7 @@ def _chart_cases(su2, su3_regular_problem, solved_points, closed_problem):
     the chart's Newton radius (smaller on SU(3), see
     :func:`test_chart_row_past_the_newton_radius`)."""
     rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
-    g1 = cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
-                           cv.ConjugacyClassSpec(su2, (rep,)))
+    g1 = cv.VarietyProblem(1, cv.ConjugacyClassSpec(su2, (rep,)))
     su3 = su3_regular_problem
     rng = np.random.default_rng(7)
     for prob, p, scales in [(closed_problem, solved_points[0], (1e-6, 1e-3, 0.05, 0.2)),
@@ -604,7 +603,7 @@ def haar_case(family, rank, g, m, angle, degenerate, seed):
     phases = ([angle, -angle] if rank == 2 else
               [angle, angle, -2 * angle] if degenerate else [angle, 0.0, -angle])
     classes = cv.ConjugacyClassSpec(spec, (np.diag(np.exp(1j * np.array(phases))),) * m)
-    prob = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m), classes)
+    prob = cv.VarietyProblem(g, classes)
     mats = prob.initial_batch(np.random.default_rng(seed), 1)[0]
     return spec, mats, classes, linearization(spec, mats, g, m, classes)
 
@@ -627,7 +626,7 @@ def test_d_omega_matches_chart_differences(family, rank, g, m, angle, degenerate
     assert 3.0 < misfit[1] / misfit[0] < 5.0
 
 
-@pytest.mark.filterwarnings("ignore:closed surface of genus < 2")
+@pytest.mark.filterwarnings("ignore:closed genus-1 surface")
 @given(family=st.sampled_from(["SU", "SLC"]), rank=st.integers(2, 3),
        g=st.integers(1, 3), m=st.integers(0, 2), angle=st.floats(0.05, 3.0),
        degenerate=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -693,8 +692,7 @@ def test_planted_form_scale_fails_closedness(factor, solved_points, closed_probl
 
 def test_su3_structure(su3):
     """SU(3), genus 2: dims (24, 8, 16), descent, kernel = coboundaries."""
-    prob = cv.VarietyProblem(su3, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(su3))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3))
     p = prob.solve(np.random.default_rng(1))
     p = p.with_irreducible(cv.is_irreducible(p))
     assert p.irreducible
@@ -725,8 +723,7 @@ def test_su3_regular_class_form(su3_regular_problem):
 
 def test_slc_complex_form(slc2):
     """SL(2, C): complex-valued skew form with the same dimension pattern."""
-    prob = cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(slc2))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(slc2))
     p = prob.solve(np.random.default_rng(3))
     assert cv.is_irreducible(p)
     basis = cv.cohomology_at(p, prob.classes)

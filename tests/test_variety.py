@@ -84,15 +84,36 @@ def test_commutator_equals_minus_identity_oracle(su2):
 
 
 def test_projection_genus1_minus_identity(su2):
-    """The commutator equation over target -I is solvable and reached."""
+    """The commutator equation over target -I is solvable and reached, and
+    the closed genus-1 problem over -I does not warn: it has irreducible
+    points."""
     classes = cv.ConjugacyClassSpec(su2, (), -np.eye(2))
-    with pytest.warns(UserWarning):
-        presentation = cv.SurfacePresentation(1)
-    prob = cv.VarietyProblem(su2, presentation, classes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = cv.VarietyProblem(1, classes)
     p = prob.solve(np.random.default_rng(0))
     assert p.residual_norm < 1e-10
     P = cv.evaluate_relator(p.tuple)
     assert np.abs(P + np.eye(2)).max() < 1e-9
+
+
+@pytest.mark.parametrize("family, rank, zeta, m, warns", [
+    ("SU", 2, 1, 0, True), ("SLC", 2, 1, 0, True), ("SU", 2, -1, 0, False),
+    ("SU", 3, np.exp(2j * np.pi / 3), 0, False), ("SU", 2, 1, 1, False),
+], ids=["su2-I", "slc2-I", "su2-minus-I", "su3-omega-I", "su2-m1"])
+def test_closed_torus_warns_only_over_the_identity(family, rank, zeta, m, warns):
+    """Genus 1, no boundary, target I: commuting matrices share an
+    eigenvector, so every point is reducible, and the problem warns, naming
+    the line that built it.  Over another target, or with a boundary class,
+    irreducible points exist and it does not warn."""
+    spec = cv.GroupSpec(family, rank)
+    reps = (np.diag(np.exp(1j * np.linspace(0.3, -0.3, rank))),) * m
+    classes = cv.ConjugacyClassSpec(spec, reps, zeta * np.eye(rank))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        cv.VarietyProblem(1, classes)
+    assert [w.category for w in record] == [UserWarning] * warns
+    assert all(w.filename == __file__ for w in record)
 
 
 def test_projection_idempotent(solved_points, closed_problem, su2):
@@ -134,24 +155,17 @@ def test_project_batch_stack_matches_per_slice(case, su2, su3, slc2, monkeypatch
     are commuting pairs, where the differential drops rank: one slice's
     damped normal system is singular, and the stack solves slice by slice."""
     rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
-    with warnings.catch_warnings():  # a closed genus-1 surface warns
+    with warnings.catch_warnings():  # a closed genus-1 surface over I warns
         warnings.simplefilter("ignore", UserWarning)
-        torus = cv.SurfacePresentation(1)
+        torus = cv.VarietyProblem(1, cv.ConjugacyClassSpec(su2))
     problem, shape = {
-        "su2_g2": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
-                                     cv.ConjugacyClassSpec(su2)), (6,)),
-        "su2_g1_theta0.3": (cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
-                                              cv.ConjugacyClassSpec(su2, (rep,))), (6,)),
-        "su3_g2": (cv.VarietyProblem(su3, cv.SurfacePresentation(2),
-                                     cv.ConjugacyClassSpec(su3)), (4,)),
-        "su2_g2_2d": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
-                                        cv.ConjugacyClassSpec(su2)), (2, 3)),
-        "su2_g2_64": (cv.VarietyProblem(su2, cv.SurfacePresentation(2),
-                                        cv.ConjugacyClassSpec(su2)), (64,)),
-        "slc2_g2": (cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
-                                      cv.ConjugacyClassSpec(slc2)), (8,)),
-        "su2_g1_closed": (cv.VarietyProblem(su2, torus, cv.ConjugacyClassSpec(su2)),
-                          (12,)),
+        "su2_g2": (cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2)), (6,)),
+        "su2_g1_theta0.3": (cv.VarietyProblem(1, cv.ConjugacyClassSpec(su2, (rep,))), (6,)),
+        "su3_g2": (cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3)), (4,)),
+        "su2_g2_2d": (cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2)), (2, 3)),
+        "su2_g2_64": (cv.VarietyProblem(2, cv.ConjugacyClassSpec(su2)), (64,)),
+        "slc2_g2": (cv.VarietyProblem(2, cv.ConjugacyClassSpec(slc2)), (8,)),
+        "su2_g1_closed": (torus, (12,)),
     }[case]
     init = _starts(problem, np.random.default_rng(21), shape)
     # one slice starts on the variety, so the stack's slices finish apart
@@ -241,7 +255,7 @@ def test_project_batch_per_slice_targets_match_solving_alone(su3):
     omega^2 I, each slice with its own: every slice, converged or out of
     budget, reads the bits of its own solve against a class spec that
     carries its target."""
-    d = cv.SeifertData(2, 1, 3)
+    d = cv.SeifertData(2, 1, su3)
     problems = [cv.variety_problem(d, c) for c in cv.fiber_holonomy_candidates(d)]
     rng = np.random.default_rng(24)
     starts, problem_of = [], []
@@ -266,8 +280,7 @@ def test_project_batch_held_products_match_a_fresh_pass(closed_problem, su2, mon
     holds (from the start, an accepted trial or a nudge), lands on the bits
     of a solve that rebuilds them at every Jacobian."""
     rep = np.diag([np.exp(0.3j), np.exp(-0.3j)])
-    bounded = cv.VarietyProblem(su2, cv.SurfacePresentation(1, 1),
-                                cv.ConjugacyClassSpec(su2, (rep,)))
+    bounded = cv.VarietyProblem(1, cv.ConjugacyClassSpec(su2, (rep,)))
     cut = np.insert(_starts(closed_problem, np.random.default_rng(26), (4,)), 1,
                     _quaternion_start(su2), axis=0)
     runs = [(closed_problem, cut),
@@ -299,7 +312,7 @@ def _linearization_case(family, rank, m, rng, size):
     spec, g = cv.GroupSpec(family, rank), 2
     rep = np.diag(np.exp(1j * np.linspace(0.3, -0.3, rank)))
     classes = cv.ConjugacyClassSpec(spec, (rep,) * m)
-    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m), classes)
+    problem = cv.VarietyProblem(g, classes)
     return spec, g, classes, problem.initial_batch(rng, size)
 
 
@@ -362,14 +375,13 @@ def test_stack_that_does_not_fit_its_classes_raises(case):
 
 def test_problem_and_point_of_another_group_than_the_classes_raise(
         solved_points, su2, su3, slc2):
-    """The core takes the group of the class data, so a problem, a start or
-    a point whose group is not the classes' raises: SU(2) with SL(2, C)
-    classes would otherwise solve with SL(2, C) numerics, and with SU(3)
-    classes fail in a broadcast.  A point is split only at class data of its
-    own boundary count."""
+    """The core takes the group of the class data: a problem reads its group
+    there, and a start or a point whose group is not the classes' raises.
+    SU(2) with SL(2, C) classes would otherwise solve with SL(2, C)
+    numerics, and with SU(3) classes fail in a broadcast.  A point is split
+    only at class data of its own boundary count."""
     for other in (slc2, su3):
-        with pytest.raises(DimensionMismatchError):
-            cv.VarietyProblem(su2, cv.SurfacePresentation(2), cv.ConjugacyClassSpec(other))
+        assert cv.VarietyProblem(2, cv.ConjugacyClassSpec(other)).spec == other
         with pytest.raises(DimensionMismatchError):
             cv.project_to_variety(solved_points[0].tuple, cv.ConjugacyClassSpec(other))
         with pytest.raises(DimensionMismatchError):
@@ -379,8 +391,7 @@ def test_problem_and_point_of_another_group_than_the_classes_raise(
 
 
 def test_projection_su3(su3):
-    prob = cv.VarietyProblem(su3, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(su3))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3))
     p = prob.solve(np.random.default_rng(1))
     assert p.residual_norm < 1e-10
     assert cv.is_irreducible(p)
@@ -390,16 +401,14 @@ def test_projection_su3_lands_on_target_not_central_multiple(su3):
     """Starts whose relator drifts to omega*I (omega a cube root of unity)
     read a zero trace-projected log there; they must be nudged off and
     solved to the target itself."""
-    prob = cv.VarietyProblem(su3, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(su3))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3))
     for seed in (9, 42, 220, 253):
         p = prob.solve(np.random.default_rng(seed), tol_flat=1e-9)
         assert np.linalg.norm(cv.evaluate_relator(p.tuple) - np.eye(3)) <= 1e-9
 
 
 def test_projection_slc(slc2):
-    prob = cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(slc2))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(slc2))
     p = prob.solve(np.random.default_rng(3))
     assert p.residual_norm < 1e-9
 
@@ -446,8 +455,7 @@ def _class_rep(r):
 @functools.cache
 def _solved_mats(family, r, g, m, seed):
     spec = cv.GroupSpec(family, r)
-    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m),
-                                cv.ConjugacyClassSpec(spec, (_class_rep(r),) * m))
+    problem = cv.VarietyProblem(g, cv.ConjugacyClassSpec(spec, (_class_rep(r),) * m))
     return problem.solve(np.random.default_rng(seed)).tuple.mats
 
 
@@ -541,8 +549,7 @@ def test_cohomology_dims_g2(solved_points, closed_problem, su2):
 
 
 def test_cohomology_dims_g3(su2):
-    prob = cv.VarietyProblem(su2, cv.SurfacePresentation(3),
-                             cv.ConjugacyClassSpec(su2))
+    prob = cv.VarietyProblem(3, cv.ConjugacyClassSpec(su2))
     p = prob.solve(np.random.default_rng(8))
     assert cv.is_irreducible(p)
     basis = cv.cohomology_at(p, prob.classes)
@@ -690,7 +697,7 @@ def test_project_to_class_keeps_in_class_matrices(family, r):
         h = cv.haar_sample(spec, rng)
         M = h @ rep @ lg.group_inverse(spec, h)
         assert np.abs(project_to_class(spec, M, rep) - M).max() < 1e-12
-        if spec.is_unitary:
+        if spec.family == "SU":
             off = cv.exp(spec, cv.random_algebra(spec, rng, scale=0.05)) @ M
             assert np.abs(project_to_class(spec, off, rep)
                           - _schur_frame_projection(off, rep)).max() < 1e-14
@@ -706,7 +713,7 @@ def _slotwise_initial(problem, rng):
     """One start drawn slot by slot: 2g Haar interiors, then one Haar
     conjugator per boundary slot (the per-sample draw that the batched
     ``initial_batch`` replaced)."""
-    spec, g = problem.spec, problem.presentation.genus
+    spec, g = problem.spec, problem.genus
     mats = list(cv.haar_sample(spec, rng, size=2 * g))
     for rep in problem.classes.representatives:
         U = cv.haar_sample(spec, rng)
@@ -722,8 +729,7 @@ def test_initial_batch_draw(family, r):
     spec = cv.GroupSpec(family, r)
     reps = (_class_rep(r), _class_rep(r).conj())
     for g, m in ((2, 0), (1, 1), (2, 2)):
-        problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, m),
-                                    cv.ConjugacyClassSpec(spec, reps[:m]))
+        problem = cv.VarietyProblem(g, cv.ConjugacyClassSpec(spec, reps[:m]))
         got = problem.initial_batch(np.random.default_rng(5), 4)
         assert got.shape == (4, 2 * g + m, r, r)
         want = cv.haar_sample(spec, np.random.default_rng(5), size=(4, 2 * g))
@@ -732,8 +738,7 @@ def test_initial_batch_draw(family, r):
             for k in range(m):
                 assert class_distance(spec, got[i, 2 * g + k], reps[k]) <= 1e-12
     for g in (1, 2):
-        problem = cv.VarietyProblem(spec, cv.SurfacePresentation(g, 1),
-                                    cv.ConjugacyClassSpec(spec, reps[:1]))
+        problem = cv.VarietyProblem(g, cv.ConjugacyClassSpec(spec, reps[:1]))
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             t = problem.random_initial(rng)
@@ -749,8 +754,7 @@ def test_closed_initial_batch_is_the_interior_draw(family, r):
     bit for bit, and leaves the generator where that draw leaves it: the
     empty boundary draw consumes nothing."""
     spec = cv.GroupSpec(family, r)
-    problem = cv.VarietyProblem(spec, cv.SurfacePresentation(2),
-                                cv.ConjugacyClassSpec(spec))
+    problem = cv.VarietyProblem(2, cv.ConjugacyClassSpec(spec))
     for k in (1, 3):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         got = problem.initial_batch(rng, k)

@@ -136,8 +136,7 @@ def test_sample_stream_records(closed_problem):
 
 
 def test_estimators_require_su(slc2):
-    prob = cv.VarietyProblem(slc2, cv.SurfacePresentation(2),
-                             cv.ConjugacyClassSpec(slc2))
+    prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(slc2))
     with pytest.raises(DimensionMismatchError):
         cv.estimate_relative_volume(prob, 100, 0)
 
@@ -202,8 +201,7 @@ def test_sample_stream_deterministic(closed_problem):
 # ---------------------------------------------------------------------------
 
 def _problem(spec, genus, reps=(), target=None):
-    return cv.VarietyProblem(spec, cv.SurfacePresentation(genus, len(reps)),
-                             cv.ConjugacyClassSpec(spec, reps, target))
+    return cv.VarietyProblem(genus, cv.ConjugacyClassSpec(spec, reps, target))
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +225,7 @@ def landing_sets(su2, su3):
 
 def _diagonal_tuple(problem, rng):
     """All generators diagonal (reducible); boundary slots at their classes."""
-    spec, g = problem.spec, problem.presentation.genus
+    spec, g = problem.spec, problem.genus
     phases = rng.uniform(-np.pi, np.pi, size=(2 * g, spec.rank - 1))
     phases = np.concatenate([phases, -phases.sum(axis=1, keepdims=True)], axis=1)
     mats = [np.diag(np.exp(1j * ph)) for ph in phases]
@@ -250,9 +248,9 @@ def _normal_distance(problem, mats, ell):
 def _one_point(problem, mats, ell):
     """The per-point reference: cohomology_at, liouville_density, the SVD
     normal distance."""
-    spec, pr = problem.spec, problem.presentation
+    spec = problem.spec
     p = cv.RepresentationPoint(
-        cv.GeneratorTuple(spec, pr.genus, pr.boundary_count, mats), 0.0)
+        cv.GeneratorTuple(spec, problem.genus, problem.boundary_count, mats), 0.0)
     basis = cv.cohomology_at(p, problem.classes)
     rank, _, _ = split_rank(basis.dpi_singular_values)
     return (liouville_density(p, problem.classes, basis),
