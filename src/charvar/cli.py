@@ -171,7 +171,8 @@ def _problem(group: GroupSpec, prob) -> tuple:
             classes = vy.ConjugacyClassSpec.from_json(group, classes)
             if m != classes.boundary_count:
                 raise DimensionMismatchError(
-                    "presentation and class data disagree on boundary count")
+                    f"boundary_count {m} is not the number of class representatives "
+                    f"({classes.boundary_count})")
             return vy.VarietyProblem(genus, classes), None
         except (KeyError, ValueError, TypeError, DimensionMismatchError) as e:
             raise ConfigError(f"bad surface problem: {e}") from e
@@ -257,15 +258,15 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(B - K @ (K.conj().T @ B), 2))
 
 
-def certification_checks(mats: np.ndarray, residuals: np.ndarray,
+def certification_checks(mats: np.ndarray, targets: np.ndarray,
                          classes: vy.ConjugacyClassSpec, tolerances: dict,
-                         closedness: bool, f: np.ndarray | None = None) -> list[list[dict]]:
+                         closedness: bool) -> list[list[dict]]:
     """Run the descent / kernel / nondegeneracy battery on a stack of tuples
     ``mats`` (B, 2g + m, r, r) of one genus at the boundary classes of
-    ``classes``, and the closedness identity (:func:`twoform.closedness_defect`)
-    when ``closedness`` is set.  The relator targets enter only through the
-    tuples' ``residuals`` (B,); ``f`` passes their partial products when a
-    residual evaluation already made them.
+    ``classes`` and their relator ``targets`` (B, r, r), and the closedness
+    identity (:func:`twoform.closedness_defect`) when ``closedness`` is set.
+    One residual evaluation of the stack at its targets gives the residual
+    check and the partial products every later check reads.
 
     Returns one check list per tuple: the list of a stack of that tuple
     alone.  A tuple stops at the residual check, or at irreducibility:
@@ -288,12 +289,13 @@ def certification_checks(mats: np.ndarray, residuals: np.ndarray,
                           "tolerance": float(tolerance), "pass": ok})
         return ok
 
-    flat = [i for i in range(len(mats)) if add(i, "residual", residuals[i], tol_flat)]
+    _, rnorm, f = vy._batch_residual(mats, classes, lg.group_inverse(classes.spec, targets))
+    flat = [i for i in range(len(mats)) if add(i, "residual", rnorm[i], tol_flat)]
     if not flat:
         return checks
-    lin = vy.Linearization.at(mats[flat], classes, None if f is None else f[flat])
-    split = vy.cohomology_split(lin, gap_tol, ranks=(d, d))
-    (rz, _, _), (rb, _, _), _ = split[1]
+    lin = vy.Linearization.at(mats[flat], classes, f[flat])
+    split = vy.cohomology_split(lin, ranks=(d, d))
+    (rz, _), (rb, _), _ = split[1]
     past = {}  # rank(D E) -> stack positions of the tuples past irreducibility
     for j, i in enumerate(flat):
         if add(i, "irreducible", 0.0 if rb[j] == d else 1.0, 0.5):
@@ -301,12 +303,12 @@ def certification_checks(mats: np.ndarray, residuals: np.ndarray,
     cuts, where = [], {}
     for r, js in past.items():  # each at its own ranks: the split above serves dim g
         (basis, own), at = (split, js) if r == d else (
-            vy.cohomology_split(lin.take(js), gap_tol, ranks=(r, d)), range(len(js)))
+            vy.cohomology_split(lin.take(js), ranks=(r, d)), range(len(js)))
         cuts.append(([flat[j] for j in js], basis, list(at)))
         where.update((j, (own, k)) for j, k in zip(js, at))
     for j in sorted(where):  # in stack order
         own, k = where[j]
-        vy._warn_weak_gaps([tuple(a[k] for a in triple) for triple in own])
+        vy._warn_weak_gaps([tuple(a[k] for a in pair) for pair in own], gap_tol)
     for rows, basis, at in cuts:
         _cut_checks(add, rows, basis, at, d, gap_tol, closedness)
     return checks
@@ -373,8 +375,8 @@ def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
 
 
 def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -> int:
-    """Certify the point of a solve payload.  The battery reads its relator
-    residual evaluated afresh at the config's target, in the solver's shapes
+    """Certify the point of a solve payload.  The battery evaluates its
+    relator residual afresh at the config's target, in the solver's shapes
     (a batch of one tuple); the report's ``residual`` is the recorded one,
     which names the point the report is about.  Only the SU family is
     certified: on SL(r, C) the irreducibility check reads a trivial
@@ -383,11 +385,9 @@ def cmd_certify(cfg: RunConfig, point_path: str, out: str | None, quiet: bool) -
         raise ConfigError("certify runs on the SU family only: on SL(r, C) the "
                           "irreducibility check is not a Burnside test")
     point = _read_point(cfg, point_path)
-    t = point.tuple
-    z0i = lg.group_inverse(cfg.problem.spec, cfg.problem.classes.target)
-    _, rnorm, f = vy._batch_residual(t.mats[None], cfg.problem.classes, z0i[None])
-    (checks,) = certification_checks(t.mats[None], rnorm, cfg.problem.classes,
-                                     cfg.tolerances, True, f)
+    classes = cfg.problem.classes
+    (checks,) = certification_checks(point.tuple.mats[None], classes.target[None],
+                                     classes, cfg.tolerances, True)
     passed = all(c["pass"] for c in checks)
     payload = {"checks": checks, "passed": passed, "seed": cfg.seed,
                "residual": point.residual_norm}
@@ -460,8 +460,8 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     Gauss-Newton solve.  Its branch-cut nudges (if any) continue component
     0's generator, as ``solve``'s continue its own, so they are drawn for
     the whole batch from one generator.  One battery certifies the
-    converged components as a stack: the components share their genus, and
-    their targets enter it only through their residuals.
+    converged components as a stack at their targets: the components share
+    their genus and differ only in their target.
     """
     if cfg.seifert is None:
         raise ConfigError("seifert-scan needs a problem of type 'seifert'")
@@ -472,13 +472,13 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     # draw of the config's problem, solved to its component's target
     classes = cfg.problem.classes
     starts = np.stack([cfg.problem.initial_batch(rng, 1)[0] for rng in rngs])
+    targets = np.stack([cand.target for cand in cands])
     mats, rnorm, iters, conv = vy.project_batch(
-        starts, classes, max_iter=cfg.max_iter, rng=rngs[0],
-        tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]),  # project_to_variety's stop
-        target=np.stack([cand.target for cand in cands]))
+        starts, classes, max_iter=cfg.max_iter, rng=rngs[0], target=targets,
+        tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]))  # project_to_variety's stop
     done = np.flatnonzero(conv)
     batteries = dict(zip(done, certification_checks(
-        mats[done], rnorm[done], classes, cfg.tolerances, False)))
+        mats[done], targets[done], classes, cfg.tolerances, False)))
     components = []
     worst = EXIT_OK
     for k, cand in enumerate(cands):

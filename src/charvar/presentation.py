@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,22 +39,39 @@ from .errors import DimensionMismatchError
 from .liegroup import GroupSpec
 
 
-def word_letters(g: int, m: int) -> list[tuple[int, int]]:
-    """The relator spelled as (slot, exponent) letters, rightmost first.
+class LetterTables(NamedTuple):
+    """The relator spelled in single letters, rightmost first, as read-only
+    index arrays.  Letter j (0-based) is ``alpha_{j+1}``; it reads f_{j+1},
+    or f_j when it is an inverse letter, so none reads f_{4i}: 3g + m are read."""
 
-    Slots are a_i -> 2i-2, b_i -> 2i-1, c_k -> 2g+k-1 (0-based).
-    """
-    letters = []
-    for i in range(g):
-        letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
-    for k in range(m):
-        letters.append((2 * g + k, 1))
-    return letters
+    slots: np.ndarray      # each letter's slot: a_i -> 2i-2, b_i -> 2i-1, c_k -> 2g+k-1
+    exponents: np.ndarray  # each letter's exponent, 1 or -1
+    reads: np.ndarray      # the partial product each letter reads
+    first: np.ndarray      # each slot's first letter
+    inverse: np.ndarray    # each interior slot's inverse letter
+    read: np.ndarray       # the partial products the letters read, ascending
+    at: np.ndarray         # each letter's place in ``read``
+
+
+@functools.lru_cache(maxsize=None)
+def letter_tables(g: int, m: int) -> LetterTables:
+    """The :class:`LetterTables` of genus g with m boundary letters."""
+    letters = [(2 * i + s, e) for i in range(g) for e in (1, -1) for s in (0, 1)]
+    letters += [(2 * g + k, 1) for k in range(m)]
+    slots, exponents = np.array(letters).T
+    reads = np.arange(len(letters)) + (exponents == 1)
+    tables = LetterTables(slots, exponents, reads,
+                          np.array([letters.index((s, 1)) for s in range(2 * g + m)]),
+                          np.array([letters.index((s, -1)) for s in range(2 * g)]),
+                          *np.unique(reads, return_inverse=True))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.ndarray:
     """f_0 = I, f_j = alpha_j ... alpha_1 over the letters alpha_j of
-    :func:`word_letters`; shape (..., N+1, r, r).
+    :func:`letter_tables`; shape (..., N+1, r, r).
 
     On SU(2) only first columns ``c`` recur, by the multiply-adds of
     :func:`liegroup.mat_product`'s column 0 in its order; each second column
@@ -62,14 +80,14 @@ def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nd
     generators ``[[a, -conj b], [b, conj a]]`` (Haar draws, exp steps and
     their products), and to rounding on others (``@`` class projections).
     """
-    letters = word_letters(g, m)
+    tables = letter_tables(g, m)
     r = spec.rank
     su2 = spec.family == "SU" and r == 2
     inv = lg.group_inverse(spec, mats)
-    f = np.empty(mats.shape[:-3] + (len(letters) + 1, r, r), dtype=complex)
+    f = np.empty(mats.shape[:-3] + (len(tables.slots) + 1, r, r), dtype=complex)
     f[..., 0, :, :] = lg.identity(r)
     c = f[..., :, :, 0]  # (..., N+1, r): the first columns
-    for j, (s, e) in enumerate(letters):
+    for j, (s, e) in enumerate(zip(tables.slots, tables.exponents)):
         a = (mats if e == 1 else inv)[..., s, :, :]
         if su2:
             np.multiply(a[..., :, 0], c[..., j, :1], out=c[..., j + 1, :])
@@ -94,24 +112,11 @@ def letter_transport(spec: GroupSpec, f: np.ndarray, g: int, m: int) -> np.ndarr
     ``f`` holds the :func:`partial_products` of the tuples; returns T of
     shape (..., N, dim, dim).
     """
-    _, inverse, read, at = _letter_tables(g, m)
-    T = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., read, :, :]))[..., at, :, :]
-    T[..., inverse, :, :] *= -1
+    tables = letter_tables(g, m)
+    T = lg.adjoint_matrix(spec, lg.group_inverse(
+        spec, f[..., tables.read, :, :]))[..., tables.at, :, :]
+    T[..., tables.inverse, :, :] *= -1
     return T
-
-
-@functools.lru_cache(maxsize=None)
-def _letter_tables(g: int, m: int) -> tuple[list, list, list, list]:
-    """Each slot's first letter, each interior slot's inverse letter, the
-    partial products the letters read, ascending, and each letter's place
-    among them.  Letter j reads f_j, or f_{j-1} when it is an inverse
-    letter, so none reads f_{4i}: 3g + m are read."""
-    letters = word_letters(g, m)
-    reads = [j + 1 if e == 1 else j for j, (_, e) in enumerate(letters)]
-    read = sorted(set(reads))
-    return ([letters.index((s, 1)) for s in range(2 * g + m)],
-            [letters.index((s, -1)) for s in range(2 * g)],
-            read, [read.index(k) for k in reads])
 
 
 def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
@@ -125,9 +130,9 @@ def relator_differential_matrix(spec: GroupSpec, T: np.ndarray, Pi: np.ndarray,
     the relator value ``Pi`` (..., r, r) of the tuples.
     """
     n, d = 2 * g + m, spec.dim
-    first, inverse, _, _ = _letter_tables(g, m)
-    sums = T[..., first, :, :]
-    sums[..., : 2 * g, :, :] += T[..., inverse, :, :]
+    tables = letter_tables(g, m)
+    sums = T[..., tables.first, :, :]
+    sums[..., : 2 * g, :, :] += T[..., tables.inverse, :, :]
     blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums  # (..., n, d, d)
     return np.moveaxis(blocks, -3, -2).reshape(T.shape[:-3] + (d, n * d))
 

@@ -84,7 +84,7 @@ def first_sum_gram(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndarr
 
     U: (..., n*dim, k), V: (..., n*dim, l) -> (..., k, l).
     """
-    slots = [s for s, _ in pres.word_letters(lin.g, len(lin.slots))]
+    slots = pres.letter_tables(lin.g, len(lin.slots)).slots
     tu = _transported(lin.T, slots, U)  # (..., N, d, k)
     tv = _transported(lin.T, slots, V)  # (..., N, d, l)
     if lin.spec.family != "SU":  # the su(r) basis is orthonormal for -tr
@@ -169,17 +169,15 @@ def _frame_form(lin: Linearization) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     U = np.eye(K, dtype=T.dtype)
     for rows, slot, _ in terms:
         U[rows, rows] -= slot.ad
-    letters = pres.word_letters(lin.g, len(terms))
-    x = _transported(T, [s for s, _ in letters], U)  # (N, d, K)
+    tables = pres.letter_tables(lin.g, len(terms))
+    x = _transported(T, tables.slots, U)  # (N, d, K)
     P = np.cumsum(x, axis=0)
-    pi = P.copy()
-    inverse = [j for j, (_, e) in enumerate(letters) if e == -1]
-    pi[inverse] = P[[j - 1 for j in inverse]]
+    pi = P[tables.reads - 1]  # P[j], or P[j - 1] at an inverse letter
     Z = P[-1] - 2.0 * P + x  # sum_i sign(i - j) x_i
     # dW[x, y, z] = -(E[x, y, z] - E[x, z, y]) / 2 for
     # E[x, y, z] = sum_j <pi_j^x, [x_j^y, Z_j^z]>; Ezy[x, z, y] = E[x, y, z]
-    Q = np.tensordot(pi, C, axes=(1, 0)).reshape(len(letters), K * d, d) @ Z
-    Ezy = np.tensordot(Q.reshape(len(letters), K, d, K), x, axes=([0, 2], [0, 1]))
+    Q = np.tensordot(pi, C, axes=(1, 0)).reshape(len(x), K * d, d) @ Z
+    Ezy = np.tensordot(Q.reshape(len(x), K, d, K), x, axes=([0, 2], [0, 1]))
     dW = 0.5 * (Ezy - Ezy.transpose(0, 2, 1))
     W = first_sum_gram(lin, U, U)
     for rows, slot, M in terms:

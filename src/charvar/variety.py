@@ -17,9 +17,9 @@ slot.  With the SVD ``1 - Ad(c_k) = U S V*`` cut at the class rank
 
 Rank decisions are made from singular-value gaps, never from fixed
 epsilons: ``split_rank`` finds the largest relative gap and reports its
-quality, and a :class:`RankDeficiencyWarning` is emitted when the gap is
-weaker than ``1/gap_tol``.  Near reducible points that warning is the
-contract -- results are still returned.
+quality, and :func:`cohomology_at` emits a :class:`RankDeficiencyWarning`
+when a gap is weaker than ``1/gap_tol``.  Near reducible points that
+warning is the contract -- results are still returned.
 """
 
 from __future__ import annotations
@@ -157,14 +157,14 @@ class CohomologyBasis:
 # rank splitting
 # ---------------------------------------------------------------------------
 
-def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL):
+def split_rank(svals: np.ndarray):
     """Numerical rank from the largest relative singular-value gap.
 
     ``svals`` (..., k) is descending along its last axis.  Returns
-    ``(rank, gap_quality, clean)`` where ``gap_quality`` is the ratio of
-    the smallest kept to the largest discarded singular value (inf when
-    nothing is discarded) and ``clean`` is False when the gap is weaker
-    than ``1/gap_tol``: scalars for one vector, arrays over leading axes.
+    ``(rank, gap_quality)`` where ``gap_quality`` is the ratio of the
+    smallest kept to the largest discarded singular value (inf when
+    nothing is discarded, a zero spectrum included): scalars for one
+    vector, arrays over leading axes.
     """
     s = np.asarray(svals, dtype=float)
     s = s if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))  # no values: rank 0
@@ -177,10 +177,7 @@ def split_rank(svals: np.ndarray, gap_tol: float = GAP_TOL):
         quality = np.where(r > 0, 1.0 / r, np.inf)
     zero = s[..., 0] <= _ZERO_FLOOR
     rank, quality = np.where(zero, 0, idx + 1), np.where(zero, np.inf, quality)
-    clean = zero | (quality >= 1.0 / gap_tol)
-    if s.ndim == 1:
-        return int(rank), float(quality), bool(clean)
-    return rank, quality, clean
+    return (int(rank), float(quality)) if s.ndim == 1 else (rank, quality)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ class BoundarySlot:
         ad = lg.adjoint_matrix(spec, c)
         U, s, Vh = np.linalg.svd(np.eye(spec.dim) - ad)
         if rank is None:
-            rank, _, _ = split_rank(s)
+            rank, _ = split_rank(s)
         V = np.swapaxes(Vh[..., :rank, :], -2, -1).conj()
         return cls(ad, U[..., :rank], s[..., :rank], V)
 
@@ -555,8 +552,7 @@ def is_irreducible(point) -> bool:
 # cohomology at a point
 # ---------------------------------------------------------------------------
 
-def cohomology_split(lin: Linearization, gap_tol: float = GAP_TOL,
-                     ranks: tuple[int, int] | None = None):
+def cohomology_split(lin: Linearization, ranks: tuple[int, int] | None = None):
     """Cocycles, coboundaries and H1 of (a batch of) tuples from three
     stacked SVDs of their :class:`Linearization`: of the class-constrained
     differential ``D E``, of the constrained coboundaries ``E* C`` and of
@@ -565,20 +561,20 @@ def cohomology_split(lin: Linearization, gap_tol: float = GAP_TOL,
     gaps when None; h1 takes the ``nz - nb`` leading directions of the
     third SVD, so ``nh + nb = nz``, and that SVD's gap is a quality figure
     only.  Returns the :class:`CohomologyBasis` (arrays with the batch
-    axes) and the ``split_rank`` triple of each SVD.
+    axes) and the ``split_rank`` pair of each SVD.
     """
     _, s, Vh = np.linalg.svd(lin.D @ lin.E)
-    own_z = split_rank(s, gap_tol)
+    own_z = split_rank(s)
     Ub, sb, _ = np.linalg.svd(np.swapaxes(lin.E, -2, -1).conj()
                               @ pres.coboundary_matrix(lin.spec, lin.mats),
                               full_matrices=False)
-    own_b = split_rank(sb, gap_tol)
+    own_b = split_rank(sb)
     rz, rb = (own_z[0], own_b[0]) if ranks is None else ranks
     Zc = np.swapaxes(Vh[..., rz:, :], -2, -1).conj()  # (..., D_c, nz), orthonormal
     Bc = Ub[..., :rb]
     P = Zc - Bc @ (np.swapaxes(Bc, -2, -1).conj() @ Zc)
     Uh, sh, _ = np.linalg.svd(P, full_matrices=False)
-    own_h = split_rank(sh, gap_tol)
+    own_h = split_rank(sh)
     Hc = Uh[..., :Zc.shape[-1] - rb]
     return CohomologyBasis(
         z_coords=lin.E @ Zc, b_coords=lin.E @ Bc, h_coords=lin.E @ Hc, lin=lin,
@@ -604,18 +600,18 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     if p.residual_norm > tol_flat:
         raise ValueError(
             f"point residual {p.residual_norm:.3e} above tol_flat {tol_flat:.1e}")
-    basis, own = cohomology_split(Linearization.at(t.mats, classes), gap_tol)
-    _warn_weak_gaps(own, stacklevel=2)
+    basis, own = cohomology_split(Linearization.at(t.mats, classes))
+    _warn_weak_gaps(own, gap_tol, stacklevel=2)
     return basis
 
 
-def _warn_weak_gaps(own: tuple, stacklevel: int = 1):
-    """One :class:`RankDeficiencyWarning` per unclean ``split_rank`` triple
-    of an unbatched :func:`cohomology_split`, in its order; ``stacklevel``
-    as the caller's own ``warnings.warn`` would take it."""
-    for what, (_, quality, clean) in zip(
+def _warn_weak_gaps(own: tuple, gap_tol: float, stacklevel: int = 1):
+    """One :class:`RankDeficiencyWarning` per gap weaker than ``1/gap_tol``
+    among the ``split_rank`` pairs of an unbatched :func:`cohomology_split`,
+    in its order; ``stacklevel`` as the caller's ``warnings.warn`` takes it."""
+    for what, (_, quality) in zip(
             ("kernel/range split", "coboundary rank", "h1 complement"), own):
-        if not clean:
+        if quality < 1.0 / gap_tol:
             warnings.warn(f"{what} gap {quality:.2e} below 1/gap_tol",
                           RankDeficiencyWarning, stacklevel=stacklevel + 1)
 

@@ -47,10 +47,10 @@ def adjoint(spec, g, X):
 def mat_product_partial_products(spec, mats, g, m):
     """Oracle: the partial products f_j = alpha_j f_{j-1} of the relator's
     letters, each a whole :func:`liegroup.mat_product`."""
-    letters = cv.presentation.word_letters(g, m)
+    tables = cv.presentation.letter_tables(g, m)
     inv = cv.liegroup.group_inverse(spec, mats)
     f = [np.broadcast_to(np.eye(spec.rank, dtype=complex), mats.shape[:-3] + (spec.rank,) * 2)]
-    for s, e in letters:
+    for s, e in zip(tables.slots, tables.exponents):
         f.append(cv.liegroup.mat_product((mats if e == 1 else inv)[..., s, :, :], f[-1]))
     return np.stack(f, axis=-3)
 
@@ -110,11 +110,11 @@ def d_omega_by_differences(spec, mats, g, m, classes, h):
 
 def certify_point(p, classes, tolerances=None, closedness=False):
     """The check list of :func:`cli.certification_checks` on a stack of one
-    point, at its recorded residual."""
+    point, at the target of ``classes``."""
     from charvar import cli
 
     (checks,) = cli.certification_checks(
-        p.tuple.mats[None], np.array([p.residual_norm]), classes,
+        p.tuple.mats[None], classes.target[None], classes,
         cli.DEFAULT_TOLERANCES if tolerances is None else tolerances, closedness)
     return checks
 

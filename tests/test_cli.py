@@ -130,21 +130,32 @@ SEIFERT = {"type": "seifert", "genus": 2, "euler": 1}
     {"seed": -1},
     {"problem": {"type": "surface", "genus": 0}},
     {"problem": {"type": "surface", "genus": 2, "boundary_count": -1}},
+    {"problem": {"type": "surface", "genus": 2, "boundary_count": 2,
+                 "classes": {"representatives": [[[[1.0, 0.0], [0.0, 0.0]],
+                                                  [[0.0, 0.0], [1.0, 0.0]]]]}}},
 ], ids=["orbifold", "boundary-without-classes", "n-samples-string",
         "max-iter-string", "gate-string", "zeta-index-string",
         "tolerances-not-object", "solver-not-object", "unknown-tolerance",
         "rank-float", "genus-float", "boundary-count-float", "euler-float",
         "seed-bool", "seed-float", "seed-negative", "genus-zero",
-        "boundary-count-negative"])
+        "boundary-count-negative", "boundary-count-disagrees"])
 @pytest.mark.parametrize("command", ["solve", "volume"])
 def test_bad_problem_type_exit_1(tmp_path, capsys, bad, command):
     """A malformed config is rejected when it is loaded, whichever command
-    reads it: exit 1 and one JSON config record on stderr."""
+    reads it: exit 1 and one JSON config record on stderr.  An integer
+    boundary count that is not the number of class representatives is
+    named with both numbers."""
     cfg = write_config(tmp_path, **bad)
     assert cli.main([command, "--config", cfg]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "config"
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    m = bad["problem"].get("boundary_count") if "problem" in bad else None
+    if type(m) is int:
+        k = len(bad["problem"].get("classes", {}).get("representatives", []))
+        assert err["detail"] == (f"bad surface problem: boundary_count {m} is not "
+                                 f"the number of class representatives ({k})")
 
 
 @pytest.mark.parametrize("command", ["solve", "seifert-scan"])
@@ -385,22 +396,74 @@ def test_certify_reevaluates_a_stale_residual(tmp_path):
     assert not rep["checks"][0]["pass"]
 
 
-def test_certify_reads_the_solved_residual(tmp_path, monkeypatch):
-    """On a solved point the re-evaluated residual is the recorded one, bit
+def test_certify_reads_the_solved_residual(tmp_path):
+    """On a solved point the battery's residual is the recorded one, bit
     for bit: the solver's last evaluation, in the same shapes."""
-    battery = []
-    checks = cli.certification_checks
-
-    def kept(mats, residuals, *args):
-        battery.append(float(residuals[0]))
-        return checks(mats, residuals, *args)
-
-    monkeypatch.setattr(cli, "certification_checks", kept)
     for problem in ({"type": "surface", "genus": 2}, GENUS_1_CLASS):
         cfg = write_config(tmp_path, problem=problem)
         rc, data = _solve_and_certify(tmp_path, cfg, 3)
         assert rc == 0, data
-        assert battery.pop() == data["residual"] == data["checks"][0]["value"]
+        assert data["checks"][0]["check"] == "residual"
+        assert data["checks"][0]["value"] == data["residual"]
+
+
+def test_battery_evaluates_one_residual_at_its_targets(tmp_path, monkeypatch):
+    """Each battery call evaluates the relator once, for its whole stack, at
+    the stacked targets it is given: the config's target on ``certify``,
+    the converged components' targets on ``seifert-scan``."""
+    inside, battery, evaluate = [False], cli.certification_checks, vy._batch_residual
+    calls = []
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return battery(*args)
+        finally:
+            inside[0] = False
+
+    def spied(mats, classes, z0i):
+        if inside[0]:
+            calls.append((mats.shape, np.array(z0i)))
+        return evaluate(mats, classes, z0i)
+
+    monkeypatch.setattr(cli, "certification_checks", flagged)
+    monkeypatch.setattr(vy, "_batch_residual", spied)
+    minus = {"type": "surface", "genus": 2,
+             "classes": {"target": [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}}
+    rc, _ = _solve_and_certify(tmp_path, write_config(tmp_path, problem=minus), 3)
+    assert rc == 0
+    [(shape, z0i)] = calls
+    assert shape == (1, 4, 2, 2)
+    assert np.array_equal(z0i, -np.eye(2)[None])
+    calls.clear()
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": 3}, problem=SEIFERT)
+    assert cli.main(["seifert-scan", "--config", cfg, "--out",
+                     str(tmp_path / "scan.json"), "--quiet"]) == 0
+    targets = np.stack([c.target for c in sf.fiber_holonomy_candidates(
+        cli.RunConfig.from_file(cfg).seifert)])
+    [(shape, z0i)] = calls
+    assert shape == (3, 4, 3, 3)
+    assert np.array_equal(z0i, lg.group_inverse(GroupSpec("SU", 3), targets))
+
+
+def test_battery_reads_each_tuple_at_its_own_target(solved_points, su2):
+    """A stack of points solved at I and at -I passes at its own targets;
+    a tuple given the other's target fails its residual check and stops
+    there, and its neighbour keeps its list."""
+    minus = vy.VarietyProblem(2, ConjugacyClassSpec(su2, target=-np.eye(2)))
+    mats = np.stack([solved_points[0].tuple.mats,
+                     minus.solve(np.random.default_rng(3)).tuple.mats])
+    targets = np.stack([np.eye(2), -np.eye(2)])
+    classes = ConjugacyClassSpec(su2)
+    right = cli.certification_checks(mats, targets, classes, cli.DEFAULT_TOLERANCES, False)
+    assert all(c["pass"] for checks in right for c in checks)
+    for k in (0, 1):
+        swapped = targets.copy()
+        swapped[k] = targets[1 - k]
+        got = cli.certification_checks(mats, swapped, classes, cli.DEFAULT_TOLERANCES, False)
+        assert [c["check"] for c in got[k]] == ["residual"]
+        assert not got[k][0]["pass"]
+        assert got[1 - k] == right[1 - k]
 
 
 @pytest.mark.parametrize("solved, certified", [
@@ -626,6 +689,39 @@ def test_seifert_scan_matches_per_component_solves(tmp_path, monkeypatch, rank, 
         assert out.read_text() == want
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_seifert_scan_certifies_its_own_residuals(tmp_path, monkeypatch, rank):
+    """Each component's residual check is the battery's own evaluation at
+    its target: the solver's residual bit for bit, and unchanged when the
+    solver writes back zero residuals."""
+    cfg = write_config(tmp_path, group={"family": "SU", "rank": rank}, problem=SEIFERT)
+
+    def scan(seed):
+        out = tmp_path / f"scan{seed}.json"
+        rc = cli.main(["seifert-scan", "--config", cfg, "--seed", str(seed),
+                       "--out", str(out), "--quiet"])
+        return rc, [c for c in json.loads(out.read_text())["components"]
+                    if c["solve"]["converged"]]
+
+    scans = {seed: scan(seed) for seed in (1, 2, 3)}
+    values = [c["certify"]["checks"][0]["value"] for _, comps in scans.values()
+              for c in comps]
+    assert values == [c["solve"]["residual"] for _, comps in scans.values() for c in comps]
+    assert any(values)
+    project = vy.project_batch
+
+    def zeroed(*args, **kwargs):
+        mats, rnorm, iters, conv = project(*args, **kwargs)
+        return mats, np.zeros_like(rnorm), iters, conv
+
+    monkeypatch.setattr(vy, "project_batch", zeroed)
+    for seed, (rc, comps) in scans.items():
+        rc0, comps0 = scan(seed)
+        assert rc0 == rc
+        assert [c["certify"] for c in comps0] == [c["certify"] for c in comps]
+        assert all(c["solve"]["residual"] == 0.0 for c in comps0)
+
+
 def test_battery_builds_one_differential_and_one_irreducibility(
         solved_points, closed_problem, tmp_path, monkeypatch):
     """The cocycle check reads the split's differential, and irreducibility
@@ -706,21 +802,20 @@ def test_certify_evaluates_each_relator_word_once(tmp_path, monkeypatch):
 
 
 def _stack_battery(points, classes, tolerances=cli.DEFAULT_TOLERANCES, closedness=False):
-    """The battery on the stack of ``points``, at their recorded residuals."""
+    """The battery on the stack of ``points``, each at the target of ``classes``."""
     return cli.certification_checks(np.stack([p.tuple.mats for p in points]),
-                                    np.array([p.residual_norm for p in points]),
+                                    np.stack([classes.target] * len(points)),
                                     classes, tolerances, closedness)
 
 
 def _mixed_stack(solved_points):
     """SU(2) genus-2 points at z0 = I: a solved one, a solved one moved by
-    1e-7 (its relator residual re-evaluated), the identity (reducible) and
-    another solved one."""
+    1e-7, the identity (reducible) and another solved one.  The battery
+    evaluates their residuals: the recorded ones are not read."""
     t = solved_points[2].tuple
     moved = t.mats.copy()
     moved[0, 0, 0] += 1e-7
-    _, rnorm, _ = vy._batch_residual(moved[None], ConjugacyClassSpec(t.spec), np.eye(2)[None])
-    return [solved_points[0], RepresentationPoint(t.replace_mats(moved), float(rnorm[0])),
+    return [solved_points[0], RepresentationPoint(t.replace_mats(moved), np.nan),
             RepresentationPoint(GeneratorTuple.identity(t.spec, 2, 0), 0.0),
             solved_points[1]]
 
@@ -753,8 +848,8 @@ def test_battery_cuts_each_tuple_at_its_own_rank(solved_points, closed_problem,
     unplanted = certify_point(points[3], closed_problem.classes)
     split, d = vy.cohomology_split, closed_problem.spec.dim
 
-    def planted(lin, gap_tol, ranks=None):
-        basis, own = split(lin, gap_tol, ranks)
+    def planted(lin, ranks=None):
+        basis, own = split(lin, ranks)
         if ranks == (d, d):
             own[0][0][(lin.mats == odd).all(axis=(-3, -2, -1))] = d - 1
         return basis, own

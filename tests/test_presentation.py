@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import charvar as cv
 from charvar import liegroup as lg
 from charvar import presentation as pres
-from charvar.presentation import GeneratorTuple, word_letters
+from charvar.presentation import GeneratorTuple, letter_tables
 from charvar.twoform import first_sum_gram
 from conftest import linearization, mat_product_partial_products
 from test_liegroup import assert_slices_agree, batch_shapes
@@ -88,7 +88,10 @@ def test_relator_letter_order(su2):
     inv = lambda M: np.conj(M.T)
     expected = inv(b) @ inv(a) @ b @ a
     assert np.abs(cv.evaluate_relator(t) - expected).max() < 1e-14
-    assert word_letters(1, 2) == [(0, 1), (1, 1), (0, -1), (1, -1), (2, 1), (3, 1)]
+    tables = letter_tables(1, 2)
+    assert tables.slots.tolist() == [0, 1, 0, 1, 2, 3]
+    assert tables.exponents.tolist() == [1, 1, -1, -1, 1, 1]
+    assert tables.reads.tolist() == [1, 2, 2, 3, 5, 6]
 
 
 def test_relator_conjugation_equivariance(su2):
@@ -169,7 +172,7 @@ def einsum_slot_sum_differential(spec, T, Pi, g, m):
     """Oracle: Ad(Pi) times each slot's letter-operator sum, the sum taken
     by einsum over the 0/1 slot-membership matrix of the letters."""
     n, d = 2 * g + m, spec.dim
-    slots = np.array([s for s, _ in word_letters(g, m)])
+    slots = letter_tables(g, m).slots
     at_slot = (slots == np.arange(n)[:, None]).astype(float)
     sums = np.einsum("sj,...jab->...sab", at_slot, T)
     blocks = lg.adjoint_matrix(spec, Pi[..., None, :, :]) @ sums
@@ -247,9 +250,9 @@ def all_letters_transport(spec, f, g, m):
     """Oracle: Ad(f_j^-1) of every partial product j >= 1, then each letter's
     operator picked from them with its sign."""
     ad = lg.adjoint_matrix(spec, lg.group_inverse(spec, f[..., 1:, :, :]))
-    letters = word_letters(g, m)
-    T = ad[..., [j if e == 1 else j - 1 for j, (_, e) in enumerate(letters)], :, :]
-    return T * np.array([e for _, e in letters])[:, None, None]
+    exponents = letter_tables(g, m).exponents
+    T = ad[..., [j if e == 1 else j - 1 for j, e in enumerate(exponents)], :, :]
+    return T * exponents[:, None, None]
 
 
 @pytest.mark.parametrize("family, rank", [("SU", 2), ("SU", 3), ("SLC", 2)])

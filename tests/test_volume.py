@@ -252,7 +252,7 @@ def _one_point(problem, mats, ell):
     p = cv.RepresentationPoint(
         cv.GeneratorTuple(spec, problem.genus, problem.boundary_count, mats), 0.0)
     basis = cv.cohomology_at(p, problem.classes)
-    rank, _, _ = split_rank(basis.dpi_singular_values)
+    rank, _ = split_rank(basis.dpi_singular_values)
     return (liouville_density(p, problem.classes, basis),
             np.prod(basis.dpi_singular_values[:rank]),
             commutant_dimension(spec, mats) == 1,
