@@ -30,7 +30,6 @@ from .liegroup import (
     coords_to_algebra,
     exp,
     haar_sample,
-    log_near_identity,
     pairing,
     random_algebra,
 )
@@ -54,10 +53,6 @@ from .variety import (
     is_irreducible,
     project_to_variety,
 )
-from .volume import (
-    VolumeEstimate,
-    cross_check,
-    estimate_relative_volume,
-)
+from .volume import VolumeEstimate, cross_check
 
 __version__ = "0.1.0"

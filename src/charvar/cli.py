@@ -1,7 +1,8 @@
 """Command-line front end: solve / certify / volume / seifert-scan.
 
 Configuration is JSON only (one parser, one schema), every command emits
-machine-readable JSON, and files are written atomically (temp + rename).
+RFC 8259 JSON (no NaN or Infinity), and files are written atomically (temp
++ rename).
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (no convergence, too few samples, a saturated volume gate), 3 certification
 failure, 4 an internal error (any other exception inside a command).
@@ -38,7 +39,6 @@ from .errors import (
     OutsideDomainError,
 )
 from .liegroup import GroupSpec
-from .presentation import GeneratorTuple
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -106,7 +106,6 @@ class RunConfig:
     seifert: sf.SeifertData | None  # set by a problem of type 'seifert'
     seed: int
     tolerances: dict
-    initial: str
     max_iter: int
     n_samples: int
     gates: dict  # the volume gates the config sets; the others keep their defaults
@@ -129,8 +128,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Every key typed and checked here; a bad one raises :class:`ConfigError`."""
-        _object(data, "the config root", ("group", "problem", "seed", "initial",
-                                          "tolerances", "solver", "volume"))
+        _object(data, "the config root", ("group", "problem", "seed", "tolerances",
+                                          "solver", "volume"))
         group = _object(data.get("group"), "group", ("family", "rank"))
         _integer(group, "rank", None, "group.")
         try:
@@ -142,15 +141,11 @@ class RunConfig:
         given = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
         tol = {name: _positive(given, name, default, float, "tolerances.")
                for name, default in DEFAULT_TOLERANCES.items()}
-        initial = data.get("initial", "haar")
-        if initial not in ("haar", "identity"):
-            raise ConfigError(f"unknown initial {initial!r} (want 'haar' or 'identity')")
         solver = _object(data.get("solver", {}), "solver", ("max_iter",))
         gate_keys = ("residual_gate", "distance_gate")
         volume = _object(data.get("volume", {}), "volume", ("n_samples",) + gate_keys)
         return cls(
             problem=problem, seifert=seif, seed=seed, tolerances=tol,
-            initial=initial,
             max_iter=_positive(solver, "max_iter", 200, int, "solver."),
             n_samples=_positive(volume, "n_samples", 2000, int, "volume."),
             gates={k: _positive(volume, k, None, float, "volume.")
@@ -206,7 +201,8 @@ def atomic_write(path: str, text: str):
 
 
 def emit(payload: dict, out: str | None, quiet: bool, note: str = ""):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write ``payload`` as RFC 8259 JSON: a non-finite number in it raises."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         atomic_write(out, text)
         if not quiet and note:
@@ -225,16 +221,9 @@ def error_record(kind: str, detail: str):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
-    rng = np.random.default_rng(cfg.seed)
     prob = cfg.problem
-    initial = (GeneratorTuple.identity(prob.spec, prob.genus, prob.boundary_count)
-               if cfg.initial == "identity" else prob.random_initial(rng))
-    point = vy.project_to_variety(
-        initial, prob.classes,
-        tol_flat=cfg.tolerances["tol_flat"],
-        max_iter=cfg.max_iter,
-        rng=rng,
-    )
+    point = prob.solve(np.random.default_rng(cfg.seed),
+                       tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
     point = point.with_irreducible(vy.is_irreducible(point))
     payload = {"group": prob.spec.to_json(), "point": point.to_json(),
                "seed": cfg.seed}
@@ -269,7 +258,8 @@ def certification_checks(mats: np.ndarray, targets: np.ndarray,
     check and the partial products every later check reads.
 
     Returns one check list per tuple: the list of a stack of that tuple
-    alone.  A tuple stops at the residual check, or at irreducibility:
+    alone.  A residual outside the principal-log domain has no value (JSON
+    null) and fails.  A tuple stops at the residual check, or at irreducibility:
     ``rank(E* C) == dim g``, read off the gap of the split's coboundary SVD.
     That is the rank :func:`variety.is_irreducible` reads, since ``E`` has
     orthonormal columns spanning every coboundary.  A tuple past both emits
@@ -291,6 +281,8 @@ def certification_checks(mats: np.ndarray, targets: np.ndarray,
 
     _, rnorm, f = vy._batch_residual(mats, classes, lg.group_inverse(classes.spec, targets))
     flat = [i for i in range(len(mats)) if add(i, "residual", rnorm[i], tol_flat)]
+    for i in np.flatnonzero(rnorm == np.inf):  # outside the principal-log domain
+        checks[i][0]["value"] = None
     if not flat:
         return checks
     lin = vy.Linearization.at(mats[flat], classes, f[flat])
@@ -310,11 +302,11 @@ def certification_checks(mats: np.ndarray, targets: np.ndarray,
         own, k = where[j]
         vy._warn_weak_gaps([tuple(a[k] for a in pair) for pair in own], gap_tol)
     for rows, basis, at in cuts:
-        _cut_checks(add, rows, basis, at, d, gap_tol, closedness)
+        _cut_checks(add, rows, basis, at, gap_tol, closedness)
     return checks
 
 
-def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list, d: int,
+def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list,
                 gap_tol: float, closedness: bool):
     """The battery's checks after irreducibility, for its tuples ``rows``:
     the slices ``at`` of one batched split ``basis``."""
@@ -336,7 +328,6 @@ def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list, d: int,
     smin = np.linalg.svd(omega, compute_uv=False)[:, -1] if nh else None
     K = tf.kernel_of_form(G[:, :nz, :nz], Z)
     for k, i in enumerate(rows):
-        add(i, "coboundary_rank", abs(nb - d), 0.5)
         add(i, "rank_gap_quality", 1.0 / max(gap[k], 1e-300), gap_tol)
         add(i, "coboundaries_are_cocycles", cocycle[k], 1e-9)
         add(i, "descent", descent[k], 1e-9)
@@ -350,12 +341,17 @@ def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list, d: int,
             add(i, "closedness", tf.closedness_defect(lin.take(k)), 1e-10)
 
 
+def _not_a_number(constant: str):
+    """``json.load``'s hook for NaN and Infinity, which a payload never holds."""
+    raise ConfigError(f"bad point payload: {constant} is not a JSON number")
+
+
 def _read_point(cfg: RunConfig, point_path: str) -> vy.RepresentationPoint:
     """The point of a solve payload; :class:`ConfigError` when the file is
     not such a payload or its genus or boundary count is not the config's."""
     try:
         with open(point_path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_not_a_number)
     except OSError as e:
         raise ConfigError(f"cannot read point file: {e}") from e
     except json.JSONDecodeError as e:

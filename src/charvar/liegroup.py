@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutsideDomainError
+from .errors import DimensionMismatchError
 
 TOL_GROUP = 1e-10
 
@@ -304,21 +304,6 @@ def principal_log(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if bad.any():
         L = np.where(bad[..., None, None], 0.0, L)
     return project_to_algebra(spec, L), bad
-
-
-def log_near_identity(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Principal logarithm of (a batch of) group elements, projected onto the algebra.
-
-    Raises :class:`OutsideDomainError` when any slice is outside the
-    principal-log domain of :func:`principal_log`, which callers use to
-    get a per-slice mask instead.
-    """
-    L, bad = principal_log(spec, g)
-    if np.any(bad):
-        raise OutsideDomainError(
-            "outside the principal-log domain: an eigenvalue on the branch cut "
-            "or a non-trivial central factor")
-    return L
 
 
 # ---------------------------------------------------------------------------

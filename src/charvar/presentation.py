@@ -186,12 +186,6 @@ class GeneratorTuple:
         mats += c
         return cls(spec, len(a), len(c), np.array(mats, dtype=complex))
 
-    @classmethod
-    def identity(cls, spec, genus, boundary_count=0):
-        n = 2 * genus + boundary_count
-        mats = np.broadcast_to(lg.identity(spec.rank), (n, spec.rank, spec.rank)).copy()
-        return cls(spec, genus, boundary_count, mats)
-
     def replace_mats(self, mats: np.ndarray) -> "GeneratorTuple":
         return GeneratorTuple(self.spec, self.genus, self.boundary_count, mats)
 

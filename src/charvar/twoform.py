@@ -112,27 +112,22 @@ def form_gram_stack(lin: Linearization, U: np.ndarray, V: np.ndarray) -> np.ndar
     return G
 
 
-def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> np.ndarray | list:
-    """Orthonormal columns (n*dim, k) spanning the null space of the form
-    restricted to the cocycles, from its Gram (nz, nz) over the orthonormal
-    cocycle columns ``z_coords`` (n*dim, nz).
+def kernel_of_form(gram: np.ndarray, z_coords: np.ndarray) -> list:
+    """Orthonormal columns spanning the null space of the form restricted to
+    the cocycles, at a stack of tuples: from the form's Grams (B, nz, nz)
+    over the orthonormal cocycle columns ``z_coords`` (B, n*dim, nz), by one
+    stacked SVD.  Returns a list of B column blocks (n*dim, k), whose
+    widths may differ.
 
     At irreducible compact-group points this coincides with the
     coboundary directions; the kernel dimension is read off the
     singular-value gap, so a larger kernel at a degenerate point is
-    reported rather than hidden.  A stack of Grams (B, nz, nz) over
-    ``z_coords`` (B, n*dim, nz) takes one stacked SVD and returns a list of
-    B such column blocks, whose widths may differ.
+    reported rather than hidden.
     """
-    one = gram.ndim == 2
-    if one:
-        gram, z_coords = gram[None], z_coords[None]
     if gram.shape[-1] == 0:
-        K = list(z_coords)
-    else:
-        _, s, Vh = np.linalg.svd(gram)
-        K = [z @ v[k:].conj().T for z, v, k in zip(z_coords, Vh, split_rank(s)[0])]
-    return K[0] if one else K
+        return list(z_coords)
+    _, s, Vh = np.linalg.svd(gram)
+    return [z @ v[k:].conj().T for z, v, k in zip(z_coords, Vh, split_rank(s)[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +174,8 @@ def _frame_form(lin: Linearization) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Q = np.tensordot(pi, C, axes=(1, 0)).reshape(len(x), K * d, d) @ Z
     Ezy = np.tensordot(Q.reshape(len(x), K, d, K), x, axes=([0, 2], [0, 1]))
     dW = 0.5 * (Ezy - Ezy.transpose(0, 2, 1))
-    W = first_sum_gram(lin, U, U)
+    W = form_gram_stack(lin, U, U)
     for rows, slot, M in terms:
-        W[rows, rows] += 0.5 * Gp @ M
         # along X_x at this slot, 1 - Ad c_k moves by -[ad e_x, Ad c_k] in
         # both arguments, and the class term by [ad e_x, M] / 2
         dU = np.zeros((d, K, d), dtype=U.dtype)
@@ -255,7 +249,11 @@ def _displacement(spec: GroupSpec, qmats: np.ndarray, pmats: np.ndarray):
     block-diagonal d(ell)/d(right-trivialized slot velocity).  Raises
     :class:`OutsideDomainError` when a slot leaves the principal-log domain.
     """
-    K = lg.log_near_identity(spec, qmats @ lg.group_inverse(spec, pmats))
+    K, bad = lg.principal_log(spec, qmats @ lg.group_inverse(spec, pmats))
+    if np.any(bad):
+        raise OutsideDomainError(
+            "outside the principal-log domain: an eigenvalue on the branch cut "
+            "or a non-trivial central factor")
     lam = np.linalg.inv(_phi_series(lg.ad_algebra_matrix(spec, K)))
     ell = lg.algebra_coords(spec, K)
     return ell.reshape(ell.shape[:-2] + (ell.shape[-2] * spec.dim,)), lam

@@ -80,14 +80,13 @@ class VolumeEstimate:
         return asdict(self)
 
 
-def pfaffian_abs(omega: np.ndarray):
-    """|Pf| of (a stack of) skew matrices via sqrt(det): a float for one
-    matrix; :class:`OddDimensionError` on an odd size."""
+def pfaffian_abs(omega: np.ndarray) -> np.ndarray:
+    """|Pf| of a stack of skew matrices (..., n, n) via sqrt(det), shape (...);
+    :class:`OddDimensionError` on an odd size."""
     n = omega.shape[-1]
     if n % 2 != 0:
         raise OddDimensionError(f"skew matrix of odd size {n}")
-    pf = np.sqrt(np.maximum(np.real(np.linalg.det(omega)), 0.0))
-    return float(pf) if pf.ndim == 0 else pf
+    return np.sqrt(np.maximum(np.real(np.linalg.det(omega)), 0.0))
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -260,28 +259,15 @@ def _estimate_from_records(problem: VarietyProblem, rec: SampleRecords,
                           landings)
 
 
-def estimate_relative_volume(problem: VarietyProblem, n_samples: int, seed: int,
-                             *, estimator: str = "coarea",
-                             residual_gate: float = 0.6,
-                             distance_gate: float = 0.45) -> VolumeEstimate:
-    """Relative volume ``int pf O`` of one component by gated Haar sampling.
+def cross_check(problem: VarietyProblem, n_samples: int, seed: int, *,
+                residual_gate: float = 0.6, distance_gate: float = 0.45) -> dict:
+    """Relative volume ``int pf O`` of one component by gated Haar sampling:
+    both estimator variants on independent streams, plus agreement stats.
 
-    SU family only.  The returned value is relative to the Haar-probability
+    SU family only.  Each value is relative to the Haar-probability
     baseline in the metric of the -trace(XY) pairing that
     :func:`liegroup.pairing` fixes on su(r), which the convention note
     names; see the module docstring for the two estimator variants.
-    """
-    if estimator not in GATE_NAMES:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    gate = residual_gate if estimator == "coarea" else distance_gate
-    return _estimate_from_records(
-        problem, sample_stream(problem, n_samples, seed, estimator, gate), estimator, gate)
-
-
-def cross_check(problem: VarietyProblem, n_samples: int, seed: int, *,
-                residual_gate: float = 0.6, distance_gate: float = 0.45) -> dict:
-    """Both estimator variants on independent streams plus agreement stats.
-
     ``coarea_records`` holds the per-sample records of the co-area stream.
     """
     records = sample_stream(problem, n_samples, seed, "coarea", residual_gate)

@@ -55,6 +55,13 @@ def mat_product_partial_products(spec, mats, g, m):
     return np.stack(f, axis=-3)
 
 
+def identity_tuple(spec, genus, boundary_count=0):
+    """The tuple of 2g + m identity matrices."""
+    n = 2 * genus + boundary_count
+    return cv.GeneratorTuple(spec, genus, boundary_count,
+                             np.broadcast_to(np.eye(spec.rank), (n, spec.rank, spec.rank)))
+
+
 def form_gram_coords(p, classes, U, V):
     """Oracle: the form matrix (k, l) between coordinate stacks U (n*dim, k)
     and V (n*dim, l) at one point, from a linearization built for the call."""

@@ -13,9 +13,9 @@ PUBLIC_NAMES = [
     "RepresentationPoint", "SeifertData", "VarietyProblem",
     "VolumeEstimate", "adjoint_matrix", "algebra_basis", "algebra_coords",
     "cohomology_at", "coords_to_algebra", "cross_check",
-    "errors", "estimate_relative_volume", "evaluate_relator", "exp",
+    "errors", "evaluate_relator", "exp",
     "fiber_holonomy_candidates", "haar_sample",
-    "is_irreducible", "kernel_of_form", "liegroup", "log_near_identity",
+    "is_irreducible", "kernel_of_form", "liegroup",
     "pairing", "presentation", "project_to_variety", "random_algebra",
     "seifert", "twoform", "variety", "variety_problem", "volume",
 ]

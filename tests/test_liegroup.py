@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import charvar as cv
 from charvar import liegroup as lg
+from charvar import twoform
 from charvar.errors import OutsideDomainError
 
 from conftest import TOL_ALG, adjoint, algebra_defect, group_defect
@@ -80,8 +81,8 @@ def test_exp_lands_on_group(su2, su3, slc2):
 
 def test_log_identity_is_zero(su2, su3):
     for spec in (su2, su3):
-        L = cv.log_near_identity(spec, np.eye(spec.rank))
-        assert np.abs(L).max() < 1e-14
+        L, bad = lg.principal_log(spec, np.eye(spec.rank))
+        assert np.abs(L).max() < 1e-14 and not bad
 
 
 @pytest.mark.parametrize("spec_name", ["su2", "su3", "slc2"])
@@ -95,16 +96,30 @@ def test_exp_log_roundtrip(spec_name, request):
         nrm = np.linalg.norm(X)
         if nrm > 0.5:
             X = X * (0.5 / nrm)
-        back = cv.log_near_identity(spec, cv.exp(spec, X))
+        back, bad = lg.principal_log(spec, cv.exp(spec, X))
+        assert not bad
         worst = max(worst, np.abs(back - X).max())
     assert worst < 1e-10
 
 
+def displacement_raises(spec, g):
+    """Whether the chart's log displacement of ``g`` from the identity raises
+    :class:`OutsideDomainError`."""
+    try:
+        twoform._displacement(spec, g[None], lg.identity(spec.rank)[None])
+    except OutsideDomainError:
+        return True
+    return False
+
+
 def test_log_branch_cut_raises(su2, su3):
-    with pytest.raises(OutsideDomainError):
-        cv.log_near_identity(su2, np.diag([-1.0 + 0j, -1.0]))
-    with pytest.raises(OutsideDomainError):
-        cv.log_near_identity(su3, np.diag([-1.0 + 0j, -1.0, 1.0]))
+    """The mask marks an eigenvalue pair on the cut, and the chart's
+    displacement raises there."""
+    for spec, g in ((su2, np.diag([-1.0 + 0j, -1.0])),
+                    (su3, np.diag([-1.0 + 0j, -1.0, 1.0]))):
+        L, bad = lg.principal_log(spec, g)
+        assert bad and not np.any(L)
+        assert displacement_raises(spec, g)
 
 
 def test_log_rejects_nontrivial_central_factor(su3):
@@ -113,8 +128,9 @@ def test_log_rejects_nontrivial_central_factor(su3):
     omega = np.exp(2j * np.pi / 3)
     X = cv.random_algebra(su3, np.random.default_rng(0), scale=0.1)
     for g in (omega * np.eye(3), omega * cv.exp(su3, X)):
-        with pytest.raises(OutsideDomainError):
-            cv.log_near_identity(su3, g)
+        L, bad = lg.principal_log(su3, g)
+        assert bad and not np.any(L)
+        assert displacement_raises(su3, g)
 
 
 def test_log_output_in_algebra(su2, su3):
@@ -122,7 +138,8 @@ def test_log_output_in_algebra(su2, su3):
     for spec in (su2, su3):
         for _ in range(20):
             g = cv.exp(spec, cv.random_algebra(spec, rng, scale=0.4))
-            L = cv.log_near_identity(spec, g)
+            L, bad = lg.principal_log(spec, g)
+            assert not bad
             assert algebra_defect(spec, L).max() < TOL_ALG
 
 
@@ -291,15 +308,7 @@ def test_batched_log_matches_per_slice_and_raises(spec, shape, seed, scale):
     assert_slices_agree(spec, L, L1)
     assert np.array_equal(bad, bad1)
     assert not np.any(L[bad])
-
-    def raises(spec, x):
-        try:
-            cv.log_near_identity(spec, x)
-        except OutsideDomainError:
-            return True
-        return False
-
-    assert np.array_equal(bad, per_slice(raises, spec, g))
+    assert np.array_equal(bad, per_slice(displacement_raises, spec, g))
 
 
 @given(spec=st.sampled_from(SPECS), k=st.integers(2, 6), data=st.data(),

@@ -15,7 +15,7 @@ from charvar.errors import NoConvergenceError, NotClassTangentError, OutsideDoma
 from charvar.presentation import GeneratorTuple
 from charvar.twoform import first_sum_gram
 from conftest import (certify_point, d_omega_by_differences, form_gram_coords,
-                      form_on_cohomology, linearization)
+                      form_on_cohomology, identity_tuple, linearization)
 from test_liegroup import assert_slices_agree
 from test_presentation import coords
 from test_variety import conjugate_point
@@ -42,9 +42,10 @@ def theta(p, classes, u, v):
 
 
 def form_kernel(p, classes, basis):
-    """kernel_of_form on the Gram of the form over the cocycle columns."""
+    """kernel_of_form on the Gram of the form over the cocycle columns, as a
+    stack of one."""
     z = basis.z_coords
-    return cv.kernel_of_form(form_gram_coords(p, classes, z, z), z)
+    return cv.kernel_of_form(form_gram_coords(p, classes, z, z)[None], z[None])[0]
 
 
 def closed_theta(p, u, v):
@@ -154,7 +155,7 @@ def test_theta_zero_cases(solved_points, closed_problem, su2):
 
 def test_theta_genus1_identity_single_slot(su2):
     """Tangents supported on the first slot only cancel pairwise at identity."""
-    t = GeneratorTuple.identity(su2, 1)
+    t = identity_tuple(su2, 1)
     rng = np.random.default_rng(1)
     for _ in range(5):
         comps_u = np.zeros((2, 2, 2), dtype=complex)

@@ -23,7 +23,7 @@ from charvar.variety import (
     project_to_class,
     split_rank,
 )
-from conftest import group_defect
+from conftest import group_defect, identity_tuple
 from test_presentation import conjugate_tuple, differential
 
 
@@ -54,7 +54,7 @@ def conjugate_point(p, A, classes):
 
 
 def test_project_trivial_identity(su2):
-    t = GeneratorTuple.identity(su2, 2)
+    t = identity_tuple(su2, 2)
     p = cv.project_to_variety(t, cv.ConjugacyClassSpec(su2))
     assert p.residual_norm == 0.0
     assert np.array_equal(p.tuple.mats, t.mats)
@@ -427,7 +427,7 @@ def test_no_convergence_error_carries_diagnostics(closed_problem):
 # ---------------------------------------------------------------------------
 
 def test_identity_tuple_reducible(su2):
-    t = GeneratorTuple.identity(su2, 2)
+    t = identity_tuple(su2, 2)
     assert not cv.is_irreducible(t)
     assert commutant_dimension(su2, t.mats) == 4
 
