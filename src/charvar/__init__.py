@@ -4,8 +4,8 @@ explicit matrix-tuple manifolds, with the symplectic two-form on them.
 Workflow: pick a :class:`GroupSpec`, fix the boundary classes and the
 relator target in a :class:`ConjugacyClassSpec`, and pair it with a genus
 in a :class:`VarietyProblem` (or reduce :class:`SeifertData` through
-:func:`variety_problem`); project a seed tuple onto the variety with
-:func:`project_to_variety`, split the tangent directions with
+:func:`variety_problem`); solve for a point of the variety with
+:meth:`VarietyProblem.solve`, split the tangent directions with
 :func:`cohomology_at`, and evaluate or certify the two-form with the
 ``twoform`` operations.  ``volume`` adds Monte Carlo Liouville-volume
 estimation, and the ``charvar`` CLI wraps everything for batch runs.
@@ -51,7 +51,6 @@ from .variety import (
     VarietyProblem,
     cohomology_at,
     is_irreducible,
-    project_to_variety,
 )
 from .volume import VolumeEstimate, cross_check
 

@@ -471,7 +471,7 @@ def cmd_seifert_scan(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     targets = np.stack([cand.target for cand in cands])
     mats, rnorm, iters, conv = vy.project_batch(
         starts, classes, max_iter=cfg.max_iter, rng=rngs[0], target=targets,
-        tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]))  # project_to_variety's stop
+        tol=min(vy.SOLVE_TOL, cfg.tolerances["tol_flat"]))  # VarietyProblem.solve's stop
     done = np.flatnonzero(conv)
     batteries = dict(zip(done, certification_checks(
         mats[done], targets[done], classes, cfg.tolerances, False)))

@@ -10,11 +10,11 @@ SU(2) has closed forms for exp (``_exp_su2``), the principal log
 (``_log_su2``), the adjoint matrix (``_adjoint_su2``, the SO(3) rotation
 of the unit quaternion read off g), the Haar draw (``_haar_su2``, the
 Ginibre QR recipe without the QR) and the algebra coordinates (entries
-``+-v_k / sqrt 2``); SU(r >= 3) exp and log use numpy's
-batched ``eigh`` (of iX, and in :func:`eigenframe`), its Haar draw a
-batched QR, and other adjoint matrices the cached adjoint operator.  Only
-SL(r, C) exp and log use scipy, imported on first use, so SU runs never
-load ``scipy.linalg``.
+``+-v_k / sqrt 2``); SU(r >= 3) exp and log use numpy's batched
+``eigh`` (of iX, and of a Cayley transform in :func:`eigenframe`, the
+unitary eigenframe of the log), its Haar draw a batched QR, and other
+adjoint matrices the cached adjoint operator.  Only SL(r, C) exp and log
+use scipy, imported on first use, so SU runs never load ``scipy.linalg``.
 
 Conventions
 -----------
@@ -249,18 +249,14 @@ def _cayley_poles(r: int) -> np.ndarray:
 
 
 def eigenframe(spec: GroupSpec, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lam, V, W)`` with ``g = V diag(lam) W`` and ``W = V^-1`` for (a batch
-    of) group elements: ``np.linalg.eig`` on SL(r, C).  On SU(r), V is
-    orthonormal (W = V*), from ``np.linalg.eigh`` of the Cayley transform
-    ``i (p - g)^-1 (p + g)``, whose eigenvalue at ``p e^{ia}`` is ``-cot(a/2)``,
-    and ``lam = diag(V* g V)``.  Per slice the pole p is the one of the 2r
-    points ``exp(i pi (2j + 1) / 2r)`` farthest from ``np.linalg.eigvals(g)``,
-    at chord >= 2 sin(pi / 4r); cot is monotone on the circle, so close
-    eigenvalues mix only within their cluster.  A slice reads the same bits
-    in any batch."""
-    if spec.family != "SU":
-        lam, V = np.linalg.eig(g)
-        return lam, V, np.linalg.inv(V)
+    """``(lam, V, W)`` with ``g = V diag(lam) W`` for (a batch of) SU(r)
+    elements: V is orthonormal (W = V*), from ``np.linalg.eigh`` of the
+    Cayley transform ``i (p - g)^-1 (p + g)``, whose eigenvalue at
+    ``p e^{ia}`` is ``-cot(a/2)``, and ``lam = diag(V* g V)``.  Per slice the
+    pole p is the one of the 2r points ``exp(i pi (2j + 1) / 2r)`` farthest
+    from ``np.linalg.eigvals(g)``, at chord >= 2 sin(pi / 4r); cot is
+    monotone on the circle, so close eigenvalues mix only within their
+    cluster.  A slice reads the same bits in any batch."""
     poles = _cayley_poles(spec.rank)
     gap = np.abs(np.linalg.eigvals(g)[..., :, None] - poles).min(axis=-2)
     p = poles[gap.argmax(axis=-1)][..., None, None] * identity(spec.rank)

@@ -186,9 +186,6 @@ class GeneratorTuple:
         mats += c
         return cls(spec, len(a), len(c), np.array(mats, dtype=complex))
 
-    def replace_mats(self, mats: np.ndarray) -> "GeneratorTuple":
-        return GeneratorTuple(self.spec, self.genus, self.boundary_count, mats)
-
     def to_json(self) -> dict:
         g, m = self.genus, self.boundary_count
         return {

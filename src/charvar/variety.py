@@ -196,18 +196,6 @@ def class_distance(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
-def project_to_class(spec: GroupSpec, M: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """Replace the spectrum of M by the class representative's in the
-    eigenframe of M (:func:`liegroup.eigenframe`), pairing eigenvalues sorted
-    by phase: exact when M is already in the class, a nearby retraction
-    otherwise."""
-    lam, V, W = lg.eigenframe(spec, M)
-    order = np.argsort(np.angle(lam), kind="stable")
-    new = np.empty_like(lam)
-    new[order] = _sorted_eigenvalues(spec, rep)
-    return (V * new) @ W
-
-
 # ---------------------------------------------------------------------------
 # boundary slots and step coordinates
 # ---------------------------------------------------------------------------
@@ -502,33 +490,6 @@ def project_batch(mats: np.ndarray, classes: ConjugacyClassSpec, *, tol: float =
             iters.reshape(batch), converged.reshape(batch))
 
 
-def project_to_variety(initial: GeneratorTuple, classes: ConjugacyClassSpec,
-                       *, tol_flat: float = TOL_FLAT, max_iter: int = 200,
-                       rng: np.random.Generator | None = None) -> RepresentationPoint:
-    """Project a tuple onto the variety (relator = target, classes exact).
-
-    Boundary entries are first snapped onto their prescribed classes and
-    afterwards move only by conjugation.  Raises
-    :class:`NoConvergenceError` with the iteration count and final
-    residual when the budget runs out, and :class:`DimensionMismatchError`
-    when the tuple's group or boundary count is not the class data's.
-    """
-    spec = initial.spec
-    g, m = initial.genus, initial.boundary_count
-    if (spec, m) != (classes.spec, classes.boundary_count):
-        raise DimensionMismatchError("tuple group or boundary count disagrees with class data")
-    mats = initial.mats.copy()
-    for k in range(m):
-        mats[2 * g + k] = project_to_class(spec, mats[2 * g + k],
-                                           classes.representatives[k])
-    out, rnorm, iters, conv = project_batch(
-        mats, classes, tol=min(SOLVE_TOL, tol_flat), max_iter=max_iter, rng=rng)
-    if not bool(conv):
-        raise NoConvergenceError(int(iters), float(rnorm))
-    t = initial.replace_mats(out)
-    return RepresentationPoint(t, float(rnorm))
-
-
 # ---------------------------------------------------------------------------
 # irreducibility
 # ---------------------------------------------------------------------------
@@ -592,7 +553,8 @@ def cohomology_at(p: RepresentationPoint, classes: ConjugacyClassSpec,
     directions; h1 is the orthocomplement of the latter in the former.
     Emits :class:`RankDeficiencyWarning` when any singular-value gap is
     weaker than 1/gap_tol (non-smooth or reducible-adjacent point), and
-    raises :class:`DimensionMismatchError` as :func:`project_to_variety` does.
+    raises :class:`DimensionMismatchError` when the point's group or
+    boundary count is not the class data's.
     """
     t = p.tuple
     if (t.spec, t.boundary_count) != (classes.spec, classes.boundary_count):
@@ -661,11 +623,18 @@ class VarietyProblem:
         reps = np.array(self.classes.representatives).reshape(m, r, r)
         return np.concatenate([interior, U @ reps @ lg.group_inverse(spec, U)], axis=-3)
 
-    def random_initial(self, rng: np.random.Generator) -> GeneratorTuple:
-        """One starting tuple: the single draw of :meth:`initial_batch`."""
-        return GeneratorTuple(self.spec, self.genus, self.boundary_count,
-                              self.initial_batch(rng, 1)[0])
-
-    def solve(self, rng: np.random.Generator, **kw) -> RepresentationPoint:
-        return project_to_variety(self.random_initial(rng), self.classes,
-                                  rng=rng, **kw)
+    def solve(self, rng: np.random.Generator, *, tol_flat: float = TOL_FLAT,
+              max_iter: int = 200) -> RepresentationPoint:
+        """Flatten one :meth:`initial_batch` draw onto the variety with
+        :func:`project_batch`, stopping at ``min(SOLVE_TOL, tol_flat)``; its
+        branch-cut nudges continue ``rng``.  Boundary entries start on their
+        classes and move only by conjugation.  Raises
+        :class:`NoConvergenceError` with the iteration count and final
+        residual when the budget runs out."""
+        mats, rnorm, iters, conv = project_batch(
+            self.initial_batch(rng, 1), self.classes, tol=min(SOLVE_TOL, tol_flat),
+            max_iter=max_iter, rng=rng)
+        if not conv[0]:
+            raise NoConvergenceError(int(iters[0]), float(rnorm[0]))
+        t = GeneratorTuple(self.spec, self.genus, self.boundary_count, mats[0])
+        return RepresentationPoint(t, float(rnorm[0]))

@@ -854,7 +854,7 @@ def _mixed_stack(solved_points):
     t = solved_points[2].tuple
     moved = t.mats.copy()
     moved[0, 0, 0] += 1e-7
-    return [solved_points[0], RepresentationPoint(t.replace_mats(moved), np.nan),
+    return [solved_points[0], RepresentationPoint(GeneratorTuple(t.spec, 2, 0, moved), np.nan),
             RepresentationPoint(identity_tuple(t.spec, 2), 0.0),
             solved_points[1]]
 

@@ -5,6 +5,7 @@ import pytest
 
 import charvar as cv
 from charvar import liegroup as lg
+from charvar import variety as vy
 
 
 def perturb_point(p, classes, rng, scale):
@@ -14,7 +15,11 @@ def perturb_point(p, classes, rng, scale):
     mats = t.mats.copy()
     kick = lg.exp(t.spec, lg.random_algebra(t.spec, rng, scale=scale, size=2 * g))
     mats[:2 * g] = kick @ mats[:2 * g]
-    return cv.project_to_variety(t.replace_mats(mats), classes, rng=rng)
+    out, rnorm, iters, conv = vy.project_batch(mats, classes, rng=rng)
+    if not conv:
+        raise cv.NoConvergenceError(int(iters), float(rnorm))
+    return cv.RepresentationPoint(cv.GeneratorTuple(t.spec, g, t.boundary_count, out),
+                                  float(rnorm))
 
 
 def on_holonomy_target(p, cand):

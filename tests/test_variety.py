@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from charvar.variety import (
     Linearization,
     class_distance,
     project_batch,
-    project_to_class,
     split_rank,
 )
 from conftest import group_defect, identity_tuple
@@ -55,9 +53,9 @@ def conjugate_point(p, A, classes):
 
 def test_project_trivial_identity(su2):
     t = identity_tuple(su2, 2)
-    p = cv.project_to_variety(t, cv.ConjugacyClassSpec(su2))
-    assert p.residual_norm == 0.0
-    assert np.array_equal(p.tuple.mats, t.mats)
+    mats, rnorm, iters, conv = project_batch(t.mats, cv.ConjugacyClassSpec(su2))
+    assert conv and iters == 0 and rnorm == 0.0
+    assert np.array_equal(mats, t.mats)
 
 
 def test_projection_benchmark_200_seeds(closed_problem):
@@ -65,8 +63,8 @@ def test_projection_benchmark_200_seeds(closed_problem):
     ok = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        t = closed_problem.random_initial(rng)
-        *_, conv = project_batch(t.mats, closed_problem.classes,
+        start = closed_problem.initial_batch(rng, 1)[0]
+        *_, conv = project_batch(start, closed_problem.classes,
                                  tol=1e-10, max_iter=60, rng=rng)
         ok += bool(conv)
     assert ok >= 190
@@ -239,7 +237,7 @@ def test_project_batch_stuck_slice_leaves_neighbours_iterations(solved_points,
     near = np.stack([p.tuple.mats for p in solved_points[:4]])
     kick = cv.random_algebra(su2, rng, scale=1e-3, size=near.shape[:2])
     near = cv.exp(su2, kick) @ near
-    far = closed_problem.random_initial(rng).mats
+    far = closed_problem.initial_batch(rng, 1)[0]
     kw = dict(max_iter=3, rng=_NoDraws())
     alone = project_batch(near, closed_problem.classes, tol=1e-11, **kw)
     out = project_batch(np.concatenate([near, far[None]]), closed_problem.classes,
@@ -376,14 +374,12 @@ def test_stack_that_does_not_fit_its_classes_raises(case):
 def test_problem_and_point_of_another_group_than_the_classes_raise(
         solved_points, su2, su3, slc2):
     """The core takes the group of the class data: a problem reads its group
-    there, and a start or a point whose group is not the classes' raises.
-    SU(2) with SL(2, C) classes would otherwise solve with SL(2, C)
-    numerics, and with SU(3) classes fail in a broadcast.  A point is split
-    only at class data of its own boundary count."""
+    there, and a point whose group is not the classes' raises.  SU(2) with
+    SL(2, C) classes would otherwise split with SL(2, C) numerics, and with
+    SU(3) classes fail in a broadcast.  A point is split only at class data
+    of its own boundary count."""
     for other in (slc2, su3):
         assert cv.VarietyProblem(2, cv.ConjugacyClassSpec(other)).spec == other
-        with pytest.raises(DimensionMismatchError):
-            cv.project_to_variety(solved_points[0].tuple, cv.ConjugacyClassSpec(other))
         with pytest.raises(DimensionMismatchError):
             cv.cohomology_at(solved_points[0], cv.ConjugacyClassSpec(other))
     with pytest.raises(DimensionMismatchError):
@@ -414,10 +410,8 @@ def test_projection_slc(slc2):
 
 
 def test_no_convergence_error_carries_diagnostics(closed_problem):
-    rng = np.random.default_rng(5)
-    t = closed_problem.random_initial(rng)
     with pytest.raises(NoConvergenceError) as exc:
-        cv.project_to_variety(t, closed_problem.classes, max_iter=1, rng=rng)
+        closed_problem.solve(np.random.default_rng(5), max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.final_residual > 0
 
@@ -623,7 +617,7 @@ def test_cohomology_requires_flat_point(solved_points, closed_problem, su2):
     t = solved_points[0].tuple
     mats = t.mats.copy()
     mats[0] = cv.exp(su2, cv.random_algebra(su2, rng, scale=0.1)) @ mats[0]
-    bad = cv.RepresentationPoint(t.replace_mats(mats), 1e-3)
+    bad = cv.RepresentationPoint(GeneratorTuple(t.spec, t.genus, t.boundary_count, mats), 1e-3)
     with pytest.raises(ValueError):
         cv.cohomology_at(bad, closed_problem.classes)
 
@@ -671,43 +665,17 @@ def test_class_distance_and_projection(su2):
     U = cv.haar_sample(su2, rng)
     in_class = U @ rep @ np.conj(U.T)
     assert class_distance(su2, in_class, rep) < 1e-14
-    off = cv.exp(su2, cv.random_algebra(su2, rng, scale=0.05)) @ in_class
-    snapped = project_to_class(su2, off, rep)
-    assert class_distance(su2, snapped, rep) < 1e-12
-    assert np.abs(snapped - off).max() < 0.2
 
 
-def _schur_frame_projection(M, rep):
-    """The class projection in the complex Schur frame ``M = Z T Z*`` (oracle;
-    exact for normal M only)."""
-    T, Z = scipy.linalg.schur(M, output="complex")
-    target = np.diag(rep)[np.argsort(np.angle(np.diag(rep)), kind="stable")]
-    new = np.empty(len(target), dtype=complex)
-    new[np.argsort(np.angle(np.diag(T)), kind="stable")] = target
-    return Z @ np.diag(new) @ Z.conj().T
-
-
-@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2), ("SLC", 3)])
-def test_project_to_class_keeps_in_class_matrices(family, r):
-    """A matrix already in the class comes back within 1e-12, on SL(r, C)
-    too, where the Schur frame would drop the triangle; on SU(r) a matrix
-    off the class lands where the Schur-frame oracle puts it."""
+@pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2)])
+def test_boundary_entries_stay_in_class(family, r):
+    """A solve starts each boundary entry on its class and moves it only by
+    conjugation, so the solved entry is on the class to rounding (no snap
+    runs)."""
     spec, rep = cv.GroupSpec(family, r), _class_rep(r)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        h = cv.haar_sample(spec, rng)
-        M = h @ rep @ lg.group_inverse(spec, h)
-        assert np.abs(project_to_class(spec, M, rep) - M).max() < 1e-12
-        if spec.family == "SU":
-            off = cv.exp(spec, cv.random_algebra(spec, rng, scale=0.05)) @ M
-            assert np.abs(project_to_class(spec, off, rep)
-                          - _schur_frame_projection(off, rep)).max() < 1e-14
-
-
-def test_boundary_entries_stay_in_class(boundary_points, boundary_problem, su2):
-    rep = boundary_problem.classes.representatives[0]
-    for p in boundary_points:
-        assert class_distance(su2, p.tuple.c(0), rep) < 1e-10
+    for seed in range(1, 9):
+        c = _solved_mats(family, r, 1, 1, seed)[-1]
+        assert class_distance(spec, c, rep) <= 1e-12
 
 
 def _slotwise_initial(problem, rng):
@@ -742,11 +710,10 @@ def test_initial_batch_draw(family, r):
         problem = cv.VarietyProblem(g, cv.ConjugacyClassSpec(spec, reps[:1]))
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            t = problem.random_initial(rng)
+            got = problem.initial_batch(rng, 1)[0]
             want = _slotwise_initial(problem, ref_rng)
-            assert isinstance(t, GeneratorTuple)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert t.mats.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family,r", [("SU", 2), ("SU", 3), ("SLC", 2), ("SLC", 3)])

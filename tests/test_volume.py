@@ -150,15 +150,6 @@ def test_estimators_require_su(slc2):
         cv.cross_check(prob, 100, 0)
 
 
-def test_unknown_estimator_is_rejected_before_sampling(closed_problem, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a Haar draw ran before the estimator name was checked")
-
-    monkeypatch.setattr(lg, "haar_sample", no_draw)
-    with pytest.raises(ValueError, match="unknown estimator 'nope'"):
-        sample_stream(closed_problem, 100, 0, "nope", 0.6)
-
-
 def test_insufficient_samples(closed_problem):
     with pytest.raises(InsufficientSamplesError):
         estimate(closed_problem, 120, 6, "coarea")
@@ -514,14 +505,15 @@ def test_stream_builds_each_initial_partial_product_once(closed_problem, monkeyp
     assert [seen[t.tobytes()] for t in init] == [1] * n
 
 
-def test_sample_stream_rejects_an_unknown_estimator(closed_problem, monkeypatch):
+@pytest.mark.parametrize("name", ["nope", "Tube"])
+def test_sample_stream_rejects_an_unknown_estimator(closed_problem, monkeypatch, name):
     """A misspelt estimator is an error before any draw, not the tube stream."""
     def no_draw(*args, **kwargs):
         raise AssertionError("the stream drew samples before checking its estimator")
 
     monkeypatch.setattr(closed_problem.__class__, "initial_batch", no_draw)
-    with pytest.raises(ValueError, match="unknown estimator 'Tube'"):
-        sample_stream(closed_problem, 100, 0, "Tube", 0.45)
+    with pytest.raises(ValueError, match=f"unknown estimator '{name}'"):
+        sample_stream(closed_problem, 100, 0, name, 0.45)
 
 
 def test_nudges_leave_the_haar_draws_alone(su3, monkeypatch):
