@@ -224,12 +224,12 @@ def cmd_solve(cfg: RunConfig, out: str | None, quiet: bool) -> int:
     prob = cfg.problem
     point = prob.solve(np.random.default_rng(cfg.seed),
                        tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
-    point = point.with_irreducible(vy.is_irreducible(point))
-    payload = {"group": prob.spec.to_json(), "point": point.to_json(),
+    irreducible = vy.is_irreducible(point.tuple)
+    payload = {"group": prob.spec.to_json(),
+               "point": {**point.to_json(), "irreducible": irreducible},
                "seed": cfg.seed}
     emit(payload, out, quiet,
-         f"solved: residual {point.residual_norm:.3e}, "
-         f"irreducible={point.irreducible}")
+         f"solved: residual {point.residual_norm:.3e}, irreducible={irreducible}")
     return EXIT_OK
 
 
@@ -242,8 +242,6 @@ def _subspace_sine(K: np.ndarray, B: np.ndarray) -> float:
     spans, ``||B - K (K* B)||_2``; 1 when their dimensions differ."""
     if K.shape[1] != B.shape[1]:
         return 1.0
-    if B.shape[1] == 0:
-        return 0.0
     return float(np.linalg.norm(B - K @ (K.conj().T @ B), 2))
 
 
@@ -259,15 +257,16 @@ def certification_checks(mats: np.ndarray, targets: np.ndarray,
 
     Returns one check list per tuple: the list of a stack of that tuple
     alone.  A residual outside the principal-log domain has no value (JSON
-    null) and fails.  A tuple stops at the residual check, or at irreducibility:
-    ``rank(E* C) == dim g``, read off the gap of the split's coboundary SVD.
-    That is the rank :func:`variety.is_irreducible` reads, since ``E`` has
-    orthonormal columns spanning every coboundary.  A tuple past both emits
-    the rank-deficiency warnings :func:`variety.cohomology_at` emits at it,
-    and is cut at its own ranks: one split cuts the stack at (dim g, dim g),
-    and the tuples whose own ``rank(D E)`` differs, if any, are split again
-    at it.  The tuples of one cut share one form Gram over the columns
-    [z | b | h] and one stacked SVD per check.
+    null) and fails.  A tuple stops at the residual check, or at
+    irreducibility: one split cuts the flat tuples at (dim g, dim g), and a
+    tuple passes when that split reads ``rank(D E) == rank(E* C) == dim g``
+    at it, the smooth-point rule of :func:`volume.landing_densities`.
+    ``rank(E* C)`` is the rank :func:`variety.is_irreducible` reads, since
+    ``E`` has orthonormal columns spanning every coboundary.  A tuple past
+    irreducibility emits the rank-deficiency warnings
+    :func:`variety.cohomology_at` emits at it, in stack order; those tuples
+    share one form Gram over the columns [z | b | h] and one stacked SVD
+    per check.
     """
     d = classes.spec.dim
     tol_flat, gap_tol = tolerances["tol_flat"], tolerances["gap_tol"]
@@ -286,33 +285,14 @@ def certification_checks(mats: np.ndarray, targets: np.ndarray,
     if not flat:
         return checks
     lin = vy.Linearization.at(mats[flat], classes, f[flat])
-    split = vy.cohomology_split(lin, ranks=(d, d))
-    (rz, _), (rb, _), _ = split[1]
-    past = {}  # rank(D E) -> stack positions of the tuples past irreducibility
-    for j, i in enumerate(flat):
-        if add(i, "irreducible", 0.0 if rb[j] == d else 1.0, 0.5):
-            past.setdefault(int(rz[j]), []).append(j)
-    cuts, where = [], {}
-    for r, js in past.items():  # each at its own ranks: the split above serves dim g
-        (basis, own), at = (split, js) if r == d else (
-            vy.cohomology_split(lin.take(js), ranks=(r, d)), range(len(js)))
-        cuts.append(([flat[j] for j in js], basis, list(at)))
-        where.update((j, (own, k)) for j, k in zip(js, at))
-    for j in sorted(where):  # in stack order
-        own, k = where[j]
-        vy._warn_weak_gaps([tuple(a[k] for a in pair) for pair in own], gap_tol)
-    for rows, basis, at in cuts:
-        _cut_checks(add, rows, basis, at, gap_tol, closedness)
-    return checks
-
-
-def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list,
-                gap_tol: float, closedness: bool):
-    """The battery's checks after irreducibility, for its tuples ``rows``:
-    the slices ``at`` of one batched split ``basis``."""
-    if len(at) == basis.lin.mats.shape[0]:
-        at = slice(None)  # every slice: views, not copies
-    lin = basis.lin.take(at)
+    basis, own = vy.cohomology_split(lin, ranks=(d, d))
+    smooth = (own[0][0] == d) & (own[1][0] == d)
+    past = [j for j, i in enumerate(flat)
+            if add(i, "irreducible", 0.0 if smooth[j] else 1.0, 0.5)]
+    if not past:
+        return checks
+    at = slice(None) if len(past) == len(flat) else past  # every tuple: views, not copies
+    lin = lin.take(at)
     nz, nb, nh = basis.dims()
     Z, B, gap = basis.z_coords[at], basis.b_coords[at], basis.gap_quality[at]
     # cocycle condition of the coboundaries, under the split's own differential
@@ -327,7 +307,9 @@ def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list,
     skew = np.abs(omega + np.swapaxes(omega, -2, -1)).max(axis=(-2, -1), initial=0.0)
     smin = np.linalg.svd(omega, compute_uv=False)[:, -1] if nh else None
     K = tf.kernel_of_form(G[:, :nz, :nz], Z)
-    for k, i in enumerate(rows):
+    for k, j in enumerate(past):  # in stack order
+        vy._warn_weak_gaps([tuple(a[j] for a in pair) for pair in own], gap_tol)
+        i = flat[j]
         add(i, "rank_gap_quality", 1.0 / max(gap[k], 1e-300), gap_tol)
         add(i, "coboundaries_are_cocycles", cocycle[k], 1e-9)
         add(i, "descent", descent[k], 1e-9)
@@ -339,6 +321,7 @@ def _cut_checks(add, rows: list, basis: vy.CohomologyBasis, at: list,
         add(i, "kernel_matches_coboundaries", _subspace_sine(K[k], B[k]), 1e-7)
         if closedness:
             add(i, "closedness", tf.closedness_defect(lin.take(k)), 1e-10)
+    return checks
 
 
 def _not_a_number(constant: str):

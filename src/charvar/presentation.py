@@ -78,7 +78,8 @@ def partial_products(spec: GroupSpec, mats: np.ndarray, g: int, m: int) -> np.nd
     is written as ``(-conj c_1, conj c_0)`` at the end.  That is the whole
     product bit for bit, but for the sign of an exactly cancelled zero, on
     generators ``[[a, -conj b], [b, conj a]]`` (Haar draws, exp steps and
-    their products), and to rounding on others (``@`` class projections).
+    their products), and to rounding on others (the ``U rep U*`` class
+    conjugates :meth:`variety.VarietyProblem.initial_batch` builds with ``@``).
     """
     tables = letter_tables(g, m)
     r = spec.rank

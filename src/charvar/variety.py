@@ -107,25 +107,19 @@ class RepresentationPoint:
 
     tuple: GeneratorTuple
     residual_norm: float
-    irreducible: bool | None = None
 
     @property
     def spec(self) -> GroupSpec:
         return self.tuple.spec
 
-    def with_irreducible(self, flag: bool) -> "RepresentationPoint":
-        return replace(self, irreducible=flag)
-
     def to_json(self) -> dict:
         data = self.tuple.to_json()
         data["residual"] = self.residual_norm
-        data["irreducible"] = self.irreducible
         return data
 
     @classmethod
     def from_json(cls, spec: GroupSpec, data: dict) -> "RepresentationPoint":
-        t = GeneratorTuple.from_json(spec, data)
-        return cls(t, float(data["residual"]), data.get("irreducible"))
+        return cls(GeneratorTuple.from_json(spec, data), float(data["residual"]))
 
 
 @dataclass(frozen=True)
@@ -162,14 +156,16 @@ def split_rank(svals: np.ndarray):
 
     ``svals`` (..., k) is descending along its last axis.  Returns
     ``(rank, gap_quality)`` where ``gap_quality`` is the ratio of the
-    smallest kept to the largest discarded singular value (inf when
-    nothing is discarded, a zero spectrum included): scalars for one
-    vector, arrays over leading axes.
+    smallest kept to the largest discarded singular value; a value below
+    ``1e-16 s[0]``, and the value past the last, read as ``1e-16 s[0]``
+    (inf for a zero spectrum).  Scalars for one vector, arrays over leading axes.
     """
     s = np.asarray(svals, dtype=float)
     s = s if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))  # no values: rank 0
-    # sentinel models an empty kernel at machine scale
-    ext = np.concatenate([s, 1e-16 * s[..., :1]], axis=-1)
+    # sentinel models an empty kernel at machine scale; a value below it, an
+    # exact zero included, reads as it too, so no gap opens inside the noise
+    sentinel = 1e-16 * s[..., :1]
+    ext = np.concatenate([np.maximum(s, sentinel), sentinel], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = ext[..., 1:] / ext[..., :-1]
         idx = np.argmin(ratios, axis=-1)
@@ -494,17 +490,19 @@ def project_batch(mats: np.ndarray, classes: ConjugacyClassSpec, *, tol: float =
 # irreducibility
 # ---------------------------------------------------------------------------
 
-def is_irreducible(point) -> bool:
-    """True iff the coboundary map ``X -> (X - Ad(rho(s)) X)_s`` has rank
+def is_irreducible(t: GeneratorTuple) -> bool:
+    """True iff the coboundary map ``C: X -> (X - Ad(rho(s)) X)_s`` has rank
     ``dim g``, read off its singular-value gap by :func:`split_rank`.
 
     The map's kernel is the traceless part of the joint commutant, so full
-    rank means the commutant is the scalars; the volume sampler's mask
-    applies the same rule.  On SU(r) that is irreducibility.  On SL(r, C)
-    it is not: a tuple with a common invariant subspace (an upper-triangular
-    one, say) can still have a trivial commutant and read True.
+    rank means the commutant is the scalars.  ``rank(C)`` is the
+    ``rank(E* C)`` of :func:`cohomology_split`, since ``E`` has orthonormal
+    columns spanning every coboundary; the volume sampler's mask and the
+    certification battery read that rank and ``rank(D E)`` too.  On SU(r)
+    this is irreducibility.  On SL(r, C) it is not: a tuple with a common
+    invariant subspace (an upper-triangular one, say) can still have a
+    trivial commutant and read True.
     """
-    t = point.tuple if isinstance(point, RepresentationPoint) else point
     s = np.linalg.svd(pres.coboundary_matrix(t.spec, t.mats), compute_uv=False)
     return split_rank(s)[0] == t.spec.dim
 

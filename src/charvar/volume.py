@@ -123,7 +123,8 @@ def landing_densities(lin: Linearization):
 
     One :func:`cohomology_split`, cut at the ranks of an irreducible point
     ``rank(D E) = rank(E* C) = dim g``, and one form Gram serve the stack;
-    a slice whose own ranks differ reads ``(0, 0, False)``.  For a
+    a slice whose own ranks differ reads ``(0, 0, False)``, the rule by
+    which :func:`cli.certification_checks` passes irreducibility.  For a
     unitary representation the coboundary rank is ``dim g`` exactly when
     the commutant is the scalars: a larger commutant is a *-algebra, so it
     holds a non-scalar Hermitian ``H``, and ``i(H - tr H / r)`` is a nonzero

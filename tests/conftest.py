@@ -160,11 +160,7 @@ def closed_problem(su2):
 @pytest.fixture(scope="session")
 def solved_points(closed_problem):
     """Twenty independently solved irreducible points on the g=2 variety."""
-    pts = []
-    for seed in range(20):
-        p = closed_problem.solve(np.random.default_rng(1000 + seed))
-        pts.append(p.with_irreducible(cv.is_irreducible(p)))
-    return pts
+    return [closed_problem.solve(np.random.default_rng(1000 + seed)) for seed in range(20)]
 
 
 @pytest.fixture(scope="session")
@@ -175,11 +171,7 @@ def minus_problem(su2):
 
 @pytest.fixture(scope="session")
 def minus_points(minus_problem):
-    pts = []
-    for seed in range(5):
-        p = minus_problem.solve(np.random.default_rng(2000 + seed))
-        pts.append(p.with_irreducible(cv.is_irreducible(p)))
-    return pts
+    return [minus_problem.solve(np.random.default_rng(2000 + seed)) for seed in range(5)]
 
 
 @pytest.fixture(scope="session")
@@ -191,11 +183,7 @@ def boundary_problem(su2):
 
 @pytest.fixture(scope="session")
 def boundary_points(boundary_problem):
-    pts = []
-    for seed in range(5):
-        p = boundary_problem.solve(np.random.default_rng(3000 + seed))
-        pts.append(p.with_irreducible(cv.is_irreducible(p)))
-    return pts
+    return [boundary_problem.solve(np.random.default_rng(3000 + seed)) for seed in range(5)]
 
 
 @pytest.fixture(scope="session", params=[0.3, 1.0], ids=lambda t: f"theta{t}")

@@ -702,11 +702,11 @@ def _per_component_scan(cfg: cli.RunConfig) -> dict:
         problem = sf.variety_problem(cfg.seifert, cand)
         point = problem.solve(np.random.default_rng(cfg.seed + cand.index),
                               tol_flat=cfg.tolerances["tol_flat"], max_iter=cfg.max_iter)
-        point = point.with_irreducible(vy.is_irreducible(point))
+        irreducible = vy.is_irreducible(point.tuple)
         checks = certify_point(point, problem.classes, cfg.tolerances)
         comps.append({**cand.to_json(),
                       "solve": {"converged": True, "residual": point.residual_norm,
-                                "irreducible": point.irreducible},
+                                "irreducible": irreducible},
                       "certify": {"checks": checks,
                                   "passed": all(c["pass"] for c in checks)}})
     return {"components": comps, "seed": cfg.seed, "count": len(comps)}
@@ -876,28 +876,28 @@ def test_battery_on_a_mixed_stack_is_the_per_point_battery(
     assert ("closedness" in {c["check"] for c in got[0]}) == closedness
 
 
-def test_battery_cuts_each_tuple_at_its_own_rank(solved_points, closed_problem,
-                                                 monkeypatch):
-    """A tuple whose own ``rank(D E)`` reads below dim g (planted: the rank
-    the split reports for it is lowered by one) is split again at that rank,
-    and its neighbours keep the cut at (dim g, dim g): every list is still
-    the one of a stack of that tuple alone."""
+def test_battery_stops_a_tuple_whose_split_ranks_disagree(solved_points, closed_problem,
+                                                         monkeypatch):
+    """A tuple whose split reads ``rank(D E)`` below dim g (planted: the rank
+    the split reports for it is lowered by one) while ``rank(E* C)`` reads
+    dim g is not a smooth point: its list ends at irreducibility, which it
+    fails with value 1, and its neighbours keep their own lists."""
     points = _mixed_stack(solved_points)
+    want = [certify_point(p, closed_problem.classes) for p in points]
     odd = points[3].tuple.mats
-    unplanted = certify_point(points[3], closed_problem.classes)
     split, d = vy.cohomology_split, closed_problem.spec.dim
 
     def planted(lin, ranks=None):
         basis, own = split(lin, ranks)
-        if ranks == (d, d):
-            own[0][0][(lin.mats == odd).all(axis=(-3, -2, -1))] = d - 1
+        own[0][0][(lin.mats == odd).all(axis=(-3, -2, -1))] = d - 1
         return basis, own
 
     monkeypatch.setattr(vy, "cohomology_split", planted)
     got = _stack_battery(points, closed_problem.classes)
-    assert got == [certify_point(p, closed_problem.classes) for p in points]
-    assert got[3] != unplanted
-    assert not all(c["pass"] for c in got[3])
+    assert got[:3] == want[:3]
+    assert got[3][:1] == want[3][:1]
+    assert [c["check"] for c in got[3]] == ["residual", "irreducible"]
+    assert got[3][-1]["value"] == 1.0 and not got[3][-1]["pass"]
 
 
 def _messages(record) -> list:
@@ -1029,7 +1029,7 @@ def _isolated_point():
     t = GeneratorTuple.from_parts(su2, [np.diag([1j, -1j])],
                                   [np.array([[0, 1], [-1, 0]], dtype=complex)], [c])
     assert np.array_equal(evaluate_relator(t), np.eye(2))
-    return RepresentationPoint(t, 0.0, True), ConjugacyClassSpec(su2, (c,))
+    return RepresentationPoint(t, 0.0), ConjugacyClassSpec(su2, (c,))
 
 
 def test_certify_isolated_irreducible_point():

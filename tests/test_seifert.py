@@ -76,7 +76,7 @@ def test_both_components_solvable_r2_n1(su2):
         prob = cv.variety_problem(d, cand)
         p = prob.solve(np.random.default_rng(40 + cand.index))
         assert p.residual_norm < 1e-10
-        assert cv.is_irreducible(p)
+        assert cv.is_irreducible(p.tuple)
         basis = cv.cohomology_at(p, prob.classes)
         assert basis.dims()[2] == 6  # central target leaves 6g - 6 intact
         # pulled back to the bundle group, the defining relation holds

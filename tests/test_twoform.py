@@ -695,8 +695,7 @@ def test_su3_structure(su3):
     """SU(3), genus 2: dims (24, 8, 16), descent, kernel = coboundaries."""
     prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3))
     p = prob.solve(np.random.default_rng(1))
-    p = p.with_irreducible(cv.is_irreducible(p))
-    assert p.irreducible
+    assert cv.is_irreducible(p.tuple)
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (24, 8, 16)  # h1 = (2g - 2) dim G
     assert np.abs(form_gram_coords(p, prob.classes, basis.b_coords,
@@ -726,7 +725,7 @@ def test_slc_complex_form(slc2):
     """SL(2, C): complex-valued skew form with the same dimension pattern."""
     prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(slc2))
     p = prob.solve(np.random.default_rng(3))
-    assert cv.is_irreducible(p)
+    assert cv.is_irreducible(p.tuple)
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (9, 3, 6)  # complex dimensions
     omega = form_on_cohomology(p, prob.classes, basis)

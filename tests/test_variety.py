@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import charvar as cv
@@ -48,7 +48,7 @@ def conjugate_point(p, A, classes):
     """The point slotwise conjugated by A, its residual recomputed there."""
     t = conjugate_tuple(p.tuple, A)
     _, rnorm, _ = _batch_residual(t.mats, classes, lg.group_inverse(t.spec, classes.target))
-    return cv.RepresentationPoint(t, float(rnorm), p.irreducible)
+    return cv.RepresentationPoint(t, float(rnorm))
 
 
 def test_project_trivial_identity(su2):
@@ -390,7 +390,7 @@ def test_projection_su3(su3):
     prob = cv.VarietyProblem(2, cv.ConjugacyClassSpec(su3))
     p = prob.solve(np.random.default_rng(1))
     assert p.residual_norm < 1e-10
-    assert cv.is_irreducible(p)
+    assert cv.is_irreducible(p.tuple)
 
 
 def test_projection_su3_lands_on_target_not_central_multiple(su3):
@@ -501,8 +501,44 @@ def test_is_irreducible_agrees_with_commutant_oracle(family, r, g, m, eps, seed)
         assert not got
 
 
+def _torus_tuple(spec, g, m, rng):
+    """Diagonal interior generators, then each boundary slot at its diagonal
+    class representative: the tuple's stabilizer is the maximal torus."""
+    r = spec.rank
+    phi = rng.uniform(-np.pi, np.pi, size=(2 * g, r))
+    phi -= phi.mean(axis=-1, keepdims=True)  # det 1
+    interior = np.zeros((2 * g, r, r), dtype=complex)
+    interior[:, np.arange(r), np.arange(r)] = np.exp(1j * phi)
+    return np.concatenate([interior, np.broadcast_to(_class_rep(r), (m, r, r))])
+
+
+@settings(max_examples=40)
+@given(group=st.sampled_from([("SU", 2), ("SU", 3), ("SLC", 2)]), g=st.integers(1, 2),
+       m=st.integers(0, 1), torus=st.booleans(), seed=st.integers(0, 2**16))
+@example(group=("SU", 3), g=1, m=1, torus=True, seed=12)
+@example(group=("SU", 3), g=2, m=1, torus=True, seed=51)
+def test_split_ranks_are_the_codimension_of_the_stabilizer(group, g, m, torus, seed):
+    """Both own ranks of the split, ``rank(D E)`` and ``rank(E* C)``, read
+    ``dim g - dim z(rho)``: ``dim g`` at an ``initial_batch`` draw, whose
+    stabilizer is the centre, and ``dim g - (r - 1)`` at a torus tuple
+    (``im dPi = z(rho)^perp``, and the coboundary map's kernel is
+    ``z(rho)``).  The pinned SU(3) torus tuples end the spectrum of ``D E``
+    in two exact zeros (genus 1), or in 3e-16 and 2e-47 (genus 2): no gap
+    may open inside them."""
+    assume((g, m) != (1, 0))  # the closed torus: every point is reducible
+    spec = cv.GroupSpec(*group)
+    classes = cv.ConjugacyClassSpec(spec, (_class_rep(spec.rank),) * m)
+    rng = np.random.default_rng(seed)
+    if torus:
+        mats, want = _torus_tuple(spec, g, m, rng), spec.dim - (spec.rank - 1)
+    else:
+        mats, want = cv.VarietyProblem(g, classes).initial_batch(rng, 1)[0], spec.dim
+    _, own = vy.cohomology_split(Linearization.at(mats, classes))
+    assert (own[0][0], own[1][0]) == (want, want)
+
+
 def test_solved_points_irreducible(solved_points):
-    assert all(p.irreducible for p in solved_points)
+    assert all(cv.is_irreducible(p.tuple) for p in solved_points)
 
 
 @pytest.mark.xfail(strict=True, reason="a trivial commutant does not rule out an "
@@ -545,7 +581,7 @@ def test_cohomology_dims_g2(solved_points, closed_problem, su2):
 def test_cohomology_dims_g3(su2):
     prob = cv.VarietyProblem(3, cv.ConjugacyClassSpec(su2))
     p = prob.solve(np.random.default_rng(8))
-    assert cv.is_irreducible(p)
+    assert cv.is_irreducible(p.tuple)
     basis = cv.cohomology_at(p, prob.classes)
     assert basis.dims() == (15, 3, 12)  # h1 = 6g - 6 = 12
 
@@ -553,7 +589,7 @@ def test_cohomology_dims_g3(su2):
 def test_cohomology_dims_boundary(boundary_points, boundary_problem):
     """g=1, m=1, class of diag(i,-i): dim h1 = 2 by explicit ranks."""
     for p in boundary_points[:3]:
-        assert p.irreducible
+        assert cv.is_irreducible(p.tuple)
         basis = cv.cohomology_at(p, boundary_problem.classes)
         assert basis.dims() == (5, 3, 2)
 
@@ -640,6 +676,19 @@ def test_split_rank_unit_cases():
     for i, row in enumerate(rows):
         assert tuple(a.reshape(-1)[i] for a in got) == split_rank(row)
     assert [a.shape for a in split_rank(np.zeros((3, 0)))] == [(3,)] * 2
+
+
+def test_split_rank_finds_no_gap_inside_a_cluster_of_zeros():
+    """Two exact zeros (a ratio 0/0), or a rounding-level value before an
+    exact zero or a far smaller value (a ratio 0 or 5e-32), hold no gap: a
+    value below the sentinel ``1e-16 s[0]`` reads as it, so these spectra
+    of ``D E`` at SU(3) torus tuples read rank 6 and a quality near 1e16."""
+    for s in ([2.807, 2.807, 2.562, 2.562, 2.314, 2.314, 0.0, 0.0],
+              [2.225, 2.225, 2.199, 2.199, 1.736, 1.736, 3.14e-16, 0.0],
+              [3.479, 3.479, 3.141, 3.141, 2.862, 2.862, 3.14e-16, 1.69e-47]):
+        rank, quality = split_rank(np.array(s))
+        assert rank == 6
+        assert 1e15 < quality < 1e17
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +798,6 @@ def test_point_json_roundtrip(solved_points, su2):
     back = cv.RepresentationPoint.from_json(su2, p.to_json())
     assert np.array_equal(back.tuple.mats, p.tuple.mats)
     assert back.residual_norm == p.residual_norm
-    assert back.irreducible == p.irreducible
 
 
 def test_residual_matches_stored(solved_points, closed_problem):
